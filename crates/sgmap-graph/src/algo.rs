@@ -1,5 +1,10 @@
 //! Graph algorithms shared by the rest of the crate: topological ordering,
-//! reachability and connectivity over forward (non-feedback) channels.
+//! connectivity and convexity over forward (non-feedback) channels.
+//!
+//! The connectivity and convexity checks are *local*: they touch a node set,
+//! its incident channels and (for convexity) the non-members inside the set's
+//! topological window, never the whole graph. The partition search runs one
+//! per candidate merge, so their cost is what bounds coarsening at scale.
 
 use crate::error::GraphError;
 use crate::filter::FilterId;
@@ -44,91 +49,143 @@ pub(crate) fn topological_order(graph: &StreamGraph) -> Result<Vec<FilterId>> {
     }
 }
 
-/// Returns the set of nodes reachable from `start` over forward channels,
-/// restricted to nodes for which `allowed` returns `true` (the start node is
-/// always included).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn reachable_within(
-    graph: &StreamGraph,
-    start: FilterId,
-    allowed: impl Fn(FilterId) -> bool,
-) -> Vec<bool> {
-    let n = graph.filter_count();
-    let mut seen = vec![false; n];
-    let mut stack = vec![start];
-    seen[start.index()] = true;
-    while let Some(u) = stack.pop() {
-        for &c in graph.out_channels(u) {
+/// Every filter's position in [`StreamGraph::topological_order`], computed
+/// once per graph.
+///
+/// A graph whose forward channels form a cycle has no topological order; its
+/// positions are then the filter ids, and [`TopoIndex::is_acyclic`] reports
+/// `false` so that nothing relies on them being ordered.
+#[derive(Debug, Clone)]
+pub struct TopoIndex {
+    positions: Vec<u32>,
+    acyclic: bool,
+}
+
+impl TopoIndex {
+    /// Builds the index of `graph` (one topological sort).
+    pub fn new(graph: &StreamGraph) -> Self {
+        let mut positions: Vec<u32> = (0..graph.filter_count() as u32).collect();
+        let acyclic = match topological_order(graph) {
+            Ok(order) => {
+                for (pos, id) in order.into_iter().enumerate() {
+                    positions[id.index()] = pos as u32;
+                }
+                true
+            }
+            Err(_) => false,
+        };
+        TopoIndex { positions, acyclic }
+    }
+
+    /// Position of `id` in the topological order (its index when the graph
+    /// is cyclic).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not belong to the indexed graph.
+    pub fn position(&self, id: FilterId) -> usize {
+        self.positions[id.index()] as usize
+    }
+
+    /// `true` if the forward channels are acyclic, so that every forward
+    /// channel goes from a lower position to a higher one.
+    pub fn is_acyclic(&self) -> bool {
+        self.acyclic
+    }
+}
+
+/// Forward (non-feedback) successors of `u`, one per channel.
+fn forward_successors(graph: &StreamGraph, u: FilterId) -> impl Iterator<Item = FilterId> + '_ {
+    graph
+        .out_channels(u)
+        .iter()
+        .map(|&c| graph.channel(c))
+        .filter(|ch| !ch.feedback)
+        .map(|ch| ch.dst)
+}
+
+/// Returns `true` if `members` (sorted ascending, no duplicates) form a
+/// non-empty weakly connected sub-graph, treating forward channels as
+/// undirected and ignoring feedback channels. Walks the members and their
+/// incident channels only.
+pub(crate) fn is_weakly_connected(graph: &StreamGraph, members: &[FilterId]) -> bool {
+    if members.is_empty() {
+        return false;
+    }
+    let mut seen = vec![false; members.len()];
+    let mut stack = vec![0usize];
+    seen[0] = true;
+    let mut visited = 0usize;
+    while let Some(i) = stack.pop() {
+        visited += 1;
+        let u = members[i];
+        for &c in graph.out_channels(u).iter().chain(graph.in_channels(u)) {
             let ch = graph.channel(c);
             if ch.feedback {
                 continue;
             }
-            let v = ch.dst;
-            if !seen[v.index()] && allowed(v) {
-                seen[v.index()] = true;
-                stack.push(v);
+            let v = if ch.src == u { ch.dst } else { ch.src };
+            if let Ok(j) = members.binary_search(&v) {
+                if !seen[j] {
+                    seen[j] = true;
+                    stack.push(j);
+                }
             }
         }
     }
-    seen
+    visited == members.len()
 }
 
-/// Returns `true` if the nodes marked in `members` form a weakly connected
-/// sub-graph (treating channels as undirected, ignoring feedback channels).
-pub(crate) fn is_weakly_connected(graph: &StreamGraph, members: &[bool]) -> bool {
-    let count = members.iter().filter(|&&m| m).count();
-    if count == 0 {
-        return false;
+/// Returns `true` if `members` (sorted ascending, no duplicates) is convex:
+/// no forward path leaves the set and comes back into it.
+///
+/// A forward search starts at the members' non-member successors and walks
+/// non-members only; the set is non-convex exactly when it reaches a member.
+/// In an acyclic graph no member lies past the set's last topological
+/// position, so the search is pruned there, and its visited marks cover just
+/// the window between the set's first and last positions. Without a
+/// topological order the window is the whole graph and nothing is pruned.
+pub(crate) fn is_convex(graph: &StreamGraph, topo: &TopoIndex, members: &[FilterId]) -> bool {
+    if members.len() <= 1 {
+        return true;
     }
-    let start = members.iter().position(|&m| m).expect("non-empty");
-    let mut seen = vec![false; graph.filter_count()];
-    let mut stack = vec![FilterId::from_index(start)];
-    seen[start] = true;
-    let mut visited = 0usize;
+    let (lo, hi) = if topo.is_acyclic() {
+        members.iter().fold((usize::MAX, 0), |(lo, hi), &m| {
+            let p = topo.position(m);
+            (lo.min(p), hi.max(p))
+        })
+    } else {
+        (0, graph.filter_count() - 1)
+    };
+    let is_member = |v: FilterId| members.binary_search(&v).is_ok();
+    let mut seen = vec![false; hi - lo + 1];
+    let mut stack: Vec<FilterId> = Vec::new();
+    // Marks a non-member inside the window and queues it. A successor of a
+    // member (or of a non-member reached from one) sits after that member,
+    // so its position is never below `lo`.
+    let mut enqueue = |v: FilterId, stack: &mut Vec<FilterId>| {
+        let p = topo.position(v);
+        if p <= hi && !seen[p - lo] {
+            seen[p - lo] = true;
+            stack.push(v);
+        }
+    };
+    for &m in members {
+        for v in forward_successors(graph, m) {
+            if !is_member(v) {
+                enqueue(v, &mut stack);
+            }
+        }
+    }
     while let Some(u) = stack.pop() {
-        visited += 1;
-        let mut push_neighbor = |v: FilterId| {
-            if members[v.index()] && !seen[v.index()] {
-                seen[v.index()] = true;
-                stack.push(v);
+        for v in forward_successors(graph, u) {
+            if is_member(v) {
+                return false;
             }
-        };
-        for &c in graph.out_channels(u) {
-            let ch = graph.channel(c);
-            if !ch.feedback {
-                push_neighbor(ch.dst);
-            }
-        }
-        for &c in graph.in_channels(u) {
-            let ch = graph.channel(c);
-            if !ch.feedback {
-                push_neighbor(ch.src);
-            }
+            enqueue(v, &mut stack);
         }
     }
-    visited == count
-}
-
-/// Computes, for every node, whether it can reach any node of `targets`
-/// (marked as `true`) over forward channels. Used by the convexity test.
-pub(crate) fn can_reach_targets(graph: &StreamGraph, targets: &[bool]) -> Vec<bool> {
-    // Process nodes in reverse topological order so that a single pass
-    // suffices; the graph is guaranteed acyclic over forward channels.
-    let order = topological_order(graph).unwrap_or_else(|_| graph.filter_ids().collect());
-    let mut reach = targets.to_vec();
-    for &u in order.iter().rev() {
-        if reach[u.index()] {
-            continue;
-        }
-        for &c in graph.out_channels(u) {
-            let ch = graph.channel(c);
-            if !ch.feedback && reach[ch.dst.index()] {
-                reach[u.index()] = true;
-                break;
-            }
-        }
-    }
-    reach
+    true
 }
 
 #[cfg(test)]
@@ -160,41 +217,36 @@ mod tests {
             .collect();
         assert!(pos[0] < pos[1] && pos[0] < pos[2]);
         assert!(pos[1] < pos[3] && pos[2] < pos[3]);
-    }
-
-    #[test]
-    fn reachability_is_restricted_by_predicate() {
-        let (g, ids) = diamond();
-        let reach = reachable_within(&g, ids[0], |v| v != ids[1]);
-        assert!(reach[ids[2].index()]);
-        assert!(reach[ids[3].index()]);
-        assert!(!reach[ids[1].index()]);
+        let topo = TopoIndex::new(&g);
+        assert!(topo.is_acyclic());
+        for (id, p) in ids.iter().zip(pos) {
+            assert_eq!(topo.position(*id), p);
+        }
     }
 
     #[test]
     fn weak_connectivity() {
         let (g, ids) = diamond();
-        let mut members = vec![false; g.filter_count()];
-        members[ids[1].index()] = true;
-        members[ids[2].index()] = true;
         // b and c are not connected to each other without a or d.
-        assert!(!is_weakly_connected(&g, &members));
-        members[ids[0].index()] = true;
-        assert!(is_weakly_connected(&g, &members));
+        assert!(!is_weakly_connected(&g, &[ids[1], ids[2]]));
+        assert!(is_weakly_connected(&g, &[ids[0], ids[1], ids[2]]));
+        assert!(!is_weakly_connected(&g, &[]));
     }
 
     #[test]
-    fn reach_targets_marks_ancestors() {
-        let (g, ids) = diamond();
-        let mut targets = vec![false; g.filter_count()];
-        targets[ids[3].index()] = true;
-        let reach = can_reach_targets(&g, &targets);
-        assert!(reach.iter().all(|&r| r), "every node reaches the sink");
-        let mut targets = vec![false; g.filter_count()];
-        targets[ids[1].index()] = true;
-        let reach = can_reach_targets(&g, &targets);
-        assert!(reach[ids[0].index()]);
-        assert!(!reach[ids[2].index()]);
-        assert!(!reach[ids[3].index()]);
+    fn convexity_without_a_topological_order_searches_unpruned() {
+        // a -> b -> c -> a is a forward cycle: {a, c} is left through b and
+        // re-entered, {a, b, c} is closed.
+        let mut g = StreamGraph::new("cycle");
+        let a = g.add_filter(Filter::new("a", 1, 1, 1.0));
+        let b = g.add_filter(Filter::new("b", 1, 1, 1.0));
+        let c = g.add_filter(Filter::new("c", 1, 1, 1.0));
+        g.add_channel(a, b, 1, 1).unwrap();
+        g.add_channel(b, c, 1, 1).unwrap();
+        g.add_channel(c, a, 1, 1).unwrap();
+        let topo = TopoIndex::new(&g);
+        assert!(!topo.is_acyclic());
+        assert!(!is_convex(&g, &topo, &[a, c]));
+        assert!(is_convex(&g, &topo, &[a, b, c]));
     }
 }

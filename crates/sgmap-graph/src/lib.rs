@@ -12,7 +12,8 @@
 //! * [`RepetitionVector`] — the SDF steady-state firing rates solved from the
 //!   balance equations,
 //! * [`NodeSet`] — a sub-graph (candidate partition) with connectivity and
-//!   convexity queries,
+//!   convexity queries, and [`TopoIndex`] — the topological positions those
+//!   queries bound their search with,
 //! * [`interp`] — a functional interpreter used to check that generated
 //!   benchmark graphs compute what they claim to compute.
 //!
@@ -55,6 +56,7 @@ pub mod interp;
 mod nodeset;
 mod rates;
 
+pub use algo::TopoIndex;
 pub use builder::{GraphBuilder, StreamSpec};
 pub use error::GraphError;
 pub use filter::{Filter, FilterId, FilterKind, JoinKind, SplitKind};

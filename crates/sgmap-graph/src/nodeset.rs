@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::algo;
+use crate::algo::{self, TopoIndex};
 use crate::error::GraphError;
 use crate::filter::{FilterId, FilterKind};
 use crate::graph::{ChannelId, StreamGraph};
@@ -174,63 +174,27 @@ impl NodeSet {
         false
     }
 
-    fn membership(&self, graph: &StreamGraph) -> Vec<bool> {
-        let mut m = vec![false; graph.filter_count()];
-        for id in self.iter() {
-            m[id.index()] = true;
-        }
-        m
-    }
-
-    /// Returns `true` if the members form a weakly connected sub-graph of
-    /// `graph`.
+    /// Returns `true` if the members form a non-empty weakly connected
+    /// sub-graph of `graph` over forward channels. Walks the members and
+    /// their incident channels only.
     pub fn is_connected(&self, graph: &StreamGraph) -> bool {
-        if self.is_empty() {
-            return false;
-        }
-        algo::is_weakly_connected(graph, &self.membership(graph))
+        algo::is_weakly_connected(graph, &self.members)
     }
 
     /// Returns `true` if the set is convex in `graph`: no directed path
     /// between two members passes through a non-member.
+    ///
+    /// Sorts `graph` topologically first; a caller checking many sets of one
+    /// graph builds a [`TopoIndex`] once and uses [`NodeSet::is_convex_in`].
     pub fn is_convex(&self, graph: &StreamGraph) -> bool {
-        if self.members.len() <= 1 {
-            return true;
-        }
-        let members = self.membership(graph);
-        // A non-member x violates convexity iff it is reachable from a member
-        // and can itself reach a member. One multi-source BFS from all
-        // members gives the first predicate in O(V + E).
-        let mut reachable_from_set = members.clone();
-        let mut stack: Vec<FilterId> = self.iter().collect();
-        while let Some(u) = stack.pop() {
-            for &c in graph.out_channels(u) {
-                let ch = graph.channel(c);
-                if ch.feedback {
-                    continue;
-                }
-                if !reachable_from_set[ch.dst.index()] {
-                    reachable_from_set[ch.dst.index()] = true;
-                    stack.push(ch.dst);
-                }
-            }
-        }
-        let reaches_set = algo::can_reach_targets(graph, &members);
-        for i in 0..graph.filter_count() {
-            if !members[i] && reachable_from_set[i] && reaches_set[i] {
-                // `reaches_set` includes the node itself when it is a member,
-                // but i is a non-member here, so this marks a true violation
-                // only if it can reach some member *through* forward edges.
-                let downstream_member_exists = graph
-                    .successors(FilterId::from_index(i))
-                    .iter()
-                    .any(|&s| reaches_set[s.index()] || members[s.index()]);
-                if downstream_member_exists {
-                    return false;
-                }
-            }
-        }
-        true
+        self.is_convex_in(graph, &TopoIndex::new(graph))
+    }
+
+    /// [`NodeSet::is_convex`] against a precomputed [`TopoIndex`] of `graph`.
+    /// Visits the members' forward successors and the non-members between
+    /// the set's first and last topological positions, not the whole graph.
+    pub fn is_convex_in(&self, graph: &StreamGraph, topo: &TopoIndex) -> bool {
+        algo::is_convex(graph, topo, &self.members)
     }
 
     /// Channels whose endpoints are both members.

@@ -8,7 +8,7 @@
 //! contrast the paper's Section 4.0.3 quantifies with the "kernel count
 //! ratio".
 
-use sgmap_graph::NodeSet;
+use sgmap_graph::{NodeSet, TopoIndex};
 use sgmap_pee::{Estimate, Estimator};
 
 use crate::error::PartitionError;
@@ -23,6 +23,7 @@ use crate::partitioning::{Partition, Partitioning};
 pub fn partition_baseline(est: &Estimator<'_>) -> Result<Partitioning, PartitionError> {
     let graph = est.graph();
     let order = graph.topological_order().map_err(PartitionError::Graph)?;
+    let topo = TopoIndex::new(graph);
 
     let mut partitions: Vec<Partition> = Vec::new();
     let mut current: Option<(NodeSet, Estimate)> = None;
@@ -37,7 +38,7 @@ pub fn partition_baseline(est: &Estimator<'_>) -> Result<Partitioning, Partition
             Some((set, set_est)) => {
                 let union = set.union(&single);
                 let feasible = union.is_connected(graph)
-                    && union.is_convex(graph)
+                    && union.is_convex_in(graph, &topo)
                     && est.estimate(&union).is_some();
                 if feasible {
                     let e = est.estimate(&union).expect("checked above");

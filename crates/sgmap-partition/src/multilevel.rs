@@ -108,7 +108,7 @@ pub(crate) fn multilevel_partition(
     let threads = search.resolved_threads();
     let batch = search.batch.max(1);
     let graph = est.graph();
-    let feasible = FeasibilityCache::new(trace);
+    let feasible = FeasibilityCache::new(graph, trace);
 
     {
         let _span = sgmap_trace::span(trace, "partition.prewarm");
@@ -292,12 +292,20 @@ pub(crate) fn refine_level(
         let assignment_ref: &[usize] = &assignment;
         // Interior clusters (every neighbour in the home part) fall out with
         // an empty target list, so only boundary clusters reach evaluation.
+        // Neighbours are read straight off the forward channels; the sort
+        // and dedup below make their order and repetition irrelevant.
         let candidates = (0..clusters.len()).flat_map(|c| {
             let home = assignment_ref[clusters[c].nodes.as_slice()[0].index()];
             let mut targets: Vec<usize> = clusters[c]
                 .nodes
                 .iter()
-                .flat_map(|id| graph.neighbors(id))
+                .flat_map(|id| {
+                    let incident = graph.in_channels(id).iter().chain(graph.out_channels(id));
+                    incident
+                        .map(|&c| graph.channel(c))
+                        .filter(|ch| !ch.feedback)
+                        .map(move |ch| if ch.src == id { ch.dst } else { ch.src })
+                })
                 .map(|nb| assignment_ref[nb.index()])
                 .filter(|&q| q != home)
                 .collect();
@@ -448,7 +456,7 @@ mod tests {
         // must never raise the total estimate and must keep parts valid.
         let graph = App::SynthPipe.build(60).unwrap();
         let est = Estimator::new(&graph, GpuSpec::m2090()).unwrap();
-        let feasible = FeasibilityCache::new(None);
+        let feasible = FeasibilityCache::new(&graph, None);
         let ids: Vec<_> = graph.filter_ids().collect();
         let split = 2usize;
         let make_part = |ids: &[sgmap_graph::FilterId]| {

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-use sgmap_graph::{FilterId, NodeSet, StreamGraph};
+use sgmap_graph::{FilterId, NodeSet, StreamGraph, TopoIndex};
 use sgmap_pee::{Estimate, Estimator, SetChars};
 
 use crate::adjacency::AdjacencyIndex;
@@ -40,27 +40,31 @@ pub(crate) struct Part {
 
 /// Memoised structural-feasibility answers (weak connectivity over forward
 /// channels, then convexity — the exact guard every merge has always run),
-/// shared across the whole search. The candidate enumeration re-visits the
-/// same union sets on every merge iteration, and both predicates walk the
-/// whole graph; for a fixed set they never change, so one answer per
-/// distinct set suffices. The connectivity check matters even though merge
-/// operands are always adjacent: adjacency counts feedback channels (as the
-/// historical channel scan did), while connectivity deliberately ignores
-/// them, so parts joined *only* by a feedback channel must stay rejected.
-/// Benign racing (two threads computing the same pure predicate) cannot
-/// change any decision.
-#[derive(Debug, Default)]
+/// shared across the whole search. Both predicates are local: connectivity
+/// walks the set and its incident channels, convexity the set's successors
+/// and the non-members inside its topological window, bounded by the
+/// [`TopoIndex`] built once per search. The candidate enumeration re-visits
+/// the same union sets on every merge iteration, and for a fixed set the
+/// answer never changes, so one answer per distinct set suffices. The
+/// connectivity check matters even though merge operands are always
+/// adjacent: adjacency counts feedback channels (as the historical channel
+/// scan did), while connectivity deliberately ignores them, so parts joined
+/// *only* by a feedback channel must stay rejected. Benign racing (two
+/// threads computing the same pure predicate) cannot change any decision.
+#[derive(Debug)]
 pub(crate) struct FeasibilityCache<'t> {
     map: RwLock<HashMap<NodeSet, bool>>,
+    topo: TopoIndex,
     /// Trace handle shared with the whole search; the cache carries it so
     /// `try_merge` and the phases can count without extra parameters.
     pub(crate) trace: sgmap_trace::TraceRef<'t>,
 }
 
 impl<'t> FeasibilityCache<'t> {
-    pub(crate) fn new(trace: sgmap_trace::TraceRef<'t>) -> Self {
+    pub(crate) fn new(graph: &StreamGraph, trace: sgmap_trace::TraceRef<'t>) -> Self {
         FeasibilityCache {
             map: RwLock::new(HashMap::new()),
+            topo: TopoIndex::new(graph),
             trace,
         }
     }
@@ -76,7 +80,7 @@ impl<'t> FeasibilityCache<'t> {
             return known;
         }
         sgmap_trace::add(self.trace, "partition.feasibility_misses", 1);
-        let feasible = set.is_connected(graph) && set.is_convex(graph);
+        let feasible = set.is_connected(graph) && set.is_convex_in(graph, &self.topo);
         self.map
             .write()
             .expect("feasibility cache lock poisoned")
@@ -164,7 +168,7 @@ pub(crate) fn flat_partition(
     let graph = est.graph();
     let mut parts: Vec<Part> = Vec::new();
     let mut assigned = vec![false; graph.filter_count()];
-    let feasible = FeasibilityCache::new(trace);
+    let feasible = FeasibilityCache::new(graph, trace);
 
     // Unconditional, even on one thread: it pins the evaluated singleton set
     // to "every filter" regardless of thread count, so cache counters stay

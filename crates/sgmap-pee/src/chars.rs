@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 use sgmap_gpusim::profile::ProfileTable;
 use sgmap_gpusim::sm_layout;
-use sgmap_graph::{FilterId, FilterKind, NodeSet, RepetitionVector, StreamGraph};
+use sgmap_graph::{FilterId, FilterKind, NodeSet, RepetitionVector, StreamGraph, TopoIndex};
 
 /// Everything the performance model needs to know about a partition,
 /// independent of the kernel parameters.
@@ -121,8 +121,8 @@ struct FilterFacts {
 /// channels.
 #[derive(Debug, Clone)]
 pub struct CharsIndex {
-    /// Filter index → position in the deterministic firing-scan order.
-    topo_pos: Vec<u32>,
+    /// Filter → position in the deterministic firing-scan order.
+    topo: TopoIndex,
     /// Channel index → bytes moved per steady-state iteration.
     chan_bytes: Vec<u64>,
     facts: Vec<FilterFacts>,
@@ -131,12 +131,7 @@ pub struct CharsIndex {
 impl CharsIndex {
     /// Precomputes the index for `graph` under `reps` and `profile`.
     pub fn new(graph: &StreamGraph, reps: &RepetitionVector, profile: &ProfileTable) -> Self {
-        let mut topo_pos: Vec<u32> = (0..graph.filter_count() as u32).collect();
-        if let Ok(order) = graph.topological_order() {
-            for (pos, id) in order.into_iter().enumerate() {
-                topo_pos[id.index()] = pos as u32;
-            }
-        }
+        let topo = TopoIndex::new(graph);
         let chan_bytes = graph
             .channels()
             .map(|(cid, _)| graph.channel_iteration_bytes(cid, reps))
@@ -169,7 +164,7 @@ impl CharsIndex {
             })
             .collect();
         CharsIndex {
-            topo_pos,
+            topo,
             chan_bytes,
             facts,
         }
@@ -229,7 +224,7 @@ impl CharsIndex {
     /// with exactly the arithmetic of [`sm_layout::footprint`].
     fn internal_peak(&self, graph: &StreamGraph, set: &NodeSet, enhanced: bool) -> u64 {
         let mut order: Vec<FilterId> = set.iter().collect();
-        order.sort_unstable_by_key(|id| self.topo_pos[id.index()]);
+        order.sort_unstable_by_key(|&id| self.topo.position(id));
         // Like the reference scan, the consumed-bytes map starts out holding
         // every internal channel at its full volume; producing a channel
         // overwrites the entry (with zero for elided splitters/joiners).

@@ -60,15 +60,18 @@ impl PerfModel {
     /// per execution (optionally including the saturation term for `W`
     /// concurrent executions).
     pub fn t_comp_us(&self, chars: &PartitionCharacteristics, params: KernelParams) -> f64 {
-        let s = f64::from(params.s.max(1));
-        let latency: f64 = chars
-            .filters
-            .iter()
-            .map(|&(t_i, f_i)| t_i / (f_i as f64).min(s).max(1.0))
-            .sum();
+        self.comp_from(
+            latency_us(chars, params.s),
+            chars.serial_compute_us(),
+            params.w,
+        )
+    }
+
+    /// [`PerfModel::t_comp_us`] from the per-S latency sum and the serial
+    /// time, both of which the caller may have computed once.
+    fn comp_from(&self, latency: f64, serial_us: f64, w: u32) -> f64 {
         if self.issue_throughput_correction {
-            let throughput =
-                f64::from(params.w.max(1)) * chars.serial_compute_us() / f64::from(self.warp_size);
+            let throughput = f64::from(w.max(1)) * serial_us / f64::from(self.warp_size);
             latency.max(throughput)
         } else {
             latency
@@ -90,7 +93,24 @@ impl PerfModel {
 
     /// Equation III.8: total kernel time.
     pub fn t_exec_us(&self, chars: &PartitionCharacteristics, params: KernelParams) -> f64 {
-        self.t_comp_us(chars, params)
+        self.exec_from(
+            chars,
+            latency_us(chars, params.s),
+            chars.serial_compute_us(),
+            params,
+        )
+    }
+
+    /// [`PerfModel::t_exec_us`] from a precomputed latency sum and serial
+    /// time: O(1) per parameter triple.
+    fn exec_from(
+        &self,
+        chars: &PartitionCharacteristics,
+        latency: f64,
+        serial_us: f64,
+        params: KernelParams,
+    ) -> f64 {
+        self.comp_from(latency, serial_us, params.w)
             .max(self.t_dt_us(chars, params))
             + self.t_db_us(chars, params)
     }
@@ -98,8 +118,39 @@ impl PerfModel {
     /// Equation III.12: normalised (per-execution) time, the metric used to
     /// compare partitions of different sizes.
     pub fn normalized_us(&self, chars: &PartitionCharacteristics, params: KernelParams) -> f64 {
-        self.t_exec_us(chars, params) / f64::from(params.w.max(1))
+        self.normalized_from(
+            chars,
+            latency_us(chars, params.s),
+            chars.serial_compute_us(),
+            params,
+        )
     }
+
+    /// [`PerfModel::normalized_us`] from the latency sum of `params.s`
+    /// ([`latency_us`]) and [`PartitionCharacteristics::serial_compute_us`].
+    /// Both depend on the characteristics and S alone, so the parameter
+    /// search computes them once and evaluates its (F, W) grid in O(1) per
+    /// point, bit-identically to [`PerfModel::normalized_us`].
+    pub(crate) fn normalized_from(
+        &self,
+        chars: &PartitionCharacteristics,
+        latency: f64,
+        serial_us: f64,
+        params: KernelParams,
+    ) -> f64 {
+        self.exec_from(chars, latency, serial_us, params) / f64::from(params.w.max(1))
+    }
+}
+
+/// The latency term of Equation III.9: each filter's single-thread time
+/// divided by the threads it can use, `min(f_i, S)`, summed in member order.
+pub(crate) fn latency_us(chars: &PartitionCharacteristics, s: u32) -> f64 {
+    let s = f64::from(s.max(1));
+    chars
+        .filters
+        .iter()
+        .map(|&(t_i, f_i)| t_i / (f_i as f64).min(s).max(1.0))
+        .sum()
 }
 
 impl Default for PerfModel {
