@@ -41,14 +41,6 @@ fn comparator_stage(n: u32, stage: usize) -> StreamSpec {
 /// Returns [`GraphError::EmptySplitJoin`] if `n` is not a power of two of at
 /// least 2 (mirroring the StreamIt program's requirement).
 pub fn build_iterative(n: u32) -> Result<StreamGraph, GraphError> {
-    build_iterative_traced(n, None)
-}
-
-/// [`build_iterative`] with an optional trace collector.
-pub fn build_iterative_traced(
-    n: u32,
-    trace: sgmap_trace::TraceRef<'_>,
-) -> Result<StreamGraph, GraphError> {
     if !is_power_of_two(n) {
         return Err(GraphError::EmptySplitJoin);
     }
@@ -63,7 +55,7 @@ pub fn build_iterative_traced(
         }
     }
     stages.push(StreamSpec::from_filter(Filter::new("sink", n, 0, 1.0)));
-    GraphBuilder::new(format!("Bitonic_N{n}")).build_traced(StreamSpec::pipeline(stages), trace)
+    GraphBuilder::new(format!("Bitonic_N{n}")).build(StreamSpec::pipeline(stages))
 }
 
 /// Recursive bitonic merge of `n` keys.
@@ -112,14 +104,6 @@ fn bitonic_sort(n: u32, path: String) -> StreamSpec {
 /// Returns [`GraphError::EmptySplitJoin`] if `n` is not a power of two of at
 /// least 2.
 pub fn build_recursive(n: u32) -> Result<StreamGraph, GraphError> {
-    build_recursive_traced(n, None)
-}
-
-/// [`build_recursive`] with an optional trace collector.
-pub fn build_recursive_traced(
-    n: u32,
-    trace: sgmap_trace::TraceRef<'_>,
-) -> Result<StreamGraph, GraphError> {
     if !is_power_of_two(n) {
         return Err(GraphError::EmptySplitJoin);
     }
@@ -128,7 +112,7 @@ pub fn build_recursive_traced(
         bitonic_sort(n, "t".to_string()),
         StreamSpec::from_filter(Filter::new("sink", n, 0, 1.0)),
     ]);
-    GraphBuilder::new(format!("BitonicRec_N{n}")).build_traced(spec, trace)
+    GraphBuilder::new(format!("BitonicRec_N{n}")).build(spec)
 }
 
 #[cfg(test)]

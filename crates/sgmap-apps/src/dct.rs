@@ -32,11 +32,6 @@ fn dct_pass(n: u32, axis: &str) -> StreamSpec {
 ///
 /// Returns [`GraphError::EmptySplitJoin`] if `n` is below 2.
 pub fn build(n: u32) -> Result<StreamGraph, GraphError> {
-    build_traced(n, None)
-}
-
-/// [`build`] with an optional trace collector (see [`GraphBuilder::build_traced`]).
-pub fn build_traced(n: u32, trace: sgmap_trace::TraceRef<'_>) -> Result<StreamGraph, GraphError> {
     if n < 2 {
         return Err(GraphError::EmptySplitJoin);
     }
@@ -49,7 +44,7 @@ pub fn build_traced(n: u32, trace: sgmap_trace::TraceRef<'_>) -> Result<StreamGr
         StreamSpec::filter("quantize", block, block, 2.0 * f64::from(block)),
         StreamSpec::filter("sink", block, 0, f64::from(n)),
     ]);
-    GraphBuilder::new(format!("DCT_N{n}")).build_traced(spec, trace)
+    GraphBuilder::new(format!("DCT_N{n}")).build(spec)
 }
 
 #[cfg(test)]

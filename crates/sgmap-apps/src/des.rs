@@ -45,11 +45,6 @@ fn round(index: u32) -> StreamSpec {
 ///
 /// Returns [`GraphError::EmptyPipeline`] if `n` is zero.
 pub fn build(n: u32) -> Result<StreamGraph, GraphError> {
-    build_traced(n, None)
-}
-
-/// [`build`] with an optional trace collector (see [`GraphBuilder::build_traced`]).
-pub fn build_traced(n: u32, trace: sgmap_trace::TraceRef<'_>) -> Result<StreamGraph, GraphError> {
     if n == 0 {
         return Err(GraphError::EmptyPipeline);
     }
@@ -66,7 +61,7 @@ pub fn build_traced(n: u32, trace: sgmap_trace::TraceRef<'_>) -> Result<StreamGr
     }
     stages.push(StreamSpec::filter("final_permutation", 2, 2, PERMUTE_WORK));
     stages.push(StreamSpec::filter("sink", 2, 0, 2.0));
-    GraphBuilder::new(format!("DES_N{n}")).build_traced(StreamSpec::pipeline(stages), trace)
+    GraphBuilder::new(format!("DES_N{n}")).build(StreamSpec::pipeline(stages))
 }
 
 #[cfg(test)]

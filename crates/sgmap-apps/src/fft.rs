@@ -19,11 +19,6 @@ pub const BUTTERFLY_WORK_PER_POINT: f64 = 6.0;
 /// Returns [`GraphError::EmptyPipeline`] if `n` is not a power of two of at
 /// least 8.
 pub fn build(n: u32) -> Result<StreamGraph, GraphError> {
-    build_traced(n, None)
-}
-
-/// [`build`] with an optional trace collector (see [`GraphBuilder::build_traced`]).
-pub fn build_traced(n: u32, trace: sgmap_trace::TraceRef<'_>) -> Result<StreamGraph, GraphError> {
     if n < 8 || !n.is_power_of_two() {
         return Err(GraphError::EmptyPipeline);
     }
@@ -72,7 +67,7 @@ pub fn build_traced(n: u32, trace: sgmap_trace::TraceRef<'_>) -> Result<StreamGr
 
     GraphBuilder::new(format!("FFT_N{n}"))
         .token_bytes(token_bytes)
-        .build_traced(StreamSpec::pipeline(stages), trace)
+        .build(StreamSpec::pipeline(stages))
 }
 
 #[cfg(test)]

@@ -41,11 +41,6 @@ fn band(index: u32) -> StreamSpec {
 ///
 /// Returns [`GraphError::EmptySplitJoin`] if `n` is zero.
 pub fn build(n: u32) -> Result<StreamGraph, GraphError> {
-    build_traced(n, None)
-}
-
-/// [`build`] with an optional trace collector (see [`GraphBuilder::build_traced`]).
-pub fn build_traced(n: u32, trace: sgmap_trace::TraceRef<'_>) -> Result<StreamGraph, GraphError> {
     if n == 0 {
         return Err(GraphError::EmptySplitJoin);
     }
@@ -62,7 +57,7 @@ pub fn build_traced(n: u32, trace: sgmap_trace::TraceRef<'_>) -> Result<StreamGr
         StreamSpec::filter("adder", n, 1, f64::from(n)),
         StreamSpec::filter("sink", 1, 0, 2.0),
     ]);
-    GraphBuilder::new(format!("FMRadio_N{n}")).build_traced(spec, trace)
+    GraphBuilder::new(format!("FMRadio_N{n}")).build(spec)
 }
 
 #[cfg(test)]

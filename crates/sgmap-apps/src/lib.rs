@@ -171,29 +171,18 @@ impl App {
     /// Returns an error if `n` is not supported by the application (e.g. a
     /// non-power-of-two FFT size) or if graph construction fails.
     pub fn build(&self, n: u32) -> Result<StreamGraph, GraphError> {
-        self.build_traced(n, None)
-    }
-
-    /// [`App::build`] with an optional trace collector: graph construction
-    /// runs under a `graph.build` span with filter / channel counters (see
-    /// `sgmap_graph::GraphBuilder::build_traced`).
-    pub fn build_traced(
-        &self,
-        n: u32,
-        trace: sgmap_trace::TraceRef<'_>,
-    ) -> Result<StreamGraph, GraphError> {
         match self {
-            App::Des => des::build_traced(n, trace),
-            App::FmRadio => fmradio::build_traced(n, trace),
-            App::Fft => fft::build_traced(n, trace),
-            App::Dct => dct::build_traced(n, trace),
-            App::MatMul2 => matmul::build_matmul2_traced(n, trace),
-            App::MatMul3 => matmul::build_matmul3_traced(n, trace),
-            App::BitonicRec => bitonic::build_recursive_traced(n, trace),
-            App::Bitonic => bitonic::build_iterative_traced(n, trace),
-            App::SynthPipe => synthetic::build_traced(synthetic::Family::Pipeline, n, trace),
-            App::SynthFan => synthetic::build_traced(synthetic::Family::SplitJoin, n, trace),
-            App::SynthLoop => synthetic::build_traced(synthetic::Family::Mixed, n, trace),
+            App::Des => des::build(n),
+            App::FmRadio => fmradio::build(n),
+            App::Fft => fft::build(n),
+            App::Dct => dct::build(n),
+            App::MatMul2 => matmul::build_matmul2(n),
+            App::MatMul3 => matmul::build_matmul3(n),
+            App::BitonicRec => bitonic::build_recursive(n),
+            App::Bitonic => bitonic::build_iterative(n),
+            App::SynthPipe => synthetic::build(synthetic::Family::Pipeline, n),
+            App::SynthFan => synthetic::build(synthetic::Family::SplitJoin, n),
+            App::SynthLoop => synthetic::build(synthetic::Family::Mixed, n),
         }
     }
 }

@@ -44,14 +44,6 @@ fn product_stage(n: u32, tag: &str) -> StreamSpec {
 ///
 /// Returns [`GraphError::EmptySplitJoin`] if `n` is zero.
 pub fn build_matmul2(n: u32) -> Result<StreamGraph, GraphError> {
-    build_matmul2_traced(n, None)
-}
-
-/// [`build_matmul2`] with an optional trace collector.
-pub fn build_matmul2_traced(
-    n: u32,
-    trace: sgmap_trace::TraceRef<'_>,
-) -> Result<StreamGraph, GraphError> {
     if n == 0 {
         return Err(GraphError::EmptySplitJoin);
     }
@@ -60,7 +52,7 @@ pub fn build_matmul2_traced(
         product_stage(n, "ab"),
         StreamSpec::filter("sink", n * n, 0, f64::from(n)),
     ]);
-    GraphBuilder::new(format!("MatMul2_N{n}")).build_traced(spec, trace)
+    GraphBuilder::new(format!("MatMul2_N{n}")).build(spec)
 }
 
 /// Builds the three-matrix product graph `A · B · C` for `n × n` matrices.
@@ -69,14 +61,6 @@ pub fn build_matmul2_traced(
 ///
 /// Returns [`GraphError::EmptySplitJoin`] if `n` is zero.
 pub fn build_matmul3(n: u32) -> Result<StreamGraph, GraphError> {
-    build_matmul3_traced(n, None)
-}
-
-/// [`build_matmul3`] with an optional trace collector.
-pub fn build_matmul3_traced(
-    n: u32,
-    trace: sgmap_trace::TraceRef<'_>,
-) -> Result<StreamGraph, GraphError> {
     if n == 0 {
         return Err(GraphError::EmptySplitJoin);
     }
@@ -97,7 +81,7 @@ pub fn build_matmul3_traced(
         product_stage(n, "abc"),
         StreamSpec::filter("sink", nn, 0, f64::from(n)),
     ]);
-    GraphBuilder::new(format!("MatMul3_N{n}")).build_traced(spec, trace)
+    GraphBuilder::new(format!("MatMul3_N{n}")).build(spec)
 }
 
 /// Reference row-major matrix multiply used by the functional tests.

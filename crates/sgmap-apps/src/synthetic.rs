@@ -193,13 +193,9 @@ pub fn spec(family: Family, n: u32, seed: u64) -> StreamSpec {
 
 /// Builds the flattened stream graph for a synthetic program, tracing graph
 /// construction like every other app generator.
-pub fn build_traced(
-    family: Family,
-    n: u32,
-    trace: sgmap_trace::TraceRef<'_>,
-) -> Result<StreamGraph, GraphError> {
+pub fn build(family: Family, n: u32) -> Result<StreamGraph, GraphError> {
     let program = spec(family, n, DEFAULT_SEED);
-    GraphBuilder::new(format!("synth_{}_{n}", family.name())).build_traced(program, trace)
+    GraphBuilder::new(format!("synth_{}_{n}", family.name())).build(program)
 }
 
 #[cfg(test)]
@@ -213,7 +209,7 @@ mod tests {
     #[test]
     fn every_family_builds_and_balances() {
         for family in families() {
-            let g = build_traced(family, 500, None).unwrap();
+            let g = build(family, 500).unwrap();
             g.validate().unwrap();
             let reps = g.repetition_vector().unwrap();
             assert!(reps.iter().all(|&r| r >= 1));
@@ -232,8 +228,8 @@ mod tests {
     #[test]
     fn generation_is_deterministic_per_seed() {
         for family in families() {
-            let a = build_traced(family, 300, None).unwrap();
-            let b = build_traced(family, 300, None).unwrap();
+            let a = build(family, 300).unwrap();
+            let b = build(family, 300).unwrap();
             assert_eq!(a.filter_count(), b.filter_count());
             assert_eq!(a.channel_count(), b.channel_count());
             for (ia, ib) in a.filter_ids().zip(b.filter_ids()) {
@@ -261,14 +257,14 @@ mod tests {
 
     #[test]
     fn mixed_family_contains_feedback_loops() {
-        let g = build_traced(Family::Mixed, 1000, None).unwrap();
+        let g = build(Family::Mixed, 1000).unwrap();
         let feedback = g.channels().filter(|(_, c)| c.feedback).count();
         assert!(feedback > 0, "mixed family should generate feedback loops");
     }
 
     #[test]
     fn scales_to_ten_thousand_filters() {
-        let g = build_traced(Family::Pipeline, 10_000, None).unwrap();
+        let g = build(Family::Pipeline, 10_000).unwrap();
         assert!(g.filter_count() >= 10_000);
         g.repetition_vector().unwrap();
     }

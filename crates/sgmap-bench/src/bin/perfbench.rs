@@ -47,7 +47,7 @@ use sgmap_core::{
 use sgmap_mapping::{map_on_survivors, repair_mapping, RepairOptions};
 use sgmap_pee::{EstimateCache, Estimator};
 use sgmap_sweep::{
-    check_bench_report, load_cache_file_if_exists, run_sweep_with_cache_traced, save_cache_file,
+    check_bench_report, load_cache_file_if_exists, run_sweep_with_cache, save_cache_file,
     JsonValue, SweepSpec,
 };
 use sgmap_trace::Collector;
@@ -152,23 +152,20 @@ fn phase_totals_ms(collector: &Collector) -> [f64; 4] {
 /// interactive-compile configuration) and returns the JSON record. The
 /// per-phase partition timings come from the collector's span totals, so the
 /// compile runs with tracing attached.
-fn bench_compile(app: App, n: u32, collector: &Arc<Collector>) -> JsonValue {
-    let trace = Some(collector);
+fn bench_compile(app: App, n: u32, collector: &Collector) -> JsonValue {
     let config = FlowConfig::new()
         .with_gpu_count(2)
-        .with_partition_search(PartitionSearchOptions::serial())
-        .with_trace(collector.clone());
+        .with_partition_search(PartitionSearchOptions::serial());
     let cache = EstimateCache::shared();
 
     let t0 = Instant::now();
-    let graph = app.build_traced(n, trace).expect("compile targets build");
+    let graph = app.build(n).expect("compile targets build");
     let build_ms = ms(t0);
 
     let t1 = Instant::now();
     let estimator = Estimator::new(&graph, config.estimation_gpu().clone())
         .expect("compile targets have consistent rates")
-        .with_shared_cache(cache.clone())
-        .with_trace(Some(collector.clone()));
+        .with_shared_cache(cache.clone());
     let estimator_ms = ms(t1);
 
     let phases_before = phase_totals_ms(collector);
@@ -252,22 +249,19 @@ fn span_total_ms(collector: &Collector, name: &str) -> f64 {
 /// search). The multilevel phase breakdown — coarsening, initial
 /// partitioning of the coarsest graph, refinement — is read back from the
 /// collector's span totals, and the level count from its counters.
-fn bench_synthetic(app: App, n: u32, collector: &Arc<Collector>) -> JsonValue {
-    let trace = Some(collector);
+fn bench_synthetic(app: App, n: u32, collector: &Collector) -> JsonValue {
     let config = FlowConfig::new()
         .with_gpu_count(2)
         .with_algorithm(Algorithm::Multilevel(MultilevelOptions::default()))
-        .with_partition_search(PartitionSearchOptions::serial())
-        .with_trace(collector.clone());
+        .with_partition_search(PartitionSearchOptions::serial());
 
     let t0 = Instant::now();
-    let graph = app.build_traced(n, trace).expect("synthetic targets build");
+    let graph = app.build(n).expect("synthetic targets build");
     let build_ms = ms(t0);
 
     let t1 = Instant::now();
     let estimator = Estimator::new(&graph, config.estimation_gpu().clone())
-        .expect("synthetic targets have consistent rates")
-        .with_trace(Some(collector.clone()));
+        .expect("synthetic targets have consistent rates");
     let estimator_ms = ms(t1);
 
     let spans_before: Vec<f64> = ["partition.coarsen", "partition.initial", "partition.refine"]
@@ -330,24 +324,16 @@ fn bench_synthetic(app: App, n: u32, collector: &Arc<Collector>) -> JsonValue {
 /// configuration time/node-limited production solves run in. Records the
 /// gap so the perf trajectory tracks *solution quality under budget*, not
 /// just wall-clock.
-fn bench_budget_bounded(
-    app: App,
-    n: u32,
-    max_nodes: usize,
-    collector: &Arc<Collector>,
-) -> JsonValue {
-    let trace = Some(collector);
+fn bench_budget_bounded(app: App, n: u32, max_nodes: usize) -> JsonValue {
     let mut config = FlowConfig::new()
         .with_gpu_count(4)
         .with_algorithm(Algorithm::Multilevel(MultilevelOptions::default()))
-        .with_partition_search(PartitionSearchOptions::serial())
-        .with_trace(collector.clone());
+        .with_partition_search(PartitionSearchOptions::serial());
     config.mapping_options.max_nodes = max_nodes;
 
-    let graph = app.build_traced(n, trace).expect("synthetic targets build");
+    let graph = app.build(n).expect("synthetic targets build");
     let estimator = Estimator::new(&graph, config.estimation_gpu().clone())
-        .expect("synthetic targets have consistent rates")
-        .with_trace(Some(collector.clone()));
+        .expect("synthetic targets have consistent rates");
     let stage = partition_graph(&graph, &config, &estimator).expect("partitioning succeeds");
 
     let t = Instant::now();
@@ -386,16 +372,13 @@ fn bench_budget_bounded(
 /// re-running the partition search and a full-budget survivor mapping from
 /// scratch. The checker enforces the acceptance bar: repair at least 5×
 /// faster while staying within 10 % of the recompile objective.
-fn bench_repair(app: App, n: u32, collector: &Arc<Collector>) -> JsonValue {
-    let trace = Some(collector);
+fn bench_repair(app: App, n: u32) -> JsonValue {
     let config = FlowConfig::new()
         .with_gpu_count(4)
-        .with_partition_search(PartitionSearchOptions::serial())
-        .with_trace(collector.clone());
-    let graph = app.build_traced(n, trace).expect("compile targets build");
+        .with_partition_search(PartitionSearchOptions::serial());
+    let graph = app.build(n).expect("compile targets build");
     let estimator = Estimator::new(&graph, config.estimation_gpu().clone())
-        .expect("compile targets have consistent rates")
-        .with_trace(Some(collector.clone()));
+        .expect("compile targets have consistent rates");
     let stage = partition_graph(&graph, &config, &estimator).expect("partitioning succeeds");
     let compiled =
         compile_from_stage(&graph, &config, &estimator, &stage).expect("mapping succeeds");
@@ -408,7 +391,6 @@ fn bench_repair(app: App, n: u32, collector: &Arc<Collector>) -> JsonValue {
         &compiled.mapping,
         lost_gpu,
         &RepairOptions::default(),
-        trace,
     )
     .expect("repair succeeds");
     let repair_ms = ms(t);
@@ -424,7 +406,6 @@ fn bench_repair(app: App, n: u32, collector: &Arc<Collector>) -> JsonValue {
         &compiled.platform,
         lost_gpu,
         &config.mapping_options,
-        trace,
     )
     .expect("survivor mapping succeeds");
     let recompile_ms = ms(t);
@@ -469,12 +450,11 @@ fn bench_repair(app: App, n: u32, collector: &Arc<Collector>) -> JsonValue {
 /// BENCH record: how often the mapping survives ±5/±10/±20 % perturbations
 /// of the bandwidth/latency/throughput model unchanged, and the largest
 /// objective spread those perturbations induce.
-fn bench_stability(threads: usize, collector: &Arc<Collector>) -> JsonValue {
+fn bench_stability(threads: usize) -> JsonValue {
     let spec = SweepSpec::robustness();
     let cache = EstimateCache::shared();
     let t = Instant::now();
-    let report = run_sweep_with_cache_traced(&spec, threads, cache, Some(collector))
-        .expect("robustness preset expands");
+    let report = run_sweep_with_cache(&spec, threads, cache).expect("robustness preset expands");
     let wall_ms = ms(t);
     let failed = report.records.iter().filter(|r| !r.is_ok()).count() as u64;
     let stability = report
@@ -519,16 +499,10 @@ fn bench_stability(threads: usize, collector: &Arc<Collector>) -> JsonValue {
 }
 
 /// Runs the sweep preset against `cache` and returns its JSON record.
-fn bench_sweep(
-    spec: &SweepSpec,
-    threads: usize,
-    cache: &Arc<EstimateCache>,
-    collector: &Arc<Collector>,
-) -> JsonValue {
+fn bench_sweep(spec: &SweepSpec, threads: usize, cache: &Arc<EstimateCache>) -> JsonValue {
     let before = cache.stats();
     let t = Instant::now();
-    let report = run_sweep_with_cache_traced(spec, threads, cache.clone(), Some(collector))
-        .expect("preset specs expand");
+    let report = run_sweep_with_cache(spec, threads, cache.clone()).expect("preset specs expand");
     let wall_ms = ms(t);
     let after = cache.stats();
     let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
@@ -548,7 +522,6 @@ fn bench_sweep(
         hit_rate * 100.0,
     );
     sgmap_trace::instant(
-        Some(collector),
         "sweep.summary",
         vec![
             ("points", (report.records.len() as u64).into()),
@@ -656,56 +629,58 @@ fn main() -> ExitCode {
     // The collector is always on: the per-phase partition timings in the
     // compile records are read back from its span totals.
     let collector = Arc::new(Collector::new());
-    let compiles: Vec<JsonValue> = COMPILE_TARGETS
-        .iter()
-        .map(|&(app, n)| bench_compile(app, n, &collector))
-        .collect();
+    let mut fields = sgmap_trace::scope(Some(&collector), || {
+        let compiles: Vec<JsonValue> = COMPILE_TARGETS
+            .iter()
+            .map(|&(app, n)| bench_compile(app, n, &collector))
+            .collect();
 
-    // The synthetic scaling curve: each point gets its own estimator (no
-    // shared cache) so the timings measure the multilevel partitioner cold.
-    let synthetic: Vec<JsonValue> = SYNTHETIC_TARGETS
-        .iter()
-        .map(|&(app, n)| bench_synthetic(app, n, &collector))
-        .collect();
+        // The synthetic scaling curve: each point gets its own estimator (no
+        // shared cache) so the timings measure the multilevel partitioner
+        // cold.
+        let synthetic: Vec<JsonValue> = SYNTHETIC_TARGETS
+            .iter()
+            .map(|&(app, n)| bench_synthetic(app, n, &collector))
+            .collect();
 
-    // The budget-bounded point: a large mapping solve under a hard node cap,
-    // recording the optimality gap the truncated search reports.
-    let budget_bounded = bench_budget_bounded(App::SynthPipe, 5_000, 40, &collector);
+        // The budget-bounded point: a large mapping solve under a hard node
+        // cap, recording the optimality gap the truncated search reports.
+        let budget_bounded = bench_budget_bounded(App::SynthPipe, 5_000, 40);
 
-    // The repair point: degradation-aware remapping after a device loss,
-    // timed against the full recompile it replaces.
-    let repair = bench_repair(App::FmRadio, 16, &collector);
+        // The repair point: degradation-aware remapping after a device loss,
+        // timed against the full recompile it replaces.
+        let repair = bench_repair(App::FmRadio, 16);
 
-    // The stability section: the robustness preset's mapping-stability
-    // summary under model perturbations.
-    let stability = bench_stability(args.threads, &collector);
+        // The stability section: the robustness preset's mapping-stability
+        // summary under model perturbations.
+        let stability = bench_stability(args.threads);
 
-    // The sweep phase: cold against a fresh cache, or warm-started from (and
-    // saved back to) --cache-file.
-    let sweep = bench_sweep(&spec, args.threads, &cache, &collector);
-    if let Some(path) = &args.cache_file {
-        // The cache save speeds up the *next* run; a write failure must not
-        // discard the measurements this run just produced.
-        match save_cache_file(path, &cache) {
-            Ok(n) => eprintln!("{n} cache entries saved to {path}"),
-            Err(e) => sgmap_trace::warn(
-                Some(&collector),
-                "cache.save_failed",
-                format!("estimate cache not persisted: {e}"),
-            ),
+        // The sweep phase: cold against a fresh cache, or warm-started from
+        // (and saved back to) --cache-file.
+        let sweep = bench_sweep(&spec, args.threads, &cache);
+        if let Some(path) = &args.cache_file {
+            // The cache save speeds up the *next* run; a write failure must
+            // not discard the measurements this run just produced.
+            match save_cache_file(path, &cache) {
+                Ok(n) => eprintln!("{n} cache entries saved to {path}"),
+                Err(e) => sgmap_trace::warn(
+                    "cache.save_failed",
+                    format!("estimate cache not persisted: {e}"),
+                ),
+            }
         }
-    }
 
-    let mut fields = vec![
-        ("version", JsonValue::Uint(BENCH_FORMAT_VERSION)),
-        ("preset", JsonValue::str(&*spec.name)),
-        ("compiles", JsonValue::Array(compiles)),
-        ("synthetic_scaling", JsonValue::Array(synthetic)),
-        ("budget_bounded", budget_bounded),
-        ("repair", repair),
-        ("stability", stability),
-        ("sweep", sweep),
-    ];
+        vec![
+            ("version", JsonValue::Uint(BENCH_FORMAT_VERSION)),
+            ("preset", JsonValue::str(&*spec.name)),
+            ("compiles", JsonValue::Array(compiles)),
+            ("synthetic_scaling", JsonValue::Array(synthetic)),
+            ("budget_bounded", budget_bounded),
+            ("repair", repair),
+            ("stability", stability),
+            ("sweep", sweep),
+        ]
+    });
     if args.cache_file.is_some() {
         fields.push(("cache_preloaded_entries", JsonValue::Uint(preloaded)));
     }

@@ -16,7 +16,7 @@ use sgmap_codegen::{build_execution_plan, PlanOptions};
 use sgmap_gpusim::{simulate_plan, GpuSpec, Platform, TransferMode};
 use sgmap_graph::StreamGraph;
 use sgmap_mapping::{map_with, MappingMethod, MappingOptions};
-use sgmap_partition::{build_pdg, partition_with, PartitionerKind, Partitioning};
+use sgmap_partition::{build_pdg, PartitionRequest, PartitionerKind, Partitioning};
 use sgmap_pee::Estimator;
 
 /// Which end of the comparison a run belongs to.
@@ -86,8 +86,10 @@ pub fn run_config(
     let estimator = Estimator::new(graph, gpu.clone())
         .expect("benchmark graphs have consistent rates")
         .with_enhancement(enhanced);
-    let partitioning =
-        partition_with(&estimator, stack.partitioner()).expect("partitioning succeeds");
+    let partitioning = PartitionRequest::new(&estimator)
+        .with_kind(stack.partitioner())
+        .run()
+        .expect("partitioning succeeds");
     run_mapped(graph, &estimator, &partitioning, &platform, stack)
 }
 
@@ -146,8 +148,10 @@ pub fn partition_app<'g>(
     let estimator = Estimator::new(graph, gpu.clone())
         .expect("benchmark graphs have consistent rates")
         .with_enhancement(enhanced);
-    let partitioning =
-        partition_with(&estimator, stack.partitioner()).expect("partitioning succeeds");
+    let partitioning = PartitionRequest::new(&estimator)
+        .with_kind(stack.partitioner())
+        .run()
+        .expect("partitioning succeeds");
     (estimator, partitioning)
 }
 
@@ -192,18 +196,11 @@ pub fn full_sweep_requested() -> bool {
 
 /// Prints the engine-level summary of a sweep — compile-group dedup and
 /// estimator-cache counters — to stderr, keeping stdout clean for the
-/// figure's table.
+/// figure's table. With a trace collector ambient, the same numbers land in
+/// the trace as a `sweep.summary` instant event, so a captured trace is
+/// self-describing about the sweep it came from.
 pub fn eprintln_sweep_summary(report: &sgmap_sweep::SweepReport) {
-    emit_sweep_summary(report, None);
-}
-
-/// [`eprintln_sweep_summary`] with an optional trace collector: besides the
-/// stderr line, the same numbers land in the trace as a `sweep.summary`
-/// instant event, so a captured trace is self-describing about the sweep it
-/// came from.
-pub fn emit_sweep_summary(report: &sgmap_sweep::SweepReport, trace: sgmap_trace::TraceRef<'_>) {
     sgmap_trace::instant(
-        trace,
         "sweep.summary",
         vec![
             ("points", (report.records.len() as u64).into()),

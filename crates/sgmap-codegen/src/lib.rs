@@ -27,4 +27,4 @@ mod plan;
 
 pub use emit::emit_pseudo_cuda;
 pub use kernel::generate_kernel;
-pub use plan::{build_execution_plan, build_execution_plan_traced, PlanOptions};
+pub use plan::{build_execution_plan, PlanOptions};

@@ -43,6 +43,11 @@ impl Default for PlanOptions {
 /// it together with the generated kernels (in the same order as the plan's
 /// kernel list).
 ///
+/// Plan construction runs under a `codegen` span and the emitted kernel /
+/// transfer counts are recorded as `codegen.kernels` / `codegen.transfers`
+/// counters in the ambient trace collector. The collector is write-only, so
+/// the plan is identical with and without it.
+///
 /// # Panics
 ///
 /// Panics if the mapping's assignment length does not match the partitioning.
@@ -54,31 +59,13 @@ pub fn build_execution_plan(
     platform: &Platform,
     options: &PlanOptions,
 ) -> (ExecutionPlan, Vec<KernelSpec>) {
-    build_execution_plan_traced(est, partitioning, pdg, mapping, platform, options, None)
-}
-
-/// [`build_execution_plan`] with an optional trace collector: plan
-/// construction runs under a `codegen` span and the emitted kernel /
-/// transfer counts are recorded as `codegen.kernels` / `codegen.transfers`
-/// counters. The collector is write-only, so the plan is identical with and
-/// without it.
-#[allow(clippy::too_many_arguments)]
-pub fn build_execution_plan_traced(
-    est: &Estimator<'_>,
-    partitioning: &Partitioning,
-    pdg: &Pdg,
-    mapping: &Mapping,
-    platform: &Platform,
-    options: &PlanOptions,
-    trace: sgmap_trace::TraceRef<'_>,
-) -> (ExecutionPlan, Vec<KernelSpec>) {
-    let mut span = sgmap_trace::span(trace, "codegen");
+    let mut span = sgmap_trace::span("codegen");
     let (plan, kernels) =
         build_execution_plan_inner(est, partitioning, pdg, mapping, platform, options);
     span.arg("kernels", plan.kernels.len());
     span.arg("transfers", plan.transfers.len());
-    sgmap_trace::add(trace, "codegen.kernels", plan.kernels.len() as u64);
-    sgmap_trace::add(trace, "codegen.transfers", plan.transfers.len() as u64);
+    sgmap_trace::add("codegen.kernels", plan.kernels.len() as u64);
+    sgmap_trace::add("codegen.transfers", plan.transfers.len() as u64);
     (plan, kernels)
 }
 

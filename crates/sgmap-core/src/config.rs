@@ -37,11 +37,6 @@ pub struct FlowConfig {
     /// reused across compiles (and, via the sweep crate's cache persistence,
     /// across processes). `None` keeps estimates local to one compile.
     pub estimate_cache: Option<Arc<EstimateCache>>,
-    /// Optional trace collector threaded through every stage of the compile
-    /// (graph analysis, partition phases, ILP nodes, codegen, execution).
-    /// `None` disables tracing at zero cost; the collector is write-only, so
-    /// attaching one never changes any result.
-    pub trace: Option<Arc<sgmap_trace::Collector>>,
 }
 
 impl FlowConfig {
@@ -62,7 +57,6 @@ impl FlowConfig {
             enhanced: false,
             plan: PlanOptions::default(),
             estimate_cache: None,
-            trace: None,
         }
     }
 
@@ -71,14 +65,6 @@ impl FlowConfig {
     /// estimator — attach the cache to that estimator instead).
     pub fn with_estimate_cache(mut self, cache: Arc<EstimateCache>) -> Self {
         self.estimate_cache = Some(cache);
-        self
-    }
-
-    /// Attaches a trace collector to every compile run under this
-    /// configuration (see the `sgmap-trace` crate for the span / counter
-    /// vocabulary and the exporters).
-    pub fn with_trace(mut self, trace: Arc<sgmap_trace::Collector>) -> Self {
-        self.trace = Some(trace);
         self
     }
 

@@ -2,14 +2,14 @@
 
 use std::fmt;
 
-use sgmap_codegen::build_execution_plan_traced;
+use sgmap_codegen::build_execution_plan;
 use sgmap_gpusim::{
-    simulate_plan_traced, simulate_plan_with_faults_traced, ExecutionPlan, FaultPlan, FaultedExec,
-    KernelSpec, Platform,
+    simulate_plan, simulate_plan_with_faults, ExecutionPlan, FaultPlan, FaultedExec, KernelSpec,
+    Platform,
 };
 use sgmap_graph::{GraphError, StreamGraph};
 use sgmap_ilp::IlpError;
-use sgmap_mapping::{map_with_traced, repair_mapping, Mapping, RepairOptions, RepairStats};
+use sgmap_mapping::{map_with, repair_mapping, Mapping, RepairOptions, RepairStats};
 use sgmap_partition::{build_pdg, PartitionError, PartitionRequest, Partitioning, Pdg};
 use sgmap_pee::Estimator;
 
@@ -91,9 +91,8 @@ impl CompileResult {
 /// partitioning or mapping fails.
 pub fn compile(graph: &StreamGraph, config: &FlowConfig) -> Result<CompileResult, FlowError> {
     config.validate().map_err(FlowError::InvalidConfig)?;
-    let mut estimator = Estimator::new(graph, config.estimation_gpu().clone())?
-        .with_enhancement(config.enhanced)
-        .with_trace(config.trace.clone());
+    let mut estimator =
+        Estimator::new(graph, config.estimation_gpu().clone())?.with_enhancement(config.enhanced);
     if let Some(cache) = &config.estimate_cache {
         estimator = estimator.with_shared_cache(cache.clone());
     }
@@ -137,21 +136,19 @@ fn finish_compile(
     stage: PartitionStage,
 ) -> Result<CompileResult, FlowError> {
     let platform = config.platform();
-    let mapping = map_with_traced(
+    let mapping = map_with(
         &stage.pdg,
         &platform,
         config.mapper,
         &config.mapping_options,
-        config.trace.as_ref(),
     )?;
-    let (plan, kernels) = build_execution_plan_traced(
+    let (plan, kernels) = build_execution_plan(
         estimator,
         &stage.partitioning,
         &stage.pdg,
         &mapping,
         &platform,
         &config.plan,
-        config.trace.as_ref(),
     );
     Ok(CompileResult {
         platform,
@@ -230,24 +227,22 @@ pub fn partition_graph(
 ) -> Result<PartitionStage, FlowError> {
     config.validate().map_err(FlowError::InvalidConfig)?;
     check_estimator_agreement(graph, config, estimator)?;
-    let trace = config.trace.as_ref();
     let reps = {
-        let _span = sgmap_trace::span(trace, "graph.analysis");
+        let _span = sgmap_trace::span("graph.analysis");
         graph.repetition_vector()?
     };
     let partitioning = {
-        let mut span = sgmap_trace::span(trace, "partition");
+        let mut span = sgmap_trace::span("partition");
         let partitioning = PartitionRequest::new(estimator)
             .with_kind(config.partitioner)
             .with_algorithm(config.algorithm.clone())
             .with_search(config.partition_search.clone())
-            .with_trace(trace)
             .run()?;
         span.arg("partitions", partitioning.len());
         partitioning
     };
     let pdg = {
-        let _span = sgmap_trace::span(trace, "pdg.build");
+        let _span = sgmap_trace::span("pdg.build");
         build_pdg(graph, &reps, &partitioning)
     };
     Ok(PartitionStage { partitioning, pdg })
@@ -279,7 +274,7 @@ pub fn compile_from_stage(
 
 /// Executes a compiled result on the platform simulator.
 pub fn execute(compiled: &CompileResult, config: &FlowConfig) -> RunReport {
-    let stats = simulate_plan_traced(&compiled.plan, &compiled.platform, config.trace.as_ref());
+    let stats = simulate_plan(&compiled.plan, &compiled.platform);
     let iterations = u64::from(compiled.plan.n_fragments) * config.plan.iterations_per_fragment;
     RunReport::new(
         compiled.partition_count(),
@@ -339,9 +334,7 @@ pub fn execute_with_faults(
     estimator: &Estimator<'_>,
     faults: &FaultPlan,
 ) -> Result<FaultedRunReport, FlowError> {
-    let trace = config.trace.as_ref();
-    let faulted =
-        simulate_plan_with_faults_traced(&compiled.plan, &compiled.platform, faults, trace);
+    let faulted = simulate_plan_with_faults(&compiled.plan, &compiled.platform, faults);
     if let Some(lost) = faulted.lost_device {
         if compiled.platform.gpu_count() > 1 {
             let (mapping, stats) = repair_mapping(
@@ -350,19 +343,16 @@ pub fn execute_with_faults(
                 &compiled.mapping,
                 lost,
                 &RepairOptions::default(),
-                trace,
             )?;
-            let (plan, _kernels) = build_execution_plan_traced(
+            let (plan, _kernels) = build_execution_plan(
                 estimator,
                 &compiled.partitioning,
                 &compiled.pdg,
                 &mapping,
                 &compiled.platform,
                 &config.plan,
-                trace,
             );
-            let recovered =
-                simulate_plan_with_faults_traced(&plan, &compiled.platform, faults, trace);
+            let recovered = simulate_plan_with_faults(&plan, &compiled.platform, faults);
             return Ok(FaultedRunReport {
                 faulted,
                 repair: Some(stats),

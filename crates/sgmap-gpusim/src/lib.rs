@@ -45,8 +45,7 @@ pub use fault::{DeviceDropout, FaultEvent, FaultPlan, LinkFault};
 pub use kernel::{KernelFilter, KernelParams, KernelSpec};
 pub use kernel_sim::{simulate_kernel, KernelMeasurement};
 pub use pipeline::{
-    simulate_plan, simulate_plan_traced, simulate_plan_with_faults,
-    simulate_plan_with_faults_traced, ExecStats, ExecutionPlan, FaultedExec, PlannedKernel,
+    simulate_plan, simulate_plan_with_faults, ExecStats, ExecutionPlan, FaultedExec, PlannedKernel,
     PlannedTransfer, TransferMode,
 };
 pub use platform::{InterconnectSpec, Platform, PlatformSpec};

@@ -147,19 +147,7 @@ impl ExecStats {
 /// Panics if a kernel references a GPU outside the platform or if a transfer
 /// references a kernel outside the plan.
 pub fn simulate_plan(plan: &ExecutionPlan, platform: &Platform) -> ExecStats {
-    simulate_plan_traced(plan, platform, None)
-}
-
-/// [`simulate_plan`] with an optional trace collector: wraps the simulation
-/// in an `execute` span and records kernel-launch / transfer counters. The
-/// collector is write-only, so traced and untraced runs produce identical
-/// [`ExecStats`].
-pub fn simulate_plan_traced(
-    plan: &ExecutionPlan,
-    platform: &Platform,
-    trace: Option<&std::sync::Arc<sgmap_trace::Collector>>,
-) -> ExecStats {
-    simulate_plan_with_faults_traced(plan, platform, &FaultPlan::none(), trace).stats
+    simulate_plan_with_faults(plan, platform, &FaultPlan::none()).stats
 }
 
 /// Simulates `plan` on `platform` under the given [`FaultPlan`].
@@ -169,32 +157,24 @@ pub fn simulate_plan_traced(
 /// over a failed link stops the simulation at the first point where no
 /// healthy work remains, returning partial stats and the triggering
 /// [`FaultEvent`].
+///
+/// The simulation runs under an `execute` span and records kernel-launch,
+/// transfer and `gpusim.fault_*` counters into the ambient trace collector.
+/// The collector is write-only, so traced and untraced runs produce
+/// identical results.
 pub fn simulate_plan_with_faults(
     plan: &ExecutionPlan,
     platform: &Platform,
     faults: &FaultPlan,
 ) -> FaultedExec {
-    simulate_plan_with_faults_traced(plan, platform, faults, None)
-}
-
-/// [`simulate_plan_with_faults`] with an optional trace collector: records
-/// `gpusim.fault_*` counters for injected and triggered faults on top of the
-/// usual execution counters.
-pub fn simulate_plan_with_faults_traced(
-    plan: &ExecutionPlan,
-    platform: &Platform,
-    faults: &FaultPlan,
-    trace: Option<&std::sync::Arc<sgmap_trace::Collector>>,
-) -> FaultedExec {
-    let mut span = sgmap_trace::span(trace, "execute");
+    let mut span = sgmap_trace::span("execute");
     span.arg("kernels", plan.kernels.len());
     span.arg("fragments", plan.n_fragments as u64);
     sgmap_trace::add(
-        trace,
         "gpusim.kernel_launches",
         plan.kernels.len() as u64 * plan.n_fragments as u64,
     );
-    sgmap_trace::add(trace, "gpusim.transfers", plan.transfers.len() as u64);
+    sgmap_trace::add("gpusim.transfers", plan.transfers.len() as u64);
     let topo = &platform.topology;
     let g = platform.gpu_count();
     let k_count = plan.kernels.len();
@@ -228,7 +208,7 @@ pub fn simulate_plan_with_faults_traced(
                 link: f.link,
                 bandwidth_factor: f.bandwidth_factor,
             });
-            sgmap_trace::add(trace, "gpusim.fault_link_degraded", 1);
+            sgmap_trace::add("gpusim.fault_link_degraded", 1);
         }
     }
     for d in &faults.device_dropouts {
@@ -394,7 +374,7 @@ pub fn simulate_plan_with_faults_traced(
                 gpu: d.gpu,
                 at_us: d.at_us,
             });
-            sgmap_trace::add(trace, "gpusim.fault_device_lost", 1);
+            sgmap_trace::add("gpusim.fault_device_lost", 1);
             lost_device = Some(d.gpu);
             break 'schedule;
         };
@@ -439,7 +419,7 @@ pub fn simulate_plan_with_faults_traced(
 
     if let Some((link, cut)) = dead_link {
         events.push(FaultEvent::LinkFailed { link });
-        sgmap_trace::add(trace, "gpusim.fault_link_failed", 1);
+        sgmap_trace::add("gpusim.fault_link_failed", 1);
         lost_device = lost_device.or(cut);
     }
 

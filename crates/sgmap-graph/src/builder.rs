@@ -132,32 +132,24 @@ impl GraphBuilder {
 
     /// Flattens `spec` and returns the resulting graph.
     ///
+    /// The flatten-and-validate step runs under a `graph.build` span
+    /// annotated with the graph name, and filter / channel counts are
+    /// recorded as `graph.filters` / `graph.channels` counters.
+    ///
     /// # Errors
     ///
     /// Returns an error if the specification contains an empty pipeline or
     /// split-join, mismatched round-robin weights, or produces an invalid
     /// graph.
-    pub fn build(self, spec: StreamSpec) -> Result<StreamGraph> {
-        self.build_traced(spec, None)
-    }
-
-    /// [`GraphBuilder::build`] with an optional trace collector: the
-    /// flatten-and-validate step runs under a `graph.build` span annotated
-    /// with the graph name, and filter / channel counts are recorded as
-    /// `graph.filters` / `graph.channels` counters.
-    pub fn build_traced(
-        mut self,
-        spec: StreamSpec,
-        trace: Option<&std::sync::Arc<sgmap_trace::Collector>>,
-    ) -> Result<StreamGraph> {
-        let mut span = sgmap_trace::span(trace, "graph.build");
+    pub fn build(mut self, spec: StreamSpec) -> Result<StreamGraph> {
+        let mut span = sgmap_trace::span("graph.build");
         span.arg("graph", self.graph.name().to_string());
         self.flatten(&spec)?;
         self.graph.validate()?;
         span.arg("filters", self.graph.filter_count());
         span.arg("channels", self.graph.channel_count());
-        sgmap_trace::add(trace, "graph.filters", self.graph.filter_count() as u64);
-        sgmap_trace::add(trace, "graph.channels", self.graph.channel_count() as u64);
+        sgmap_trace::add("graph.filters", self.graph.filter_count() as u64);
+        sgmap_trace::add("graph.channels", self.graph.channel_count() as u64);
         Ok(self.graph)
     }
 

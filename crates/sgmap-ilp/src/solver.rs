@@ -133,7 +133,6 @@ impl Default for SolverOptions {
 pub struct Solver {
     options: SolverOptions,
     warm_start: Option<Vec<f64>>,
-    trace: Option<std::sync::Arc<sgmap_trace::Collector>>,
 }
 
 /// An open node of the search tree. `bound` is the parent's LP objective in
@@ -184,7 +183,6 @@ impl Solver {
         Solver {
             options,
             warm_start: None,
-            trace: None,
         }
     }
 
@@ -195,19 +193,15 @@ impl Solver {
         self
     }
 
-    /// Attaches a trace collector: the whole solve runs under an `ilp.solve`
-    /// span, every branch-and-bound relaxation under an `ilp.node` span, and
-    /// the [`SolveStats`] of each successful solve are accumulated into the
-    /// `ilp.nodes` / `ilp.lp_iterations` / `ilp.lp_warm_starts` /
+    /// Solves `model` to (proven or budget-limited) optimality.
+    ///
+    /// With a trace collector ambient, the whole solve runs under an
+    /// `ilp.solve` span, every branch-and-bound relaxation under an `ilp.node`
+    /// span, and the [`SolveStats`] of each successful solve are accumulated
+    /// into the `ilp.nodes` / `ilp.lp_iterations` / `ilp.lp_warm_starts` /
     /// `ilp.lp_cold_solves` / `ilp.refactorizations` / `ilp.bound_flips` /
     /// `ilp.presolve_removed_rows` counters. The collector is write-only: it
     /// cannot change the solution.
-    pub fn with_trace(mut self, trace: Option<std::sync::Arc<sgmap_trace::Collector>>) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// Solves `model` to (proven or budget-limited) optimality.
     ///
     /// # Errors
     ///
@@ -216,21 +210,16 @@ impl Solver {
     /// [`IlpError::NoIntegerSolution`] when the budget is exhausted without
     /// any integer-feasible point.
     pub fn solve(&self, model: &Model) -> Result<Solution> {
-        let _solve_span = sgmap_trace::span(self.trace.as_ref(), "ilp.solve");
+        let _solve_span = sgmap_trace::span("ilp.solve");
         let result = self.solve_inner(model);
         if let Ok(s) = &result {
-            let trace = self.trace.as_ref();
-            sgmap_trace::add(trace, "ilp.nodes", s.stats.nodes);
-            sgmap_trace::add(trace, "ilp.lp_iterations", s.stats.lp_iterations);
-            sgmap_trace::add(trace, "ilp.lp_warm_starts", s.stats.lp_warm_starts);
-            sgmap_trace::add(trace, "ilp.lp_cold_solves", s.stats.lp_cold_solves);
-            sgmap_trace::add(trace, "ilp.refactorizations", s.stats.refactorizations);
-            sgmap_trace::add(trace, "ilp.bound_flips", s.stats.bound_flips);
-            sgmap_trace::add(
-                trace,
-                "ilp.presolve_removed_rows",
-                s.stats.presolve_removed_rows,
-            );
+            sgmap_trace::add("ilp.nodes", s.stats.nodes);
+            sgmap_trace::add("ilp.lp_iterations", s.stats.lp_iterations);
+            sgmap_trace::add("ilp.lp_warm_starts", s.stats.lp_warm_starts);
+            sgmap_trace::add("ilp.lp_cold_solves", s.stats.lp_cold_solves);
+            sgmap_trace::add("ilp.refactorizations", s.stats.refactorizations);
+            sgmap_trace::add("ilp.bound_flips", s.stats.bound_flips);
+            sgmap_trace::add("ilp.presolve_removed_rows", s.stats.presolve_removed_rows);
         }
         result
     }
@@ -323,7 +312,7 @@ impl Solver {
         // Root relaxation (cold primal solve).
         nodes_explored += 1;
         let root_outcome = {
-            let _node_span = sgmap_trace::span(self.trace.as_ref(), "ilp.node");
+            let _node_span = sgmap_trace::span("ilp.node");
             lp.solve(&[], deadline)
         };
         let finish_stats = |nodes_explored: usize, lp: &LpWorkspace, gap: f64| SolveStats {
@@ -442,7 +431,7 @@ impl Solver {
             }
             nodes_explored += 1;
             let outcome = {
-                let mut node_span = sgmap_trace::span(self.trace.as_ref(), "ilp.node");
+                let mut node_span = sgmap_trace::span("ilp.node");
                 node_span.arg("depth", node.bounds.len());
                 lp.solve(&node.bounds, deadline)
             };

@@ -65,7 +65,10 @@ struct LinkVars {
     x: Vec<(usize, VarId)>,
 }
 
-/// Solves the partition-to-GPU mapping with the ILP formulation.
+/// Solves the partition-to-GPU mapping with the ILP formulation. The
+/// branch-and-bound solver records per-node `ilp.node` spans plus pivot /
+/// warm-start counters from its [`sgmap_ilp::SolveStats`] into the ambient
+/// trace collector.
 ///
 /// # Errors
 ///
@@ -77,31 +80,15 @@ pub fn map_ilp(
     platform: &Platform,
     options: &MappingOptions,
 ) -> Result<Mapping, IlpError> {
-    map_ilp_traced(pdg, platform, options, None)
-}
-
-/// [`map_ilp`] with an optional trace collector, forwarded into the
-/// branch-and-bound solver (per-node `ilp.node` spans plus pivot /
-/// warm-start counters from its [`sgmap_ilp::SolveStats`]).
-///
-/// # Errors
-///
-/// Same as [`map_ilp`].
-pub fn map_ilp_traced(
-    pdg: &Pdg,
-    platform: &Platform,
-    options: &MappingOptions,
-    trace: sgmap_trace::TraceRef<'_>,
-) -> Result<Mapping, IlpError> {
     let allowed: Vec<usize> = (0..platform.gpu_count()).collect();
     let incumbent = map_greedy(pdg, platform);
-    map_ilp_on(pdg, platform, options, &allowed, incumbent, trace)
+    map_ilp_on(pdg, platform, options, &allowed, incumbent)
 }
 
 /// The ILP mapper restricted to a subset of the platform's GPUs: only GPUs in
 /// `allowed` get assignment columns, so the solution never places a partition
 /// elsewhere. `incumbent` is the warm start and fallback — it must already
-/// respect the restriction. `map_ilp_traced` is the unrestricted special
+/// respect the restriction. [`map_ilp`] is the unrestricted special
 /// case; the repair path re-solves over the survivors of a lost device.
 pub(crate) fn map_ilp_on(
     pdg: &Pdg,
@@ -109,7 +96,6 @@ pub(crate) fn map_ilp_on(
     options: &MappingOptions,
     allowed: &[usize],
     incumbent: Mapping,
-    trace: sgmap_trace::TraceRef<'_>,
 ) -> Result<Mapping, IlpError> {
     let g = platform.gpu_count();
     let p = pdg.len();
@@ -319,7 +305,6 @@ pub(crate) fn map_ilp_on(
     };
     let solution = match Solver::with_options(solver_options)
         .warm_start(warm)
-        .with_trace(trace.cloned())
         .solve(&model)
     {
         Ok(s) => {
@@ -327,9 +312,8 @@ pub(crate) fn map_ilp_on(
             // ran out mid-search — surface it instead of leaving it buried
             // in SolveStats.
             if s.status == SolutionStatus::Feasible && options.relative_gap == 0.0 {
-                sgmap_trace::add(trace, "ilp.budget_exhausted", 1);
+                sgmap_trace::add("ilp.budget_exhausted", 1);
                 sgmap_trace::warn(
-                    trace,
                     "ilp.budget_exhausted",
                     format!(
                         "mapping ILP stopped at its node/time budget after {} nodes \
@@ -343,9 +327,8 @@ pub(crate) fn map_ilp_on(
         // Budget exhaustion or numerical trouble: the incumbent is a valid
         // (warm-start) solution of the same model, so keep it.
         Err(IlpError::NoIntegerSolution) => {
-            sgmap_trace::add(trace, "ilp.budget_exhausted", 1);
+            sgmap_trace::add("ilp.budget_exhausted", 1);
             sgmap_trace::warn(
-                trace,
                 "ilp.budget_exhausted",
                 "mapping ILP found no integer solution within budget; keeping the greedy mapping"
                     .to_string(),
@@ -357,9 +340,8 @@ pub(crate) fn map_ilp_on(
             });
         }
         Err(IlpError::Numerical(msg)) => {
-            sgmap_trace::add(trace, "ilp.numerical_fallbacks", 1);
+            sgmap_trace::add("ilp.numerical_fallbacks", 1);
             sgmap_trace::warn(
-                trace,
                 "ilp.numerical_fallback",
                 format!("mapping ILP hit numerical trouble ({msg}); keeping the greedy mapping"),
             );

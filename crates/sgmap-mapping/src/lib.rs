@@ -39,7 +39,7 @@ mod repair;
 
 pub use evaluate::{evaluate_assignment, MappingCost};
 pub use greedy::{map_greedy, map_round_robin};
-pub use ilp::{map_ilp, map_ilp_traced, MappingOptions};
+pub use ilp::{map_ilp, MappingOptions};
 pub use repair::{
     map_on_survivors, repair_mapping, repair_mapping_greedy, RepairOptions, RepairStats,
 };
@@ -89,7 +89,9 @@ impl Mapping {
     }
 }
 
-/// Convenience entry point dispatching on [`MappingMethod`].
+/// Convenience entry point dispatching on [`MappingMethod`]. The whole
+/// mapping step runs under a `map` span; the ILP method also records the
+/// solver's spans and counters (see [`map_ilp`]).
 ///
 /// # Errors
 ///
@@ -101,28 +103,11 @@ pub fn map_with(
     method: MappingMethod,
     options: &MappingOptions,
 ) -> Result<Mapping, sgmap_ilp::IlpError> {
-    map_with_traced(pdg, platform, method, options, None)
-}
-
-/// [`map_with`] with an optional trace collector: the whole mapping step runs
-/// under a `map` span and the ILP method forwards the collector into the
-/// solver (see [`map_ilp_traced`]).
-///
-/// # Errors
-///
-/// Same as [`map_with`].
-pub fn map_with_traced(
-    pdg: &Pdg,
-    platform: &Platform,
-    method: MappingMethod,
-    options: &MappingOptions,
-    trace: sgmap_trace::TraceRef<'_>,
-) -> Result<Mapping, sgmap_ilp::IlpError> {
-    let mut span = sgmap_trace::span(trace, "map");
+    let mut span = sgmap_trace::span("map");
     span.arg("partitions", pdg.len());
     span.arg("gpus", platform.gpu_count());
     match method {
-        MappingMethod::Ilp => map_ilp_traced(pdg, platform, options, trace),
+        MappingMethod::Ilp => map_ilp(pdg, platform, options),
         MappingMethod::Greedy => Ok(map_greedy(pdg, platform)),
         MappingMethod::RoundRobin => Ok(map_round_robin(pdg, platform)),
     }

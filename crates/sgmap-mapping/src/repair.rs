@@ -105,7 +105,6 @@ pub fn repair_mapping(
     mapping: &Mapping,
     lost_gpu: usize,
     options: &RepairOptions,
-    trace: sgmap_trace::TraceRef<'_>,
 ) -> Result<(Mapping, RepairStats), IlpError> {
     let g = platform.gpu_count();
     assert!(
@@ -120,19 +119,15 @@ pub fn repair_mapping(
     );
     let survivors: Vec<usize> = (0..g).filter(|&j| j != lost_gpu).collect();
 
-    let mut span = sgmap_trace::span(trace, "map.repair");
+    let mut span = sgmap_trace::span("map.repair");
     span.arg("lost_gpu", lost_gpu);
     let moved_partitions = mapping
         .assignment
         .iter()
         .filter(|&&j| j == lost_gpu)
         .count();
-    sgmap_trace::add(trace, "map.repairs", 1);
-    sgmap_trace::add(
-        trace,
-        "map.repair_moved_partitions",
-        moved_partitions as u64,
-    );
+    sgmap_trace::add("map.repairs", 1);
+    sgmap_trace::add("map.repair_moved_partitions", moved_partitions as u64);
 
     // Greedy patch: keep every healthy assignment, move only the evacuated
     // partitions (longest first) onto the least-loaded survivor.
@@ -171,7 +166,7 @@ pub fn repair_mapping(
     // the budget-limited search cannot beat it.
     let polish = options.polish_with_ilp && !pdg.is_empty() && survivors.len() > 1;
     let repaired = if polish {
-        map_ilp_on(pdg, platform, &options.ilp, &survivors, patch, trace)?
+        map_ilp_on(pdg, platform, &options.ilp, &survivors, patch)?
     } else {
         patch
     };
@@ -206,7 +201,7 @@ pub fn repair_mapping_greedy(
         polish_with_ilp: false,
         ..RepairOptions::default()
     };
-    repair_mapping(pdg, platform, mapping, lost_gpu, &options, None)
+    repair_mapping(pdg, platform, mapping, lost_gpu, &options)
 }
 
 /// The full-recompile comparison point for a repair: maps from scratch onto
@@ -222,7 +217,6 @@ pub fn map_on_survivors(
     platform: &Platform,
     lost_gpu: usize,
     options: &MappingOptions,
-    trace: sgmap_trace::TraceRef<'_>,
 ) -> Result<Mapping, IlpError> {
     let g = platform.gpu_count();
     assert!(
@@ -232,7 +226,7 @@ pub fn map_on_survivors(
     assert!(g > 1, "no survivors on a single-GPU platform");
     let survivors: Vec<usize> = (0..g).filter(|&j| j != lost_gpu).collect();
     let incumbent = map_greedy_on(pdg, platform, &survivors);
-    map_ilp_on(pdg, platform, options, &survivors, incumbent, trace)
+    map_ilp_on(pdg, platform, options, &survivors, incumbent)
 }
 
 #[cfg(test)]
@@ -267,15 +261,9 @@ mod tests {
         let platform = Platform::quad_m2090();
         let original = crate::map_greedy(&pdg, &platform);
         for lost in 0..platform.gpu_count() {
-            let (repaired, stats) = repair_mapping(
-                &pdg,
-                &platform,
-                &original,
-                lost,
-                &RepairOptions::default(),
-                None,
-            )
-            .unwrap();
+            let (repaired, stats) =
+                repair_mapping(&pdg, &platform, &original, lost, &RepairOptions::default())
+                    .unwrap();
             assert!(repaired.assignment.iter().all(|&j| j != lost));
             assert_eq!(repaired.assignment.len(), pdg.len());
             assert_eq!(stats.lost_gpu, lost);
@@ -297,17 +285,10 @@ mod tests {
         let platform = Platform::quad_m2090();
         let original = crate::map_greedy(&pdg, &platform);
         for lost in 0..platform.gpu_count() {
-            let (repaired, _) = repair_mapping(
-                &pdg,
-                &platform,
-                &original,
-                lost,
-                &RepairOptions::default(),
-                None,
-            )
-            .unwrap();
-            let full =
-                map_on_survivors(&pdg, &platform, lost, &MappingOptions::default(), None).unwrap();
+            let (repaired, _) =
+                repair_mapping(&pdg, &platform, &original, lost, &RepairOptions::default())
+                    .unwrap();
+            let full = map_on_survivors(&pdg, &platform, lost, &MappingOptions::default()).unwrap();
             assert!(full.assignment.iter().all(|&j| j != lost));
             assert!(
                 repaired.predicted_tmax_us >= full.predicted_tmax_us - 1e-9,
@@ -338,15 +319,8 @@ mod tests {
         assert_eq!(original.gpus_used(), 1);
         let used = original.assignment[0];
         let lost = (used + 1) % platform.gpu_count();
-        let (repaired, stats) = repair_mapping(
-            &pdg,
-            &platform,
-            &original,
-            lost,
-            &RepairOptions::default(),
-            None,
-        )
-        .unwrap();
+        let (repaired, stats) =
+            repair_mapping(&pdg, &platform, &original, lost, &RepairOptions::default()).unwrap();
         assert_eq!(stats.moved_partitions, 0);
         assert!(repaired.assignment.iter().all(|&j| j != lost));
     }

@@ -97,7 +97,7 @@ proptest! {
         let g = platform.gpu_count();
         for lost in 0..g {
             let (repaired, stats) =
-                repair_mapping(&pdg, &platform, &original, lost, &RepairOptions::default(), None)
+                repair_mapping(&pdg, &platform, &original, lost, &RepairOptions::default())
                     .unwrap();
             prop_assert_eq!(repaired.assignment.len(), pdg.len());
             prop_assert!(repaired.assignment.iter().all(|&j| j != lost && j < g));
@@ -126,10 +126,10 @@ proptest! {
         let original = map_greedy(&pdg, &platform);
         let lost = lost_seed % platform.gpu_count();
         let (repaired, _) =
-            repair_mapping(&pdg, &platform, &original, lost, &RepairOptions::default(), None)
+            repair_mapping(&pdg, &platform, &original, lost, &RepairOptions::default())
                 .unwrap();
         let full =
-            map_on_survivors(&pdg, &platform, lost, &MappingOptions::default(), None).unwrap();
+            map_on_survivors(&pdg, &platform, lost, &MappingOptions::default()).unwrap();
         prop_assert!(full.assignment.iter().all(|&j| j != lost));
         let opt = survivor_optimum(&pdg, &platform, lost);
         prop_assert!(

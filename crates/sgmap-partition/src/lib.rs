@@ -19,10 +19,6 @@
 //!   exceeds shared memory,
 //! * [`Pdg`] — the Partition Dependence Graph (Figure 3.4) consumed by the
 //!   multi-GPU mapping step.
-//!
-//! The historical free functions (`partition_stream_graph*`,
-//! `partition_with*`) remain as hidden thin wrappers over
-//! [`PartitionRequest`] for source compatibility.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,14 +40,9 @@ pub use error::PartitionError;
 pub use multilevel::MultilevelOptions;
 pub use partitioning::{Partition, Partitioning};
 pub use pdg::{build_pdg, Pdg, PdgEdge};
-pub use proposed::{
-    partition_stream_graph, partition_stream_graph_traced, partition_stream_graph_with,
-};
 pub use request::{Algorithm, PartitionRequest};
 pub use search::PartitionSearchOptions;
 pub use spsg::single_partition;
-
-use sgmap_pee::Estimator;
 
 /// Which partitioning algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,54 +53,4 @@ pub enum PartitionerKind {
     Baseline,
     /// A single partition containing the whole graph (SPSG).
     Single,
-}
-
-/// Legacy entry point; use [`PartitionRequest::with_kind`].
-///
-/// # Errors
-///
-/// Returns an error if some filter cannot fit into shared memory even on its
-/// own, or if the graph's rates are inconsistent.
-#[doc(hidden)]
-pub fn partition_with(
-    estimator: &Estimator<'_>,
-    kind: PartitionerKind,
-) -> Result<Partitioning, PartitionError> {
-    PartitionRequest::new(estimator).with_kind(kind).run()
-}
-
-/// Legacy entry point; use [`PartitionRequest::with_search`].
-///
-/// # Errors
-///
-/// Same as [`partition_with`].
-#[doc(hidden)]
-pub fn partition_with_options(
-    estimator: &Estimator<'_>,
-    kind: PartitionerKind,
-    options: &PartitionSearchOptions,
-) -> Result<Partitioning, PartitionError> {
-    PartitionRequest::new(estimator)
-        .with_kind(kind)
-        .with_search(options.clone())
-        .run()
-}
-
-/// Legacy entry point; use [`PartitionRequest::with_trace`].
-///
-/// # Errors
-///
-/// Same as [`partition_with`].
-#[doc(hidden)]
-pub fn partition_with_options_traced(
-    estimator: &Estimator<'_>,
-    kind: PartitionerKind,
-    options: &PartitionSearchOptions,
-    trace: sgmap_trace::TraceRef<'_>,
-) -> Result<Partitioning, PartitionError> {
-    PartitionRequest::new(estimator)
-        .with_kind(kind)
-        .with_search(options.clone())
-        .with_trace(trace)
-        .run()
 }

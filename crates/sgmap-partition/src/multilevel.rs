@@ -103,15 +103,14 @@ pub(crate) fn multilevel_partition(
     est: &Estimator<'_>,
     options: &MultilevelOptions,
     search: &PartitionSearchOptions,
-    trace: sgmap_trace::TraceRef<'_>,
 ) -> Result<Partitioning, PartitionError> {
     let threads = search.resolved_threads();
     let batch = search.batch.max(1);
     let graph = est.graph();
-    let feasible = FeasibilityCache::new(graph, trace);
+    let feasible = FeasibilityCache::new(graph);
 
     {
-        let _span = sgmap_trace::span(trace, "partition.prewarm");
+        let _span = sgmap_trace::span("partition.prewarm");
         prewarm_singletons(est, graph, threads);
     }
 
@@ -126,13 +125,13 @@ pub(crate) fn multilevel_partition(
     let target = options.coarsen_target.max(2);
     let mut levels: Vec<Vec<Part>> = Vec::new();
     while clusters.len() > target && levels.len() < options.max_levels.max(1) {
-        let mut span = sgmap_trace::span(trace, "partition.coarsen");
+        let mut span = sgmap_trace::span("partition.coarsen");
         span.arg("level", levels.len());
         span.arg("clusters_in", clusters.len());
-        match coarsen_level(est, graph, &feasible, options, &clusters, trace) {
+        match coarsen_level(est, graph, &feasible, options, &clusters) {
             Some(coarser) => {
                 span.arg("clusters_out", coarser.len());
-                sgmap_trace::add(trace, "partition.coarsen_levels", 1);
+                sgmap_trace::add("partition.coarsen_levels", 1);
                 levels.push(std::mem::replace(&mut clusters, coarser));
             }
             None => {
@@ -145,8 +144,8 @@ pub(crate) fn multilevel_partition(
     // Initial partitioning: the flat phases 3 + 4 on the coarsest clusters.
     let mut parts = clusters;
     {
-        let mut span = sgmap_trace::span(trace, "partition.initial");
-        sgmap_trace::add(trace, "partition.adjacency_rebuilds", 1);
+        let mut span = sgmap_trace::span("partition.initial");
+        sgmap_trace::add("partition.adjacency_rebuilds", 1);
         let mut adjacency = AdjacencyIndex::build(graph, parts.iter().map(|p| &p.nodes));
         phase3_partition_merging(est, &feasible, threads, batch, &mut parts, &mut adjacency);
         phase4_simultaneous(
@@ -163,7 +162,7 @@ pub(crate) fn multilevel_partition(
 
     // Uncoarsen: refine against each finer level, coarsest-stored first.
     for (level, level_clusters) in levels.iter().enumerate().rev() {
-        let mut span = sgmap_trace::span(trace, "partition.refine");
+        let mut span = sgmap_trace::span("partition.refine");
         span.arg("level", level);
         let moves = refine_level(
             est,
@@ -173,7 +172,6 @@ pub(crate) fn multilevel_partition(
             batch,
             level_clusters,
             &mut parts,
-            trace,
         );
         span.arg("moves", moves);
     }
@@ -194,12 +192,11 @@ pub(crate) fn multilevel_partition(
 fn coarsen_level(
     est: &Estimator<'_>,
     graph: &StreamGraph,
-    feasible: &FeasibilityCache<'_>,
+    feasible: &FeasibilityCache,
     options: &MultilevelOptions,
     clusters: &[Part],
-    trace: sgmap_trace::TraceRef<'_>,
 ) -> Option<Vec<Part>> {
-    sgmap_trace::add(trace, "partition.adjacency_rebuilds", 1);
+    sgmap_trace::add("partition.adjacency_rebuilds", 1);
     let adjacency = AdjacencyIndex::build(graph, clusters.iter().map(|p| &p.nodes));
     let mut matched = vec![false; clusters.len()];
     let mut next: Vec<Part> = Vec::with_capacity(clusters.len());
@@ -217,7 +214,7 @@ fn coarsen_level(
         candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         let mut made = None;
         for &(_, j) in candidates.iter().take(options.matching_attempts.max(1)) {
-            sgmap_trace::add(trace, "partition.candidates_evaluated", 1);
+            sgmap_trace::add("partition.candidates_evaluated", 1);
             let union = clusters[i].nodes.union(&clusters[j].nodes);
             if !feasible.is_mergeable(graph, &union) {
                 continue;
@@ -265,16 +262,14 @@ struct MovePlan {
 /// target-part) order and evaluated through [`first_accepted`], so any
 /// thread count applies the serial move sequence. A move never empties its
 /// source part, so the part count is stable. Returns the number of moves.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn refine_level(
     est: &Estimator<'_>,
     graph: &StreamGraph,
-    feasible: &FeasibilityCache<'_>,
+    feasible: &FeasibilityCache,
     threads: usize,
     batch: usize,
     clusters: &[Part],
     parts: &mut [Part],
-    trace: sgmap_trace::TraceRef<'_>,
 ) -> usize {
     // Filter → part position, maintained across moves.
     let mut assignment = vec![usize::MAX; graph.filter_count()];
@@ -314,7 +309,7 @@ pub(crate) fn refine_level(
             targets.into_iter().map(move |q| (c, home, q))
         });
         let found = first_accepted(threads, batch, candidates, |&(c, p, q)| {
-            sgmap_trace::add(trace, "partition.candidates_evaluated", 1);
+            sgmap_trace::add("partition.candidates_evaluated", 1);
             let remain = parts_ref[p].nodes.difference(&clusters[c].nodes);
             if remain.is_empty() || !feasible.is_mergeable(graph, &remain) {
                 return None;
@@ -355,7 +350,7 @@ pub(crate) fn refine_level(
                 for id in clusters[c].nodes.iter() {
                     assignment[id.index()] = q;
                 }
-                sgmap_trace::add(trace, "partition.refine_moves", 1);
+                sgmap_trace::add("partition.refine_moves", 1);
                 moves += 1;
             }
             None => break,
@@ -456,7 +451,7 @@ mod tests {
         // must never raise the total estimate and must keep parts valid.
         let graph = App::SynthPipe.build(60).unwrap();
         let est = Estimator::new(&graph, GpuSpec::m2090()).unwrap();
-        let feasible = FeasibilityCache::new(&graph, None);
+        let feasible = FeasibilityCache::new(&graph);
         let ids: Vec<_> = graph.filter_ids().collect();
         let split = 2usize;
         let make_part = |ids: &[sgmap_graph::FilterId]| {
@@ -479,7 +474,7 @@ mod tests {
             .map(|id| singleton(&est, id).unwrap())
             .collect();
         let before: f64 = parts.iter().map(|p| p.estimate.normalized_us).sum();
-        refine_level(&est, &graph, &feasible, 1, 32, &clusters, &mut parts, None);
+        refine_level(&est, &graph, &feasible, 1, 32, &clusters, &mut parts);
         let after: f64 = parts.iter().map(|p| p.estimate.normalized_us).sum();
         assert!(
             after <= before + 1e-9,

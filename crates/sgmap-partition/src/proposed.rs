@@ -52,20 +52,16 @@ pub(crate) struct Part {
 /// *only* by a feedback channel must stay rejected. Benign racing (two
 /// threads computing the same pure predicate) cannot change any decision.
 #[derive(Debug)]
-pub(crate) struct FeasibilityCache<'t> {
+pub(crate) struct FeasibilityCache {
     map: RwLock<HashMap<NodeSet, bool>>,
     topo: TopoIndex,
-    /// Trace handle shared with the whole search; the cache carries it so
-    /// `try_merge` and the phases can count without extra parameters.
-    pub(crate) trace: sgmap_trace::TraceRef<'t>,
 }
 
-impl<'t> FeasibilityCache<'t> {
-    pub(crate) fn new(graph: &StreamGraph, trace: sgmap_trace::TraceRef<'t>) -> Self {
+impl FeasibilityCache {
+    pub(crate) fn new(graph: &StreamGraph) -> Self {
         FeasibilityCache {
             map: RwLock::new(HashMap::new()),
             topo: TopoIndex::new(graph),
-            trace,
         }
     }
 
@@ -76,15 +72,24 @@ impl<'t> FeasibilityCache<'t> {
             .expect("feasibility cache lock poisoned")
             .get(set)
         {
-            sgmap_trace::add(self.trace, "partition.feasibility_hits", 1);
+            sgmap_trace::add("partition.feasibility_hits", 1);
             return known;
         }
-        sgmap_trace::add(self.trace, "partition.feasibility_misses", 1);
         let feasible = set.is_connected(graph) && set.is_convex_in(graph, &self.topo);
-        self.map
+        let first = self
+            .map
             .write()
             .expect("feasibility cache lock poisoned")
-            .insert(set.clone(), feasible);
+            .insert(set.clone(), feasible)
+            .is_none();
+        // Only the thread that inserts the answer counts a miss, so the
+        // counters match the serial search's whatever the thread count.
+        let counter = if first {
+            "partition.feasibility_misses"
+        } else {
+            "partition.feasibility_hits"
+        };
+        sgmap_trace::add(counter, 1);
         feasible
     }
 }
@@ -97,53 +102,6 @@ impl<'t> FeasibilityCache<'t> {
 /// describes — while IO-bound partitions, whose shared buffers shrink the
 /// data-transfer time substantially, keep merging.
 pub const MERGE_GAIN_FACTOR: f64 = 0.98;
-
-/// Legacy entry point; use [`PartitionRequest`](crate::PartitionRequest).
-///
-/// Runs Algorithm 1 on the estimator's graph with the exact serial search.
-///
-/// # Errors
-///
-/// Returns [`PartitionError::FilterTooLarge`] if a filter does not fit in
-/// shared memory on its own, or a graph error if the rates are inconsistent.
-#[doc(hidden)]
-pub fn partition_stream_graph(est: &Estimator<'_>) -> Result<Partitioning, PartitionError> {
-    crate::PartitionRequest::new(est).run()
-}
-
-/// Legacy entry point; use
-/// [`PartitionRequest::with_search`](crate::PartitionRequest::with_search).
-///
-/// # Errors
-///
-/// Same as [`partition_stream_graph`].
-#[doc(hidden)]
-pub fn partition_stream_graph_with(
-    est: &Estimator<'_>,
-    options: &PartitionSearchOptions,
-) -> Result<Partitioning, PartitionError> {
-    crate::PartitionRequest::new(est)
-        .with_search(options.clone())
-        .run()
-}
-
-/// Legacy entry point; use
-/// [`PartitionRequest::with_trace`](crate::PartitionRequest::with_trace).
-///
-/// # Errors
-///
-/// Same as [`partition_stream_graph`].
-#[doc(hidden)]
-pub fn partition_stream_graph_traced<'t>(
-    est: &Estimator<'_>,
-    options: &PartitionSearchOptions,
-    trace: sgmap_trace::TraceRef<'t>,
-) -> Result<Partitioning, PartitionError> {
-    crate::PartitionRequest::new(est)
-        .with_search(options.clone())
-        .with_trace(trace)
-        .run()
-}
 
 /// The flat (non-multilevel) four-phase search: the historical Algorithm 1
 /// driver behind [`Algorithm::Flat`](crate::Algorithm::Flat).
@@ -161,29 +119,28 @@ pub fn partition_stream_graph_traced<'t>(
 pub(crate) fn flat_partition(
     est: &Estimator<'_>,
     options: &PartitionSearchOptions,
-    trace: sgmap_trace::TraceRef<'_>,
 ) -> Result<Partitioning, PartitionError> {
     let threads = options.resolved_threads();
     let batch = options.batch.max(1);
     let graph = est.graph();
     let mut parts: Vec<Part> = Vec::new();
     let mut assigned = vec![false; graph.filter_count()];
-    let feasible = FeasibilityCache::new(graph, trace);
+    let feasible = FeasibilityCache::new(graph);
 
     // Unconditional, even on one thread: it pins the evaluated singleton set
     // to "every filter" regardless of thread count, so cache counters stay
     // thread-independent even when a later phase stops early on an error.
     {
-        let _span = sgmap_trace::span(trace, "partition.prewarm");
+        let _span = sgmap_trace::span("partition.prewarm");
         prewarm_singletons(est, graph, threads);
     }
     {
-        let mut span = sgmap_trace::span(trace, "partition.phase1");
+        let mut span = sgmap_trace::span("partition.phase1");
         phase1_pipelines(est, graph, &feasible, threads, &mut parts, &mut assigned)?;
         span.arg("parts", parts.len());
     }
     {
-        let mut span = sgmap_trace::span(trace, "partition.phase2");
+        let mut span = sgmap_trace::span("partition.phase2");
         phase2_remaining(est, graph, &feasible, &mut parts, &mut assigned)?;
         span.arg("parts", parts.len());
     }
@@ -191,15 +148,15 @@ pub(crate) fn flat_partition(
     // covers the graph; it replaces the per-candidate channel scans of
     // phases 3 and 4 and is maintained incrementally across merges — this
     // build is the only full construction of the flat search.
-    sgmap_trace::add(trace, "partition.adjacency_rebuilds", 1);
+    sgmap_trace::add("partition.adjacency_rebuilds", 1);
     let mut adjacency = AdjacencyIndex::build(graph, parts.iter().map(|p| &p.nodes));
     {
-        let mut span = sgmap_trace::span(trace, "partition.phase3");
+        let mut span = sgmap_trace::span("partition.phase3");
         phase3_partition_merging(est, &feasible, threads, batch, &mut parts, &mut adjacency);
         span.arg("parts", parts.len());
     }
     {
-        let mut span = sgmap_trace::span(trace, "partition.phase4");
+        let mut span = sgmap_trace::span("partition.phase4");
         phase4_simultaneous(
             est,
             graph,
@@ -253,11 +210,11 @@ pub(crate) fn singleton(est: &Estimator<'_>, id: FilterId) -> Result<Part, Parti
 /// memory, and its estimated time strictly improves on the sum of the parts.
 pub(crate) fn try_merge(
     est: &Estimator<'_>,
-    feasible: &FeasibilityCache<'_>,
+    feasible: &FeasibilityCache,
     a: &Part,
     b: &Part,
 ) -> Option<Part> {
-    sgmap_trace::add(feasible.trace, "partition.candidates_evaluated", 1);
+    sgmap_trace::add("partition.candidates_evaluated", 1);
     let union = a.nodes.union(&b.nodes);
     if !feasible.is_mergeable(est.graph(), &union) {
         return None;
@@ -327,7 +284,7 @@ fn pipeline_chains(graph: &StreamGraph) -> Vec<Vec<FilterId>> {
 /// on worker threads with no shared state beyond the estimator.
 fn merge_chain(
     est: &Estimator<'_>,
-    feasible: &FeasibilityCache<'_>,
+    feasible: &FeasibilityCache,
     chain: &[FilterId],
 ) -> Result<Vec<(Part, std::ops::Range<usize>)>, PartitionError> {
     let mut out = Vec::new();
@@ -339,7 +296,7 @@ fn merge_chain(
             let next = singleton(est, chain[j])?;
             match try_merge(est, feasible, &current, &next) {
                 Some(m) => {
-                    sgmap_trace::add(feasible.trace, "partition.merges_accepted", 1);
+                    sgmap_trace::add("partition.merges_accepted", 1);
                     current = m;
                     j += 1;
                 }
@@ -359,7 +316,7 @@ fn merge_chain(
 fn phase1_pipelines(
     est: &Estimator<'_>,
     graph: &StreamGraph,
-    feasible: &FeasibilityCache<'_>,
+    feasible: &FeasibilityCache,
     threads: usize,
     parts: &mut Vec<Part>,
     assigned: &mut [bool],
@@ -385,7 +342,7 @@ fn phase1_pipelines(
 fn phase2_remaining(
     est: &Estimator<'_>,
     graph: &StreamGraph,
-    feasible: &FeasibilityCache<'_>,
+    feasible: &FeasibilityCache,
     parts: &mut Vec<Part>,
     assigned: &mut [bool],
 ) -> Result<(), PartitionError> {
@@ -413,7 +370,7 @@ fn phase2_remaining(
                 }
                 let next = singleton(est, k)?;
                 if let Some(m) = try_merge(est, feasible, &current, &next) {
-                    sgmap_trace::add(feasible.trace, "partition.merges_accepted", 1);
+                    sgmap_trace::add("partition.merges_accepted", 1);
                     current = m;
                     assigned[k.index()] = true;
                     merged_any = true;
@@ -436,7 +393,7 @@ fn phase2_remaining(
 /// per candidate pair.
 pub(crate) fn phase3_partition_merging(
     est: &Estimator<'_>,
-    feasible: &FeasibilityCache<'_>,
+    feasible: &FeasibilityCache,
     threads: usize,
     batch: usize,
     parts: &mut Vec<Part>,
@@ -479,7 +436,7 @@ pub(crate) fn phase3_partition_merging(
             });
             match found {
                 Some(((i, j), m)) => {
-                    sgmap_trace::add(feasible.trace, "partition.merges_accepted", 1);
+                    sgmap_trace::add("partition.merges_accepted", 1);
                     let (lo, hi) = if i < j { (i, j) } else { (j, i) };
                     adjacency.merge_swap_remove(lo, hi);
                     parts.swap_remove(hi);
@@ -504,7 +461,7 @@ pub(crate) fn phase3_partition_merging(
 pub(crate) fn phase4_simultaneous(
     est: &Estimator<'_>,
     graph: &StreamGraph,
-    feasible: &FeasibilityCache<'_>,
+    feasible: &FeasibilityCache,
     threads: usize,
     batch: usize,
     parts: &mut Vec<Part>,
@@ -529,7 +486,7 @@ pub(crate) fn phase4_simultaneous(
                 pairs
             });
             let found = first_accepted(threads, batch, triples, |&(p, a, b)| {
-                sgmap_trace::add(feasible.trace, "partition.candidates_evaluated", 1);
+                sgmap_trace::add("partition.candidates_evaluated", 1);
                 let pa = parts_ref[p].nodes.union(&parts_ref[a].nodes);
                 let union = pa.union(&parts_ref[b].nodes);
                 if !feasible.is_mergeable(graph, &union) {
@@ -565,7 +522,7 @@ pub(crate) fn phase4_simultaneous(
             });
             match found {
                 Some(((p, a, b), m)) => {
-                    sgmap_trace::add(feasible.trace, "partition.merges_accepted", 1);
+                    sgmap_trace::add("partition.merges_accepted", 1);
                     let mut remove = [p, a, b];
                     remove.sort_unstable();
                     // Remove from the highest index down so indices stay valid.
@@ -587,7 +544,7 @@ pub(crate) fn phase4_simultaneous(
         if let (Some(e), chars) = est.estimate_with_chars(&all) {
             let total: f64 = parts.iter().map(|p| p.estimate.normalized_us).sum();
             if e.normalized_us < MERGE_GAIN_FACTOR * total {
-                sgmap_trace::add(feasible.trace, "partition.merges_accepted", 1);
+                sgmap_trace::add("partition.merges_accepted", 1);
                 parts.clear();
                 parts.push(Part {
                     nodes: all,

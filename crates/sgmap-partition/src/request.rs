@@ -1,13 +1,7 @@
 //! The unified partition entry point: one builder, one `run()`.
 //!
-//! Historically the crate grew five public entry points (three
-//! `partition_stream_graph*` variants plus two `partition_with_options*`
-//! wrappers) that all said "partition this estimator's graph" with different
-//! subsets of knobs. [`PartitionRequest`] collapses them: pick a
-//! [`PartitionerKind`], an [`Algorithm`], a [`PartitionSearchOptions`] and an
-//! optional trace collector, then call [`PartitionRequest::run`]. The old
-//! functions survive as `#[doc(hidden)]` one-line wrappers so out-of-tree
-//! code keeps compiling, but everything in this repository uses the builder.
+//! Pick a [`PartitionerKind`], an [`Algorithm`], a [`PartitionSearchOptions`]
+//! and an optional trace collector, then call [`PartitionRequest::run`].
 //!
 //! ```rust
 //! use sgmap_apps::App;
@@ -25,7 +19,10 @@
 //! assert!(!flat.is_empty() && !ml.is_empty());
 //! ```
 
+use std::sync::Arc;
+
 use sgmap_pee::Estimator;
+use sgmap_trace::Collector;
 
 use crate::error::PartitionError;
 use crate::multilevel::{multilevel_partition, MultilevelOptions};
@@ -58,7 +55,7 @@ pub struct PartitionRequest<'e, 'g, 't> {
     kind: PartitionerKind,
     algorithm: Algorithm,
     search: PartitionSearchOptions,
-    trace: sgmap_trace::TraceRef<'t>,
+    trace: Option<&'t Arc<Collector>>,
 }
 
 impl<'e, 'g, 't> PartitionRequest<'e, 'g, 't> {
@@ -95,9 +92,11 @@ impl<'e, 'g, 't> PartitionRequest<'e, 'g, 't> {
     }
 
     /// Attaches an optional trace collector (spans per phase / level and
-    /// search counters). The collector is write-only: the result is
-    /// bit-identical with and without it.
-    pub fn with_trace(mut self, trace: sgmap_trace::TraceRef<'t>) -> Self {
+    /// search counters), installed as the ambient collector for the run;
+    /// `None` records into whatever collector is already ambient. The
+    /// collector is write-only: the result is bit-identical with and without
+    /// it.
+    pub fn with_trace(mut self, trace: Option<&'t Arc<Collector>>) -> Self {
         self.trace = trace;
         self
     }
@@ -110,18 +109,18 @@ impl<'e, 'g, 't> PartitionRequest<'e, 'g, 't> {
     /// shared memory even on its own, or a graph error if the stream rates
     /// are inconsistent.
     pub fn run(&self) -> Result<Partitioning, PartitionError> {
-        match self.kind {
+        sgmap_trace::scope(self.trace, || match self.kind {
             PartitionerKind::Proposed => match &self.algorithm {
-                Algorithm::Flat => flat_partition(self.estimator, &self.search, self.trace),
+                Algorithm::Flat => flat_partition(self.estimator, &self.search),
                 Algorithm::Multilevel(options) => {
-                    multilevel_partition(self.estimator, options, &self.search, self.trace)
+                    multilevel_partition(self.estimator, options, &self.search)
                 }
             },
             PartitionerKind::Baseline => partition_baseline(self.estimator),
             PartitionerKind::Single => {
                 Ok(Partitioning::new(vec![single_partition(self.estimator)]))
             }
-        }
+        })
     }
 }
 
@@ -131,15 +130,22 @@ mod tests {
     use sgmap_apps::App;
     use sgmap_gpusim::GpuSpec;
 
+    /// The defaults are the settings of the paper's Algorithm 1 that the
+    /// historical `partition_stream_graph` entry point ran: the proposed
+    /// partitioner, the flat algorithm and the exact serial search.
     #[test]
     fn request_defaults_match_the_legacy_entry_points() {
         let graph = App::Des.build(8).unwrap();
         let est = Estimator::new(&graph, GpuSpec::m2090()).unwrap();
-        let via_request = PartitionRequest::new(&est).run().unwrap();
-        #[allow(deprecated)]
-        let via_legacy = crate::partition_stream_graph(&est).unwrap();
-        assert_eq!(via_request.len(), via_legacy.len());
-        for (a, b) in via_request.iter().zip(via_legacy.iter()) {
+        let via_defaults = PartitionRequest::new(&est).run().unwrap();
+        let via_explicit = PartitionRequest::new(&est)
+            .with_kind(PartitionerKind::Proposed)
+            .with_algorithm(Algorithm::Flat)
+            .with_search(PartitionSearchOptions::serial())
+            .run()
+            .unwrap();
+        assert_eq!(via_defaults.len(), via_explicit.len());
+        for (a, b) in via_defaults.iter().zip(via_explicit.iter()) {
             assert_eq!(a.nodes, b.nodes);
             assert_eq!(
                 a.estimate.normalized_us.to_bits(),

@@ -107,15 +107,19 @@ where
     }
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
+    // Workers record into the spawning thread's trace collector.
+    let trace = sgmap_trace::current();
     std::thread::scope(|scope| {
         for _ in 0..threads.min(items.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                results.lock().expect("search results lock poisoned")[i] = Some(r);
+            scope.spawn(|| {
+                sgmap_trace::scope(trace.as_ref(), || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    let r = f(&items[i]);
+                    results.lock().expect("search results lock poisoned")[i] = Some(r);
+                })
             });
         }
     });

@@ -90,7 +90,9 @@ pub struct Estimator<'g> {
 }
 
 impl<'g> Estimator<'g> {
-    /// Creates an estimator for `graph` targeting `gpu`.
+    /// Creates an estimator for `graph` targeting `gpu`. It records into the
+    /// trace collector that is ambient when it is created (see
+    /// [`Estimator::with_trace`]).
     ///
     /// # Errors
     ///
@@ -111,7 +113,7 @@ impl<'g> Estimator<'g> {
             enhanced: false,
             cache: RwLock::new(HashMap::new()),
             shared: None,
-            trace: None,
+            trace: sgmap_trace::current(),
         })
     }
 
@@ -150,12 +152,15 @@ impl<'g> Estimator<'g> {
         self
     }
 
-    /// Attaches a trace collector. The estimator records `pee.estimate_hits`
-    /// / `pee.estimate_misses` counters (local single-flight cache) plus
+    /// Replaces the trace collector taken from the ambient scope at
+    /// construction. The estimator records `pee.estimate_hits` /
+    /// `pee.estimate_misses` counters (local single-flight cache) plus
     /// per-path counters and set-size histograms for the two ways
     /// characteristics are obtained (`pee.chars_from_set` vs
-    /// `pee.chars_merged`). The collector is write-only: estimates are
-    /// bit-identical with and without it.
+    /// `pee.chars_merged`). It keeps its own handle so that its counters land
+    /// in one collector wherever it is queried: on partition-search worker
+    /// threads, or after the scope it was built in has ended. The collector
+    /// is write-only: estimates are bit-identical with and without it.
     pub fn with_trace(mut self, trace: Option<Arc<sgmap_trace::Collector>>) -> Self {
         self.trace = trace;
         self
@@ -213,12 +218,10 @@ impl<'g> Estimator<'g> {
             // Path counters live inside the compute closure: they only fire
             // on the single-flight compute, so the counts are deterministic
             // across thread counts.
-            sgmap_trace::add(self.trace.as_ref(), "pee.chars_from_set", 1);
-            sgmap_trace::record(
-                self.trace.as_ref(),
-                "pee.chars_from_set_size",
-                set.len() as u64,
-            );
+            if let Some(trace) = &self.trace {
+                trace.add("pee.chars_from_set", 1);
+                trace.record("pee.chars_from_set_size", set.len() as u64);
+            }
             Arc::new(self.index.for_set(self.graph, set, self.enhanced))
         })
     }
@@ -240,12 +243,10 @@ impl<'g> Estimator<'g> {
         union: &NodeSet,
     ) -> (Option<Estimate>, Arc<SetChars>) {
         self.estimate_impl(union, || {
-            sgmap_trace::add(self.trace.as_ref(), "pee.chars_merged", 1);
-            sgmap_trace::record(
-                self.trace.as_ref(),
-                "pee.chars_merged_size",
-                union.len() as u64,
-            );
+            if let Some(trace) = &self.trace {
+                trace.add("pee.chars_merged", 1);
+                trace.record("pee.chars_merged_size", union.len() as u64);
+            }
             Arc::new(merge_characteristics(
                 &self.index,
                 self.graph,
@@ -323,10 +324,13 @@ impl<'g> Estimator<'g> {
             };
             CachedEstimate { estimate, chars }
         });
-        if computed {
-            sgmap_trace::add(self.trace.as_ref(), "pee.estimate_misses", 1);
-        } else {
-            sgmap_trace::add(self.trace.as_ref(), "pee.estimate_hits", 1);
+        if let Some(trace) = &self.trace {
+            let counter = if computed {
+                "pee.estimate_misses"
+            } else {
+                "pee.estimate_hits"
+            };
+            trace.add(counter, 1);
         }
         (cached.estimate, cached.chars.clone())
     }

@@ -60,7 +60,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use sgmap_sweep::{
-    check_report, check_trace, compare_nonfaulted, default_threads, run_sweep_traced,
+    check_report, check_trace, compare_nonfaulted, default_threads, run_sweep,
     sweep_spec_from_json, SweepSpec,
 };
 
@@ -317,26 +317,25 @@ fn main() -> ExitCode {
     } else {
         None
     };
-    let report = match run_sweep_traced(&spec, threads, collector.as_ref()) {
+    let report = match sgmap_trace::scope(collector.as_ref(), || run_sweep(&spec, threads)) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("sweep failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    // Stamp the trace with the sweep's own summary before exporting, so a
-    // captured trace is self-describing about the run it came from.
-    sgmap_trace::instant(
-        collector.as_ref(),
-        "sweep.summary",
-        vec![
-            ("points", (report.records.len() as u64).into()),
-            ("compile_groups", report.dedup.compile_groups.into()),
-            ("cache_hits", report.cache.hits.into()),
-            ("cache_misses", report.cache.misses.into()),
-        ],
-    );
     if let Some(collector) = &collector {
+        // Stamp the trace with the sweep's own summary before exporting, so
+        // a captured trace is self-describing about the run it came from.
+        collector.instant(
+            "sweep.summary",
+            vec![
+                ("points", (report.records.len() as u64).into()),
+                ("compile_groups", report.dedup.compile_groups.into()),
+                ("cache_hits", report.cache.hits.into()),
+                ("cache_misses", report.cache.misses.into()),
+            ],
+        );
         if let Some(path) = &args.trace {
             let code = write_export(path, "trace", collector.chrome_trace_json());
             if code != ExitCode::SUCCESS {

@@ -1036,11 +1036,11 @@ mod tests {
 
     #[test]
     fn exported_traces_pass_the_trace_checker() {
-        let collector = sgmap_trace::Collector::new();
-        {
-            let mut span = collector.span("partition.phase1");
+        let collector = std::sync::Arc::new(sgmap_trace::Collector::new());
+        sgmap_trace::scope(Some(&collector), || {
+            let mut span = sgmap_trace::span("partition.phase1");
             span.arg("parts", 12u64);
-        }
+        });
         collector.add("partition.candidates_evaluated", 42);
         collector.record("pee.chars_merged_size", 9);
         collector.instant("sweep.cache_loaded", vec![("entries", 7u64.into())]);

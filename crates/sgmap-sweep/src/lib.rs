@@ -75,9 +75,7 @@ pub use platform_json::{
     platform_spec_to_value,
 };
 pub use report::{Bottleneck, DedupStats, StabilityReport, SweepRecord, SweepReport};
-pub use runner::{
-    default_threads, run_sweep, run_sweep_traced, run_sweep_with_cache, run_sweep_with_cache_traced,
-};
+pub use runner::{default_threads, run_sweep, run_sweep_with_cache};
 pub use spec::{
     mapper_name, partitioner_name, transfer_name, AppSweep, FaultInjectionSpec, GpuModel,
     PointFilter, StackConfig, SweepError, SweepPoint, SweepSpec,

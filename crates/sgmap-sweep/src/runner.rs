@@ -142,32 +142,20 @@ fn group_points(points: &[SweepPoint]) -> Vec<Vec<usize>> {
 ///
 /// Panics if a worker thread panics (i.e. a bug in the flow itself, not a
 /// recoverable per-point failure).
+///
+/// # Tracing
+///
+/// With a trace collector ambient (`sgmap_trace::scope`), compile groups and
+/// points run under `sweep.group` / `sweep.point` spans on whichever worker
+/// thread runs them, cache persistence emits `sweep.cache_loaded` /
+/// `sweep.cache_saved` instants, and a failed cache save becomes a
+/// structured `cache.save_failed` warning as well as a stderr line. The
+/// collector is write-only, so the report is byte-identical with and
+/// without it.
 pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Result<SweepReport, SweepError> {
-    run_sweep_traced(spec, threads, None)
-}
-
-/// [`run_sweep`] with an optional trace collector: compile groups and points
-/// run under `sweep.group` / `sweep.point` spans, cache persistence emits
-/// `sweep.cache_loaded` / `sweep.cache_saved` instants, and a failed cache
-/// save becomes a structured `cache.save_failed` warning instead of a bare
-/// stderr line. The collector is write-only, so the report is byte-identical
-/// with and without it.
-///
-/// # Errors
-///
-/// Same as [`run_sweep`].
-///
-/// # Panics
-///
-/// Same as [`run_sweep`].
-pub fn run_sweep_traced(
-    spec: &SweepSpec,
-    threads: usize,
-    trace: sgmap_trace::TraceRef<'_>,
-) -> Result<SweepReport, SweepError> {
     let cache = EstimateCache::shared();
     match &spec.cache_file {
-        None => run_sweep_with_cache_traced(spec, threads, cache, trace),
+        None => run_sweep_with_cache(spec, threads, cache),
         Some(path) => {
             // A corrupt or version-mismatched cache file degrades to a cold
             // start by default — the cache is an optimisation, not an input.
@@ -175,28 +163,23 @@ pub fn run_sweep_traced(
             // pipelines that must notice a damaged cache.
             match crate::cache_io::load_cache_file_if_exists(path, &cache) {
                 Ok(_) => sgmap_trace::instant(
-                    trace,
                     "sweep.cache_loaded",
                     vec![("entries", (cache.len() as u64).into())],
                 ),
                 Err(e) if spec.strict_cache => return Err(SweepError::CacheIo(e)),
                 Err(e) => sgmap_trace::warn(
-                    trace,
                     "cache.load_failed",
                     format!("estimate cache ignored (cold start): {e}"),
                 ),
             }
-            let report = run_sweep_with_cache_traced(spec, threads, cache.clone(), trace)?;
+            let report = run_sweep_with_cache(spec, threads, cache.clone())?;
             // Saving is an optimisation for the *next* run; failing to write
             // it must not throw away the sweep that just completed.
             match crate::cache_io::save_cache_file(path, &cache) {
-                Ok(entries) => sgmap_trace::instant(
-                    trace,
-                    "sweep.cache_saved",
-                    vec![("entries", entries.into())],
-                ),
+                Ok(entries) => {
+                    sgmap_trace::instant("sweep.cache_saved", vec![("entries", entries.into())])
+                }
                 Err(e) => sgmap_trace::warn(
-                    trace,
                     "cache.save_failed",
                     format!("estimate cache not persisted: {e}"),
                 ),
@@ -210,7 +193,8 @@ pub fn run_sweep_traced(
 /// into) a caller-supplied shared cache — the hook batch drivers and the
 /// persistent-cache plumbing use. The report's cache counters are the
 /// cache's totals at the end of the sweep, so a warm-started cache reports
-/// fewer misses than a cold one (and zero once fully warmed).
+/// fewer misses than a cold one (and zero once fully warmed). Traced like
+/// [`run_sweep`].
 ///
 /// # Errors
 ///
@@ -224,26 +208,6 @@ pub fn run_sweep_with_cache(
     spec: &SweepSpec,
     threads: usize,
     cache: Arc<EstimateCache>,
-) -> Result<SweepReport, SweepError> {
-    run_sweep_with_cache_traced(spec, threads, cache, None)
-}
-
-/// [`run_sweep_with_cache`] with an optional trace collector (see
-/// [`run_sweep_traced`]).
-///
-/// # Errors
-///
-/// Returns an error if the spec fails validation.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics (i.e. a bug in the flow itself, not a
-/// recoverable per-point failure).
-pub fn run_sweep_with_cache_traced(
-    spec: &SweepSpec,
-    threads: usize,
-    cache: Arc<EstimateCache>,
-    trace: sgmap_trace::TraceRef<'_>,
 ) -> Result<SweepReport, SweepError> {
     let points = spec.expand()?;
     let groups = group_points(&points);
@@ -266,51 +230,46 @@ pub fn run_sweep_with_cache_traced(
 
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<SweepRecord>>> = Mutex::new(vec![None; points.len()]);
+    // Workers record into the calling thread's trace collector.
+    let trace = sgmap_trace::current();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let g = next.fetch_add(1, Ordering::Relaxed);
-                if g >= groups.len() {
-                    break;
-                }
-                // A panic anywhere in the group's compile phase (or one that
-                // escapes the per-point isolation) fails that group's points
-                // with structured error records instead of taking down the
-                // sweep; the payload is deterministic, so the records are
-                // too.
-                let group_records = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    run_group(
-                        spec,
-                        &points,
-                        &groups[g],
-                        &cache,
-                        &search,
-                        point_threads,
-                        trace,
-                    )
-                }))
-                .unwrap_or_else(|payload| {
-                    let msg = panic_message(payload.as_ref());
-                    sgmap_trace::add(trace, "sweep.panics_caught", 1);
-                    sgmap_trace::warn(
-                        trace,
-                        "sweep.group_panicked",
-                        format!("compile group panicked; its points failed: {msg}"),
-                    );
-                    groups[g]
-                        .iter()
-                        .map(|&i| {
-                            (
-                                i,
-                                SweepRecord::from_error(&points[i], format!("panic: {msg}")),
-                            )
-                        })
-                        .collect()
-                });
-                let mut results = results.lock().expect("sweep results lock poisoned");
-                for (i, record) in group_records {
-                    results[i] = Some(record);
-                }
+            scope.spawn(|| {
+                sgmap_trace::scope(trace.as_ref(), || loop {
+                    let g = next.fetch_add(1, Ordering::Relaxed);
+                    if g >= groups.len() {
+                        break;
+                    }
+                    // A panic anywhere in the group's compile phase (or one that
+                    // escapes the per-point isolation) fails that group's points
+                    // with structured error records instead of taking down the
+                    // sweep; the payload is deterministic, so the records are
+                    // too.
+                    let group_records = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        run_group(spec, &points, &groups[g], &cache, &search, point_threads)
+                    }))
+                    .unwrap_or_else(|payload| {
+                        let msg = panic_message(payload.as_ref());
+                        sgmap_trace::add("sweep.panics_caught", 1);
+                        sgmap_trace::warn(
+                            "sweep.group_panicked",
+                            format!("compile group panicked; its points failed: {msg}"),
+                        );
+                        groups[g]
+                            .iter()
+                            .map(|&i| {
+                                (
+                                    i,
+                                    SweepRecord::from_error(&points[i], format!("panic: {msg}")),
+                                )
+                            })
+                            .collect()
+                    });
+                    let mut results = results.lock().expect("sweep results lock poisoned");
+                    for (i, record) in group_records {
+                        results[i] = Some(record);
+                    }
+                })
             });
         }
     });
@@ -326,8 +285,8 @@ pub fn run_sweep_with_cache_traced(
         .stability_baseline
         .as_deref()
         .map(|baseline| StabilityReport::compute(&records, baseline));
-    sgmap_trace::add(trace, "sweep.points", points.len() as u64);
-    sgmap_trace::add(trace, "sweep.compile_groups", groups.len() as u64);
+    sgmap_trace::add("sweep.points", points.len() as u64);
+    sgmap_trace::add("sweep.compile_groups", groups.len() as u64);
 
     Ok(SweepReport {
         spec_name: spec.name.clone(),
@@ -349,7 +308,6 @@ fn point_config(
     spec: &SweepSpec,
     point: &SweepPoint,
     search: &PartitionSearchOptions,
-    trace: sgmap_trace::TraceRef<'_>,
 ) -> FlowConfig {
     let mut config = FlowConfig::new()
         .with_platform(point.platform.clone())
@@ -363,9 +321,6 @@ fn point_config(
     // The stack axis is authoritative for routing; the spec-level plan only
     // contributes the fragment/iteration shape.
     config.plan.transfer_mode = point.stack.transfer_mode;
-    if let Some(collector) = trace {
-        config = config.with_trace(collector.clone());
-    }
     config
 }
 
@@ -377,15 +332,18 @@ fn par_collect<R: Send>(threads: usize, n: usize, f: impl Fn(usize) -> R + Sync)
     }
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+    let trace = sgmap_trace::current();
     std::thread::scope(|scope| {
         for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i);
-                results.lock().expect("point results lock poisoned")[i] = Some(r);
+            scope.spawn(|| {
+                sgmap_trace::scope(trace.as_ref(), || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let r = f(i);
+                    results.lock().expect("point results lock poisoned")[i] = Some(r);
+                })
             });
         }
     });
@@ -400,7 +358,6 @@ fn par_collect<R: Send>(threads: usize, n: usize, f: impl Fn(usize) -> R + Sync)
 /// Compiles one group (graph, estimator, partition stage — all built once)
 /// and executes every point in it on `point_threads` threads, returning
 /// `(point index, record)` pairs.
-#[allow(clippy::too_many_arguments)]
 fn run_group(
     spec: &SweepSpec,
     points: &[SweepPoint],
@@ -408,7 +365,6 @@ fn run_group(
     cache: &Arc<EstimateCache>,
     search: &PartitionSearchOptions,
     point_threads: usize,
-    trace: sgmap_trace::TraceRef<'_>,
 ) -> Vec<(usize, SweepRecord)> {
     let fail_all = |message: String| -> Vec<(usize, SweepRecord)> {
         group
@@ -417,40 +373,35 @@ fn run_group(
             .collect()
     };
     let first = &points[group[0]];
-    let mut group_span = sgmap_trace::span(trace, "sweep.group");
+    let mut group_span = sgmap_trace::span("sweep.group");
     group_span.arg("app", first.app.name());
     group_span.arg("n", u64::from(first.n));
     group_span.arg("stack", first.stack.label.as_str());
     group_span.arg("points", group.len());
-    let graph = match first.app.build_traced(first.n, trace) {
+    let graph = match first.app.build(first.n) {
         Ok(graph) => graph,
         Err(e) => return fail_all(e.to_string()),
     };
     let estimator = match Estimator::new(&graph, first.platform.primary_gpu().clone()) {
         Ok(est) => est
             .with_enhancement(first.enhanced)
-            .with_shared_cache(cache.clone())
-            .with_trace(trace.cloned()),
+            .with_shared_cache(cache.clone()),
         Err(e) => return fail_all(e.to_string()),
     };
-    let stage = match partition_graph(
-        &graph,
-        &point_config(spec, first, search, trace),
-        &estimator,
-    ) {
+    let stage = match partition_graph(&graph, &point_config(spec, first, search), &estimator) {
         Ok(stage) => stage,
         Err(e) => return fail_all(e.to_string()),
     };
     par_collect(point_threads, group.len(), |k| {
         let i = group[k];
         let point = &points[i];
-        let mut point_span = sgmap_trace::span(trace, "sweep.point");
+        let mut point_span = sgmap_trace::span("sweep.point");
         point_span.arg("app", point.app.name());
         point_span.arg("n", u64::from(point.n));
         point_span.arg("platform", point.platform.name.as_str());
         (
             i,
-            run_point(spec, point, &graph, &estimator, &stage, search, trace),
+            run_point(spec, point, &graph, &estimator, &stage, search),
         )
     })
 }
@@ -467,7 +418,6 @@ fn run_point(
     estimator: &Estimator<'_>,
     stage: &sgmap_core::PartitionStage,
     search: &PartitionSearchOptions,
-    trace: sgmap_trace::TraceRef<'_>,
 ) -> SweepRecord {
     let attempt_once = |attempt: usize| -> Result<SweepRecord, String> {
         if spec.inject.panic_points.contains(&point.index) {
@@ -479,7 +429,7 @@ fn run_point(
                 point.index
             ));
         }
-        let config = point_config(spec, point, search, trace);
+        let config = point_config(spec, point, search);
         match compile_from_stage(graph, &config, estimator, stage) {
             Ok(compiled) => {
                 let run = execute(&compiled, &config);
@@ -502,9 +452,8 @@ fn run_point(
                 if !retryable {
                     break;
                 }
-                sgmap_trace::add(trace, "sweep.retries", 1);
+                sgmap_trace::add("sweep.retries", 1);
                 sgmap_trace::warn(
-                    trace,
                     "sweep.point_retried",
                     format!(
                         "point {} attempt {} failed transiently; retrying: {last_error}",
@@ -516,9 +465,8 @@ fn run_point(
             }
             Err(payload) => {
                 let msg = panic_message(payload.as_ref());
-                sgmap_trace::add(trace, "sweep.panics_caught", 1);
+                sgmap_trace::add("sweep.panics_caught", 1);
                 sgmap_trace::warn(
-                    trace,
                     "sweep.point_panicked",
                     format!("point {} panicked: {msg}", point.index),
                 );

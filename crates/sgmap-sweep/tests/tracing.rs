@@ -8,9 +8,9 @@ use sgmap_apps::App;
 use sgmap_core::{compile, execute, FlowConfig};
 use sgmap_pee::EstimateCache;
 use sgmap_sweep::{
-    check_trace, run_sweep_traced, AppSweep, GpuModel, StackConfig, SweepSpec, TraceCheckSummary,
+    check_trace, run_sweep, AppSweep, GpuModel, StackConfig, SweepSpec, TraceCheckSummary,
 };
-use sgmap_trace::Collector;
+use sgmap_trace::{scope, Collector};
 
 /// The determinism grid (see `determinism.rs`): 2 apps x 2 N x 3 GPU counts
 /// x 2 stacks = 24 points, the same acceptance bar as the quick preset but
@@ -31,11 +31,11 @@ fn contention_spec() -> SweepSpec {
 #[test]
 fn traced_reports_are_byte_identical_to_untraced() {
     let spec = contention_spec();
-    let untraced = run_sweep_traced(&spec, 1, None).unwrap();
+    let untraced = run_sweep(&spec, 1).unwrap();
     let single = Arc::new(Collector::new());
-    let traced_single = run_sweep_traced(&spec, 1, Some(&single)).unwrap();
+    let traced_single = scope(Some(&single), || run_sweep(&spec, 1)).unwrap();
     let multi = Arc::new(Collector::new());
-    let traced_multi = run_sweep_traced(&spec, 4, Some(&multi)).unwrap();
+    let traced_multi = scope(Some(&multi), || run_sweep(&spec, 4)).unwrap();
 
     assert!(untraced.records.iter().all(|r| r.is_ok()));
     let reference = untraced.canonical_json();
@@ -57,6 +57,18 @@ fn traced_reports_are_byte_identical_to_untraced() {
         assert_eq!(counters.get("sweep.compile_groups"), Some(&8));
         assert!(counters.get("partition.candidates_evaluated").copied() > Some(0));
     }
+    // Every worker thread (sweep groups, per-point mapping, partition
+    // search) records into the sweep's collector: the 4-thread run sees
+    // exactly the counters and spans of the 1-thread run.
+    assert_eq!(single.counters(), multi.counters());
+    let span_counts = |c: &Collector| -> Vec<(&'static str, u64)> {
+        c.span_totals()
+            .into_iter()
+            .map(|(name, t)| (name, t.count))
+            .collect()
+    };
+    assert_eq!(span_counts(&single), span_counts(&multi));
+    assert_eq!(single.span_totals()["sweep.point"].count, 24);
 
     // Both exporters of the multi-threaded run validate, and the chrome
     // trace contains the span vocabulary downstream tools key on.
@@ -84,17 +96,41 @@ fn traced_reports_are_byte_identical_to_untraced() {
     ));
 }
 
+/// With fewer compile groups than threads the spare threads map and execute
+/// a group's points in parallel; those point workers must record into the
+/// sweep's collector too.
+#[test]
+fn point_workers_record_into_the_sweep_collector() {
+    let spec = SweepSpec::new(
+        "tracing-points",
+        vec![AppSweep::explicit(App::FmRadio, vec![8])],
+        vec![GpuModel::M2090],
+        vec![1, 2, 4],
+        vec![StackConfig::ours()],
+    );
+    let single = Arc::new(Collector::new());
+    scope(Some(&single), || run_sweep(&spec, 1)).unwrap();
+    let multi = Arc::new(Collector::new());
+    scope(Some(&multi), || run_sweep(&spec, 4)).unwrap();
+    assert_eq!(single.counters(), multi.counters());
+    for name in ["sweep.point", "map", "codegen", "execute"] {
+        assert_eq!(multi.span_totals()[name].count, 3, "span {name}");
+    }
+}
+
 #[test]
 fn trace_counters_match_engine_statistics() {
     let collector = Arc::new(Collector::new());
-    let graph = App::Des.build_traced(8, Some(&collector)).unwrap();
+    let graph = scope(Some(&collector), || App::Des.build(8)).unwrap();
     let cache = EstimateCache::shared();
     let config = FlowConfig::new()
         .with_gpu_count(2)
-        .with_estimate_cache(cache.clone())
-        .with_trace(collector.clone());
-    let compiled = compile(&graph, &config).unwrap();
-    execute(&compiled, &config);
+        .with_estimate_cache(cache.clone());
+    let compiled = scope(Some(&collector), || {
+        let compiled = compile(&graph, &config).unwrap();
+        execute(&compiled, &config);
+        compiled
+    });
 
     let counters = collector.counters();
     // Every single-flight estimator miss asks the shared cache exactly once,

@@ -1,20 +1,22 @@
-//! Span overhead micro-benchmarks backing the numbers cited in the README:
-//! a disabled-collector span is a no-op (a few ns — one branch, no clock
-//! read, no allocation) and an enabled span costs on the order of 150 ns
-//! (two clock reads plus one mutex-guarded Vec push); enabled counters and
-//! histograms sit near 20 ns.
+//! Span overhead micro-benchmarks backing the numbers cited in the README.
+//! "Disabled" means no collector scope is installed: a span or counter is
+//! then one thread-local read and one branch (no clock read, no
+//! allocation). "Enabled" runs inside `sgmap_trace::scope`: an enabled span
+//! costs two clock reads, a reference-count bump and one mutex-guarded Vec
+//! push; enabled counters and histograms one mutex-guarded map update.
+//! `span_enabled` enters a scope per span so that it can recycle its
+//! collector; `scope_enter` measures that entry on its own.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sgmap_trace::Collector;
+use sgmap_trace::{scope, Collector};
 use std::sync::Arc;
 
 fn bench_overhead(c: &mut Criterion) {
     let enabled = Arc::new(Collector::new());
 
     c.bench_function("span_disabled", |b| {
-        let trace: Option<&Arc<Collector>> = None;
         b.iter(|| {
-            let guard = sgmap_trace::span(black_box(trace), "bench.span");
+            let guard = sgmap_trace::span(black_box("bench.span"));
             black_box(&guard);
         });
     });
@@ -31,24 +33,29 @@ fn bench_overhead(c: &mut Criterion) {
                 collector = Arc::new(Collector::new());
                 spans = 0;
             }
-            let guard = sgmap_trace::span(black_box(Some(&collector)), "bench.span");
-            black_box(&guard);
+            scope(Some(&collector), || {
+                let guard = sgmap_trace::span(black_box("bench.span"));
+                black_box(&guard);
+            });
         });
     });
 
+    c.bench_function("scope_enter", |b| {
+        b.iter(|| scope(black_box(Some(&enabled)), || ()));
+    });
+
     c.bench_function("counter_disabled", |b| {
-        let trace: Option<&Arc<Collector>> = None;
-        b.iter(|| sgmap_trace::add(black_box(trace), "bench.counter", 1));
+        b.iter(|| sgmap_trace::add(black_box("bench.counter"), 1));
     });
 
-    c.bench_function("counter_enabled", |b| {
-        let trace = Some(&enabled);
-        b.iter(|| sgmap_trace::add(black_box(trace), "bench.counter", 1));
-    });
+    scope(Some(&enabled), || {
+        c.bench_function("counter_enabled", |b| {
+            b.iter(|| sgmap_trace::add(black_box("bench.counter"), 1));
+        });
 
-    c.bench_function("histogram_enabled", |b| {
-        let trace = Some(&enabled);
-        b.iter(|| sgmap_trace::record(black_box(trace), "bench.hist", black_box(17)));
+        c.bench_function("histogram_enabled", |b| {
+            b.iter(|| sgmap_trace::record(black_box("bench.hist"), black_box(17)));
+        });
     });
 }
 

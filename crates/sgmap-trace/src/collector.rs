@@ -1,7 +1,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::histogram::Histogram;
@@ -138,15 +138,15 @@ impl Collector {
         self.origin.elapsed().as_secs_f64() * 1e6
     }
 
-    /// Open a span; it is recorded when the returned guard drops.
-    pub fn span(&self, name: &'static str) -> Span<'_> {
-        self.span_with(name, Vec::new())
-    }
-
-    /// Open a span carrying structured arguments.
-    pub fn span_with(&self, name: &'static str, args: Vec<(&'static str, ArgValue)>) -> Span<'_> {
+    /// Open a span carrying structured arguments; it is recorded when the
+    /// returned guard drops. Spans are opened through [`crate::span_with`].
+    pub(crate) fn open_span(
+        self: &Arc<Self>,
+        name: &'static str,
+        args: Vec<(&'static str, ArgValue)>,
+    ) -> Span {
         Span {
-            collector: Some(self),
+            collector: Some(Arc::clone(self)),
             name,
             start_us: self.now_us(),
             args,
@@ -251,19 +251,21 @@ impl Collector {
     }
 }
 
-/// RAII span guard. Dropping it records the completed span (if the collector
-/// is enabled); a disabled guard is inert and costs a single branch on drop.
+/// RAII span guard. Dropping it records the completed span into the
+/// collector that was ambient when it opened, even if the guard outlives that
+/// scope; a disabled guard is inert and costs a single branch on drop.
 #[must_use = "a span is recorded when the guard drops; binding it to `_` ends it immediately"]
-pub struct Span<'a> {
-    collector: Option<&'a Collector>,
+pub struct Span {
+    collector: Option<Arc<Collector>>,
     name: &'static str,
     start_us: f64,
     args: Vec<(&'static str, ArgValue)>,
 }
 
-impl<'a> Span<'a> {
+impl Span {
     /// An inert guard used when tracing is disabled.
-    pub fn disabled(name: &'static str) -> Span<'a> {
+    #[inline]
+    pub(crate) fn disabled(name: &'static str) -> Span {
         Span {
             collector: None,
             name,
@@ -273,6 +275,7 @@ impl<'a> Span<'a> {
     }
 
     /// Attach an argument to the span after it was opened (no-op if disabled).
+    #[inline]
     pub fn arg(&mut self, key: &'static str, value: impl Into<ArgValue>) {
         if self.collector.is_some() {
             self.args.push((key, value.into()));
@@ -280,9 +283,10 @@ impl<'a> Span<'a> {
     }
 }
 
-impl Drop for Span<'_> {
+impl Drop for Span {
+    #[inline]
     fn drop(&mut self) {
-        if let Some(c) = self.collector {
+        if let Some(c) = &self.collector {
             c.finish_span(self.name, self.start_us, std::mem::take(&mut self.args));
         }
     }
@@ -291,7 +295,6 @@ impl Drop for Span<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn counters_accumulate() {
@@ -307,10 +310,10 @@ mod tests {
 
     #[test]
     fn spans_record_on_drop() {
-        let c = Collector::new();
+        let c = Arc::new(Collector::new());
         {
-            let _outer = c.span("outer");
-            let mut inner = c.span("inner");
+            let _outer = c.open_span("outer", Vec::new());
+            let mut inner = c.open_span("inner", Vec::new());
             inner.arg("k", 7u64);
         }
         assert_eq!(c.event_count(), 2);
@@ -321,29 +324,36 @@ mod tests {
         assert!(totals["outer"].total_us >= totals["inner"].total_us);
     }
 
+    /// Helpers called outside any scope record nothing anywhere, not even
+    /// into a collector installed afterwards.
     #[test]
     fn disabled_span_is_inert() {
         let s = Span::disabled("nothing");
         drop(s);
-        let trace: Option<&Arc<Collector>> = None;
-        let g = crate::span(trace, "also-nothing");
+        let mut g = crate::span("also-nothing");
+        g.arg("k", 1u64);
         drop(g);
-        crate::add(trace, "c", 1);
-        crate::record(trace, "h", 1);
-        crate::instant(trace, "i", Vec::new());
+        crate::add("c", 1);
+        crate::record("h", 1);
+        crate::instant("i", Vec::new());
+        assert!(crate::current().is_none());
+        let c = Arc::new(Collector::new());
+        crate::scope(Some(&c), || {});
+        assert_eq!(c.event_count(), 0);
+        assert!(c.counters().is_empty());
+        assert!(c.histogram("h").is_none());
     }
 
     #[test]
     fn helpers_forward_when_enabled() {
         let c = Arc::new(Collector::new());
-        let trace = Some(&c);
-        {
-            let _s = crate::span(trace, "s");
-            crate::add(trace, "n", 4);
-            crate::record(trace, "h", 9);
-            crate::instant(trace, "tick", vec![("v", ArgValue::Uint(1))]);
-            crate::warn(trace, "w.code", "something odd".to_string());
-        }
+        crate::scope(Some(&c), || {
+            let _s = crate::span("s");
+            crate::add("n", 4);
+            crate::record("h", 9);
+            crate::instant("tick", vec![("v", ArgValue::Uint(1))]);
+            crate::warn("w.code", "something odd".to_string());
+        });
         assert_eq!(c.counter("n"), 4);
         assert_eq!(c.histogram("h").unwrap().count(), 1);
         assert_eq!(c.event_count(), 2); // span + instant
@@ -360,7 +370,7 @@ mod tests {
         for _ in 0..2 {
             let c2 = Arc::clone(&c);
             handles.push(std::thread::spawn(move || {
-                let _s = c2.span("worker");
+                let _s = c2.open_span("worker", Vec::new());
             }));
         }
         for h in handles {

@@ -179,12 +179,12 @@ impl Collector {
 mod tests {
     use super::*;
 
-    fn sample() -> Collector {
-        let c = Collector::new();
+    fn sample() -> std::sync::Arc<Collector> {
+        let c = std::sync::Arc::new(Collector::new());
         {
-            let mut s = c.span("partition.phase1");
+            let mut s = c.open_span("partition.phase1", Vec::new());
             s.arg("parts", 3u64);
-            let _inner = c.span("ilp.node");
+            let _inner = c.open_span("ilp.node", Vec::new());
         }
         c.instant("sweep.cache_loaded", vec![("entries", ArgValue::Uint(12))]);
         c.add("pee.estimate_misses", 7);

@@ -1,6 +1,6 @@
 //! Zero-dependency structured tracing for the sgmap compile pipeline.
 //!
-//! The crate provides a [`Collector`] that records three kinds of data while a
+//! The crate provides a [`Collector`] that records four kinds of data while a
 //! compile (or a whole sweep) runs:
 //!
 //! - **spans** — RAII-guarded durations ([`Span`]) with `&'static str` names,
@@ -17,10 +17,43 @@
 //! - [`Collector::metrics_json`] — a canonical aggregate-metrics document
 //!   (sorted keys, stable formatting) for machine consumption.
 //!
-//! Everything is gated on `Option`: the free helpers ([`span`], [`add`],
-//! [`record`], [`instant`], [`warn`]) take `Option<&Arc<Collector>>` and are a
-//! no-op (a single branch, no allocation, no clock read) when the option is
-//! `None`, so instrumented hot paths cost nothing when tracing is disabled.
+//! # Attaching a collector
+//!
+//! A collector is attached with [`scope`], the one way to turn tracing on:
+//! `scope(Some(&collector), || …)` installs it as the calling thread's
+//! *ambient* collector for the duration of the closure, and the free helpers
+//! ([`span`], [`span_with`], [`add`], [`record`], [`instant`], [`warn`])
+//! record into whatever collector is ambient. Outside any scope they are a
+//! no-op: one thread-local read and one branch, no allocation, no clock read,
+//! so instrumented hot paths cost nothing when tracing is disabled. Scopes
+//! nest; leaving one (normally or by unwinding) restores the outer collector,
+//! and `scope(None, …)` keeps it.
+//!
+//! The ambient collector is per thread. Code that fans work out to
+//! `std::thread::scope` workers captures [`current`] before spawning and
+//! re-installs it with [`scope`] inside each worker.
+//!
+//! ```
+//! use std::sync::Arc;
+//! use sgmap_trace::{scope, Collector};
+//!
+//! let collector = Arc::new(Collector::new());
+//! scope(Some(&collector), || {
+//!     let _span = sgmap_trace::span("demo");
+//!     sgmap_trace::add("demo.items", 3);
+//! });
+//! sgmap_trace::add("demo.items", 1); // outside the scope: not recorded
+//! assert_eq!(collector.counter("demo.items"), 3);
+//! ```
+//!
+//! Two pipeline entry points also accept a collector.
+//! `PartitionRequest::with_trace` (`sgmap-partition`) installs it with
+//! [`scope`] for the partition run it configures. `Estimator::with_trace`
+//! (`sgmap-pee`) replaces the collector an estimator captures from the
+//! ambient scope when it is built; the estimator keeps that handle, so its
+//! `pee.*` counters reach one collector whichever thread queries it and
+//! whenever. Everything else, the `sgmap-core` compile flow included,
+//! records into the ambient collector only.
 //!
 //! # Span / counter naming conventions
 //!
@@ -44,64 +77,172 @@ mod histogram;
 pub use collector::{ArgValue, Collector, Span, SpanTotals, Warning};
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
 
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-/// The borrowed optional-collector handle threaded through instrumented
-/// functions. `None` means tracing is disabled and every helper is a no-op.
-pub type TraceRef<'a> = Option<&'a Arc<Collector>>;
+thread_local! {
+    static CURRENT: RefCell<Option<Arc<Collector>>> = const { RefCell::new(None) };
+    /// Whether `CURRENT` holds a collector. A plain flag, so the disabled
+    /// check is one load without the lazy-destructor bookkeeping of `CURRENT`.
+    /// Checking `CURRENT` alone measured ~18 ns per disabled span and ~2 ns
+    /// per disabled counter, against ~5 ns and ~0.8 ns with this flag
+    /// (`benches/overhead.rs`, 2-vCPU Xeon VM, three alternating runs).
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+}
 
-/// Open a span named `name` if `trace` is enabled; otherwise return an inert
-/// guard. The span ends (and is recorded) when the guard drops.
-pub fn span<'a>(trace: Option<&'a Arc<Collector>>, name: &'static str) -> Span<'a> {
-    match trace {
-        Some(c) => c.span(name),
-        None => Span::disabled(name),
+/// Run `f` with `collector` installed as this thread's ambient collector.
+///
+/// The previous ambient collector is restored when `f` returns or unwinds.
+/// `None` leaves the ambient collector as it is, so a caller without a
+/// collector of its own keeps recording into the outer one.
+pub fn scope<R>(collector: Option<&Arc<Collector>>, f: impl FnOnce() -> R) -> R {
+    let Some(collector) = collector else {
+        return f();
+    };
+    ENABLED.set(true);
+    let _restore = Restore(CURRENT.with(|c| c.replace(Some(Arc::clone(collector)))));
+    f()
+}
+
+/// Puts the outer ambient collector back when a [`scope`] ends.
+struct Restore(Option<Arc<Collector>>);
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        let outer = self.0.take();
+        // The thread-locals are gone only while the thread itself is exiting.
+        let _ = ENABLED.try_with(|e| e.set(outer.is_some()));
+        let _ = CURRENT.try_with(|c| *c.borrow_mut() = outer);
     }
+}
+
+/// The calling thread's ambient collector, if a [`scope`] installed one.
+pub fn current() -> Option<Arc<Collector>> {
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// Run `f` on the ambient collector, if there is one.
+#[inline]
+fn with_current(f: impl FnOnce(&Arc<Collector>)) {
+    if ENABLED.get() {
+        CURRENT.with(|c| {
+            if let Some(c) = &*c.borrow() {
+                f(c)
+            }
+        });
+    }
+}
+
+/// Open a span named `name` in the ambient collector, or an inert guard when
+/// there is none. The span ends (and is recorded) when the guard drops.
+#[inline]
+pub fn span(name: &'static str) -> Span {
+    span_with(name, Vec::new())
 }
 
 /// Like [`span`] but with structured arguments attached to the span event.
-pub fn span_with<'a>(
-    trace: Option<&'a Arc<Collector>>,
-    name: &'static str,
-    args: Vec<(&'static str, ArgValue)>,
-) -> Span<'a> {
-    match trace {
-        Some(c) => c.span_with(name, args),
-        None => Span::disabled(name),
+#[inline]
+pub fn span_with(name: &'static str, args: Vec<(&'static str, ArgValue)>) -> Span {
+    if !ENABLED.get() {
+        return Span::disabled(name);
     }
+    CURRENT.with(|c| match &*c.borrow() {
+        Some(c) => c.open_span(name, args),
+        None => Span::disabled(name),
+    })
 }
 
 /// Add `delta` to the monotonic counter `name` (no-op when disabled).
-pub fn add(trace: Option<&Arc<Collector>>, name: &'static str, delta: u64) {
-    if let Some(c) = trace {
-        c.add(name, delta);
-    }
+#[inline]
+pub fn add(name: &'static str, delta: u64) {
+    with_current(|c| c.add(name, delta));
 }
 
 /// Record `value` into the log2-bucket histogram `name` (no-op when disabled).
-pub fn record(trace: Option<&Arc<Collector>>, name: &'static str, value: u64) {
-    if let Some(c) = trace {
-        c.record(name, value);
-    }
+#[inline]
+pub fn record(name: &'static str, value: u64) {
+    with_current(|c| c.record(name, value));
 }
 
 /// Emit an instant (zero-duration) event (no-op when disabled).
-pub fn instant(
-    trace: Option<&Arc<Collector>>,
-    name: &'static str,
-    args: Vec<(&'static str, ArgValue)>,
-) {
-    if let Some(c) = trace {
-        c.instant(name, args);
-    }
+pub fn instant(name: &'static str, args: Vec<(&'static str, ArgValue)>) {
+    with_current(|c| c.instant(name, args));
 }
 
 /// Route a warning through the structured API: it always reaches stderr as
-/// the legacy human-readable `warning:` line, and with a collector attached
+/// the legacy human-readable `warning:` line, and with a collector ambient
 /// it is additionally recorded (machine-readable, exported in both formats).
-pub fn warn(trace: Option<&Arc<Collector>>, code: &'static str, message: String) {
+pub fn warn(code: &'static str, message: String) {
     eprintln!("warning: {message}");
-    if let Some(c) = trace {
-        c.warning(code, message);
+    with_current(|c| c.warning(code, message));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nested_scope_restores_the_outer_collector() {
+        let outer = Arc::new(Collector::new());
+        let inner = Arc::new(Collector::new());
+        scope(Some(&outer), || {
+            add("n", 1);
+            scope(Some(&inner), || add("n", 10));
+            add("n", 100);
+            assert!(Arc::ptr_eq(&current().unwrap(), &outer));
+        });
+        assert_eq!(outer.counter("n"), 101);
+        assert_eq!(inner.counter("n"), 10);
+        assert!(current().is_none());
+        assert!(
+            !ENABLED.get(),
+            "leaving the scope restores the disabled fast path"
+        );
+    }
+
+    #[test]
+    fn scope_none_keeps_the_outer_collector() {
+        let outer = Arc::new(Collector::new());
+        scope(Some(&outer), || {
+            scope(None, || {
+                add("n", 2);
+                let _s = span("in.none");
+            });
+        });
+        assert_eq!(outer.counter("n"), 2);
+        assert_eq!(outer.span_totals()["in.none"].count, 1);
+        assert!(scope(None, current).is_none());
+    }
+
+    #[test]
+    fn panic_inside_a_scope_restores_the_outer_collector() {
+        let outer = Arc::new(Collector::new());
+        let inner = Arc::new(Collector::new());
+        scope(Some(&outer), || {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                scope(Some(&inner), || {
+                    let _s = span("unwound");
+                    add("n", 5);
+                    panic!("isolated failure");
+                })
+            }));
+            assert!(caught.is_err());
+            add("n", 1);
+            assert!(Arc::ptr_eq(&current().unwrap(), &outer));
+        });
+        assert_eq!(outer.counter("n"), 1);
+        assert_eq!(inner.counter("n"), 5);
+        // The span guard still records while unwinding.
+        assert_eq!(inner.span_totals()["unwound"].count, 1);
+        assert!(current().is_none());
+        assert!(!ENABLED.get());
+    }
+
+    #[test]
+    fn a_span_outliving_its_scope_records_into_its_own_collector() {
+        let c = Arc::new(Collector::new());
+        let s = scope(Some(&c), || span("escaped"));
+        drop(s);
+        assert_eq!(c.span_totals()["escaped"].count, 1);
     }
 }

@@ -8,10 +8,7 @@ use sgmap_gpusim::{sm_layout, GpuSpec, Platform};
 use sgmap_graph::{FilterId, GraphBuilder, JoinKind, NodeSet, SplitKind, StreamGraph, StreamSpec};
 use sgmap_ilp::{Model, ObjectiveSense, Solver};
 use sgmap_mapping::evaluate_assignment;
-use sgmap_partition::{
-    build_pdg, partition_stream_graph, partition_stream_graph_with, AdjacencyIndex,
-    PartitionSearchOptions,
-};
+use sgmap_partition::{build_pdg, AdjacencyIndex, PartitionRequest, PartitionSearchOptions};
 use sgmap_pee::{merge_characteristics, CharsIndex, Estimator, PartitionCharacteristics};
 
 /// Asserts two characteristics are equal down to the bit patterns of their
@@ -189,7 +186,7 @@ proptest! {
             .map(|id| est.estimate(&NodeSet::singleton(id)).map(|e| e.normalized_us))
             .sum();
         prop_assume!(singleton_total.is_some());
-        let partitioning = partition_stream_graph(&est).unwrap();
+        let partitioning = PartitionRequest::new(&est).run().unwrap();
         partitioning.validate_cover(&graph).unwrap();
         for p in partitioning.iter() {
             prop_assert!(p.nodes.is_connected(&graph));
@@ -217,11 +214,11 @@ proptest! {
         prop_assume!(graph
             .filter_ids()
             .all(|id| est.estimate(&NodeSet::singleton(id)).is_some()));
-        let serial = partition_stream_graph(&est).unwrap();
+        let serial = PartitionRequest::new(&est).run().unwrap();
         let options = PartitionSearchOptions::new()
             .with_threads(threads)
             .with_batch(batch);
-        let parallel = partition_stream_graph_with(&est, &options).unwrap();
+        let parallel = PartitionRequest::new(&est).with_search(options).run().unwrap();
         parallel.validate_cover(&graph).unwrap();
         prop_assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(parallel.iter()) {
@@ -352,7 +349,7 @@ proptest! {
         let graph = random_graph(spec);
         let est = Estimator::new(&graph, GpuSpec::m2090()).unwrap();
         prop_assume!(graph.filter_ids().all(|id| est.estimate(&NodeSet::singleton(id)).is_some()));
-        let partitioning = partition_stream_graph(&est).unwrap();
+        let partitioning = PartitionRequest::new(&est).run().unwrap();
         let reps = graph.repetition_vector().unwrap();
         let pdg = build_pdg(&graph, &reps, &partitioning);
         prop_assert_eq!(pdg.topological_order().len(), pdg.len());
