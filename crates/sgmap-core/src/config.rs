@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use sgmap_codegen::PlanOptions;
-use sgmap_gpusim::{GpuSpec, InterconnectSpec, Platform, PlatformSpec, TransferMode};
+use sgmap_gpusim::{GpuSpec, Platform, PlatformSpec, TransferMode};
 use sgmap_mapping::{MappingMethod, MappingOptions};
 use sgmap_partition::{Algorithm, PartitionSearchOptions, PartitionerKind};
 use sgmap_pee::EstimateCache;
@@ -89,18 +89,6 @@ impl FlowConfig {
         self
     }
 
-    /// Compatibility wrapper: replaces the device model on every leaf,
-    /// keeping the interconnect shape and GPU count. Reference-tree specs
-    /// also refresh their auto-generated name.
-    pub fn with_gpu(mut self, gpu: GpuSpec) -> Self {
-        let count = self.platform.gpu_count();
-        if matches!(self.platform.interconnect, InterconnectSpec::ReferenceTree) {
-            self.platform.name = format!("{}x{}", gpu.name, count);
-        }
-        self.platform.gpus = vec![gpu; count];
-        self
-    }
-
     /// Selects the partitioner.
     pub fn with_partitioner(mut self, partitioner: PartitionerKind) -> Self {
         self.partitioner = partitioner;
@@ -123,13 +111,6 @@ impl FlowConfig {
     /// speculative batch size).
     pub fn with_partition_search(mut self, options: PartitionSearchOptions) -> Self {
         self.partition_search = options;
-        self
-    }
-
-    /// Sets the number of partition-search worker threads (`0` = auto),
-    /// keeping the default speculative batch size.
-    pub fn with_partition_search_threads(mut self, threads: usize) -> Self {
-        self.partition_search = PartitionSearchOptions::new().with_threads(threads);
         self
     }
 
@@ -249,7 +230,7 @@ mod tests {
     #[test]
     fn compat_wrappers_build_reference_platforms() {
         let c = FlowConfig::default()
-            .with_gpu(GpuSpec::c2070())
+            .with_platform(PlatformSpec::reference(GpuSpec::c2070(), 1))
             .with_gpu_count(2);
         assert_eq!(c.platform.name, "Tesla C2070x2");
         assert_eq!(c.estimation_gpu().name, "Tesla C2070");

@@ -1,11 +1,10 @@
 //! Execution reports and the speedup metrics of the evaluation.
 
-use serde::{Deserialize, Serialize};
 use sgmap_gpusim::ExecStats;
 use sgmap_mapping::Mapping;
 
 /// The result of running a compiled stream graph on the platform simulator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Number of partitions (kernels) the graph was compiled into.
     pub partition_count: usize,

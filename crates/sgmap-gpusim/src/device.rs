@@ -1,7 +1,5 @@
 //! GPU device specifications.
 
-use serde::{Deserialize, Serialize};
-
 /// Specification of a single GPU device.
 ///
 /// The presets correspond to the two Fermi-class devices discussed in the
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// C2070 with the exactly same architecture" — more streaming multiprocessors
 /// and higher core/memory clocks — which Section 4.0.5 quantifies as a
 /// 23–29 % performance difference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name of the device.
     pub name: String,

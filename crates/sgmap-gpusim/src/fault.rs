@@ -23,12 +23,10 @@
 //!   edges); the first such transfer stops the simulation with a
 //!   [`FaultEvent::LinkFailed`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::platform::Platform;
 
 /// A device dropping out of the platform at a simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceDropout {
     /// Index of the lost GPU.
     pub gpu: usize,
@@ -37,7 +35,7 @@ pub struct DeviceDropout {
 }
 
 /// A directed link running below its calibrated bandwidth, or not at all.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkFault {
     /// Index of the directed link (see [`crate::Topology::link_ids`]).
     pub link: usize,
@@ -48,7 +46,7 @@ pub struct LinkFault {
 
 /// A deterministic, seedable description of what goes wrong during one
 /// simulated execution.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Devices that drop out, at most one entry per GPU.
     pub device_dropouts: Vec<DeviceDropout>,
@@ -157,7 +155,7 @@ impl FaultPlan {
 }
 
 /// Something that went wrong during a faulted simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultEvent {
     /// A device stopped accepting launches; the execution could not finish.
     DeviceLost {

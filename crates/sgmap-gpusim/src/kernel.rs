@@ -6,10 +6,8 @@
 //! while `F` dedicated data-transfer threads stream the primary IO between
 //! global memory and the double-buffered shared-memory staging area.
 
-use serde::{Deserialize, Serialize};
-
 /// The tunable launch parameters of a kernel (Section 3.3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelParams {
     /// `W`: number of executions (steady-state iterations) per kernel launch
     /// that run concurrently in the SM.
@@ -34,7 +32,7 @@ impl Default for KernelParams {
 }
 
 /// One filter of a kernel, reduced to what the timing model needs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelFilter {
     /// Single-thread time of one firing, in microseconds (from profiling).
     pub firing_time_us: f64,
@@ -52,7 +50,7 @@ impl KernelFilter {
 }
 
 /// A complete kernel description for the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelSpec {
     /// Name (usually derived from the partition id).
     pub name: String,

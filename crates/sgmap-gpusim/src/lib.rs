@@ -50,6 +50,6 @@ pub use pipeline::{
 };
 pub use platform::{InterconnectSpec, Platform, PlatformSpec};
 pub use topology::{
-    Endpoint, LinkClass, LinkId, PcieTopology, Topology, TopologyBuilder, TopologyError,
+    Endpoint, LinkClass, LinkId, Topology, TopologyBuilder, TopologyError,
     DEFAULT_LINK_BANDWIDTH_GBS, DEFAULT_LINK_LATENCY_US,
 };

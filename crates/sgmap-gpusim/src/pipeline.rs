@@ -11,14 +11,12 @@
 //! The simulation is a deterministic discrete-event model driven by resource
 //! availability times (one serial resource per GPU and per directed link).
 
-use serde::{Deserialize, Serialize};
-
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::platform::Platform;
 use crate::topology::Endpoint;
 
 /// How inter-GPU transfers are routed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferMode {
     /// Direct peer-to-peer DMA over the PCIe tree (the paper's approach).
     PeerToPeer,
@@ -28,7 +26,7 @@ pub enum TransferMode {
 }
 
 /// One kernel instance of the plan (one partition on one GPU).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannedKernel {
     /// Name for reports (usually the partition name).
     pub name: String,
@@ -39,7 +37,7 @@ pub struct PlannedKernel {
 }
 
 /// One data movement of the plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannedTransfer {
     /// Source endpoint.
     pub from: Endpoint,
@@ -62,7 +60,7 @@ pub struct PlannedTransfer {
 /// the transfers: for every transfer, `after_kernel` (when present) must come
 /// before `before_kernel` (when present) in the list. Kernels assigned to the
 /// same GPU execute serially in list order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionPlan {
     /// The kernels, in issue order.
     pub kernels: Vec<PlannedKernel>,

@@ -8,14 +8,12 @@
 //! execution estimates are produced for it, and slower or faster siblings are
 //! modelled by scaling those estimates with [`Platform::time_factor`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::GpuSpec;
 use crate::topology::{Topology, TopologyError};
 
 /// A multi-GPU platform: one [`GpuSpec`] per topology leaf plus the
 /// interconnect tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Per-GPU device specifications; `gpus[g]` sits on topology leaf `g`.
     pub gpus: Vec<GpuSpec>,
@@ -49,11 +47,6 @@ impl Platform {
     /// A single-GPU M2090 platform.
     pub fn single_m2090() -> Self {
         Platform::homogeneous(GpuSpec::m2090(), 1)
-    }
-
-    /// The prior work's platform: Tesla C2070 GPUs.
-    pub fn quad_c2070() -> Self {
-        Platform::homogeneous(GpuSpec::c2070(), 4)
     }
 
     /// Returns a homogeneous reference-tree platform with the first
@@ -104,7 +97,7 @@ impl Default for Platform {
 }
 
 /// The interconnect shape of a [`PlatformSpec`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InterconnectSpec {
     /// The paper's reference PCIe switch tree (1–4 GPUs).
     ReferenceTree,
@@ -139,7 +132,7 @@ impl InterconnectSpec {
 /// A declarative, named description of a platform: per-GPU specs plus an
 /// interconnect shape. This is the value `FlowConfig` and sweep grids carry;
 /// [`PlatformSpec::build`] turns it into a concrete [`Platform`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformSpec {
     /// Label used in reports and compile-dedup keys.
     pub name: String,

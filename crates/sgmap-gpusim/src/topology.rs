@@ -17,7 +17,6 @@
 //! because both sit inside the ILP's constraint generation, which queries
 //! them once per (link, partition-pair) combination.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default effective bandwidth of one PCIe link direction, in GB/s.
@@ -32,7 +31,7 @@ pub const DEFAULT_LINK_LATENCY_US: f64 = 8.0;
 /// The technology class of a link, determining its default bandwidth and
 /// latency. Individual links can still override both via
 /// [`TopologyBuilder::override_uplink_edge`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkClass {
     /// An NVLink-style point-to-point GPU interconnect: high bandwidth, very
     /// low latency.
@@ -73,20 +72,10 @@ impl LinkClass {
             LinkClass::Network => "network",
         }
     }
-
-    /// The inverse of [`LinkClass::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "nvlink" => Some(LinkClass::NvLink),
-            "pcie" => Some(LinkClass::Pcie),
-            "network" => Some(LinkClass::Network),
-            _ => None,
-        }
-    }
 }
 
 /// One endpoint of a data transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Endpoint {
     /// The host CPU / system memory.
     Host,
@@ -104,7 +93,7 @@ impl fmt::Display for Endpoint {
 }
 
 /// Identifier of a directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(usize);
 
 impl LinkId {
@@ -134,7 +123,7 @@ impl fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeKind {
     Host,
     Switch,
@@ -142,7 +131,7 @@ enum NodeKind {
 }
 
 /// A directed link of the interconnect tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Link {
     from: usize,
     to: usize,
@@ -159,7 +148,7 @@ struct Link {
 /// Construct one through a preset ([`Topology::switch_tree`],
 /// [`Topology::flat`], [`Topology::nvlink_islands`],
 /// [`Topology::two_node_cluster`]) or a custom [`TopologyBuilder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     kinds: Vec<NodeKind>,
     parent: Vec<Option<usize>>,
@@ -173,10 +162,6 @@ pub struct Topology {
     /// `(i, j)` order.
     dtlists: Vec<Vec<(usize, usize)>>,
 }
-
-/// The PCIe-only name this type had before links grew classes; kept as an
-/// alias so existing call sites keep compiling.
-pub type PcieTopology = Topology;
 
 impl Topology {
     /// Builds the reference switch tree of Figure 3.3, truncated to
@@ -377,24 +362,6 @@ impl Topology {
     pub fn link_nodes(&self, link: LinkId) -> (usize, usize) {
         let l = &self.links[link.0];
         (l.from, l.to)
-    }
-
-    /// A human-readable description of a link (for reports).
-    pub fn link_description(&self, link: LinkId) -> String {
-        let l = &self.links[link.0];
-        format!(
-            "{} -> {}",
-            self.node_description(l.from),
-            self.node_description(l.to)
-        )
-    }
-
-    fn node_description(&self, node: usize) -> String {
-        match self.kinds[node] {
-            NodeKind::Host => "host".to_string(),
-            NodeKind::Switch => format!("sw{node}"),
-            NodeKind::Gpu(g) => format!("gpu{g}"),
-        }
     }
 
     fn endpoint_node(&self, e: Endpoint) -> usize {

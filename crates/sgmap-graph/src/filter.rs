@@ -1,10 +1,9 @@
 //! Filters (actors) of a stream graph.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a filter (node) within a [`StreamGraph`](crate::StreamGraph).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FilterId(pub(crate) u32);
 
 impl FilterId {
@@ -29,7 +28,7 @@ impl fmt::Display for FilterId {
 }
 
 /// How a splitter distributes its input tokens across its output channels.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SplitKind {
     /// Every output channel receives a copy of every input token.
     Duplicate,
@@ -47,7 +46,7 @@ impl SplitKind {
 }
 
 /// How a joiner gathers tokens from its input channels.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JoinKind {
     /// Tokens are collected from the input channels according to the given
     /// weights, analogous to [`SplitKind::RoundRobin`].
@@ -66,7 +65,7 @@ impl JoinKind {
 /// Regular compute filters do real work; splitters and joiners only
 /// re-arrange data and are the target of the splitter/joiner elimination
 /// optimisation of the paper's Chapter V.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FilterKind {
     /// An ordinary computation filter.
     Compute,
@@ -94,7 +93,7 @@ impl FilterKind {
 /// (respectively output) channels; the per-channel breakdown lives on the
 /// channels themselves so that round-robin splitters and joiners can have
 /// asymmetric channel rates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Filter {
     /// Human-readable name, unique within the graph by convention but not
     /// enforced.

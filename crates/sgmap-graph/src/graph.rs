@@ -1,6 +1,5 @@
 //! The flat stream graph: filters connected by channels.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::algo;
@@ -10,7 +9,7 @@ use crate::rates::{self, RepetitionVector};
 use crate::Result;
 
 /// Identifier of a channel (edge) within a [`StreamGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChannelId(pub(crate) u32);
 
 impl ChannelId {
@@ -32,7 +31,7 @@ impl fmt::Display for ChannelId {
 }
 
 /// A FIFO channel between two filters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
     /// Producing filter.
     pub src: FilterId,
@@ -56,7 +55,7 @@ pub struct Channel {
 /// The graph must be acyclic once feedback channels are removed; this is the
 /// form produced by flattening StreamIt programs and the form consumed by
 /// every later stage of the mapping flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamGraph {
     name: String,
     filters: Vec<Filter>,

@@ -10,8 +10,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::algo::{self, TopoIndex};
 use crate::error::GraphError;
 use crate::filter::{FilterId, FilterKind};
@@ -26,7 +24,7 @@ use crate::Result;
 /// reference-count bump rather than a vector copy, and the hash of the
 /// member list is precomputed at construction so hash-map lookups keyed by
 /// node sets do not re-walk the members.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeSet {
     members: Arc<Vec<FilterId>>,
     /// FNV-1a over the member ids; maintained on every mutation.
@@ -256,11 +254,6 @@ impl NodeSet {
             }
         }
         bytes
-    }
-
-    /// Sum of the members' firings per steady-state iteration.
-    pub fn iteration_firings(&self, reps: &RepetitionVector) -> u64 {
-        self.iter().map(|id| reps[id.index()]).sum()
     }
 
     /// Checks that the set is non-empty and that every member exists in

@@ -7,7 +7,6 @@
 //! filter fires per iteration and hence every buffer size and workload figure
 //! used by the mapping flow.
 
-use serde::{Deserialize, Serialize};
 use std::ops::Index;
 
 use crate::error::GraphError;
@@ -37,7 +36,7 @@ fn lcm(a: u64, b: u64) -> u64 {
 ///
 /// Used internally by the repetition-vector solver and exposed because the
 /// performance model also works with fractional token ratios.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rational {
     num: u64,
     den: u64,
@@ -86,11 +85,6 @@ impl Rational {
             (self.den / g2.max(1)) * (den / g1.max(1)),
         )
     }
-
-    /// Returns the value as `f64` (for diagnostics only).
-    pub fn to_f64(self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
 }
 
 impl Default for Rational {
@@ -101,7 +95,7 @@ impl Default for Rational {
 
 /// The repetition vector of a stream graph: `reps[i]` is the number of times
 /// filter `i` fires per steady-state iteration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepetitionVector {
     reps: Vec<u64>,
 }

@@ -1,15 +1,12 @@
 //! Micro-benchmarks of the LP cores: the dense two-phase tableau vs the
-//! revised bounded-variable simplex, the sparse-LU vs dense-inverse basis
-//! backends on a ≥1000-row model, presolve on vs off, and cold solves vs
+//! revised bounded-variable simplex, presolve on vs off, and cold solves vs
 //! warm-started dual reoptimisation after a single branch-style bound
 //! tightening — the exact access pattern of the branch-and-bound mapper.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use sgmap_ilp::simplex::VarBound;
-use sgmap_ilp::{
-    dense, simplex, BasisBackend, LpSolver, Model, ObjectiveSense, Solver, SolverOptions, VarId,
-};
+use sgmap_ilp::{dense, simplex, LpSolver, Model, ObjectiveSense, Solver, SolverOptions, VarId};
 
 /// A mapper-shaped model: minimise the makespan `t` of `p` partitions on
 /// `g` GPUs with per-link communication rows — the same min-max structure
@@ -87,54 +84,6 @@ fn bench_lp_cores(c: &mut Criterion) {
     });
 }
 
-/// Sparse-LU vs dense-inverse basis backends on a mapper model with >1400
-/// rows — the scale where maintaining an explicit m×m inverse stops being
-/// viable. Cold solves factor from scratch; the warm pair reoptimises after
-/// one branch-style bound flip-flop, the branch-and-bound access pattern.
-fn bench_basis_backends(c: &mut Criterion) {
-    let (model, n) = mapper_model(200, 4);
-    let branch = [VarBound {
-        var: n[7][2].index(),
-        lo: 1.0,
-        hi: 1.0,
-    }];
-    let mut group = c.benchmark_group("lp-1400row");
-    group.sample_size(10);
-    group.bench_function("sparse-lu-cold/mapper200x4", |b| {
-        b.iter(|| {
-            LpSolver::with_backend(black_box(&model), BasisBackend::SparseLu)
-                .unwrap()
-                .solve(&[])
-                .unwrap()
-        })
-    });
-    group.bench_function("dense-inverse-cold/mapper200x4", |b| {
-        b.iter(|| {
-            LpSolver::with_backend(black_box(&model), BasisBackend::DenseInverse)
-                .unwrap()
-                .solve(&[])
-                .unwrap()
-        })
-    });
-    group.bench_function("sparse-lu-warm/mapper200x4", |b| {
-        let mut solver = LpSolver::with_backend(&model, BasisBackend::SparseLu).unwrap();
-        solver.solve(&[]).unwrap();
-        b.iter(|| {
-            solver.solve(black_box(&branch)).unwrap();
-            solver.solve(&[]).unwrap()
-        })
-    });
-    group.bench_function("dense-inverse-warm/mapper200x4", |b| {
-        let mut solver = LpSolver::with_backend(&model, BasisBackend::DenseInverse).unwrap();
-        solver.solve(&[]).unwrap();
-        b.iter(|| {
-            solver.solve(black_box(&branch)).unwrap();
-            solver.solve(&[]).unwrap()
-        })
-    });
-    group.finish();
-}
-
 fn bench_bb(c: &mut Criterion) {
     let (model, _) = mapper_model(12, 2);
     c.bench_function("ilp/bb-warm-started/mapper12x2", |b| {
@@ -153,5 +102,5 @@ fn bench_bb(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_lp_cores, bench_basis_backends, bench_bb);
+criterion_group!(benches, bench_lp_cores, bench_bb);
 criterion_main!(benches);

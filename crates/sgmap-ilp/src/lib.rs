@@ -11,8 +11,7 @@
 //! * a **bounded-variable revised simplex** for the LP relaxation: sparse
 //!   column-major constraint storage, a **sparse LU basis factorisation**
 //!   (Markowitz pivoting, product-form eta updates, stability-triggered
-//!   refactorisation) with a dense-inverse backend kept for comparison
-//!   ([`BasisBackend`]), a primal two-phase method for cold solves and a
+//!   refactorisation), a primal two-phase method for cold solves and a
 //!   dual simplex with **devex pricing** and a **bound-flipping ratio test**
 //!   that warm-starts from the previous basis when only bounds changed
 //!   ([`simplex`], [`LpSolver`]),
@@ -65,7 +64,6 @@ mod solver;
 mod sparse;
 mod workspace;
 
-pub use basis::BasisBackend;
 pub use error::IlpError;
 pub use model::{ConstraintSense, Model, ObjectiveSense, VarId, VarKind};
 pub use simplex::{LpSolution, LpSolver, VarBound};

@@ -7,7 +7,6 @@
 //! [`crate::dense`] as the reference implementation for the equivalence
 //! property tests and benches.
 
-use crate::basis::BasisBackend;
 use crate::workspace::LpWorkspace;
 use crate::Result;
 
@@ -58,22 +57,9 @@ impl LpSolver {
     ///
     /// Returns a validation error if the model is malformed.
     pub fn new(model: &crate::Model) -> Result<Self> {
-        Self::with_backend(model, BasisBackend::default())
-    }
-
-    /// Builds the solver with an explicit basis factorisation backend.
-    ///
-    /// [`BasisBackend::SparseLu`] is the default;
-    /// [`BasisBackend::DenseInverse`] keeps the dense explicit-inverse code
-    /// path alive for equivalence tests and benchmark comparisons.
-    ///
-    /// # Errors
-    ///
-    /// Returns a validation error if the model is malformed.
-    pub fn with_backend(model: &crate::Model, backend: BasisBackend) -> Result<Self> {
         model.validate()?;
         Ok(LpSolver {
-            ws: LpWorkspace::with_backend(model, backend),
+            ws: LpWorkspace::new(model),
         })
     }
 

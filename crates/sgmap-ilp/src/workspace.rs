@@ -18,9 +18,7 @@
 //!   handful of pivots ([`crate::dual`]).
 //!
 //! The basis matrix itself lives behind the [`Basis`] facade and is factored
-//! either as a sparse LU with eta updates (the default) or as the legacy
-//! dense inverse (kept for reference benchmarks and equivalence tests) —
-//! see [`BasisBackend`].
+//! as a sparse LU with eta updates.
 //!
 //! Both paths use fixed deterministic pivoting rules (devex/Dantzig pricing
 //! with lowest-index tie-breaking, Bland's rule after a stall threshold), so
@@ -29,7 +27,7 @@
 
 use std::time::Instant;
 
-use crate::basis::{Basis, BasisBackend, VarState};
+use crate::basis::{Basis, VarState};
 use crate::error::IlpError;
 use crate::model::{ConstraintSense, Model, ObjectiveSense};
 use crate::pricing::DevexWeights;
@@ -146,14 +144,9 @@ pub(crate) struct LpWorkspace {
 }
 
 impl LpWorkspace {
-    /// Builds the standard-form workspace with the default (sparse LU)
-    /// basis backend. The model must already be validated.
+    /// Builds the standard-form workspace. The model must already be
+    /// validated.
     pub(crate) fn new(model: &Model) -> LpWorkspace {
-        LpWorkspace::with_backend(model, BasisBackend::SparseLu)
-    }
-
-    /// Builds the standard-form workspace with an explicit basis backend.
-    pub(crate) fn with_backend(model: &Model, backend: BasisBackend) -> LpWorkspace {
         let cols = SparseCols::from_model(model);
         let m = cols.m;
         let n_struct = cols.n_struct;
@@ -183,7 +176,7 @@ impl LpWorkspace {
             base_hi.push(h);
         }
         LpWorkspace {
-            basis: Basis::logical(m, n_struct, backend),
+            basis: Basis::logical(m, n_struct),
             b,
             cost,
             maximize,
@@ -372,9 +365,7 @@ impl LpWorkspace {
     /// Rebuilds the factors and the basic values; `false` means the basis
     /// is numerically lost and the caller must restart cold.
     pub(crate) fn refactor_and_sync(&mut self) -> bool {
-        let mut scratch = std::mem::take(&mut self.w);
-        let ok = self.basis.refactorize(&self.cols, &mut scratch);
-        self.w = scratch;
+        let ok = self.basis.refactorize(&self.cols);
         self.stats.refactorizations += 1;
         if ok {
             self.recompute_xb();

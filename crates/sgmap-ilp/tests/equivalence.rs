@@ -12,9 +12,7 @@
 use proptest::prelude::*;
 
 use sgmap_ilp::simplex::VarBound;
-use sgmap_ilp::{
-    dense, simplex, BasisBackend, IlpError, LpSolver, Model, ObjectiveSense, Solver, SolverOptions,
-};
+use sgmap_ilp::{dense, simplex, IlpError, Model, ObjectiveSense, Solver, SolverOptions};
 
 /// Absolute + relative tolerance for comparing optimal objectives.
 fn close(a: f64, b: f64) -> bool {
@@ -315,37 +313,6 @@ proptest! {
                 prop_assume!(false);
             }
             (a, b) => prop_assert!(false, "classification differs: presolve on {a:?} vs off {b:?}"),
-        }
-    }
-
-    /// Backend level: the sparse-LU and dense-inverse basis factorisations
-    /// drive the same simplex to the same answers.
-    #[test]
-    fn sparse_lu_matches_dense_inverse_backend(seed in 0u64..(1u64 << 62)) {
-        let (model, bounds) = random_model(seed);
-        let lu = LpSolver::with_backend(&model, BasisBackend::SparseLu)
-            .unwrap()
-            .solve(&bounds);
-        let dense_inv = LpSolver::with_backend(&model, BasisBackend::DenseInverse)
-            .unwrap()
-            .solve(&bounds);
-        match (lu, dense_inv) {
-            (Ok(a), Ok(b)) => {
-                prop_assert!(
-                    close(a.objective, b.objective),
-                    "objectives differ: sparse LU {} vs dense inverse {}",
-                    a.objective,
-                    b.objective
-                );
-                prop_assert!(satisfies(&model, &bounds, &a.values), "LU point infeasible");
-                prop_assert!(satisfies(&model, &bounds, &b.values), "dense point infeasible");
-            }
-            (Err(IlpError::Infeasible), Err(IlpError::Infeasible)) => {}
-            (Err(IlpError::Unbounded), Err(IlpError::Unbounded)) => {}
-            (Err(IlpError::Numerical(_)), _) | (_, Err(IlpError::Numerical(_))) => {
-                prop_assume!(false);
-            }
-            (a, b) => prop_assert!(false, "classification differs: LU {a:?} vs dense {b:?}"),
         }
     }
 

@@ -1,6 +1,5 @@
 //! The analytic kernel-time model (equations III.8–III.12).
 
-use serde::{Deserialize, Serialize};
 use sgmap_gpusim::{GpuSpec, KernelParams};
 
 use crate::chars::PartitionCharacteristics;
@@ -14,7 +13,7 @@ pub const PAPER_C1: f64 = 38.4;
 pub const PAPER_C2: f64 = 11.2;
 
 /// The analytic GPU performance model of Section 3.3.2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfModel {
     /// Data-transfer cost per byte per data-transfer thread (microseconds).
     pub c1: f64,

@@ -20,8 +20,7 @@ use std::sync::Arc;
 
 use sgmap_gpusim::KernelParams;
 use sgmap_pee::{Estimate, EstimateCache, EstimateKey, ESTIMATOR_ALGORITHM_VERSION};
-
-use crate::json::Value;
+use sgmap_trace::json::Value;
 
 /// Format version of the cache file; bump on any schema change. The file
 /// additionally records [`ESTIMATOR_ALGORITHM_VERSION`], so estimates
@@ -131,109 +130,88 @@ fn entries_to_json(entries: Vec<(EstimateKey, Option<Estimate>)>) -> String {
     .render()
 }
 
-fn get_u64(value: &Value, field: &str) -> Result<u64, String> {
-    value
-        .get(field)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{field}'"))
-}
-
-fn get_u32(value: &Value, field: &str) -> Result<u32, String> {
-    u32::try_from(get_u64(value, field)?).map_err(|_| format!("field '{field}' exceeds u32"))
-}
-
-fn u32_array(value: &Value, field: &str) -> Result<Vec<u32>, String> {
-    value
-        .get(field)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("missing array '{field}'"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|u| u32::try_from(u).ok())
-                .ok_or_else(|| format!("non-u32 element in '{field}'"))
-        })
-        .collect()
-}
-
 fn key_from_value(value: &Value) -> Result<EstimateKey, String> {
+    let u32_of = |v: &Value| {
+        v.as_u64()
+            .and_then(|u| u32::try_from(u).ok())
+            .ok_or_else(|| "non-u32 integer".to_string())
+    };
+    let u32s_of = |object: &Value, field: &str| -> Result<Vec<u32>, String> {
+        object
+            .array(field)?
+            .iter()
+            .map(|v| u32_of(v).map_err(|e| format!("'{field}': {e}")))
+            .collect()
+    };
     let filters = value
-        .get("filters")
-        .and_then(Value::as_array)
-        .ok_or("missing filters array")?
+        .array("filters")?
         .iter()
-        .map(|pair| {
-            let pair = pair.as_array().ok_or("filter entry is not a pair")?;
-            match pair {
-                [t, f] => Ok((
-                    t.as_u64().ok_or("non-integer t bits")?,
-                    f.as_u64().ok_or("non-integer firing rate")?,
-                )),
-                _ => Err("filter entry is not a pair".to_string()),
-            }
+        .map(|pair| match pair.as_array() {
+            Some([t, f]) => Ok((
+                t.as_u64().ok_or("non-integer t bits")?,
+                f.as_u64().ok_or("non-integer firing rate")?,
+            )),
+            _ => Err("filter entry is not a pair".to_string()),
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let model = value
-        .get("model")
-        .and_then(Value::as_array)
-        .ok_or("missing model")?;
-    let model = match model {
+    let model = match value.array("model")? {
         [c1, c2, warp, itc] => (
             c1.as_u64().ok_or("non-integer c1 bits")?,
             c2.as_u64().ok_or("non-integer c2 bits")?,
-            as_u32_value(warp)?,
+            u32_of(warp)?,
             matches!(itc, Value::Bool(true)),
         ),
         _ => return Err("model is not a 4-tuple".to_string()),
     };
-    let device = value
-        .get("device")
-        .and_then(Value::as_array)
-        .ok_or("missing device")?;
-    let device = match device {
-        [sm, threads] => (as_u32_value(sm)?, as_u32_value(threads)?),
+    let device = match value.array("device")? {
+        [sm, threads] => (u32_of(sm)?, u32_of(threads)?),
         _ => return Err("device is not a pair".to_string()),
     };
     let space = value.get("space").ok_or("missing space")?;
     Ok(EstimateKey {
         filters,
-        io_bytes_per_exec: get_u64(value, "io_bytes_per_exec")?,
-        sm_bytes_per_exec: get_u64(value, "sm_bytes_per_exec")?,
-        max_firing_rate: get_u64(value, "max_firing_rate")?,
+        io_bytes_per_exec: value.u64("io_bytes_per_exec")?,
+        sm_bytes_per_exec: value.u64("sm_bytes_per_exec")?,
+        max_firing_rate: value.u64("max_firing_rate")?,
         model,
         device,
         space: (
-            u32_array(space, "s")?,
-            u32_array(space, "f")?,
-            get_u32(space, "max_w")?,
+            u32s_of(space, "s")?,
+            u32s_of(space, "f")?,
+            space.u32("max_w")?,
         ),
     })
-}
-
-fn as_u32_value(value: &Value) -> Result<u32, String> {
-    value
-        .as_u64()
-        .and_then(|u| u32::try_from(u).ok())
-        .ok_or_else(|| "non-u32 integer".to_string())
 }
 
 fn estimate_from_value(value: &Value) -> Result<Option<Estimate>, String> {
     if value.is_null() {
         return Ok(None);
     }
+    // Times are stored as bit patterns, so any u64 decodes; only finite,
+    // non-negative times are estimates this binary could have written.
+    let time = |field: &str| -> Result<f64, String> {
+        let t = f64::from_bits(value.u64(field)?);
+        if t.is_finite() && t >= 0.0 {
+            Ok(t)
+        } else {
+            Err(format!(
+                "field '{field}' decodes to {t}, not a finite non-negative time"
+            ))
+        }
+    };
     Ok(Some(Estimate {
         params: KernelParams {
-            w: get_u32(value, "w")?,
-            s: get_u32(value, "s")?,
-            f: get_u32(value, "f")?,
+            w: value.u32("w")?,
+            s: value.u32("s")?,
+            f: value.u32("f")?,
         },
-        t_comp_us: f64::from_bits(get_u64(value, "t_comp_bits")?),
-        t_dt_us: f64::from_bits(get_u64(value, "t_dt_bits")?),
-        t_db_us: f64::from_bits(get_u64(value, "t_db_bits")?),
-        t_exec_us: f64::from_bits(get_u64(value, "t_exec_bits")?),
-        normalized_us: f64::from_bits(get_u64(value, "normalized_bits")?),
-        sm_bytes: get_u64(value, "sm_bytes")?,
-        io_bytes_per_exec: get_u64(value, "io_bytes_per_exec")?,
+        t_comp_us: time("t_comp_bits")?,
+        t_dt_us: time("t_dt_bits")?,
+        t_db_us: time("t_db_bits")?,
+        t_exec_us: time("t_exec_bits")?,
+        normalized_us: time("normalized_bits")?,
+        sm_bytes: value.u64("sm_bytes")?,
+        io_bytes_per_exec: value.u64("io_bytes_per_exec")?,
     }))
 }
 
@@ -243,7 +221,9 @@ fn estimate_from_value(value: &Value) -> Result<Option<Estimate>, String> {
 /// # Errors
 ///
 /// Returns a description of the problem if the text is not valid JSON, is
-/// not a cache file, or carries an unsupported format version.
+/// not a cache file, carries an unsupported format version, or holds an
+/// entry that is malformed or whose times decode to a non-finite or negative
+/// value (the error names the entry index and the field).
 pub fn cache_from_json(src: &str, cache: &EstimateCache) -> Result<u64, String> {
     let value = Value::parse(src)?;
     match value.get("kind").and_then(Value::as_str) {
@@ -267,10 +247,7 @@ pub fn cache_from_json(src: &str, cache: &EstimateCache) -> Result<u64, String> 
             ))
         }
     }
-    let entries = value
-        .get("entries")
-        .and_then(Value::as_array)
-        .ok_or("missing entries array")?;
+    let entries = value.array("entries")?;
     for (i, entry) in entries.iter().enumerate() {
         let key = entry
             .get("key")
@@ -414,5 +391,26 @@ mod tests {
         assert!(err.contains("entry 0"), "{err}");
         assert!(cache_from_json("not json", &cache).is_err());
         assert_eq!(cache.len(), 0);
+    }
+
+    #[test]
+    fn non_finite_or_negative_times_are_rejected() {
+        let json = cache_to_json(&populated_cache());
+        let doc = Value::parse(&json).unwrap();
+        let entries = doc.array("entries").unwrap();
+        let (i, bits) = entries
+            .iter()
+            .enumerate()
+            .find_map(|(i, e)| Some((i, e.get("estimate")?.u64("t_exec_bits").ok()?)))
+            .expect("the populated cache holds at least one estimate");
+        let field = format!("\"t_exec_bits\":{bits}");
+        assert_eq!(json.matches(&field).count(), 1, "unique field to mutate");
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let mutated = json.replace(&field, &format!("\"t_exec_bits\":{}", bad.to_bits()));
+            let cache = EstimateCache::shared();
+            let err = cache_from_json(&mutated, &cache).unwrap_err();
+            assert!(err.contains(&format!("entry {i}")), "{err}");
+            assert!(err.contains("t_exec_bits"), "{err}");
+        }
     }
 }

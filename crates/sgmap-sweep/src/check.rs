@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::json::Value;
+use sgmap_trace::json::Value;
 
 /// What a passing report looked like, for the one-line summary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,12 +80,22 @@ impl fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-fn require_u64(report: &Value, object: &str, field: &str) -> Result<u64, CheckError> {
-    report
-        .get(object)
-        .and_then(|o| o.get(field))
-        .and_then(Value::as_u64)
-        .ok_or_else(|| CheckError::Shape(format!("missing counter {object}.{field}")))
+/// Maps a [`Value`] getter's error into a [`CheckError::Shape`] prefixed
+/// with the location `at`.
+fn shape(at: &str) -> impl Fn(String) -> CheckError + '_ {
+    move |e| CheckError::Shape(format!("{at}: {e}"))
+}
+
+/// The number field `field` of `value`, which must be finite and
+/// non-negative.
+fn non_negative(value: &Value, field: &str, at: &str) -> Result<f64, CheckError> {
+    let v = value.f64(field).map_err(shape(at))?;
+    if !v.is_finite() || v < 0.0 {
+        return Err(CheckError::Shape(format!(
+            "{at}: '{field}' must be finite and non-negative, got {v}"
+        )));
+    }
+    Ok(v)
 }
 
 /// Validates the JSON text of a sweep report: it must parse, contain at
@@ -97,10 +107,7 @@ fn require_u64(report: &Value, object: &str, field: &str) -> Result<u64, CheckEr
 /// Returns the first [`CheckError`] encountered, in the order listed above.
 pub fn check_report(src: &str) -> Result<CheckSummary, CheckError> {
     let report = Value::parse(src).map_err(CheckError::Parse)?;
-    let points = report
-        .get("points")
-        .and_then(Value::as_array)
-        .ok_or_else(|| CheckError::Shape("missing points array".to_string()))?;
+    let points = report.array("points").map_err(CheckError::Shape)?;
     if points.is_empty() {
         return Err(CheckError::NoPoints);
     }
@@ -136,12 +143,19 @@ pub fn check_report(src: &str) -> Result<CheckSummary, CheckError> {
             sample,
         });
     }
-    let cache_hits = require_u64(&report, "cache", "hits")?;
+    let counter = |object: &str, field: &str| {
+        report
+            .get(object)
+            .ok_or_else(|| format!("missing object '{object}'"))
+            .and_then(|o| o.u64(field))
+            .map_err(shape(object))
+    };
+    let cache_hits = counter("cache", "hits")?;
     if cache_hits == 0 {
         return Err(CheckError::NoCacheHits);
     }
-    let expanded_points = require_u64(&report, "dedup", "expanded_points")?;
-    let compile_groups = require_u64(&report, "dedup", "compile_groups")?;
+    let expanded_points = counter("dedup", "expanded_points")?;
+    let compile_groups = counter("dedup", "compile_groups")?;
     if compile_groups == 0 {
         return Err(CheckError::BadDedup("zero compile groups".to_string()));
     }
@@ -200,10 +214,9 @@ pub fn compare_nonfaulted(a_src: &str, b_src: &str) -> Result<CompareSummary, Ch
     let points_of = |src: &str| -> Result<Vec<Value>, CheckError> {
         let report = Value::parse(src).map_err(CheckError::Parse)?;
         report
-            .get("points")
-            .and_then(Value::as_array)
+            .array("points")
             .map(<[Value]>::to_vec)
-            .ok_or_else(|| CheckError::Shape("missing points array".to_string()))
+            .map_err(CheckError::Shape)
     };
     let a = points_of(a_src)?;
     let b = points_of(b_src)?;
@@ -271,42 +284,28 @@ impl fmt::Display for BenchCheckSummary {
     }
 }
 
-fn bench_f64(value: &Value, field: &str, at: &str) -> Result<f64, CheckError> {
-    value
-        .get(field)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| CheckError::Shape(format!("{at}: missing number '{field}'")))
-}
-
-fn bench_u64(value: &Value, field: &str, at: &str) -> Result<u64, CheckError> {
-    value
-        .get(field)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| CheckError::Shape(format!("{at}: missing counter '{field}'")))
-}
-
 /// Validates the sweep section of a `BENCH.json`.
 fn check_bench_sweep(
     sweep: &Value,
     at: &str,
     expect_no_misses: bool,
 ) -> Result<(u64, f64), CheckError> {
-    let points = bench_u64(sweep, "points", at)?;
+    let points = sweep.u64("points").map_err(shape(at))?;
     if points == 0 {
         return Err(CheckError::Shape(format!("{at}: zero points")));
     }
-    if bench_u64(sweep, "failed_points", at)? != 0 {
+    if sweep.u64("failed_points").map_err(shape(at))? != 0 {
         return Err(CheckError::Shape(format!("{at}: failed points recorded")));
     }
-    let wall_ms = bench_f64(sweep, "wall_ms", at)?;
+    let wall_ms = sweep.f64("wall_ms").map_err(shape(at))?;
     if !wall_ms.is_finite() || wall_ms <= 0.0 {
         return Err(CheckError::Shape(format!("{at}: non-positive wall_ms")));
     }
     let cache = sweep
         .get("cache")
         .ok_or_else(|| CheckError::Shape(format!("{at}: missing cache object")))?;
-    let misses = bench_u64(cache, "misses", at)?;
-    let hits = bench_u64(cache, "hits", at)?;
+    let misses = cache.u64("misses").map_err(shape(at))?;
+    let hits = cache.u64("hits").map_err(shape(at))?;
     if expect_no_misses && misses != 0 {
         return Err(CheckError::Shape(format!(
             "{at}: warm-started sweep reports {misses} misses (expected 0)"
@@ -318,8 +317,8 @@ fn check_bench_sweep(
     let dedup = sweep
         .get("dedup")
         .ok_or_else(|| CheckError::Shape(format!("{at}: missing dedup object")))?;
-    let expanded = bench_u64(dedup, "expanded_points", at)?;
-    let groups = bench_u64(dedup, "compile_groups", at)?;
+    let expanded = dedup.u64("expanded_points").map_err(shape(at))?;
+    let groups = dedup.u64("compile_groups").map_err(shape(at))?;
     if groups == 0 || groups > expanded || expanded != points {
         return Err(CheckError::BadDedup(format!(
             "{at}: {groups} compile groups for {expanded} expanded points ({points} in report)"
@@ -360,10 +359,7 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
             )))
         }
     }
-    let compiles = report
-        .get("compiles")
-        .and_then(Value::as_array)
-        .ok_or_else(|| CheckError::Shape("missing compiles array".to_string()))?;
+    let compiles = report.array("compiles").map_err(CheckError::Shape)?;
     if compiles.is_empty() {
         return Err(CheckError::Shape("no timed compiles".to_string()));
     }
@@ -371,9 +367,8 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
     let mut total_warm_starts = 0u64;
     for (i, compile) in compiles.iter().enumerate() {
         let at = format!("compile {i}");
-        match compile.get("platform").and_then(Value::as_str) {
-            Some(platform) if !platform.is_empty() => {}
-            _ => return Err(CheckError::Shape(format!("{at}: missing platform label"))),
+        if compile.string("platform").map_err(shape(&at))?.is_empty() {
+            return Err(CheckError::Shape(format!("{at}: empty platform label")));
         }
         for field in [
             "build_ms",
@@ -385,40 +380,40 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
             "partition_phase4_ms",
             "finish_ms",
         ] {
-            let v = bench_f64(compile, field, &at)?;
+            let v = compile.f64(field).map_err(shape(&at))?;
             if v < 0.0 {
                 return Err(CheckError::Shape(format!("{at}: negative {field}")));
             }
         }
-        let total = bench_f64(compile, "total_ms", &at)?;
+        let total = compile.f64("total_ms").map_err(shape(&at))?;
         if !total.is_finite() || total <= 0.0 {
             return Err(CheckError::Shape(format!("{at}: non-positive total_ms")));
         }
         compile_total_ms += total;
-        if bench_u64(compile, "partitions", &at)? == 0 {
+        if compile.u64("partitions").map_err(shape(&at))? == 0 {
             return Err(CheckError::Shape(format!("{at}: zero partitions")));
         }
-        if bench_u64(compile, "estimate_queries", &at)? == 0 {
+        if compile.u64("estimate_queries").map_err(shape(&at))? == 0 {
             return Err(CheckError::Shape(format!("{at}: zero estimate queries")));
         }
         // Every timed compile maps onto >= 2 GPUs with the ILP, so its
         // solver must have visited at least the root node and pivoted.
-        if bench_u64(compile, "ilp_nodes", &at)? == 0 {
+        if compile.u64("ilp_nodes").map_err(shape(&at))? == 0 {
             return Err(CheckError::Shape(format!("{at}: zero ilp_nodes")));
         }
-        if bench_u64(compile, "lp_iterations", &at)? == 0 {
+        if compile.u64("lp_iterations").map_err(shape(&at))? == 0 {
             return Err(CheckError::Shape(format!("{at}: zero lp_iterations")));
         }
         // The sparse-LU backend counts refactorisations (>= 1 per cold
         // solve) and every solve reports its proven optimality gap.
-        bench_u64(compile, "lp_refactorizations", &at)?;
-        let gap = bench_f64(compile, "ilp_gap", &at)?;
+        compile.u64("lp_refactorizations").map_err(shape(&at))?;
+        let gap = compile.f64("ilp_gap").map_err(shape(&at))?;
         if !gap.is_finite() || gap < 0.0 {
             return Err(CheckError::Shape(format!(
                 "{at}: ilp_gap must be finite and non-negative, got {gap}"
             )));
         }
-        total_warm_starts += bench_u64(compile, "lp_warm_starts", &at)?;
+        total_warm_starts += compile.u64("lp_warm_starts").map_err(shape(&at))?;
     }
     // A compile whose root relaxation is already integral legitimately
     // reports zero warm starts, but across the whole suite the
@@ -429,9 +424,8 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
         ));
     }
     let synthetic = report
-        .get("synthetic_scaling")
-        .and_then(Value::as_array)
-        .ok_or_else(|| CheckError::Shape("missing synthetic_scaling array".to_string()))?;
+        .array("synthetic_scaling")
+        .map_err(CheckError::Shape)?;
     if synthetic.is_empty() {
         return Err(CheckError::Shape(
             "empty synthetic_scaling curve".to_string(),
@@ -440,21 +434,20 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
     let mut synthetic_max_filters = 0u64;
     for (i, point) in synthetic.iter().enumerate() {
         let at = format!("synthetic point {i}");
-        match point.get("app").and_then(Value::as_str) {
-            Some(app) if !app.is_empty() => {}
-            _ => return Err(CheckError::Shape(format!("{at}: missing app name"))),
+        if point.string("app").map_err(shape(&at))?.is_empty() {
+            return Err(CheckError::Shape(format!("{at}: empty app name")));
         }
-        let filters = bench_u64(point, "filters", &at)?;
+        let filters = point.u64("filters").map_err(shape(&at))?;
         if filters == 0 {
             return Err(CheckError::Shape(format!("{at}: zero filters")));
         }
         synthetic_max_filters = synthetic_max_filters.max(filters);
-        if bench_u64(point, "partitions", &at)? == 0 {
+        if point.u64("partitions").map_err(shape(&at))? == 0 {
             return Err(CheckError::Shape(format!("{at}: zero partitions")));
         }
         // A synthetic graph is far larger than the coarsening target, so the
         // multilevel pipeline must actually have coarsened.
-        if bench_u64(point, "coarsen_levels", &at)? == 0 {
+        if point.u64("coarsen_levels").map_err(shape(&at))? == 0 {
             return Err(CheckError::Shape(format!("{at}: zero coarsen levels")));
         }
         for field in [
@@ -466,12 +459,12 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
             "partition_ms",
             "map_ms",
         ] {
-            let v = bench_f64(point, field, &at)?;
+            let v = point.f64(field).map_err(shape(&at))?;
             if v < 0.0 {
                 return Err(CheckError::Shape(format!("{at}: negative {field}")));
             }
         }
-        let total = bench_f64(point, "total_ms", &at)?;
+        let total = point.f64("total_ms").map_err(shape(&at))?;
         if !total.is_finite() || total <= 0.0 {
             return Err(CheckError::Shape(format!("{at}: non-positive total_ms")));
         }
@@ -490,22 +483,22 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
         .ok_or_else(|| CheckError::Shape("missing budget_bounded section".to_string()))?;
     {
         let at = "budget_bounded";
-        if bench_u64(budget, "max_nodes", at)? == 0 {
+        if budget.u64("max_nodes").map_err(shape(at))? == 0 {
             return Err(CheckError::Shape(format!("{at}: zero max_nodes")));
         }
-        if bench_u64(budget, "partitions", at)? == 0 {
+        if budget.u64("partitions").map_err(shape(at))? == 0 {
             return Err(CheckError::Shape(format!("{at}: zero partitions")));
         }
-        if bench_u64(budget, "ilp_nodes", at)? == 0 {
+        if budget.u64("ilp_nodes").map_err(shape(at))? == 0 {
             return Err(CheckError::Shape(format!("{at}: zero ilp_nodes")));
         }
-        let gap = bench_f64(budget, "ilp_gap", at)?;
+        let gap = budget.f64("ilp_gap").map_err(shape(at))?;
         if !gap.is_finite() || gap < 0.0 {
             return Err(CheckError::Shape(format!(
                 "{at}: ilp_gap must be finite and non-negative, got {gap}"
             )));
         }
-        let map_ms = bench_f64(budget, "map_ms", at)?;
+        let map_ms = budget.f64("map_ms").map_err(shape(at))?;
         if !map_ms.is_finite() || map_ms <= 0.0 {
             return Err(CheckError::Shape(format!("{at}: non-positive map_ms")));
         }
@@ -518,13 +511,13 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
     let repair_speedup;
     {
         let at = "repair";
-        if bench_u64(repair, "moved_partitions", at)? == 0 {
+        if repair.u64("moved_partitions").map_err(shape(at))? == 0 {
             return Err(CheckError::Shape(format!(
                 "{at}: no partitions moved off the lost device"
             )));
         }
-        let repair_ms = bench_f64(repair, "repair_ms", at)?;
-        let recompile_ms = bench_f64(repair, "recompile_ms", at)?;
+        let repair_ms = repair.f64("repair_ms").map_err(shape(at))?;
+        let recompile_ms = repair.f64("recompile_ms").map_err(shape(at))?;
         if !repair_ms.is_finite() || repair_ms <= 0.0 {
             return Err(CheckError::Shape(format!("{at}: non-positive repair_ms")));
         }
@@ -533,13 +526,13 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
                 "{at}: non-positive recompile_ms"
             )));
         }
-        repair_speedup = bench_f64(repair, "speedup", at)?;
+        repair_speedup = repair.f64("speedup").map_err(shape(at))?;
         if !repair_speedup.is_finite() || repair_speedup < 5.0 {
             return Err(CheckError::Shape(format!(
                 "{at}: repair is only {repair_speedup:.2}x faster than a full recompile (need >= 5x)"
             )));
         }
-        let ratio = bench_f64(repair, "objective_ratio", at)?;
+        let ratio = repair.f64("objective_ratio").map_err(shape(at))?;
         if !ratio.is_finite() || ratio <= 0.0 || ratio > 1.1 {
             return Err(CheckError::Shape(format!(
                 "{at}: repaired objective is {ratio:.4}x the recompile objective (need <= 1.1x)"
@@ -554,29 +547,29 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
     let mapping_stability;
     {
         let at = "stability";
-        if bench_u64(stability, "points", at)? == 0 {
+        if stability.u64("points").map_err(shape(at))? == 0 {
             return Err(CheckError::Shape(format!("{at}: zero points")));
         }
-        if bench_u64(stability, "failed_points", at)? != 0 {
+        if stability.u64("failed_points").map_err(shape(at))? != 0 {
             return Err(CheckError::Shape(format!("{at}: failed points recorded")));
         }
-        let compared = bench_u64(stability, "compared_points", at)?;
+        let compared = stability.u64("compared_points").map_err(shape(at))?;
         if compared == 0 {
             return Err(CheckError::Shape(format!("{at}: zero compared points")));
         }
-        let unchanged = bench_u64(stability, "unchanged_mappings", at)?;
+        let unchanged = stability.u64("unchanged_mappings").map_err(shape(at))?;
         if unchanged > compared {
             return Err(CheckError::Shape(format!(
                 "{at}: {unchanged} unchanged mappings exceed {compared} compared points"
             )));
         }
-        mapping_stability = bench_f64(stability, "mapping_stability", at)?;
+        mapping_stability = stability.f64("mapping_stability").map_err(shape(at))?;
         if !(0.0..=1.0).contains(&mapping_stability) {
             return Err(CheckError::Shape(format!(
                 "{at}: mapping_stability {mapping_stability} outside [0, 1]"
             )));
         }
-        let spread = bench_f64(stability, "max_objective_spread", at)?;
+        let spread = stability.f64("max_objective_spread").map_err(shape(at))?;
         if !spread.is_finite() || spread < 0.0 {
             return Err(CheckError::Shape(format!(
                 "{at}: max_objective_spread must be finite and non-negative, got {spread}"
@@ -657,50 +650,27 @@ impl fmt::Display for TraceCheckSummary {
     }
 }
 
-fn trace_str<'v>(value: &'v Value, field: &str, at: &str) -> Result<&'v str, CheckError> {
-    value
-        .get(field)
-        .and_then(Value::as_str)
-        .ok_or_else(|| CheckError::Shape(format!("{at}: missing string '{field}'")))
-}
-
-fn trace_num(value: &Value, field: &str, at: &str) -> Result<f64, CheckError> {
-    let v = value
-        .get(field)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| CheckError::Shape(format!("{at}: missing number '{field}'")))?;
-    if !v.is_finite() || v < 0.0 {
-        return Err(CheckError::Shape(format!(
-            "{at}: '{field}' must be finite and non-negative, got {v}"
-        )));
-    }
-    Ok(v)
-}
-
 /// Validates a Chrome trace-event file as the `--trace` exporter writes it.
 fn check_chrome_trace(report: &Value) -> Result<TraceCheckSummary, CheckError> {
-    let events = report
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .ok_or_else(|| CheckError::Shape("traceEvents is not an array".to_string()))?;
+    let events = report.array("traceEvents").map_err(CheckError::Shape)?;
     let (mut spans, mut instants, mut metadata) = (0usize, 0usize, 0usize);
     for (i, event) in events.iter().enumerate() {
         let at = format!("traceEvents[{i}]");
-        let name = trace_str(event, "name", &at)?;
+        let name = event.string("name").map_err(shape(&at))?;
         if name.is_empty() {
             return Err(CheckError::Shape(format!("{at}: empty event name")));
         }
-        match trace_str(event, "ph", &at)? {
+        match event.string("ph").map_err(shape(&at))? {
             "X" => {
-                trace_num(event, "ts", &at)?;
-                trace_num(event, "dur", &at)?;
-                trace_num(event, "pid", &at)?;
-                trace_num(event, "tid", &at)?;
+                non_negative(event, "ts", &at)?;
+                non_negative(event, "dur", &at)?;
+                non_negative(event, "pid", &at)?;
+                non_negative(event, "tid", &at)?;
                 spans += 1;
             }
             "i" => {
-                trace_num(event, "ts", &at)?;
-                match trace_str(event, "s", &at)? {
+                non_negative(event, "ts", &at)?;
+                match event.string("s").map_err(shape(&at))? {
                     "t" | "p" | "g" => {}
                     s => {
                         return Err(CheckError::Shape(format!("{at}: bad instant scope '{s}'")));
@@ -712,7 +682,7 @@ fn check_chrome_trace(report: &Value) -> Result<TraceCheckSummary, CheckError> {
                 let args = event
                     .get("args")
                     .ok_or_else(|| CheckError::Shape(format!("{at}: metadata without args")))?;
-                trace_str(args, "name", &at)?;
+                args.string("name").map_err(shape(&at))?;
                 metadata += 1;
             }
             ph => return Err(CheckError::Shape(format!("{at}: unknown phase '{ph}'"))),
@@ -758,14 +728,11 @@ fn check_metrics(report: &Value) -> Result<TraceCheckSummary, CheckError> {
         .ok_or_else(|| CheckError::Shape("missing histograms object".to_string()))?;
     for (name, h) in histograms {
         let at = format!("histogram '{name}'");
-        let count = bench_u64(h, "count", &at)?;
-        bench_u64(h, "sum", &at)?;
-        bench_u64(h, "min", &at)?;
-        bench_u64(h, "max", &at)?;
-        let buckets = h
-            .get("buckets")
-            .and_then(Value::as_array)
-            .ok_or_else(|| CheckError::Shape(format!("{at}: missing buckets array")))?;
+        let count = h.u64("count").map_err(shape(&at))?;
+        h.u64("sum").map_err(shape(&at))?;
+        h.u64("min").map_err(shape(&at))?;
+        h.u64("max").map_err(shape(&at))?;
+        let buckets = h.array("buckets").map_err(shape(&at))?;
         let mut total = 0u64;
         for b in buckets {
             total += b
@@ -784,26 +751,23 @@ fn check_metrics(report: &Value) -> Result<TraceCheckSummary, CheckError> {
         .ok_or_else(|| CheckError::Shape("missing spans object".to_string()))?;
     for (name, s) in spans {
         let at = format!("span '{name}'");
-        if bench_u64(s, "count", &at)? == 0 {
+        if s.u64("count").map_err(shape(&at))? == 0 {
             return Err(CheckError::Shape(format!("{at}: zero count")));
         }
-        let total = trace_num(s, "total_us", &at)?;
-        let max = trace_num(s, "max_us", &at)?;
+        let total = non_negative(s, "total_us", &at)?;
+        let max = non_negative(s, "max_us", &at)?;
         if max > total {
             return Err(CheckError::Shape(format!(
                 "{at}: max_us {max} exceeds total_us {total}"
             )));
         }
     }
-    let warnings = report
-        .get("warnings")
-        .and_then(Value::as_array)
-        .ok_or_else(|| CheckError::Shape("missing warnings array".to_string()))?;
+    let warnings = report.array("warnings").map_err(CheckError::Shape)?;
     for (i, w) in warnings.iter().enumerate() {
         let at = format!("warnings[{i}]");
-        trace_str(w, "code", &at)?;
-        trace_str(w, "message", &at)?;
-        trace_num(w, "ts_us", &at)?;
+        w.string("code").map_err(shape(&at))?;
+        w.string("message").map_err(shape(&at))?;
+        non_negative(w, "ts_us", &at)?;
     }
     Ok(TraceCheckSummary::Metrics {
         counters: counters.len(),

@@ -54,7 +54,6 @@
 
 mod cache_io;
 mod check;
-mod json;
 mod platform_json;
 mod report;
 mod runner;
@@ -69,13 +68,13 @@ pub use check::{
     check_bench_report, check_report, check_trace, compare_nonfaulted, BenchCheckSummary,
     CheckError, CheckSummary, CompareSummary, TraceCheckSummary,
 };
-pub use json::Value as JsonValue;
 pub use platform_json::{
     platform_spec_from_json, platform_spec_from_value, platform_spec_to_json,
     platform_spec_to_value,
 };
 pub use report::{Bottleneck, DedupStats, StabilityReport, SweepRecord, SweepReport};
 pub use runner::{default_threads, run_sweep, run_sweep_with_cache};
+pub use sgmap_trace::json::Value as JsonValue;
 pub use spec::{
     mapper_name, partitioner_name, transfer_name, AppSweep, FaultInjectionSpec, GpuModel,
     PointFilter, StackConfig, SweepError, SweepPoint, SweepSpec,

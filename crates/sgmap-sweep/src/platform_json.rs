@@ -8,8 +8,7 @@
 //! exactly — including heterogeneous GPU lists.
 
 use sgmap_gpusim::{GpuSpec, InterconnectSpec, PlatformSpec};
-
-use crate::json::Value;
+use sgmap_trace::json::Value;
 
 /// Encodes a platform spec as a JSON value.
 pub fn platform_spec_to_value(spec: &PlatformSpec) -> Value {
@@ -56,33 +55,32 @@ pub fn platform_spec_to_json(spec: &PlatformSpec) -> String {
 ///
 /// Returns a description of the first missing or ill-typed field.
 pub fn platform_spec_from_value(value: &Value) -> Result<PlatformSpec, String> {
-    let name = value
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or("platform: missing string 'name'")?
-        .to_string();
+    let platform = |e: String| format!("platform: {e}");
+    let name = value.string("name").map_err(platform)?.to_string();
     let inter = value
         .get("interconnect")
         .ok_or("platform: missing 'interconnect'")?;
     let kind = inter
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or("platform: missing string 'interconnect.kind'")?;
+        .string("kind")
+        .map_err(|e| platform(format!("interconnect: {e}")))?;
+    let gpus_per = |field: &str| -> Result<usize, String> {
+        let n = inter.u64(field).map_err(platform)?;
+        usize::try_from(n).map_err(|_| platform(format!("field '{field}' exceeds usize")))
+    };
     let interconnect = match kind {
         "reference_tree" => InterconnectSpec::ReferenceTree,
         "flat" => InterconnectSpec::Flat,
         "nvlink_islands" => InterconnectSpec::NvlinkIslands {
-            gpus_per_island: require_usize(inter, "gpus_per_island")?,
+            gpus_per_island: gpus_per("gpus_per_island")?,
         },
         "cluster" => InterconnectSpec::Cluster {
-            gpus_per_node: require_usize(inter, "gpus_per_node")?,
+            gpus_per_node: gpus_per("gpus_per_node")?,
         },
         other => return Err(format!("platform: unknown interconnect kind '{other}'")),
     };
     let gpus = value
-        .get("gpus")
-        .and_then(Value::as_array)
-        .ok_or("platform: missing array 'gpus'")?
+        .array("gpus")
+        .map_err(platform)?
         .iter()
         .map(gpu_from_value)
         .collect::<Result<Vec<GpuSpec>, String>>()?;
@@ -140,45 +138,19 @@ fn gpu_to_value(gpu: &GpuSpec) -> Value {
 }
 
 fn gpu_from_value(value: &Value) -> Result<GpuSpec, String> {
+    let gpu = |e: String| format!("gpu: {e}");
     Ok(GpuSpec {
-        name: value
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("gpu: missing string 'name'")?
-            .to_string(),
-        sm_count: require_u32(value, "sm_count")?,
-        core_clock_ghz: require_f64(value, "core_clock_ghz")?,
-        mem_clock_ghz: require_f64(value, "mem_clock_ghz")?,
-        mem_bandwidth_gbs: require_f64(value, "mem_bandwidth_gbs")?,
-        shared_mem_bytes: require_u32(value, "shared_mem_bytes")?,
-        max_threads_per_block: require_u32(value, "max_threads_per_block")?,
-        warp_size: require_u32(value, "warp_size")?,
-        global_access_cycles: require_f64(value, "global_access_cycles")?,
-        shared_access_cycles: require_f64(value, "shared_access_cycles")?,
+        name: value.string("name").map_err(gpu)?.to_string(),
+        sm_count: value.u32("sm_count").map_err(gpu)?,
+        core_clock_ghz: value.f64("core_clock_ghz").map_err(gpu)?,
+        mem_clock_ghz: value.f64("mem_clock_ghz").map_err(gpu)?,
+        mem_bandwidth_gbs: value.f64("mem_bandwidth_gbs").map_err(gpu)?,
+        shared_mem_bytes: value.u32("shared_mem_bytes").map_err(gpu)?,
+        max_threads_per_block: value.u32("max_threads_per_block").map_err(gpu)?,
+        warp_size: value.u32("warp_size").map_err(gpu)?,
+        global_access_cycles: value.f64("global_access_cycles").map_err(gpu)?,
+        shared_access_cycles: value.f64("shared_access_cycles").map_err(gpu)?,
     })
-}
-
-fn require_u32(value: &Value, field: &str) -> Result<u32, String> {
-    value
-        .get(field)
-        .and_then(Value::as_u64)
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or_else(|| format!("gpu: missing counter '{field}'"))
-}
-
-fn require_usize(value: &Value, field: &str) -> Result<usize, String> {
-    value
-        .get(field)
-        .and_then(Value::as_u64)
-        .and_then(|v| usize::try_from(v).ok())
-        .ok_or_else(|| format!("platform: missing counter '{field}'"))
-}
-
-fn require_f64(value: &Value, field: &str) -> Result<f64, String> {
-    value
-        .get(field)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("gpu: missing number '{field}'"))
 }
 
 #[cfg(test)]

@@ -2,17 +2,16 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
 use sgmap_apps::App;
 use sgmap_core::RunReport;
 use sgmap_pee::CacheStats;
+use sgmap_trace::json::Value;
 
-use crate::json::Value;
 use crate::spec::{mapper_name, partitioner_name, transfer_name, SweepPoint};
 
 /// What limited the throughput of a point, judged from the mapping's
 /// predicted per-GPU and per-link busy times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bottleneck {
     /// The busiest GPU bounds the throughput.
     Compute,
@@ -32,7 +31,7 @@ impl Bottleneck {
 
 /// The serializable outcome of one sweep point — a [`RunReport`] flattened
 /// into the stable record shape the JSON report emits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepRecord {
     /// Position in the deterministic work list.
     pub index: usize,
@@ -81,7 +80,6 @@ pub struct SweepRecord {
     /// other presets keep their historical byte shape.
     ///
     /// [`SweepSpec::stability_baseline`]: crate::SweepSpec::stability_baseline
-    #[serde(default)]
     pub mapping_signature: Option<String>,
 }
 
@@ -226,7 +224,7 @@ impl DedupStats {
 /// coordinate. Produced by sweeps with a
 /// [`stability_baseline`](crate::SweepSpec::stability_baseline), e.g. the
 /// `robustness` preset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StabilityReport {
     /// Name of the unperturbed baseline platform.
     pub baseline_platform: String,

@@ -3,7 +3,6 @@
 use std::fmt;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
 use sgmap_apps::App;
 use sgmap_codegen::PlanOptions;
 use sgmap_gpusim::{GpuSpec, PlatformSpec, TransferMode};
@@ -45,7 +44,7 @@ impl std::error::Error for SweepError {}
 
 /// The GPU models a sweep can target (a serializable stand-in for
 /// [`GpuSpec`] presets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuModel {
     /// The Tesla M2090 used by the paper's evaluation.
     M2090,
@@ -72,7 +71,7 @@ impl GpuModel {
 }
 
 /// One application together with the `N` values to sweep for it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AppSweep {
     /// The benchmark application.
     pub app: App,
@@ -105,7 +104,7 @@ impl AppSweep {
 
 /// A correlated (partitioner, mapper, transfer-mode) triple — one "stack" of
 /// the comparison, optionally pinned to a subset of the GPU-count axis.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StackConfig {
     /// Stable label used in reports (e.g. `"ours"`).
     pub label: String,
@@ -237,7 +236,7 @@ pub fn transfer_name(mode: TransferMode) -> &'static str {
 /// CI gates to prove failure isolation: an injected fault must produce one
 /// structured error record (or a successful retry) and leave every other
 /// point byte-identical.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultInjectionSpec {
     /// Work-list indices that panic on every execution attempt. The panic is
     /// caught and recorded as a per-point error entry.
@@ -257,7 +256,7 @@ impl FaultInjectionSpec {
 /// Per-axis filters applied during expansion. All fields default to
 /// "accept everything"; set a field to narrow the grid without editing the
 /// axis lists themselves.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PointFilter {
     /// Keep only these applications.
     pub apps: Option<Vec<App>>,

@@ -32,8 +32,8 @@ use sgmap_apps::App;
 use sgmap_gpusim::{PlatformSpec, TransferMode};
 use sgmap_mapping::MappingMethod;
 use sgmap_partition::{Algorithm, MultilevelOptions, PartitionerKind};
+use sgmap_trace::json::Value;
 
-use crate::json::Value;
 use crate::platform_json::{platform_spec_from_value, platform_spec_to_value};
 use crate::spec::{mapper_name, partitioner_name, transfer_name, AppSweep, StackConfig, SweepSpec};
 
@@ -85,29 +85,23 @@ pub fn sweep_spec_to_json(spec: &SweepSpec) -> String {
 /// Returns a description of the first missing field, ill-typed value,
 /// unknown application / platform / stack-component name.
 pub fn sweep_spec_from_value(value: &Value) -> Result<SweepSpec, String> {
-    let name = value
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or("spec: missing string 'name'")?
-        .to_string();
+    let spec = |e: String| format!("spec: {e}");
+    let name = value.string("name").map_err(spec)?.to_string();
     let apps = value
-        .get("apps")
-        .and_then(Value::as_array)
-        .ok_or("spec: missing array 'apps'")?
+        .array("apps")
+        .map_err(spec)?
         .iter()
         .map(app_sweep_from_value)
         .collect::<Result<Vec<AppSweep>, String>>()?;
     let platforms = value
-        .get("platforms")
-        .and_then(Value::as_array)
-        .ok_or("spec: missing array 'platforms'")?
+        .array("platforms")
+        .map_err(spec)?
         .iter()
         .map(platform_from_value)
         .collect::<Result<Vec<PlatformSpec>, String>>()?;
     let stacks = value
-        .get("stacks")
-        .and_then(Value::as_array)
-        .ok_or("spec: missing array 'stacks'")?
+        .array("stacks")
+        .map_err(spec)?
         .iter()
         .map(stack_from_value)
         .collect::<Result<Vec<StackConfig>, String>>()?;
@@ -137,9 +131,8 @@ pub fn sweep_spec_from_json(src: &str) -> Result<SweepSpec, String> {
 
 fn app_sweep_from_value(value: &Value) -> Result<AppSweep, String> {
     let name = value
-        .get("app")
-        .and_then(Value::as_str)
-        .ok_or("spec: app entry missing string 'app'")?;
+        .string("app")
+        .map_err(|e| format!("spec: app entry {e}"))?;
     let app = App::by_name(name).ok_or_else(|| {
         let known: Vec<&str> = App::all()
             .into_iter()
@@ -152,9 +145,8 @@ fn app_sweep_from_value(value: &Value) -> Result<AppSweep, String> {
         )
     })?;
     let n_values = value
-        .get("n_values")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("spec: app '{name}' missing array 'n_values'"))?
+        .array("n_values")
+        .map_err(|e| format!("spec: app '{name}' {e}"))?
         .iter()
         .map(|v| {
             v.as_u64()
@@ -203,23 +195,22 @@ fn stack_to_value(stack: &StackConfig) -> Value {
 
 fn stack_from_value(value: &Value) -> Result<StackConfig, String> {
     let label = value
-        .get("label")
-        .and_then(Value::as_str)
-        .ok_or("spec: stack missing string 'label'")?
+        .string("label")
+        .map_err(|e| format!("spec: stack {e}"))?
         .to_string();
-    let partitioner = match value.get("partitioner").and_then(Value::as_str) {
-        Some("proposed") => PartitionerKind::Proposed,
-        Some("baseline") => PartitionerKind::Baseline,
-        Some("single") => PartitionerKind::Single,
-        Some(other) => {
+    let field = |key: &str| {
+        value
+            .string(key)
+            .map_err(|e| format!("spec: stack '{label}' {e}"))
+    };
+    let partitioner = match field("partitioner")? {
+        "proposed" => PartitionerKind::Proposed,
+        "baseline" => PartitionerKind::Baseline,
+        "single" => PartitionerKind::Single,
+        other => {
             return Err(format!(
                 "spec: stack '{label}' has unknown partitioner '{other}' \
                  (available: proposed, baseline, single)"
-            ))
-        }
-        None => {
-            return Err(format!(
-                "spec: stack '{label}' missing string 'partitioner'"
             ))
         }
     };
@@ -227,28 +218,26 @@ fn stack_from_value(value: &Value) -> Result<StackConfig, String> {
         None => Algorithm::Flat,
         Some(v) => algorithm_from_value(&label, v)?,
     };
-    let mapper = match value.get("mapper").and_then(Value::as_str) {
-        Some("ilp") => MappingMethod::Ilp,
-        Some("greedy") => MappingMethod::Greedy,
-        Some("round-robin") => MappingMethod::RoundRobin,
-        Some(other) => {
+    let mapper = match field("mapper")? {
+        "ilp" => MappingMethod::Ilp,
+        "greedy" => MappingMethod::Greedy,
+        "round-robin" => MappingMethod::RoundRobin,
+        other => {
             return Err(format!(
                 "spec: stack '{label}' has unknown mapper '{other}' \
                  (available: ilp, greedy, round-robin)"
             ))
         }
-        None => return Err(format!("spec: stack '{label}' missing string 'mapper'")),
     };
-    let transfer_mode = match value.get("transfer").and_then(Value::as_str) {
-        Some("p2p") => TransferMode::PeerToPeer,
-        Some("via-host") => TransferMode::ViaHost,
-        Some(other) => {
+    let transfer_mode = match field("transfer")? {
+        "p2p" => TransferMode::PeerToPeer,
+        "via-host" => TransferMode::ViaHost,
+        other => {
             return Err(format!(
                 "spec: stack '{label}' has unknown transfer mode '{other}' \
                  (available: p2p, via-host)"
             ))
         }
-        None => return Err(format!("spec: stack '{label}' missing string 'transfer'")),
     };
     let gpu_counts = match value.get("gpu_counts") {
         None => None,

@@ -1,111 +1,105 @@
 //! Pure-Rust JSON exporters: Chrome trace-event format and a canonical
-//! aggregate-metrics document. No dependencies; the tiny JSON writer below
-//! mirrors the formatting rules of `sgmap-sweep`'s `json` module (floats
-//! render via `f64::to_string` with a trailing `.0` added for integral
-//! values, non-finite floats become `null`) so downstream parsers see one
-//! consistent dialect.
+//! aggregate-metrics document, both built from [`Value`]s of this crate's
+//! [`json`](crate::json) codec, so every JSON artefact of the workspace
+//! shares one writer.
 
 use crate::collector::{ArgValue, Collector, Event, EventKind};
+use crate::json::Value;
 
 const PID: u64 = 1;
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn fmt_f64(x: f64) -> String {
-    if !x.is_finite() {
-        return "null".to_string();
-    }
-    let mut s = x.to_string();
-    if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-        s.push_str(".0");
-    }
-    s
-}
-
-fn fmt_arg(v: &ArgValue) -> String {
+fn arg_value(v: &ArgValue) -> Value {
     match v {
-        ArgValue::Str(s) => format!("\"{}\"", escape(s)),
-        ArgValue::Uint(u) => u.to_string(),
-        ArgValue::Float(f) => fmt_f64(*f),
+        ArgValue::Str(s) => Value::str(s.as_str()),
+        ArgValue::Uint(u) => Value::Uint(*u),
+        ArgValue::Float(f) => Value::Float(*f),
     }
 }
 
-fn fmt_args(args: &[(&'static str, ArgValue)]) -> String {
-    let fields: Vec<String> = args
-        .iter()
-        .map(|(k, v)| format!("\"{}\":{}", escape(k), fmt_arg(v)))
-        .collect();
-    format!("{{{}}}", fields.join(","))
+fn args_value(args: &[(&'static str, ArgValue)]) -> Value {
+    Value::object(args.iter().map(|(k, v)| (*k, arg_value(v))).collect())
+}
+
+/// A `ph:"M"` metadata event naming the process (`tid` 0) or one lane.
+fn metadata(name: &str, tid: u64, label: String) -> Value {
+    Value::object(vec![
+        ("name", Value::str(name)),
+        ("ph", Value::str("M")),
+        ("pid", Value::Uint(PID)),
+        ("tid", Value::Uint(tid)),
+        ("args", Value::object(vec![("name", Value::Str(label))])),
+    ])
+}
+
+fn event_value(ev: &Event) -> Value {
+    let mut fields = vec![("name", Value::str(ev.name)), ("cat", Value::str("sgmap"))];
+    match ev.kind {
+        EventKind::Span { dur_us } => fields.extend([
+            ("ph", Value::str("X")),
+            ("pid", Value::Uint(PID)),
+            ("tid", Value::Uint(ev.lane)),
+            ("ts", Value::Float(ev.ts_us)),
+            ("dur", Value::Float(dur_us)),
+        ]),
+        EventKind::Instant => fields.extend([
+            ("ph", Value::str("i")),
+            ("s", Value::str("t")),
+            ("pid", Value::Uint(PID)),
+            ("tid", Value::Uint(ev.lane)),
+            ("ts", Value::Float(ev.ts_us)),
+        ]),
+    }
+    fields.push(("args", args_value(&ev.args)));
+    Value::object(fields)
 }
 
 impl Collector {
     /// Export the raw event stream as Chrome trace-event JSON (the
-    /// `traceEvents` object format). Load the file in `chrome://tracing` or
-    /// drop it onto <https://ui.perfetto.dev>. Spans become `ph:"X"` complete
-    /// events, instants become `ph:"i"`, warnings become process-scoped
-    /// instants with `cat:"warning"`, and per-lane `thread_name` metadata
-    /// labels each worker thread.
+    /// `traceEvents` object format), one event per line. Load the file in
+    /// `chrome://tracing` or drop it onto <https://ui.perfetto.dev>. Spans
+    /// become `ph:"X"` complete events, instants become `ph:"i"`, warnings
+    /// become process-scoped instants with `cat:"warning"`, and per-lane
+    /// `thread_name` metadata labels each worker thread.
     pub fn chrome_trace_json(&self) -> String {
         self.with_state(|s| {
             // Sort a copy of the events by start time (drop order is end
             // order, which looks scrambled in viewers that do not re-sort).
             let mut events: Vec<&Event> = s.events.iter().collect();
-            events.sort_by(|a, b| a.ts_us.partial_cmp(&b.ts_us).unwrap_or(std::cmp::Ordering::Equal));
+            events.sort_by(|a, b| {
+                a.ts_us
+                    .partial_cmp(&b.ts_us)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
 
             let mut lanes: Vec<u64> = events.iter().map(|e| e.lane).collect();
             lanes.sort_unstable();
             lanes.dedup();
 
-            let mut out: Vec<String> = Vec::with_capacity(events.len() + lanes.len() + 2);
-            out.push(format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":0,\"args\":{{\"name\":\"sgmap\"}}}}"
-            ));
-            for lane in &lanes {
-                out.push(format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{lane},\"args\":{{\"name\":\"lane-{lane}\"}}}}"
-                ));
+            let mut out: Vec<Value> = Vec::with_capacity(events.len() + lanes.len() + 2);
+            out.push(metadata("process_name", 0, "sgmap".to_string()));
+            for &lane in &lanes {
+                out.push(metadata("thread_name", lane, format!("lane-{lane}")));
             }
-            for ev in events {
-                let name = escape(ev.name);
-                let ts = fmt_f64(ev.ts_us);
-                let args = fmt_args(&ev.args);
-                match ev.kind {
-                    EventKind::Span { dur_us } => out.push(format!(
-                        "{{\"name\":\"{name}\",\"cat\":\"sgmap\",\"ph\":\"X\",\"pid\":{PID},\"tid\":{},\"ts\":{ts},\"dur\":{},\"args\":{args}}}",
-                        ev.lane,
-                        fmt_f64(dur_us)
-                    )),
-                    EventKind::Instant => out.push(format!(
-                        "{{\"name\":\"{name}\",\"cat\":\"sgmap\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{PID},\"tid\":{},\"ts\":{ts},\"args\":{args}}}",
-                        ev.lane
-                    )),
-                }
-            }
+            out.extend(events.into_iter().map(event_value));
             for w in &s.warnings {
-                out.push(format!(
-                    "{{\"name\":\"{}\",\"cat\":\"warning\",\"ph\":\"i\",\"s\":\"p\",\"pid\":{PID},\"tid\":0,\"ts\":{},\"args\":{{\"message\":\"{}\"}}}}",
-                    escape(w.code),
-                    fmt_f64(w.ts_us),
-                    escape(&w.message)
-                ));
+                out.push(Value::object(vec![
+                    ("name", Value::str(w.code)),
+                    ("cat", Value::str("warning")),
+                    ("ph", Value::str("i")),
+                    ("s", Value::str("p")),
+                    ("pid", Value::Uint(PID)),
+                    ("tid", Value::Uint(0)),
+                    ("ts", Value::Float(w.ts_us)),
+                    (
+                        "args",
+                        Value::object(vec![("message", Value::str(w.message.as_str()))]),
+                    ),
+                ]));
             }
+            let lines: Vec<String> = out.iter().map(Value::render).collect();
             format!(
                 "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}\n",
-                out.join(",\n")
+                lines.join(",\n")
             )
         })
     }
@@ -118,59 +112,57 @@ impl Collector {
     pub fn metrics_json(&self) -> String {
         let totals = self.span_totals();
         self.with_state(|s| {
-            let counters: Vec<String> = s
+            let counters = s
                 .counters
                 .iter()
-                .map(|(k, v)| format!("\"{}\":{}", escape(k), v))
+                .map(|(&k, &v)| (k, Value::Uint(v)))
                 .collect();
-            let histograms: Vec<String> = s
+            let histograms = s
                 .histograms
                 .iter()
-                .map(|(k, h)| {
-                    let buckets: Vec<String> =
-                        h.buckets().iter().map(|b| b.to_string()).collect();
-                    format!(
-                        "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}",
-                        escape(k),
-                        h.count(),
-                        h.sum(),
-                        h.min(),
-                        h.max(),
-                        buckets.join(",")
-                    )
+                .map(|(&k, h)| {
+                    let buckets = h.buckets().iter().map(|&b| Value::Uint(b)).collect();
+                    let fields = vec![
+                        ("count", Value::Uint(h.count())),
+                        ("sum", Value::Uint(h.sum())),
+                        ("min", Value::Uint(h.min())),
+                        ("max", Value::Uint(h.max())),
+                        ("buckets", Value::Array(buckets)),
+                    ];
+                    (k, Value::object(fields))
                 })
                 .collect();
-            let spans: Vec<String> = totals
+            let spans = totals
                 .iter()
-                .map(|(k, t)| {
-                    format!(
-                        "\"{}\":{{\"count\":{},\"total_us\":{},\"max_us\":{}}}",
-                        escape(k),
-                        t.count,
-                        fmt_f64(t.total_us),
-                        fmt_f64(t.max_us)
-                    )
+                .map(|(&k, t)| {
+                    let fields = vec![
+                        ("count", Value::Uint(t.count)),
+                        ("total_us", Value::Float(t.total_us)),
+                        ("max_us", Value::Float(t.max_us)),
+                    ];
+                    (k, Value::object(fields))
                 })
                 .collect();
-            let warnings: Vec<String> = s
+            let warnings = s
                 .warnings
                 .iter()
                 .map(|w| {
-                    format!(
-                        "{{\"code\":\"{}\",\"message\":\"{}\",\"ts_us\":{}}}",
-                        escape(w.code),
-                        escape(&w.message),
-                        fmt_f64(w.ts_us)
-                    )
+                    Value::object(vec![
+                        ("code", Value::str(w.code)),
+                        ("message", Value::str(w.message.as_str())),
+                        ("ts_us", Value::Float(w.ts_us)),
+                    ])
                 })
                 .collect();
-            format!(
-                "{{\"format\":\"sgmap-metrics\",\"version\":1,\"counters\":{{{}}},\"histograms\":{{{}}},\"spans\":{{{}}},\"warnings\":[{}]}}\n",
-                counters.join(","),
-                histograms.join(","),
-                spans.join(","),
-                warnings.join(",")
-            )
+            let doc = Value::object(vec![
+                ("format", Value::str("sgmap-metrics")),
+                ("version", Value::Uint(1)),
+                ("counters", Value::object(counters)),
+                ("histograms", Value::object(histograms)),
+                ("spans", Value::object(spans)),
+                ("warnings", Value::Array(warnings)),
+            ]);
+            doc.render() + "\n"
         })
     }
 }
@@ -219,15 +211,6 @@ mod tests {
         );
         assert!(json.contains("\"partition.phase1\":{\"count\":1,"));
         assert!(json.contains("\"code\":\"cache.save_failed\""));
-    }
-
-    #[test]
-    fn float_formatting_matches_sweep_dialect() {
-        assert_eq!(fmt_f64(1.0), "1.0");
-        assert_eq!(fmt_f64(1.5), "1.5");
-        assert_eq!(fmt_f64(0.0), "0.0");
-        assert_eq!(fmt_f64(f64::NAN), "null");
-        assert_eq!(fmt_f64(f64::INFINITY), "null");
     }
 
     #[test]

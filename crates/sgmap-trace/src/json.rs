@@ -1,17 +1,20 @@
-//! A minimal, deterministic JSON writer and reader.
+//! The workspace's one JSON codec: a minimal, deterministic writer and
+//! reader.
 //!
-//! The vendored `serde` shim has no serializer back-end, so the sweep report
-//! formats itself with this tiny builder instead. Output is deterministic by
-//! construction: object keys appear in insertion order and `f64` values use
-//! Rust's shortest-round-trip formatting, so equal reports serialise to equal
-//! bytes. [`Value::parse`] is the matching recursive-descent reader; the
-//! `sweep --check` validator uses it so report checking needs no Python (or
-//! any other external tooling).
+//! The vendored `serde` shim has no serializer back-end, so every JSON
+//! artefact — sweep reports, spec / platform / estimate-cache files,
+//! `BENCH.json` and this crate's trace exports — is built from [`Value`]s.
+//! Output is deterministic by construction: object keys appear in insertion
+//! order and `f64` values use Rust's shortest-round-trip formatting, so equal
+//! documents serialise to equal bytes. [`Value::parse`] is the matching
+//! recursive-descent reader, and the typed field getters ([`Value::string`],
+//! [`Value::u64`], [`Value::u32`], [`Value::f64`], [`Value::array`]) turn a
+//! missing or ill-typed field into an error that names the key.
 
 use std::fmt::Write;
 
 /// Escapes `s` as the contents of a JSON string literal.
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -129,6 +132,59 @@ impl Value {
             Value::Str(s) => Some(s),
             _ => None,
         }
+    }
+
+    /// The string field `key` of an object.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is missing or not a string.
+    pub fn string(&self, key: &str) -> Result<&str, String> {
+        self.get(key)
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("missing string '{key}'"))
+    }
+
+    /// The non-negative integer field `key` of an object.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is missing or not a non-negative integer.
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        self.get(key)
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("missing integer '{key}'"))
+    }
+
+    /// The integer field `key` of an object, which must fit a `u32`.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is missing, not an integer or out of range.
+    pub fn u32(&self, key: &str) -> Result<u32, String> {
+        u32::try_from(self.u64(key)?).map_err(|_| format!("field '{key}' exceeds u32"))
+    }
+
+    /// The number field `key` of an object (integers convert).
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is missing or not a number.
+    pub fn f64(&self, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("missing number '{key}'"))
+    }
+
+    /// The array field `key` of an object.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is missing or not an array.
+    pub fn array(&self, key: &str) -> Result<&[Value], String> {
+        self.get(key)
+            .and_then(Value::as_array)
+            .ok_or_else(|| format!("missing array '{key}'"))
     }
 
     /// `true` exactly for [`Value::Null`].
@@ -526,6 +582,38 @@ mod tests {
             r#"{"name":"a \"b\"\n","count":3,"ratio":1.5,"whole":2.0,"nan":null,"flag":true,"none":null,"list":[-1,2]}"#
         );
         assert_eq!(v.render(), v.render());
+    }
+
+    #[test]
+    fn floats_render_with_a_fraction_and_non_finite_as_null() {
+        let render = |x: f64| Value::Float(x).render();
+        assert_eq!(render(1.0), "1.0");
+        assert_eq!(render(1.5), "1.5");
+        assert_eq!(render(0.0), "0.0");
+        assert_eq!(render(1e300), format!("1{}.0", "0".repeat(300)));
+        assert_eq!(render(f64::NAN), "null");
+        assert_eq!(render(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn field_getters_name_the_key() {
+        let v = Value::parse(r#"{"s":"x","n":7,"big":4294967296,"neg":-1,"f":0.5,"a":[1],"o":{}}"#)
+            .unwrap();
+        assert_eq!(v.string("s"), Ok("x"));
+        assert_eq!(v.u64("n"), Ok(7));
+        assert_eq!(v.u32("n"), Ok(7));
+        assert_eq!(v.f64("n"), Ok(7.0));
+        assert_eq!(v.f64("f"), Ok(0.5));
+        assert_eq!(v.array("a").map(<[Value]>::len), Ok(1));
+        assert_eq!(v.string("n"), Err("missing string 'n'".to_string()));
+        assert_eq!(v.u64("neg"), Err("missing integer 'neg'".to_string()));
+        assert_eq!(v.u64("f"), Err("missing integer 'f'".to_string()));
+        assert_eq!(v.u32("big"), Err("field 'big' exceeds u32".to_string()));
+        assert_eq!(v.f64("s"), Err("missing number 's'".to_string()));
+        assert_eq!(v.array("o").unwrap_err(), "missing array 'o'");
+        assert_eq!(v.array("gone").unwrap_err(), "missing array 'gone'");
+        // Getters on a non-object find nothing.
+        assert!(Value::Uint(1).u64("n").is_err());
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //! - [`Collector::metrics_json`] — a canonical aggregate-metrics document
 //!   (sorted keys, stable formatting) for machine consumption.
 //!
+//! Both are built from [`json::Value`], the workspace's one JSON codec: a
+//! deterministic writer, a recursive-descent reader and typed field getters
+//! that name the offending key. It lives here because this is the one crate
+//! every other crate already depends on; sweep reports, spec / platform /
+//! estimate-cache files and `BENCH.json` use it too.
+//!
 //! # Attaching a collector
 //!
 //! A collector is attached with [`scope`], the one way to turn tracing on:
@@ -73,6 +79,7 @@
 mod collector;
 mod export;
 mod histogram;
+pub mod json;
 
 pub use collector::{ArgValue, Collector, Span, SpanTotals, Warning};
 pub use histogram::{Histogram, HISTOGRAM_BUCKETS};
