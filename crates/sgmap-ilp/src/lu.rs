@@ -4,10 +4,21 @@
 //! store according to the current `basic[]` assignment) is factorised by
 //! Gaussian elimination with Markowitz-style pivot selection: at each step
 //! the pivot minimises the fill-in estimate `(r_i − 1)·(c_j − 1)` among
-//! entries that pass a relative column-threshold stability test. Candidate
-//! search is restricted to the active columns of minimum count (widening to
-//! a full scan only when none of them is numerically usable), which keeps a
-//! refactorisation close to `O(nnz)` on the mapper's near-triangular bases.
+//! entries that pass a relative column-threshold stability test. The pivot
+//! is the lowest `(cost, column, row)` among the minimum-count columns,
+//! widening to all active columns only when none of those is numerically
+//! usable.
+//!
+//! The search never sweeps the matrix (see `Markowitz`): exact column
+//! counts live in per-count buckets, the lowest single-entry column comes
+//! from a bitset scan, and each column caches its best candidate until a
+//! pivot changes its entries or count. A step therefore costs the entries
+//! its elimination touches, the re-pricing of the columns it changed and,
+//! while the minimum count is 2 or more, one walk over that count's bucket
+//! reading cached candidates, plus an `m/64`-word bitset scan. On the
+//! mapper's near-triangular bases a refactorisation is close to linear in
+//! the nonzeros of `B` and of the factors; only the rare full-scan fallback
+//! step costs `O(nnz)` on its own.
 //!
 //! Between refactorisations, basis changes are absorbed as *eta updates*
 //! (product-form): replacing the basic variable of row `r` by a column with
@@ -81,6 +92,8 @@ pub(crate) struct LuFactor {
     etas: Vec<Eta>,
     force_refactor: bool,
     work: Vec<f64>,
+    /// Elimination workspace, reused by every refactorisation.
+    ws: Markowitz,
 }
 
 impl LuFactor {
@@ -100,6 +113,7 @@ impl LuFactor {
             etas: Vec::new(),
             force_refactor: false,
             work: Vec::new(),
+            ws: Markowitz::default(),
         };
         f.reset_identity();
         f
@@ -194,174 +208,26 @@ impl LuFactor {
         self.etas.clear();
         self.force_refactor = false;
 
-        // Gather B by rows: rows[i] = sorted (position, value) entries.
-        let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); m];
-        for (t, &bv) in basic.iter().enumerate() {
-            match cols.logical_row(bv as usize) {
-                Some(r) => rows[r].push((t as u32, 1.0)),
-                None => {
-                    for (r, v) in cols.col(bv as usize) {
-                        rows[r].push((t as u32, v));
-                    }
-                }
-            }
-        }
-        // Column → candidate row lists (kept sorted/compact lazily) and
-        // exact active-entry counts per column.
-        let mut col_rows: Vec<Vec<u32>> = vec![Vec::new(); m];
-        let mut col_count = vec![0u32; m];
-        for (i, row) in rows.iter().enumerate() {
-            for &(t, _) in row {
-                col_rows[t as usize].push(i as u32);
-                col_count[t as usize] += 1;
-            }
-        }
-        let mut row_active = vec![true; m];
-        let mut col_active = vec![true; m];
-        let mut merged: Vec<(u32, f64)> = Vec::new();
-
+        let ws = &mut self.ws;
+        ws.load(cols, basic);
         for _step in 0..m {
-            // Minimum active column count (structural singularity when an
-            // active column has no entries left).
-            let mut cmin = u32::MAX;
-            for t in 0..m {
-                if col_active[t] {
-                    if col_count[t] == 0 {
-                        return false;
-                    }
-                    if col_count[t] < cmin {
-                        cmin = col_count[t];
-                    }
-                }
-            }
-            // Pivot search: the min-count columns first, everything on the
-            // rare second pass where none of them is numerically usable.
-            let mut best: Option<(u64, u32, u32, f64)> = None; // (cost, t, i, val)
-            'pass: for pass in 0..2 {
-                for t in 0..m {
-                    if !col_active[t] || (pass == 0 && col_count[t] != cmin) {
-                        continue;
-                    }
-                    // Compact the candidate list: drop rows that went
-                    // inactive or whose entry cancelled out, and dedup —
-                    // an entry that cancelled and was later refilled leaves
-                    // its row in the list twice.
-                    let list = &mut col_rows[t];
-                    list.retain(|&i| {
-                        row_active[i as usize]
-                            && rows[i as usize]
-                                .binary_search_by_key(&(t as u32), |e| e.0)
-                                .is_ok()
-                    });
-                    list.sort_unstable();
-                    list.dedup();
-                    col_count[t] = list.len() as u32;
-                    let mut cmax = 0.0f64;
-                    for &i in list.iter() {
-                        let row = &rows[i as usize];
-                        let v = row[row.binary_search_by_key(&(t as u32), |e| e.0).unwrap()].1;
-                        if v.abs() > cmax {
-                            cmax = v.abs();
-                        }
-                    }
-                    for &i in col_rows[t].iter() {
-                        let row = &rows[i as usize];
-                        let v = row[row.binary_search_by_key(&(t as u32), |e| e.0).unwrap()].1;
-                        if v.abs() < ABS_PIVOT_TOL || v.abs() < MARKOWITZ_TAU * cmax {
-                            continue;
-                        }
-                        let cost = (rows[i as usize].len() as u64 - 1) * (col_count[t] as u64 - 1);
-                        let take = match best {
-                            None => true,
-                            Some((bc, bt, bi, _)) => {
-                                cost < bc
-                                    || (cost == bc
-                                        && ((t as u32) < bt || ((t as u32) == bt && i < bi)))
-                            }
-                        };
-                        if take {
-                            best = Some((cost, t as u32, i, v));
-                        }
-                    }
-                    if matches!(best, Some((0, ..))) {
-                        // Zero fill and lowest column index: can't improve.
-                        break 'pass;
-                    }
-                }
-                if best.is_some() {
-                    break;
-                }
-            }
-            let (_, tq, p, pivot) = match best {
-                Some(b) => b,
-                None => return false, // numerically singular
+            let Some((t, p)) = ws.select_pivot() else {
+                return false; // structurally or numerically singular
             };
-            let (t, p) = (tq as usize, p as usize);
+            let pivot = ws.value(p, t).expect("the pivot is an active entry");
             self.perm_row.push(p as u32);
             self.perm_col.push(t as u32);
             self.udiag.push(pivot);
-            row_active[p] = false;
-            col_active[t] = false;
-            // Record the pivot row as a U row and take it out of the
-            // active column counts.
-            for &(c, v) in &rows[p] {
-                if c as usize != t {
-                    self.u_ix.push(c);
-                    self.u_val.push(v);
-                    col_count[c as usize] -= 1;
-                }
-            }
+            ws.eliminate(
+                t,
+                p,
+                pivot,
+                &mut self.u_ix,
+                &mut self.u_val,
+                &mut self.l_ix,
+                &mut self.l_val,
+            );
             self.u_ptr.push(self.u_ix.len() as u32);
-            col_count[t] = 0;
-            // Eliminate the pivot column from the remaining active rows.
-            let elim: Vec<u32> = col_rows[t]
-                .iter()
-                .copied()
-                .filter(|&i| i as usize != p)
-                .collect();
-            let pivot_row = std::mem::take(&mut rows[p]);
-            for &iu in &elim {
-                let i = iu as usize;
-                let e = rows[i]
-                    .binary_search_by_key(&(t as u32), |e| e.0)
-                    .expect("candidate lists were just compacted");
-                let factor = rows[i][e].1 / pivot;
-                self.l_ix.push(iu);
-                self.l_val.push(factor);
-                // rows[i] ← rows[i] − factor·pivot_row, dropping column t.
-                merged.clear();
-                let (a, b) = (&rows[i], &pivot_row);
-                let (mut ia, mut ib) = (0, 0);
-                while ia < a.len() || ib < b.len() {
-                    let ca = a.get(ia).map_or(u32::MAX, |e| e.0);
-                    let cb = b.get(ib).map_or(u32::MAX, |e| e.0);
-                    if ca < cb {
-                        merged.push(a[ia]);
-                        ia += 1;
-                    } else if cb < ca {
-                        // Fill-in: register the new entry's row candidacy.
-                        let v = -factor * b[ib].1;
-                        if cb as usize != t && v.abs() > DROP_TOL {
-                            merged.push((cb, v));
-                            col_rows[cb as usize].push(iu);
-                            col_count[cb as usize] += 1;
-                        }
-                        ib += 1;
-                    } else {
-                        if ca as usize != t {
-                            let v = a[ia].1 - factor * b[ib].1;
-                            if v.abs() > DROP_TOL {
-                                merged.push((ca, v));
-                            } else {
-                                col_count[ca as usize] -= 1;
-                            }
-                        }
-                        ia += 1;
-                        ib += 1;
-                    }
-                }
-                std::mem::swap(&mut rows[i], &mut merged);
-            }
             self.l_ptr.push(self.l_ix.len() as u32);
         }
         true
@@ -448,6 +314,408 @@ impl LuFactor {
         }
     }
 }
+
+/// Cost of a column none of whose entries passes the threshold test.
+const NO_CANDIDATE: u64 = u64::MAX;
+
+/// The pivot stability test: `v` is neither below the absolute pivot
+/// tolerance nor below [`MARKOWITZ_TAU`] times its column's largest
+/// magnitude `cmax`.
+fn passes_threshold(v: f64, cmax: f64) -> bool {
+    !(v.abs() < ABS_PIVOT_TOL || v.abs() < MARKOWITZ_TAU * cmax)
+}
+/// End of a bucket list.
+const NIL: u32 = u32::MAX;
+
+/// Exact active-entry counts of the columns, with the active columns
+/// grouped by count: one doubly linked list per count, plus a bitset of the
+/// single-entry columns so the lowest-index one is found by a word scan.
+#[derive(Debug, Clone, Default)]
+struct ColumnCounts {
+    count: Vec<u32>,
+    /// First column of each count's list, and each column's neighbours.
+    head: Vec<u32>,
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    /// Bit `t` is set while active column `t` has exactly one entry.
+    singles: Vec<u64>,
+}
+
+impl ColumnCounts {
+    /// Buckets every column as active, counting the entries of its
+    /// candidate list.
+    fn load(&mut self, col_rows: &[Vec<u32>]) {
+        let m = col_rows.len();
+        self.count.clear();
+        self.count
+            .extend(col_rows.iter().map(|list| list.len() as u32));
+        self.head.clear();
+        self.head.resize(m + 1, NIL);
+        self.next.clear();
+        self.next.resize(m, NIL);
+        self.prev.clear();
+        self.prev.resize(m, NIL);
+        self.singles.clear();
+        self.singles.resize(m.div_ceil(64), 0);
+        for t in (0..m).rev() {
+            self.link(t);
+        }
+    }
+
+    fn link(&mut self, t: usize) {
+        let c = self.count[t] as usize;
+        let h = self.head[c];
+        self.next[t] = h;
+        self.prev[t] = NIL;
+        if h != NIL {
+            self.prev[h as usize] = t as u32;
+        }
+        self.head[c] = t as u32;
+        if c == 1 {
+            self.singles[t / 64] |= 1 << (t % 64);
+        }
+    }
+
+    fn unlink(&mut self, t: usize) {
+        let (p, n) = (self.prev[t], self.next[t]);
+        if p == NIL {
+            self.head[self.count[t] as usize] = n;
+        } else {
+            self.next[p as usize] = n;
+        }
+        if n != NIL {
+            self.prev[n as usize] = p;
+        }
+        if self.count[t] == 1 {
+            self.singles[t / 64] &= !(1 << (t % 64));
+        }
+    }
+
+    /// Adds one entry to, or removes one from, active column `t`.
+    fn bump(&mut self, t: usize, up: bool) {
+        self.unlink(t);
+        if up {
+            self.count[t] += 1;
+        } else {
+            self.count[t] -= 1;
+        }
+        self.link(t);
+    }
+
+    /// Takes column `t` out of the active set.
+    fn retire(&mut self, t: usize) {
+        self.unlink(t);
+        self.count[t] = 0;
+    }
+
+    /// The smallest count of an active column (`None` once all retired).
+    fn min(&self) -> Option<usize> {
+        self.head.iter().position(|&h| h != NIL)
+    }
+
+    /// The lowest single-entry column at or above `from`.
+    fn single_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = *self.singles.get(w)? & (!0u64 << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            w += 1;
+            bits = *self.singles.get(w)?;
+        }
+    }
+}
+
+/// Workspace of the Markowitz elimination, kept across refactorisations so
+/// that a rebuild allocates nothing once its buffers have grown.
+///
+/// The pivot search never scans all columns: the minimum count comes from
+/// the count buckets of [`ColumnCounts`], and each column caches its best
+/// candidate until a pivot changes its entries or its count (it goes
+/// *stale* then and is re-examined only when searched). A column a pivot
+/// leaves alone except for the length of one of its rows reprices that one
+/// row in place.
+#[derive(Debug, Clone, Default)]
+struct Markowitz {
+    /// Active part of `B` by rows: sorted `(position, value)` entries.
+    rows: Vec<Vec<(u32, f64)>>,
+    /// Candidate rows of each column: a superset of its active rows that may
+    /// still hold pivoted rows, cancelled entries and duplicates (an entry
+    /// that cancelled and was later refilled leaves its row in the list
+    /// twice). Compacted whenever the column is examined.
+    col_rows: Vec<Vec<u32>>,
+    counts: ColumnCounts,
+    row_active: Vec<bool>,
+    col_active: Vec<bool>,
+    /// Cached best `(cost, row)` candidate and largest entry magnitude of
+    /// each column that is not stale.
+    best: Vec<(u64, u32)>,
+    col_max: Vec<f64>,
+    stale: Vec<bool>,
+    /// Scratch: one column's entry values, one merged row, the pivot row.
+    vals: Vec<f64>,
+    merged: Vec<(u32, f64)>,
+    pivot_row: Vec<(u32, f64)>,
+}
+
+impl Markowitz {
+    /// Gathers `B` by rows and columns and buckets every column stale.
+    fn load(&mut self, cols: &SparseCols, basic: &[u32]) {
+        let m = basic.len();
+        self.rows.resize_with(m, Vec::new);
+        self.col_rows.resize_with(m, Vec::new);
+        self.rows.iter_mut().for_each(Vec::clear);
+        self.col_rows.iter_mut().for_each(Vec::clear);
+        for (t, &bv) in basic.iter().enumerate() {
+            match cols.logical_row(bv as usize) {
+                Some(r) => {
+                    self.rows[r].push((t as u32, 1.0));
+                    self.col_rows[t].push(r as u32);
+                }
+                None => {
+                    for (r, v) in cols.col(bv as usize) {
+                        self.rows[r].push((t as u32, v));
+                        self.col_rows[t].push(r as u32);
+                    }
+                }
+            }
+        }
+        self.counts.load(&self.col_rows);
+        for flags in [&mut self.row_active, &mut self.col_active, &mut self.stale] {
+            flags.clear();
+            flags.resize(m, true);
+        }
+        self.best.clear();
+        self.best.resize(m, (NO_CANDIDATE, u32::MAX));
+        self.col_max.clear();
+        self.col_max.resize(m, 0.0);
+    }
+
+    /// The active entry of row `i` in column `t`, if any.
+    fn value(&self, i: usize, t: usize) -> Option<f64> {
+        let row = &self.rows[i];
+        row.binary_search_by_key(&(t as u32), |e| e.0)
+            .ok()
+            .map(|k| row[k].1)
+    }
+
+    /// Column `t`'s best threshold-passing `(cost, row)` candidate, lowest
+    /// row on ties, or [`NO_CANDIDATE`]; recomputed (compacting the
+    /// candidate list) when the column is stale.
+    fn best_in_column(&mut self, t: usize) -> (u64, u32) {
+        if !self.stale[t] {
+            return self.best[t];
+        }
+        let Markowitz {
+            rows,
+            col_rows,
+            counts,
+            row_active,
+            vals,
+            ..
+        } = self;
+        vals.clear();
+        let mut cmax = 0.0f64;
+        col_rows[t].retain(|&i| {
+            if !row_active[i as usize] {
+                return false;
+            }
+            let row = &rows[i as usize];
+            match row.binary_search_by_key(&(t as u32), |e| e.0) {
+                Ok(k) => {
+                    let v = row[k].1;
+                    if v.abs() > cmax {
+                        cmax = v.abs();
+                    }
+                    vals.push(v);
+                    true
+                }
+                Err(_) => false,
+            }
+        });
+        let count_less_one = counts.count[t] as u64 - 1;
+        let mut best = (NO_CANDIDATE, u32::MAX);
+        for (&i, &v) in col_rows[t].iter().zip(vals.iter()) {
+            if passes_threshold(v, cmax) {
+                let cost = (rows[i as usize].len() as u64 - 1) * count_less_one;
+                best = best.min((cost, i));
+            }
+        }
+        self.best[t] = best;
+        self.col_max[t] = cmax;
+        self.stale[t] = false;
+        best
+    }
+
+    /// The next pivot `(column, row)`: the lowest (cost, column, row) among
+    /// the threshold-passing entries of the minimum-count columns, or among
+    /// all active columns when none of those passes. `None` when the basis
+    /// is singular: an active column ran out of entries, or no entry at all
+    /// passes.
+    fn select_pivot(&mut self) -> Option<(usize, usize)> {
+        let cmin = self.counts.min()?;
+        if cmin == 0 {
+            return None;
+        }
+        if cmin == 1 {
+            // Every passing single entry costs 0: the lowest column wins.
+            let mut from = 0;
+            while let Some(t) = self.counts.single_from(from) {
+                let (cost, i) = self.best_in_column(t);
+                if cost != NO_CANDIDATE {
+                    return Some((t, i as usize));
+                }
+                from = t + 1;
+            }
+        } else {
+            let mut best = (NO_CANDIDATE, NIL, NIL);
+            let mut t = self.counts.head[cmin];
+            while t != NIL {
+                let (cost, i) = self.best_in_column(t as usize);
+                best = best.min((cost, t, i));
+                t = self.counts.next[t as usize];
+            }
+            if best.0 != NO_CANDIDATE {
+                return Some((best.1 as usize, best.2 as usize));
+            }
+        }
+        // Rare second pass: no minimum-count column is numerically usable,
+        // so take the cheapest usable entry of any active column.
+        let mut best = (NO_CANDIDATE, NIL, NIL);
+        for t in 0..self.col_active.len() {
+            if self.col_active[t] {
+                let (cost, i) = self.best_in_column(t);
+                best = best.min((cost, t as u32, i));
+            }
+        }
+        (best.0 != NO_CANDIDATE).then_some((best.1 as usize, best.2 as usize))
+    }
+
+    /// Retires pivot `(t, p)`: appends the pivot row's off-diagonal entries
+    /// to U and eliminates column `t` from the other active rows, appending
+    /// their multipliers to L. Columns whose entries or count change go
+    /// stale; the other columns of the eliminated rows are repriced.
+    #[allow(clippy::too_many_arguments)]
+    fn eliminate(
+        &mut self,
+        t: usize,
+        p: usize,
+        pivot: f64,
+        u_ix: &mut Vec<u32>,
+        u_val: &mut Vec<f64>,
+        l_ix: &mut Vec<u32>,
+        l_val: &mut Vec<f64>,
+    ) {
+        let Markowitz {
+            rows,
+            col_rows,
+            counts,
+            row_active,
+            col_active,
+            best,
+            col_max,
+            stale,
+            merged,
+            pivot_row,
+            ..
+        } = self;
+        debug_assert!(!stale[t], "the pivot column was priced by the search");
+        row_active[p] = false;
+        col_active[t] = false;
+        counts.retire(t);
+        // Record the pivot row as a U row and take it out of the active
+        // column counts. Rows are copied rather than swapped between
+        // buffers, so each buffer only ever grows to its own row's length.
+        pivot_row.clear();
+        pivot_row.extend_from_slice(&rows[p]);
+        rows[p].clear();
+        for &(c, v) in pivot_row.iter() {
+            if c as usize != t {
+                u_ix.push(c);
+                u_val.push(v);
+                counts.bump(c as usize, false);
+                stale[c as usize] = true;
+            }
+        }
+        // The rows to eliminate: column t's other active rows in ascending
+        // order. The pivot search just priced column t, so its candidate
+        // list holds exactly its active rows, up to duplicates.
+        let mut elim = std::mem::take(&mut col_rows[t]);
+        elim.retain(|&i| i as usize != p);
+        elim.sort_unstable();
+        elim.dedup();
+        for &iu in &elim {
+            let i = iu as usize;
+            let e = rows[i]
+                .binary_search_by_key(&(t as u32), |e| e.0)
+                .expect("candidate lists were just compacted");
+            let factor = rows[i][e].1 / pivot;
+            l_ix.push(iu);
+            l_val.push(factor);
+            // rows[i] ← rows[i] − factor·pivot_row, dropping column t.
+            merged.clear();
+            let (a, b) = (&rows[i], &*pivot_row);
+            let (mut ia, mut ib) = (0, 0);
+            while ia < a.len() || ib < b.len() {
+                let ca = a.get(ia).map_or(u32::MAX, |e| e.0);
+                let cb = b.get(ib).map_or(u32::MAX, |e| e.0);
+                if ca < cb {
+                    merged.push(a[ia]);
+                    ia += 1;
+                } else if cb < ca {
+                    // Fill-in: register the new entry's row candidacy.
+                    let v = -factor * b[ib].1;
+                    if cb as usize != t && v.abs() > DROP_TOL {
+                        merged.push((cb, v));
+                        col_rows[cb as usize].push(iu);
+                        counts.bump(cb as usize, true);
+                    }
+                    ib += 1;
+                } else {
+                    if ca as usize != t {
+                        let v = a[ia].1 - factor * b[ib].1;
+                        if v.abs() > DROP_TOL {
+                            merged.push((ca, v));
+                        } else {
+                            counts.bump(ca as usize, false);
+                        }
+                    }
+                    ia += 1;
+                    ib += 1;
+                }
+            }
+            // The columns outside the pivot row (the ones not stale) kept
+            // their entries, count and largest entry: only row i's length,
+            // and with it the cost of its entry, changed.
+            let len_less_one = (merged.len() as u64).saturating_sub(1);
+            for &(c, v) in merged.iter() {
+                let c = c as usize;
+                if stale[c] {
+                    continue;
+                }
+                let cost = len_less_one * (counts.count[c] as u64 - 1);
+                let (best_cost, best_row) = best[c];
+                if best_row == iu {
+                    if cost <= best_cost {
+                        best[c] = (cost, iu);
+                    } else {
+                        // Another row may be cheaper now.
+                        stale[c] = true;
+                    }
+                } else if (cost, iu) < (best_cost, best_row) && passes_threshold(v, col_max[c]) {
+                    best[c] = (cost, iu);
+                }
+            }
+            rows[i].clear();
+            rows[i].extend_from_slice(merged);
+        }
+        col_rows[t] = elim;
+    }
+}
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -26,7 +26,7 @@ use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use crate::error::IlpError;
-use crate::model::{Model, ObjectiveSense};
+use crate::model::{Model, ObjectiveSense, VarId};
 use crate::presolve::{presolve, PresolveMap, Presolved};
 use crate::simplex::{LpSolution, VarBound, TOL};
 use crate::workspace::{LpOutcome, LpWorkspace};
@@ -288,7 +288,7 @@ impl Solver {
         if let Some(ws) = &self.warm_start {
             if ws.len() == model.num_vars()
                 && model.is_feasible(ws, 1e-6)
-                && is_integral(model, ws, self.options.integrality_tol)
+                && is_integral(&model.binary_vars(), ws, self.options.integrality_tol)
             {
                 incumbent = Some((ws.clone(), model.evaluate_objective(ws)));
             }
@@ -297,6 +297,9 @@ impl Solver {
         // The LP workspace every node shares: one sparse matrix, one basis
         // warm-started from node to node.
         let mut lp = LpWorkspace::new(search_model);
+        // The branching candidates, listed once for every node's
+        // integrality test, branching choice and rounding.
+        let binaries = search_model.binary_vars();
         let mut nodes_explored = 0usize;
         let mut budget_hit = false;
         let mut gap_stop = false;
@@ -349,8 +352,8 @@ impl Solver {
             }
             LpOutcome::Numerical(msg) => return Err(IlpError::Numerical(msg)),
         };
-        if is_integral(search_model, &root.values, self.options.integrality_tol) {
-            let reduced = round_binaries(search_model, root.values);
+        if is_integral(&binaries, &root.values, self.options.integrality_tol) {
+            let reduced = round_binaries(&binaries, root.values);
             let values = restore(&reduced);
             let objective = model.evaluate_objective(&values);
             return Ok(Solution {
@@ -367,7 +370,7 @@ impl Solver {
             &mut dive,
             &mut seq,
             score_of,
-            search_model,
+            &binaries,
             &root,
             root.objective + offset,
             &[],
@@ -455,9 +458,9 @@ impl Solver {
                     continue;
                 }
             }
-            if is_integral(search_model, &relax.values, self.options.integrality_tol) {
+            if is_integral(&binaries, &relax.values, self.options.integrality_tol) {
                 // Integer feasible: candidate incumbent.
-                let reduced = round_binaries(search_model, relax.values);
+                let reduced = round_binaries(&binaries, relax.values);
                 let values = restore(&reduced);
                 let obj = model.evaluate_objective(&values);
                 let accept = match &incumbent {
@@ -473,7 +476,7 @@ impl Solver {
                     &mut dive,
                     &mut seq,
                     score_of,
-                    search_model,
+                    &binaries,
                     &relax,
                     relax_bound,
                     &node.bounds,
@@ -549,13 +552,13 @@ fn push_children(
     dive: &mut Vec<OpenNode>,
     seq: &mut u64,
     score_of: impl Fn(f64) -> f64,
-    model: &Model,
+    binaries: &[VarId],
     relax: &LpSolution,
     bound: f64,
     bounds: &[VarBound],
     tol: f64,
 ) {
-    let branch_var = match most_fractional(model, relax, tol) {
+    let branch_var = match most_fractional(binaries, relax, tol) {
         Some(v) => v,
         None => return,
     };
@@ -594,9 +597,9 @@ fn push_children(
 
 /// Returns the index of the binary variable whose relaxation value is the
 /// most fractional, or `None` if all binaries are integral.
-fn most_fractional(model: &Model, relax: &LpSolution, tol: f64) -> Option<usize> {
+fn most_fractional(binaries: &[VarId], relax: &LpSolution, tol: f64) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
-    for var in model.binary_vars() {
+    for var in binaries {
         let v = relax.values[var.index()];
         let frac = (v - v.round()).abs();
         if frac > tol {
@@ -611,15 +614,14 @@ fn most_fractional(model: &Model, relax: &LpSolution, tol: f64) -> Option<usize>
     best.map(|(i, _)| i)
 }
 
-fn is_integral(model: &Model, values: &[f64], tol: f64) -> bool {
-    model
-        .binary_vars()
+fn is_integral(binaries: &[VarId], values: &[f64], tol: f64) -> bool {
+    binaries
         .iter()
         .all(|v| (values[v.index()] - values[v.index()].round()).abs() <= tol)
 }
 
-fn round_binaries(model: &Model, mut values: Vec<f64>) -> Vec<f64> {
-    for v in model.binary_vars() {
+fn round_binaries(binaries: &[VarId], mut values: Vec<f64>) -> Vec<f64> {
+    for v in binaries {
         values[v.index()] = values[v.index()].round().clamp(0.0, 1.0);
     }
     for v in values.iter_mut() {
