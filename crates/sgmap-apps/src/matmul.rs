@@ -84,21 +84,6 @@ pub fn build_matmul3(n: u32) -> Result<StreamGraph, GraphError> {
     GraphBuilder::new(format!("MatMul3_N{n}")).build(spec)
 }
 
-/// Reference row-major matrix multiply used by the functional tests.
-pub fn reference_matmul(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
-    let mut c = vec![0.0; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = 0.0;
-            for k in 0..n {
-                acc += a[i * n + k] * b[k * n + j];
-            }
-            c[i * n + j] = acc;
-        }
-    }
-    c
-}
-
 /// Attaches executable semantics to a `MatMul2` graph: each row filter
 /// computes its row of `A·B` from the duplicated operand stream.
 pub fn attach_matmul2_behaviors(interp: &mut Interpreter<'_>, graph: &StreamGraph, n: u32) {
@@ -127,6 +112,21 @@ pub fn attach_matmul2_behaviors(interp: &mut Interpreter<'_>, graph: &StreamGrap
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference row-major matrix multiply used by the functional tests.
+    fn reference_matmul(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
+        let mut c = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                let mut acc = 0.0;
+                for k in 0..n {
+                    acc += a[i * n + k] * b[k * n + j];
+                }
+                c[i * n + j] = acc;
+            }
+        }
+        c
+    }
 
     #[test]
     fn matmul2_computes_the_exact_product() {

@@ -7,10 +7,12 @@
 //! 350 partitions).
 
 use sgmap_apps::App;
-use sgmap_bench::{full_sweep_requested, partition_app, sweep, Stack};
+use sgmap_bench::{full_sweep_requested, sweep};
 use sgmap_codegen::generate_kernel;
 use sgmap_gpusim::{simulate_kernel, GpuSpec};
+use sgmap_partition::PartitionRequest;
 use sgmap_pee::calibrate::r_squared;
+use sgmap_pee::Estimator;
 
 fn main() {
     let full = full_sweep_requested();
@@ -26,7 +28,11 @@ fn main() {
     for app in App::all() {
         for n in sweep(app, full) {
             let graph = app.build(n).expect("benchmark graph builds");
-            let (estimator, partitioning) = partition_app(&graph, &gpu, Stack::Ours, false);
+            let estimator = Estimator::new(&graph, gpu.clone())
+                .expect("benchmark graphs have consistent rates");
+            let partitioning = PartitionRequest::new(&estimator)
+                .run()
+                .expect("partitioning succeeds");
             for (idx, part) in partitioning.iter().enumerate() {
                 let spec = generate_kernel(&estimator, part, &format!("{app}_{n}_{idx}"));
                 let measurement = simulate_kernel(&spec, &gpu, (idx as u64) << 17 | u64::from(n));

@@ -96,36 +96,10 @@ pub fn compile(graph: &StreamGraph, config: &FlowConfig) -> Result<CompileResult
     if let Some(cache) = &config.estimate_cache {
         estimator = estimator.with_shared_cache(cache.clone());
     }
-    compile_with_estimator(graph, config, &estimator)
-}
-
-/// Like [`compile`], but uses a caller-supplied estimator instead of building
-/// one internally.
-///
-/// This is the entry point batch drivers use to share estimator state across
-/// many compilations: build one [`Estimator`] per graph, attach a shared
-/// [`EstimateCache`](sgmap_pee::EstimateCache), and compile the same graph
-/// against many configurations (GPU counts, mappers, transfer modes) without
-/// re-answering estimation queries. The estimator must have been built for
-/// this graph (checked cheaply by identity, falling back to name and filter
-/// count), target the same GPU model as `config` and have the matching
-/// enhancement flag; mismatches are reported as
-/// [`FlowError::InvalidConfig`].
-///
-/// # Errors
-///
-/// Returns an error if the configuration is degenerate, disagrees with the
-/// estimator, or if graph analysis, partitioning or mapping fails.
-pub fn compile_with_estimator(
-    graph: &StreamGraph,
-    config: &FlowConfig,
-    estimator: &Estimator<'_>,
-) -> Result<CompileResult, FlowError> {
-    // partition_graph already validated the config and the estimator
-    // agreement; finish by value so the freshly built stage is moved into
-    // the result instead of cloned.
-    let stage = partition_graph(graph, config, estimator)?;
-    finish_compile(config, estimator, stage)
+    // Finish by value so the freshly built stage is moved into the result
+    // instead of cloned.
+    let stage = partition_graph(graph, config, &estimator)?;
+    finish_compile(config, &estimator, stage)
 }
 
 /// Maps, plans and generates kernels from an owned stage (no validation —
@@ -438,7 +412,8 @@ mod tests {
         let estimator = Estimator::new(&graph, config.estimation_gpu().clone())
             .unwrap()
             .with_shared_cache(cache.clone());
-        let compiled = compile_with_estimator(&graph, &config, &estimator).unwrap();
+        let stage = partition_graph(&graph, &config, &estimator).unwrap();
+        let compiled = compile_from_stage(&graph, &config, &estimator, &stage).unwrap();
         let shared = execute(&compiled, &config);
         assert_eq!(
             plain.time_per_iteration_us.to_bits(),
@@ -451,7 +426,7 @@ mod tests {
         let wrong = Estimator::new(&graph, config.estimation_gpu().clone())
             .unwrap()
             .with_enhancement(true);
-        let err = compile_with_estimator(&graph, &config, &wrong).unwrap_err();
+        let err = partition_graph(&graph, &config, &wrong).unwrap_err();
         assert!(matches!(err, FlowError::InvalidConfig(_)), "{err}");
     }
 
@@ -489,7 +464,7 @@ mod tests {
         let graph = App::FmRadio.build(8).unwrap();
         let config = FlowConfig::default().with_gpu_count(2);
         let estimator = Estimator::new(&graph, config.estimation_gpu().clone()).unwrap();
-        let compiled = compile_with_estimator(&graph, &config, &estimator).unwrap();
+        let compiled = compile(&graph, &config).unwrap();
         let healthy = execute(&compiled, &config);
         let faulted =
             execute_with_faults(&compiled, &config, &estimator, &FaultPlan::none()).unwrap();
@@ -506,7 +481,7 @@ mod tests {
         let graph = App::FmRadio.build(8).unwrap();
         let config = FlowConfig::default().with_gpu_count(4);
         let estimator = Estimator::new(&graph, config.estimation_gpu().clone()).unwrap();
-        let compiled = compile_with_estimator(&graph, &config, &estimator).unwrap();
+        let compiled = compile(&graph, &config).unwrap();
         assert!(
             compiled.mapping.gpus_used() > 1,
             "need a multi-GPU mapping to lose a device"

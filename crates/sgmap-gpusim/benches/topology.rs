@@ -1,9 +1,7 @@
 //! Micro-benchmarks of the topology hot paths driving ILP constraint
 //! generation: building the per-link `D_l` terms needs `route()` for every
 //! communicating GPU pair and `dtlist()` for every link. Both are O(1) table
-//! lookups precomputed at build time; the `*_scan` baselines re-derive them
-//! by walking the tree with linear `find_link` scans — the pre-memoization
-//! algorithm — to show what the precomputation buys on an 8-GPU platform.
+//! lookups precomputed at build time, timed here on an 8-GPU platform.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -26,27 +24,8 @@ fn constraint_pass_lookup(topo: &Topology) -> usize {
     hops
 }
 
-fn constraint_pass_scan(topo: &Topology) -> usize {
-    let g = topo.gpu_count();
-    let mut hops = 0;
-    for i in 0..g {
-        for j in 0..g {
-            if i != j {
-                hops += topo.route_scan(Endpoint::Gpu(i), Endpoint::Gpu(j)).len();
-            }
-        }
-        hops += topo.route_scan(Endpoint::Host, Endpoint::Gpu(i)).len();
-        hops += topo.route_scan(Endpoint::Gpu(i), Endpoint::Host).len();
-    }
-    hops
-}
-
 fn dtlist_pass_lookup(topo: &Topology) -> usize {
     topo.link_ids().map(|l| topo.dtlist(l).len()).sum()
-}
-
-fn dtlist_pass_scan(topo: &Topology) -> usize {
-    topo.link_ids().map(|l| topo.dtlist_scan(l).len()).sum()
 }
 
 fn bench_topology(c: &mut Criterion) {
@@ -55,21 +34,11 @@ fn bench_topology(c: &mut Criterion) {
         .expect("preset builds")
         .topology;
 
-    // The two implementations must agree before we time them.
-    assert_eq!(constraint_pass_lookup(&topo), constraint_pass_scan(&topo));
-    assert_eq!(dtlist_pass_lookup(&topo), dtlist_pass_scan(&topo));
-
     c.bench_function("topology/routes/nvlink8/precomputed", |b| {
         b.iter(|| constraint_pass_lookup(black_box(&topo)))
     });
-    c.bench_function("topology/routes/nvlink8/scan", |b| {
-        b.iter(|| constraint_pass_scan(black_box(&topo)))
-    });
     c.bench_function("topology/dtlists/nvlink8/precomputed", |b| {
         b.iter(|| dtlist_pass_lookup(black_box(&topo)))
-    });
-    c.bench_function("topology/dtlists/nvlink8/scan", |b| {
-        b.iter(|| dtlist_pass_scan(black_box(&topo)))
     });
 }
 

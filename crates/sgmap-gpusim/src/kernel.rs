@@ -80,12 +80,6 @@ impl KernelSpec {
     pub fn total_io_bytes(&self) -> u64 {
         u64::from(self.params.w) * self.io_bytes_per_exec
     }
-
-    /// Shared-memory bytes consumed by the whole kernel (all executions plus
-    /// the double buffer).
-    pub fn total_shared_mem_bytes(&self) -> u64 {
-        u64::from(self.params.w) * self.sm_bytes_per_exec + self.io_bytes_per_exec
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +110,6 @@ mod tests {
         let k = sample();
         assert_eq!(k.serial_compute_time_us(), 9.0);
         assert_eq!(k.total_io_bytes(), 768);
-        assert_eq!(k.total_shared_mem_bytes(), 3 * 1024 + 256);
         assert_eq!(k.params.total_threads(), 3 * 2 + 64);
     }
 

@@ -119,16 +119,6 @@ impl ExecStats {
     pub fn time_per_fragment_us(&self) -> f64 {
         self.makespan_us / f64::from(self.n_fragments.max(1))
     }
-
-    /// Index of the busiest GPU.
-    pub fn bottleneck_gpu(&self) -> usize {
-        self.per_gpu_busy_us
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
 }
 
 /// Simulates `plan` on `platform`.
@@ -469,7 +459,6 @@ mod tests {
         let stats = simulate_plan(&plan, &Platform::single_m2090());
         assert!((stats.makespan_us - 4.0 * 15.0).abs() < 1e-9);
         assert!((stats.per_gpu_busy_us[0] - 60.0).abs() < 1e-9);
-        assert_eq!(stats.bottleneck_gpu(), 0);
         assert!((stats.time_per_fragment_us() - 15.0).abs() < 1e-9);
     }
 

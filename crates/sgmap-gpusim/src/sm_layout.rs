@@ -150,18 +150,6 @@ pub fn footprint(
     fp
 }
 
-/// Convenience wrapper returning the kernel footprint in bytes for `w`
-/// executions.
-pub fn kernel_shared_mem_bytes(
-    graph: &StreamGraph,
-    set: &NodeSet,
-    reps: &RepetitionVector,
-    w: u32,
-    enhanced: bool,
-) -> u64 {
-    footprint(graph, set, reps, enhanced).kernel_bytes(w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

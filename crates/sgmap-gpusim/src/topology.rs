@@ -28,9 +28,8 @@ pub const DEFAULT_LINK_BANDWIDTH_GBS: f64 = 6.0;
 /// Default one-hop latency of a PCIe transfer, in microseconds.
 pub const DEFAULT_LINK_LATENCY_US: f64 = 8.0;
 
-/// The technology class of a link, determining its default bandwidth and
-/// latency. Individual links can still override both via
-/// [`TopologyBuilder::override_uplink_edge`].
+/// The technology class of a link, determining its bandwidth and latency
+/// (scaled for a whole topology by [`Topology::with_scaled_links`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkClass {
     /// An NVLink-style point-to-point GPU interconnect: high bandwidth, very
@@ -146,8 +145,8 @@ struct Link {
 /// bandwidth, latency and class.
 ///
 /// Construct one through a preset ([`Topology::switch_tree`],
-/// [`Topology::flat`], [`Topology::nvlink_islands`],
-/// [`Topology::two_node_cluster`]) or a custom [`TopologyBuilder`].
+/// [`Topology::flat`], [`Topology::nvlink_islands`], [`Topology::cluster`])
+/// or a custom [`TopologyBuilder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     kinds: Vec<NodeKind>,
@@ -244,20 +243,6 @@ impl Topology {
             }
         }
         t.finish()
-    }
-
-    /// Builds a two-node cluster: the host and `gpus_per_node` GPUs behind a
-    /// PCIe switch on the head node, plus a second node whose switch hangs
-    /// off the first over a network-class link. Intra-node traffic stays on
-    /// PCIe; inter-node traffic crosses the (slow, high-latency) network
-    /// link.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::UnsupportedShape`] if `gpus_per_node` is
-    /// zero.
-    pub fn two_node_cluster(gpus_per_node: usize) -> Result<Self, TopologyError> {
-        Topology::cluster(2, gpus_per_node)
     }
 
     /// Builds an `nodes`-node cluster: every node is a PCIe switch with
@@ -406,12 +391,9 @@ impl Topology {
         &self.routes[self.endpoint_index(from) * stride + self.endpoint_index(to)]
     }
 
-    /// Computes a route by walking the tree, without consulting the
-    /// precomputed table. This is the pre-memoization algorithm (linear
-    /// `find_link` scans included), kept as the oracle for property tests and
-    /// the baseline for the constraint-generation micro-benchmark.
-    #[doc(hidden)]
-    pub fn route_scan(&self, from: Endpoint, to: Endpoint) -> Vec<LinkId> {
+    /// Computes a route by walking the tree (with linear `find_link` scans):
+    /// how [`TopologyBuilder::finish`] fills the route table.
+    fn route_scan(&self, from: Endpoint, to: Endpoint) -> Vec<LinkId> {
         let src = self.endpoint_node(from);
         let dst = self.endpoint_node(to);
         if src == dst {
@@ -458,61 +440,11 @@ impl Topology {
         &self.dtlists[link.0]
     }
 
-    /// Computes `dtlist(l)` from scratch by routing every ordered GPU pair —
-    /// the pre-memoization algorithm, kept for property tests and the
-    /// micro-benchmark baseline.
-    #[doc(hidden)]
-    pub fn dtlist_scan(&self, link: LinkId) -> Vec<(usize, usize)> {
-        let g = self.gpu_count();
-        let mut pairs = Vec::new();
-        for i in 0..g {
-            for j in 0..g {
-                if i == j {
-                    continue;
-                }
-                if self
-                    .route_scan(Endpoint::Gpu(i), Endpoint::Gpu(j))
-                    .contains(&link)
-                {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        pairs
-    }
-
     /// Transfer time for `bytes` over one directed link, in microseconds:
     /// `latency + bytes / bandwidth` with that link's own parameters.
     pub fn link_transfer_us(&self, link: LinkId, bytes: f64) -> f64 {
         let l = &self.links[link.0];
         l.latency_us + bytes / (l.bandwidth_gbs * 1000.0)
-    }
-
-    /// Total time for `bytes` along a full route (store-and-forward over each
-    /// hop), in microseconds.
-    pub fn route_transfer_us(&self, from: Endpoint, to: Endpoint, bytes: f64) -> f64 {
-        self.route(from, to)
-            .iter()
-            .map(|&l| self.link_transfer_us(l, bytes))
-            .sum()
-    }
-}
-
-/// Per-edge link parameters used while building a topology.
-#[derive(Debug, Clone, Copy)]
-struct EdgeProps {
-    class: LinkClass,
-    bandwidth_gbs: f64,
-    latency_us: f64,
-}
-
-impl EdgeProps {
-    fn of_class(class: LinkClass) -> Self {
-        EdgeProps {
-            class,
-            bandwidth_gbs: class.default_bandwidth_gbs(),
-            latency_us: class.default_latency_us(),
-        }
     }
 }
 
@@ -525,8 +457,8 @@ pub struct TopologyBuilder {
     kinds: Vec<NodeKind>,
     parent: Vec<Option<usize>>,
     gpu_nodes: Vec<usize>,
-    /// `edges[n]` describes the link between node `n` and its parent.
-    edges: Vec<Option<EdgeProps>>,
+    /// `edges[n]` is the class of the link between node `n` and its parent.
+    edges: Vec<Option<LinkClass>>,
 }
 
 impl TopologyBuilder {
@@ -573,20 +505,6 @@ impl TopologyBuilder {
         id
     }
 
-    /// Overrides the bandwidth and latency of the edge connecting `node` to
-    /// its parent (both directions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is the host (it has no parent edge).
-    pub fn override_uplink_edge(&mut self, node: usize, bandwidth_gbs: f64, latency_us: f64) {
-        let props = self.edges[node]
-            .as_mut()
-            .expect("the host has no parent edge");
-        props.bandwidth_gbs = bandwidth_gbs;
-        props.latency_us = latency_us;
-    }
-
     fn add_node(&mut self, kind: NodeKind, parent: usize, class: LinkClass) -> usize {
         assert!(parent < self.kinds.len(), "parent node does not exist");
         assert!(
@@ -596,7 +514,7 @@ impl TopologyBuilder {
         let id = self.kinds.len();
         self.kinds.push(kind);
         self.parent.push(Some(parent));
-        self.edges.push(Some(EdgeProps::of_class(class)));
+        self.edges.push(Some(class));
         id
     }
 
@@ -612,23 +530,17 @@ impl TopologyBuilder {
         let mut links = Vec::new();
         for (node, parent) in self.parent.iter().enumerate() {
             if let Some(p) = parent {
-                let props = self.edges[node].expect("non-root node has an edge");
-                links.push(Link {
-                    from: node,
-                    to: *p,
-                    up: true,
-                    class: props.class,
-                    bandwidth_gbs: props.bandwidth_gbs,
-                    latency_us: props.latency_us,
-                });
-                links.push(Link {
-                    from: *p,
-                    to: node,
-                    up: false,
-                    class: props.class,
-                    bandwidth_gbs: props.bandwidth_gbs,
-                    latency_us: props.latency_us,
-                });
+                let class = self.edges[node].expect("non-root node has an edge");
+                for (from, to, up) in [(node, *p, true), (*p, node, false)] {
+                    links.push(Link {
+                        from,
+                        to,
+                        up,
+                        class,
+                        bandwidth_gbs: class.default_bandwidth_gbs(),
+                        latency_us: class.default_latency_us(),
+                    });
+                }
             }
         }
         let mut topo = Topology {
@@ -678,6 +590,14 @@ impl TopologyBuilder {
 mod tests {
     use super::*;
 
+    /// Store-and-forward time for `bytes` over every hop of a route.
+    fn route_us(t: &Topology, from: Endpoint, to: Endpoint, bytes: f64) -> f64 {
+        t.route(from, to)
+            .iter()
+            .map(|&l| t.link_transfer_us(l, bytes))
+            .sum()
+    }
+
     #[test]
     fn four_gpu_tree_matches_figure_3_3() {
         let t = Topology::switch_tree(4).unwrap();
@@ -725,7 +645,7 @@ mod tests {
             Topology::switch_tree(4).unwrap(),
             Topology::flat(3).unwrap(),
             Topology::nvlink_islands(2, 4).unwrap(),
-            Topology::two_node_cluster(4).unwrap(),
+            Topology::cluster(2, 4).unwrap(),
         ] {
             let g = t.gpu_count();
             for i in 0..g {
@@ -745,7 +665,11 @@ mod tests {
                 );
             }
             for l in t.link_ids() {
-                assert_eq!(t.dtlist(l), t.dtlist_scan(l).as_slice());
+                let scan: Vec<(usize, usize)> = (0..g)
+                    .flat_map(|i| (0..g).map(move |j| (i, j)))
+                    .filter(|&(i, j)| t.route(Endpoint::Gpu(i), Endpoint::Gpu(j)).contains(&l))
+                    .collect();
+                assert_eq!(t.dtlist(l), scan.as_slice());
             }
         }
     }
@@ -756,8 +680,8 @@ mod tests {
         let link = t.link_ids().next().unwrap();
         let one_hop = t.link_transfer_us(link, 6_000_000.0);
         assert!((one_hop - (DEFAULT_LINK_LATENCY_US + 1000.0)).abs() < 1e-9);
-        let p2p_far = t.route_transfer_us(Endpoint::Gpu(0), Endpoint::Gpu(3), 6_000_000.0);
-        let p2p_near = t.route_transfer_us(Endpoint::Gpu(0), Endpoint::Gpu(1), 6_000_000.0);
+        let p2p_far = route_us(&t, Endpoint::Gpu(0), Endpoint::Gpu(3), 6_000_000.0);
+        let p2p_near = route_us(&t, Endpoint::Gpu(0), Endpoint::Gpu(1), 6_000_000.0);
         assert!(p2p_far > p2p_near);
         assert!((p2p_far / p2p_near - 2.0).abs() < 1e-9);
     }
@@ -816,7 +740,7 @@ mod tests {
 
     #[test]
     fn cluster_crosses_a_network_link_between_nodes() {
-        let t = Topology::two_node_cluster(4).unwrap();
+        let t = Topology::cluster(2, 4).unwrap();
         assert_eq!(t.gpu_count(), 8);
         // Intra-node traffic never touches the network.
         let near = t.route(Endpoint::Gpu(0), Endpoint::Gpu(3));
@@ -829,26 +753,9 @@ mod tests {
             .count();
         assert_eq!(network_hops, 1);
         // The network hop dominates the transfer time.
-        let inter = t.route_transfer_us(Endpoint::Gpu(0), Endpoint::Gpu(4), 1_000_000.0);
-        let intra = t.route_transfer_us(Endpoint::Gpu(0), Endpoint::Gpu(3), 1_000_000.0);
+        let inter = route_us(&t, Endpoint::Gpu(0), Endpoint::Gpu(4), 1_000_000.0);
+        let intra = route_us(&t, Endpoint::Gpu(0), Endpoint::Gpu(3), 1_000_000.0);
         assert!(inter > 3.0 * intra);
-    }
-
-    #[test]
-    fn edge_overrides_apply_to_both_directions() {
-        let mut b = TopologyBuilder::new();
-        let host = b.host();
-        let sw = b.switch(host);
-        let g0 = b.gpu(sw);
-        b.gpu(sw);
-        b.override_uplink_edge(g0, 12.0, 2.0);
-        let t = b.finish().unwrap();
-        let touched: Vec<LinkId> = t
-            .link_ids()
-            .filter(|&l| t.link_bandwidth_gbs(l) == 12.0)
-            .collect();
-        assert_eq!(touched.len(), 2);
-        assert!(touched.iter().all(|&l| t.link_latency_us(l) == 2.0));
     }
 
     #[test]

@@ -157,22 +157,10 @@ impl Filter {
         self
     }
 
-    /// Sets the persistent state size in bytes, marking the filter stateful
-    /// when non-zero.
-    pub fn with_state_bytes(mut self, bytes: u32) -> Self {
-        self.state_bytes = bytes;
-        self
-    }
-
     /// Overrides the structural kind of the filter.
     pub fn with_kind(mut self, kind: FilterKind) -> Self {
         self.kind = kind;
         self
-    }
-
-    /// Returns `true` if this filter keeps state across firings.
-    pub fn is_stateful(&self) -> bool {
-        self.state_bytes > 0
     }
 
     /// Returns `true` if this filter only re-orders data (splitter/joiner).

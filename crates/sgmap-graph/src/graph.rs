@@ -182,15 +182,6 @@ impl StreamGraph {
         &self.filters[id.index()]
     }
 
-    /// Returns a mutable reference to the filter with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this graph.
-    pub fn filter_mut(&mut self, id: FilterId) -> &mut Filter {
-        &mut self.filters[id.index()]
-    }
-
     /// Returns the channel with the given id.
     ///
     /// # Panics

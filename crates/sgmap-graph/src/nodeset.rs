@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use crate::algo::{self, TopoIndex};
 use crate::error::GraphError;
-use crate::filter::{FilterId, FilterKind};
+use crate::filter::FilterId;
 use crate::graph::{ChannelId, StreamGraph};
 use crate::rates::RepetitionVector;
 use crate::Result;
@@ -159,19 +159,6 @@ impl NodeSet {
         NodeSet::from_sorted(members)
     }
 
-    /// Returns `true` if the two sets share at least one filter.
-    pub fn intersects(&self, other: &NodeSet) -> bool {
-        let (mut i, mut j) = (0, 0);
-        while i < self.members.len() && j < other.members.len() {
-            match self.members[i].cmp(&other.members[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
-    }
-
     /// Returns `true` if the members form a non-empty weakly connected
     /// sub-graph of `graph` over forward channels. Walks the members and
     /// their incident channels only.
@@ -228,32 +215,6 @@ impl NodeSet {
         self.iter()
             .map(|id| graph.filter(id).work * reps[id.index()] as f64)
             .sum()
-    }
-
-    /// Total IO bytes per steady-state iteration: boundary channel traffic
-    /// plus the primary input/output carried by source and sink filters that
-    /// are members of this set.
-    pub fn iteration_io_bytes(&self, graph: &StreamGraph, reps: &RepetitionVector) -> u64 {
-        let mut bytes = 0u64;
-        for id in self.input_channels(graph) {
-            bytes += graph.channel_iteration_bytes(id, reps);
-        }
-        for id in self.output_channels(graph) {
-            bytes += graph.channel_iteration_bytes(id, reps);
-        }
-        for id in self.iter() {
-            let f = graph.filter(id);
-            match f.kind {
-                FilterKind::Source => {
-                    bytes += reps[id.index()] * u64::from(f.push) * u64::from(f.token_bytes)
-                }
-                FilterKind::Sink => {
-                    bytes += reps[id.index()] * u64::from(f.pop) * u64::from(f.token_bytes)
-                }
-                _ => {}
-            }
-        }
-        bytes
     }
 
     /// Checks that the set is non-empty and that every member exists in
@@ -338,7 +299,7 @@ mod tests {
     fn set_operations() {
         let s1 = NodeSet::from_ids([FilterId::from_index(0), FilterId::from_index(2)]);
         let s2 = NodeSet::from_ids([FilterId::from_index(2), FilterId::from_index(3)]);
-        assert!(s1.intersects(&s2));
+        assert_eq!(s1.difference(&s2).len(), 1); // they share filter 2
         let u = s1.union(&s2);
         assert_eq!(u.len(), 3);
         assert!(u.contains(FilterId::from_index(0)));
@@ -394,14 +355,18 @@ mod tests {
         assert_eq!(bc.input_channels(&g).len(), 1);
         assert_eq!(bc.output_channels(&g).len(), 1);
         // one token in + one token out, 4 bytes per token.
-        assert_eq!(bc.iteration_io_bytes(&g, &reps), 8);
+        let boundary = bc
+            .input_channels(&g)
+            .into_iter()
+            .chain(bc.output_channels(&g));
+        let io: u64 = boundary
+            .map(|id| g.channel_iteration_bytes(id, &reps))
+            .sum();
+        assert_eq!(io, 8);
         assert_eq!(bc.iteration_work(&g, &reps), 2.0 + 3.0);
-        // The whole graph's IO is the primary input + output.
+        // The whole graph has no boundary channels.
         let all = NodeSet::all(&g);
-        assert_eq!(
-            all.iteration_io_bytes(&g, &reps),
-            g.primary_input_bytes(&reps) + g.primary_output_bytes(&reps)
-        );
+        assert!(all.input_channels(&g).is_empty() && all.output_channels(&g).is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Micro-benchmarks of the LP cores: the dense two-phase tableau vs the
-//! revised bounded-variable simplex, presolve on vs off, and cold solves vs
-//! warm-started dual reoptimisation after a single branch-style bound
-//! tightening — the exact access pattern of the branch-and-bound mapper.
+//! Micro-benchmarks of the revised bounded-variable simplex: presolve on vs
+//! off, and cold solves vs warm-started dual reoptimisation after a single
+//! branch-style bound tightening — the exact access pattern of the
+//! branch-and-bound mapper.
 //!
 //! The `mapper80x2` / `mapper40x4` cases are sized like the benchmark's
 //! ILPs (a few hundred rows, several basis refactorisations per solve), so
@@ -14,7 +14,7 @@ use std::time::Duration;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use sgmap_ilp::simplex::VarBound;
-use sgmap_ilp::{dense, simplex, LpSolver, Solver, SolverOptions};
+use sgmap_ilp::{simplex, LpSolver, Solver, SolverOptions};
 
 #[path = "../tests/common/mapper.rs"]
 mod mapper;
@@ -29,9 +29,6 @@ fn bench_lp_cores(c: &mut Criterion) {
         hi: 1.0,
     }];
 
-    c.bench_function("lp/dense/mapper16x4", |b| {
-        b.iter(|| dense::solve_lp(black_box(&model), &[]).unwrap())
-    });
     c.bench_function("lp/revised-cold/mapper16x4", |b| {
         b.iter(|| simplex::solve_lp(black_box(&model), &[]).unwrap())
     });

@@ -24,9 +24,11 @@
 //!   incumbents, node/time budgets, a reported optimality gap and per-node
 //!   dual reoptimisation ([`Solver`]) — a branch only tightens one bound, so
 //!   the parent basis stays dual feasible and a child relaxation typically
-//!   costs a handful of pivots instead of a full solve,
-//! * the original dense two-phase tableau, kept as the reference
-//!   implementation for equivalence tests and benches ([`dense`]).
+//!   costs a handful of pivots instead of a full solve.
+//!
+//! The original dense two-phase tableau is not shipped: it lives in
+//! `tests/common/dense.rs` as the oracle the equivalence tests hold the
+//! revised simplex to.
 //!
 //! # Example
 //!
@@ -51,7 +53,6 @@
 #![warn(missing_docs)]
 
 mod basis;
-pub mod dense;
 mod dual;
 mod error;
 mod lu;
@@ -63,6 +64,14 @@ pub mod simplex;
 mod solver;
 mod sparse;
 mod workspace;
+
+// The dense oracle's own unit tests run with the crate's; the oracle names
+// this crate by its external name, as the integration tests do.
+#[cfg(test)]
+extern crate self as sgmap_ilp;
+#[cfg(test)]
+#[path = "../tests/common/dense.rs"]
+mod dense;
 
 pub use error::IlpError;
 pub use model::{ConstraintSense, Model, ObjectiveSense, VarId, VarKind};

@@ -20,6 +20,14 @@ impl VarId {
     }
 }
 
+/// The id of the variable at `index` — of whichever model has that many
+/// variables; accessors panic on an id the model does not have.
+impl From<usize> for VarId {
+    fn from(index: usize) -> Self {
+        VarId(index)
+    }
+}
+
 impl fmt::Display for VarId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "x{}", self.0)
@@ -186,22 +194,14 @@ impl Model {
         self.constraints.len()
     }
 
-    /// Name of a variable.
+    /// The terms, sense and right-hand side of constraint `row`, as added.
     ///
     /// # Panics
     ///
-    /// Panics if the id does not belong to this model.
-    pub fn var_name(&self, id: VarId) -> &str {
-        &self.vars[id.0].name
-    }
-
-    /// Kind (continuous/binary) of a variable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this model.
-    pub fn var_kind(&self, id: VarId) -> VarKind {
-        self.vars[id.0].kind
+    /// Panics if `row >= self.num_constraints()`.
+    pub fn constraint(&self, row: usize) -> (&[(VarId, f64)], ConstraintSense, f64) {
+        let c = &self.constraints[row];
+        (&c.terms, c.sense, c.rhs)
     }
 
     /// Objective coefficient of a variable.
@@ -321,8 +321,7 @@ mod tests {
         m.add_constraint_eq(vec![(y, 1.0)], 1.0);
         assert_eq!(m.num_vars(), 2);
         assert_eq!(m.num_constraints(), 2);
-        assert_eq!(m.var_name(x), "x");
-        assert_eq!(m.var_kind(y), VarKind::Binary);
+        assert_eq!(m.constraint(1), (&[(y, 1.0)][..], ConstraintSense::Eq, 1.0));
         assert_eq!(m.objective_coefficient(y), -2.0);
         assert_eq!(m.binary_vars(), vec![y]);
         m.validate().unwrap();

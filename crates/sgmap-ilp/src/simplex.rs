@@ -1,11 +1,10 @@
-//! Shared LP types and the one-shot LP entry point.
+//! Shared LP types and the public LP entry points.
 //!
-//! The actual LP engine is the bounded-variable revised simplex in
-//! [`crate::workspace`] (sparse column storage, sparse LU basis
-//! factorisation, primal two-phase for cold solves and devex-priced dual
-//! reoptimisation for warm starts). The original dense tableau lives on in
-//! [`crate::dense`] as the reference implementation for the equivalence
-//! property tests and benches.
+//! The LP engine is the crate's bounded-variable revised simplex workspace
+//! (sparse column storage, sparse LU basis factorisation, primal two-phase
+//! for cold solves and devex-priced dual reoptimisation for warm starts).
+//! [`LpSolver`] keeps one across solves, [`solve_lp`] runs one once; the
+//! branch-and-bound [`Solver`](crate::Solver) drives the workspace directly.
 
 use crate::workspace::LpWorkspace;
 use crate::Result;
@@ -43,8 +42,8 @@ pub struct VarBound {
 /// cold; later calls with different `bounds` warm-start from the previous
 /// optimal basis and reoptimise with the dual simplex — a branch-and-bound
 /// node that only tightens a bound typically needs a handful of pivots
-/// instead of a full solve. [`Solver`](crate::Solver) threads one of these
-/// through its whole node stack.
+/// instead of a full solve. [`Solver`](crate::Solver) drives the same
+/// warm-started workspace directly across its node stack.
 #[derive(Debug, Clone)]
 pub struct LpSolver {
     ws: LpWorkspace,

@@ -1,11 +1,10 @@
-//! Dense two-phase primal simplex — the original LP core, kept as the
-//! reference implementation for the revised bounded-variable simplex in
-//! [`crate::workspace`].
+//! Dense two-phase primal simplex — the original LP core, kept as the test
+//! oracle for the revised bounded-variable simplex the crate ships.
 //!
 //! The equivalence property tests solve random models with both cores and
-//! require identical feasibility verdicts and matching objectives; the
-//! Criterion benches use it as the dense baseline. It is not used by the
-//! branch-and-bound solver anymore.
+//! require identical feasibility verdicts and matching objectives. It reads
+//! the model only through its public accessors. The crate's own unit tests
+//! include this file too (see `src/lib.rs`), which runs the tests below.
 //!
 //! The solver works on the standard form
 //!
@@ -21,10 +20,15 @@
 //! 2 minimises the true objective. Dantzig pricing is used with a switch to
 //! Bland's rule after a while to guarantee termination.
 
-use crate::error::IlpError;
-use crate::model::{Constraint, ConstraintSense, Model, ObjectiveSense};
-use crate::simplex::{LpSolution, VarBound, TOL};
-use crate::Result;
+use sgmap_ilp::simplex::{LpSolution, VarBound, TOL};
+use sgmap_ilp::{ConstraintSense, IlpError, Model, ObjectiveSense, Result, VarId};
+
+/// One row `sum(coef * x[var]) (<=|>=|==) rhs` of the standard form.
+struct Row {
+    terms: Vec<(usize, f64)>,
+    sense: ConstraintSense,
+    rhs: f64,
+}
 
 /// Solves the LP relaxation of `model` with the dense two-phase tableau,
 /// treating binary variables as continuous in `[0, 1]`, lowering native
@@ -39,53 +43,54 @@ pub fn solve_lp(model: &Model, bounds: &[VarBound]) -> Result<LpSolution> {
     model.validate()?;
     let n = model.num_vars();
 
-    // Single-variable rows appended after the model's own constraints:
-    // native bounds and branch bounds. The model constraints are read
-    // in place — cloning the whole constraint set per call is pure overhead.
-    let mut extra: Vec<Constraint> = Vec::with_capacity(2 * model.vars.len() + 2 * bounds.len());
-    for (i, v) in model.vars.iter().enumerate() {
-        if v.lo > TOL {
-            extra.push(Constraint {
-                terms: vec![(crate::model::VarId(i), 1.0)],
+    let mut rows: Vec<Row> = (0..model.num_constraints())
+        .map(|r| {
+            let (terms, sense, rhs) = model.constraint(r);
+            Row {
+                terms: terms.iter().map(|&(v, c)| (v.index(), c)).collect(),
+                sense,
+                rhs,
+            }
+        })
+        .collect();
+    // Single-variable rows after the model's own constraints: native bounds,
+    // then branch bounds.
+    let native = (0..n).map(|i| {
+        let (lo, hi) = model.var_bounds(VarId::from(i));
+        (i, lo, hi)
+    });
+    let branch = bounds.iter().map(|b| (b.var, b.lo, b.hi));
+    for (i, lo, hi) in native.chain(branch) {
+        if lo > TOL {
+            rows.push(Row {
+                terms: vec![(i, 1.0)],
                 sense: ConstraintSense::Ge,
-                rhs: v.lo,
+                rhs: lo,
             });
         }
-        if v.hi.is_finite() {
-            extra.push(Constraint {
-                terms: vec![(crate::model::VarId(i), 1.0)],
+        if hi.is_finite() {
+            rows.push(Row {
+                terms: vec![(i, 1.0)],
                 sense: ConstraintSense::Le,
-                rhs: v.hi,
-            });
-        }
-    }
-    for b in bounds {
-        if b.lo > TOL {
-            extra.push(Constraint {
-                terms: vec![(crate::model::VarId(b.var), 1.0)],
-                sense: ConstraintSense::Ge,
-                rhs: b.lo,
-            });
-        }
-        if b.hi.is_finite() {
-            extra.push(Constraint {
-                terms: vec![(crate::model::VarId(b.var), 1.0)],
-                sense: ConstraintSense::Le,
-                rhs: b.hi,
+                rhs: hi,
             });
         }
     }
 
     // Objective in minimisation form.
-    let mut cost: Vec<f64> = model.vars.iter().map(|v| v.objective).collect();
-    let maximize = model.sense == ObjectiveSense::Maximize;
-    if maximize {
-        for c in cost.iter_mut() {
-            *c = -*c;
-        }
-    }
+    let maximize = model.objective_sense() == ObjectiveSense::Maximize;
+    let cost: Vec<f64> = (0..n)
+        .map(|i| {
+            let c = model.objective_coefficient(VarId::from(i));
+            if maximize {
+                -c
+            } else {
+                c
+            }
+        })
+        .collect();
 
-    let mut tableau = Tableau::build(n, &model.constraints, &extra);
+    let mut tableau = Tableau::build(n, &rows);
     tableau.phase1()?;
     let objective = tableau.phase2(&cost)?;
     let values = tableau.extract(n);
@@ -115,13 +120,12 @@ struct Tableau {
 }
 
 impl Tableau {
-    fn build(n_struct: usize, base: &[Constraint], extra: &[Constraint]) -> Tableau {
-        let rows = || base.iter().chain(extra);
-        let m = base.len() + extra.len();
+    fn build(n_struct: usize, rows: &[Row]) -> Tableau {
+        let m = rows.len();
         // Count slack/surplus and artificial columns.
         let mut n_slack = 0usize;
         let mut n_art = 0usize;
-        for r in rows() {
+        for r in rows {
             // Determine the effective sense after RHS normalisation.
             let flip = r.rhs < 0.0;
             let sense = effective_sense(r.sense, flip);
@@ -142,11 +146,11 @@ impl Tableau {
 
         let mut slack_col = n_struct;
         let mut art_col = first_artificial;
-        for (i, r) in rows().enumerate() {
+        for (i, r) in rows.iter().enumerate() {
             let flip = r.rhs < 0.0;
             let sgn = if flip { -1.0 } else { 1.0 };
             for &(v, coef) in &r.terms {
-                a[i * width + v.index()] += sgn * coef;
+                a[i * width + v] += sgn * coef;
             }
             a[i * width + n_total] = sgn * r.rhs;
             let sense = effective_sense(r.sense, flip);
@@ -407,7 +411,6 @@ fn effective_sense(sense: ConstraintSense, flipped: bool) -> ConstraintSense {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Model, ObjectiveSense};
 
     #[test]
     fn native_bounds_are_lowered_to_rows() {

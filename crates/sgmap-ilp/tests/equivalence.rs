@@ -9,10 +9,13 @@
 //! reports were re-baselined, and this suite proves the objective values —
 //! the quantity the mapper consumes — are preserved.
 
+#[path = "common/dense.rs"]
+mod dense;
+
 use proptest::prelude::*;
 
 use sgmap_ilp::simplex::VarBound;
-use sgmap_ilp::{dense, simplex, IlpError, Model, ObjectiveSense, Solver, SolverOptions};
+use sgmap_ilp::{simplex, IlpError, Model, ObjectiveSense, Solver, SolverOptions};
 
 /// Absolute + relative tolerance for comparing optimal objectives.
 fn close(a: f64, b: f64) -> bool {

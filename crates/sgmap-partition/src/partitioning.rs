@@ -79,14 +79,6 @@ impl Partitioning {
         self.partitions.iter().position(|p| p.nodes.contains(id))
     }
 
-    /// Number of partitions classified as compute-bound by the PEE.
-    pub fn compute_bound_count(&self) -> usize {
-        self.partitions
-            .iter()
-            .filter(|p| p.estimate.is_compute_bound())
-            .count()
-    }
-
     /// Checks that every filter of `graph` belongs to exactly one partition.
     ///
     /// # Errors
@@ -150,7 +142,6 @@ mod tests {
         assert_eq!(part.partition_of(FilterId::from_index(1)), Some(0));
         assert_eq!(part.partition_of(FilterId::from_index(2)), Some(1));
         assert_eq!(part.partition_of(FilterId::from_index(9)), None);
-        assert_eq!(part.compute_bound_count(), 2);
     }
 
     #[test]

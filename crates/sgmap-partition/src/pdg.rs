@@ -53,11 +53,6 @@ impl Pdg {
         self.times_us.iter().sum()
     }
 
-    /// Total inter-partition traffic per iteration, bytes.
-    pub fn total_edge_bytes(&self) -> u64 {
-        self.edges.iter().map(|e| e.bytes_per_iteration).sum()
-    }
-
     /// A topological order of the partitions (the PDG of a convex
     /// partitioning is a DAG).
     ///
@@ -191,7 +186,8 @@ mod tests {
             })
             .map(|(cid, _)| graph.channel_iteration_bytes(cid, &reps))
             .sum();
-        assert_eq!(pdg.total_edge_bytes(), crossing);
+        let edge_bytes: u64 = pdg.edges.iter().map(|e| e.bytes_per_iteration).sum();
+        assert_eq!(edge_bytes, crossing);
         // Topological order covers every partition once.
         let order = pdg.topological_order();
         assert_eq!(order.len(), pdg.len());

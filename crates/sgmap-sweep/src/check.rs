@@ -156,26 +156,38 @@ pub fn check_report(src: &str) -> Result<CheckSummary, CheckError> {
     }
     let expanded_points = counter("dedup", "expanded_points")?;
     let compile_groups = counter("dedup", "compile_groups")?;
-    if compile_groups == 0 {
-        return Err(CheckError::BadDedup("zero compile groups".to_string()));
-    }
-    if compile_groups > expanded_points {
-        return Err(CheckError::BadDedup(format!(
-            "{compile_groups} compile groups exceed {expanded_points} expanded points"
-        )));
-    }
-    if expanded_points != points.len() as u64 {
-        return Err(CheckError::BadDedup(format!(
-            "dedup says {expanded_points} expanded points but the report has {}",
-            points.len()
-        )));
-    }
+    check_dedup(compile_groups, expanded_points, points.len() as u64, None)?;
     Ok(CheckSummary {
         points: points.len(),
         cache_hits,
         expanded_points,
         compile_groups,
     })
+}
+
+/// The dedup-counter rule of sweep reports and of `BENCH.json`'s sweep
+/// sections: at least one compile group, no more groups than expanded grid
+/// points, and exactly one expanded point per point in the report. `at`
+/// prefixes the message with the location of the counters, if given.
+fn check_dedup(
+    compile_groups: u64,
+    expanded_points: u64,
+    points: u64,
+    at: Option<&str>,
+) -> Result<(), CheckError> {
+    let problem = if compile_groups == 0 {
+        "zero compile groups".to_string()
+    } else if compile_groups > expanded_points {
+        format!("{compile_groups} compile groups exceed {expanded_points} expanded points")
+    } else if expanded_points != points {
+        format!("dedup says {expanded_points} expanded points but the report has {points}")
+    } else {
+        return Ok(());
+    };
+    Err(CheckError::BadDedup(match at {
+        Some(at) => format!("{at}: {problem}"),
+        None => problem,
+    }))
 }
 
 /// What a passing failed-point-tolerant comparison looked like, for the
@@ -207,9 +219,10 @@ impl fmt::Display for CompareSummary {
 ///
 /// # Errors
 ///
-/// Returns a [`CheckError`] when either input fails to parse, the point
-/// lists differ in length, or a non-faulted point differs between the two
-/// reports.
+/// Returns a [`CheckError`] when either input fails to parse, a point has
+/// no `error` field, the point lists differ in length, a non-faulted point
+/// differs between the two reports, or no point was ok on both sides (an
+/// empty comparison proves nothing).
 pub fn compare_nonfaulted(a_src: &str, b_src: &str) -> Result<CompareSummary, CheckError> {
     let points_of = |src: &str| -> Result<Vec<Value>, CheckError> {
         let report = Value::parse(src).map_err(CheckError::Parse)?;
@@ -229,9 +242,13 @@ pub fn compare_nonfaulted(a_src: &str, b_src: &str) -> Result<CompareSummary, Ch
     }
     let mut compared = 0usize;
     let mut skipped = 0usize;
+    let failed = |p: &Value, i: usize| match p.get("error") {
+        Some(e) => Ok(!e.is_null()),
+        None => Err(CheckError::Shape(format!("point {i} without error field"))),
+    };
     for (i, (pa, pb)) in a.iter().zip(&b).enumerate() {
-        let failed = |p: &Value| p.get("error").is_none_or(|e| !e.is_null());
-        if failed(pa) || failed(pb) {
+        let (failed_a, failed_b) = (failed(pa, i)?, failed(pb, i)?);
+        if failed_a || failed_b {
             skipped += 1;
             continue;
         }
@@ -243,6 +260,11 @@ pub fn compare_nonfaulted(a_src: &str, b_src: &str) -> Result<CompareSummary, Ch
             )));
         }
         compared += 1;
+    }
+    if compared == 0 {
+        return Err(CheckError::Shape(format!(
+            "no point is ok in both reports ({skipped} skipped), so nothing was compared"
+        )));
     }
     Ok(CompareSummary { compared, skipped })
 }
@@ -319,11 +341,7 @@ fn check_bench_sweep(
         .ok_or_else(|| CheckError::Shape(format!("{at}: missing dedup object")))?;
     let expanded = dedup.u64("expanded_points").map_err(shape(at))?;
     let groups = dedup.u64("compile_groups").map_err(shape(at))?;
-    if groups == 0 || groups > expanded || expanded != points {
-        return Err(CheckError::BadDedup(format!(
-            "{at}: {groups} compile groups for {expanded} expanded points ({points} in report)"
-        )));
-    }
+    check_dedup(groups, expanded, points, Some(at))?;
     Ok((points, wall_ms))
 }
 
@@ -945,6 +963,32 @@ mod tests {
             compare_nonfaulted(&a, "nope"),
             Err(CheckError::Parse(_))
         ));
+    }
+
+    /// Points without an `error` field are a shape error, and a comparison
+    /// that compares no point fails rather than passing vacuously.
+    #[test]
+    fn nonfaulted_comparison_never_passes_vacuously() {
+        let a = "{\"points\":[{\"app\":\"X\"},{\"app\":\"Y\"}]}";
+        let b = "{\"points\":[{\"app\":\"Z\"},{\"app\":\"W\"}]}";
+        let err = compare_nonfaulted(a, b).unwrap_err();
+        assert!(
+            matches!(&err, CheckError::Shape(m) if m.contains("without error field")),
+            "{err}"
+        );
+        // Every point failed on one side or the other: nothing compared.
+        let failed = |i| {
+            let mut r = SweepRecord::from_error(&point(i), "boom");
+            r.index = i;
+            r
+        };
+        let all_failed = report(vec![failed(0), failed(1)], 5, 2).canonical_json();
+        let ok = report(vec![ok_record(0), ok_record(1)], 5, 2).canonical_json();
+        let err = compare_nonfaulted(&ok, &all_failed).unwrap_err();
+        assert!(err.to_string().contains("nothing was compared"), "{err}");
+        // Two empty reports compare nothing either.
+        let empty = report(vec![], 5, 0).canonical_json();
+        assert!(compare_nonfaulted(&empty, &empty).is_err());
     }
 
     /// A structurally healthy BENCH.json, as `perfbench` emits it.

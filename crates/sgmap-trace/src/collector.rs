@@ -212,11 +212,6 @@ impl Collector {
         self.state.lock().unwrap().warnings.clone()
     }
 
-    /// Number of recorded events (spans + instants).
-    pub fn event_count(&self) -> usize {
-        self.state.lock().unwrap().events.len()
-    }
-
     /// Aggregate per-name span statistics (count / total / max duration),
     /// computed from the raw event stream.
     pub fn span_totals(&self) -> BTreeMap<&'static str, SpanTotals> {
@@ -296,6 +291,11 @@ impl Drop for Span {
 mod tests {
     use super::*;
 
+    /// Number of recorded events (spans + instants).
+    fn event_count(c: &Collector) -> usize {
+        c.state.lock().unwrap().events.len()
+    }
+
     #[test]
     fn counters_accumulate() {
         let c = Collector::new();
@@ -316,7 +316,7 @@ mod tests {
             let mut inner = c.open_span("inner", Vec::new());
             inner.arg("k", 7u64);
         }
-        assert_eq!(c.event_count(), 2);
+        assert_eq!(event_count(&c), 2);
         let totals = c.span_totals();
         assert_eq!(totals["outer"].count, 1);
         assert_eq!(totals["inner"].count, 1);
@@ -339,7 +339,7 @@ mod tests {
         assert!(crate::current().is_none());
         let c = Arc::new(Collector::new());
         crate::scope(Some(&c), || {});
-        assert_eq!(c.event_count(), 0);
+        assert_eq!(event_count(&c), 0);
         assert!(c.counters().is_empty());
         assert!(c.histogram("h").is_none());
     }
@@ -356,7 +356,7 @@ mod tests {
         });
         assert_eq!(c.counter("n"), 4);
         assert_eq!(c.histogram("h").unwrap().count(), 1);
-        assert_eq!(c.event_count(), 2); // span + instant
+        assert_eq!(event_count(&c), 2); // span + instant
         let warnings = c.warnings();
         assert_eq!(warnings.len(), 1);
         assert_eq!(warnings[0].code, "w.code");

@@ -40,15 +40,6 @@ impl Histogram {
         bits.min(HISTOGRAM_BUCKETS - 1)
     }
 
-    /// Inclusive lower bound of bucket `index`.
-    pub fn bucket_floor(index: usize) -> u64 {
-        if index == 0 {
-            0
-        } else {
-            1u64 << (index - 1)
-        }
-    }
-
     pub fn record(&mut self, value: u64) {
         self.buckets[Self::bucket_index(value)] += 1;
         self.count += 1;
@@ -105,9 +96,6 @@ mod tests {
         assert_eq!(Histogram::bucket_index(1 << 29), 30);
         assert_eq!(Histogram::bucket_index(1 << 30), 31);
         assert_eq!(Histogram::bucket_index(u64::MAX), 31);
-        assert_eq!(Histogram::bucket_floor(0), 0);
-        assert_eq!(Histogram::bucket_floor(1), 1);
-        assert_eq!(Histogram::bucket_floor(5), 16);
     }
 
     #[test]
