@@ -1,12 +1,9 @@
 //! Configuration of the end-to-end flow.
 
-use std::sync::Arc;
-
 use sgmap_codegen::PlanOptions;
 use sgmap_gpusim::{GpuSpec, Platform, PlatformSpec, TransferMode};
 use sgmap_mapping::{MappingMethod, MappingOptions};
 use sgmap_partition::{Algorithm, PartitionSearchOptions, PartitionerKind};
-use sgmap_pee::EstimateCache;
 
 /// Everything the flow needs to know besides the stream graph itself.
 #[derive(Debug, Clone)]
@@ -32,11 +29,6 @@ pub struct FlowConfig {
     pub enhanced: bool,
     /// Plan generation options (fragments, iterations per fragment, ...).
     pub plan: PlanOptions,
-    /// Optional shared estimate cache attached to the estimator
-    /// [`compile`](crate::compile) builds internally, so estimation work is
-    /// reused across compiles (and, via the sweep crate's cache persistence,
-    /// across processes). `None` keeps estimates local to one compile.
-    pub estimate_cache: Option<Arc<EstimateCache>>,
 }
 
 impl FlowConfig {
@@ -56,16 +48,7 @@ impl FlowConfig {
             mapping_options: MappingOptions::default(),
             enhanced: false,
             plan: PlanOptions::default(),
-            estimate_cache: None,
         }
-    }
-
-    /// Attaches a shared estimate cache to every compile run under this
-    /// configuration (ignored by the entry points that take an explicit
-    /// estimator — attach the cache to that estimator instead).
-    pub fn with_estimate_cache(mut self, cache: Arc<EstimateCache>) -> Self {
-        self.estimate_cache = Some(cache);
-        self
     }
 
     /// Replaces the platform description.

@@ -3,13 +3,10 @@
 use std::fmt;
 
 use sgmap_codegen::build_execution_plan;
-use sgmap_gpusim::{
-    simulate_plan, simulate_plan_with_faults, ExecutionPlan, FaultPlan, FaultedExec, KernelSpec,
-    Platform,
-};
+use sgmap_gpusim::{simulate_plan, ExecutionPlan, KernelSpec, Platform};
 use sgmap_graph::{GraphError, StreamGraph};
 use sgmap_ilp::IlpError;
-use sgmap_mapping::{map_with, repair_mapping, Mapping, RepairOptions, RepairStats};
+use sgmap_mapping::{map_with, Mapping};
 use sgmap_partition::{build_pdg, PartitionError, PartitionRequest, Partitioning, Pdg};
 use sgmap_pee::Estimator;
 
@@ -91,11 +88,8 @@ impl CompileResult {
 /// partitioning or mapping fails.
 pub fn compile(graph: &StreamGraph, config: &FlowConfig) -> Result<CompileResult, FlowError> {
     config.validate().map_err(FlowError::InvalidConfig)?;
-    let mut estimator =
+    let estimator =
         Estimator::new(graph, config.estimation_gpu().clone())?.with_enhancement(config.enhanced);
-    if let Some(cache) = &config.estimate_cache {
-        estimator = estimator.with_shared_cache(cache.clone());
-    }
     // Finish by value so the freshly built stage is moved into the result
     // instead of cloned.
     let stage = partition_graph(graph, config, &estimator)?;
@@ -268,81 +262,6 @@ pub fn compile_and_run(graph: &StreamGraph, config: &FlowConfig) -> Result<RunRe
     Ok(execute(&compiled, config))
 }
 
-/// Outcome of a fault-injected execution, including any repair the flow
-/// performed after a device loss.
-#[derive(Debug)]
-pub struct FaultedRunReport {
-    /// The original execution under the fault plan (possibly partial).
-    pub faulted: FaultedExec,
-    /// What the repair did, when the original run lost a device.
-    pub repair: Option<RepairStats>,
-    /// The repaired mapping (never uses the lost device).
-    pub recovered_mapping: Option<Mapping>,
-    /// The re-execution of the repaired plan under the *same* fault plan.
-    pub recovered: Option<FaultedExec>,
-}
-
-impl FaultedRunReport {
-    /// `true` if either the original or the repaired execution ran to
-    /// completion.
-    pub fn completed(&self) -> bool {
-        self.faulted.completed() || self.recovered.as_ref().is_some_and(FaultedExec::completed)
-    }
-}
-
-/// Executes a compiled result under a [`FaultPlan`]. When the faulted run
-/// loses a device (dropout, or a link failure that isolates one), the flow
-/// repairs the mapping onto the survivors
-/// ([`repair_mapping`](sgmap_mapping::repair_mapping)), rebuilds the
-/// execution plan with the caller's estimator, and re-executes it under the
-/// same fault plan — the repaired plan never launches on the lost device, so
-/// a dropout no longer stops it.
-///
-/// # Errors
-///
-/// Returns an error only if the repair ILP fails without a fallback; healthy
-/// and non-device-loss faulted executions cannot fail.
-pub fn execute_with_faults(
-    compiled: &CompileResult,
-    config: &FlowConfig,
-    estimator: &Estimator<'_>,
-    faults: &FaultPlan,
-) -> Result<FaultedRunReport, FlowError> {
-    let faulted = simulate_plan_with_faults(&compiled.plan, &compiled.platform, faults);
-    if let Some(lost) = faulted.lost_device {
-        if compiled.platform.gpu_count() > 1 {
-            let (mapping, stats) = repair_mapping(
-                &compiled.pdg,
-                &compiled.platform,
-                &compiled.mapping,
-                lost,
-                &RepairOptions::default(),
-            )?;
-            let (plan, _kernels) = build_execution_plan(
-                estimator,
-                &compiled.partitioning,
-                &compiled.pdg,
-                &mapping,
-                &compiled.platform,
-                &config.plan,
-            );
-            let recovered = simulate_plan_with_faults(&plan, &compiled.platform, faults);
-            return Ok(FaultedRunReport {
-                faulted,
-                repair: Some(stats),
-                recovered_mapping: Some(mapping),
-                recovered: Some(recovered),
-            });
-        }
-    }
-    Ok(FaultedRunReport {
-        faulted,
-        repair: None,
-        recovered_mapping: None,
-        recovered: None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,50 +376,6 @@ mod tests {
         let err = compile_from_stage(&graph, &base.clone().with_gpu_count(0), &estimator, &stage)
             .unwrap_err();
         assert!(matches!(err, FlowError::InvalidConfig(_)), "{err}");
-    }
-
-    #[test]
-    fn faulted_execution_with_an_empty_plan_matches_the_healthy_run() {
-        let graph = App::FmRadio.build(8).unwrap();
-        let config = FlowConfig::default().with_gpu_count(2);
-        let estimator = Estimator::new(&graph, config.estimation_gpu().clone()).unwrap();
-        let compiled = compile(&graph, &config).unwrap();
-        let healthy = execute(&compiled, &config);
-        let faulted =
-            execute_with_faults(&compiled, &config, &estimator, &FaultPlan::none()).unwrap();
-        assert!(faulted.completed());
-        assert!(faulted.repair.is_none());
-        assert_eq!(
-            healthy.makespan_us.to_bits(),
-            faulted.faulted.stats.makespan_us.to_bits()
-        );
-    }
-
-    #[test]
-    fn device_dropout_triggers_repair_and_the_repaired_plan_completes() {
-        let graph = App::FmRadio.build(8).unwrap();
-        let config = FlowConfig::default().with_gpu_count(4);
-        let estimator = Estimator::new(&graph, config.estimation_gpu().clone()).unwrap();
-        let compiled = compile(&graph, &config).unwrap();
-        assert!(
-            compiled.mapping.gpus_used() > 1,
-            "need a multi-GPU mapping to lose a device"
-        );
-        let healthy = execute(&compiled, &config);
-        let lost = compiled.mapping.assignment[0];
-        // Drop the device early enough that work remains on it.
-        let faults = FaultPlan::none().with_device_dropout(lost, healthy.makespan_us * 0.25);
-        let report = execute_with_faults(&compiled, &config, &estimator, &faults).unwrap();
-        assert!(!report.faulted.completed());
-        assert_eq!(report.faulted.lost_device, Some(lost));
-        let repair = report.repair.as_ref().expect("repair ran");
-        assert_eq!(repair.lost_gpu, lost);
-        let mapping = report.recovered_mapping.as_ref().expect("repaired mapping");
-        assert!(mapping.assignment.iter().all(|&j| j != lost));
-        let recovered = report.recovered.as_ref().expect("re-execution");
-        assert!(recovered.completed(), "repaired plan still failed");
-        assert!(report.completed());
-        assert!(recovered.stats.makespan_us > 0.0);
     }
 
     #[test]

@@ -27,8 +27,8 @@ mod report;
 
 pub use config::FlowConfig;
 pub use flow::{
-    compile, compile_and_run, compile_from_stage, execute, execute_with_faults, partition_graph,
-    CompileResult, FaultedRunReport, FlowError, PartitionStage,
+    compile, compile_and_run, compile_from_stage, execute, partition_graph, CompileResult,
+    FlowError, PartitionStage,
 };
 pub use report::{speedup, RunReport};
 pub use sgmap_partition::{Algorithm, MultilevelOptions, PartitionRequest, PartitionSearchOptions};

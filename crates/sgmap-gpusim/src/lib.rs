@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 mod device;
-mod fault;
 mod kernel;
 mod kernel_sim;
 mod pipeline;
@@ -41,12 +40,10 @@ pub mod sm_layout;
 mod topology;
 
 pub use device::GpuSpec;
-pub use fault::{DeviceDropout, FaultEvent, FaultPlan, LinkFault};
 pub use kernel::{KernelFilter, KernelParams, KernelSpec};
 pub use kernel_sim::{simulate_kernel, KernelMeasurement};
 pub use pipeline::{
-    simulate_plan, simulate_plan_with_faults, ExecStats, ExecutionPlan, FaultedExec, PlannedKernel,
-    PlannedTransfer, TransferMode,
+    simulate_plan, ExecStats, ExecutionPlan, PlannedKernel, PlannedTransfer, TransferMode,
 };
 pub use platform::{InterconnectSpec, Platform, PlatformSpec};
 pub use topology::{

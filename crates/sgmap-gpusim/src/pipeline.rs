@@ -11,7 +11,6 @@
 //! The simulation is a deterministic discrete-event model driven by resource
 //! availability times (one serial resource per GPU and per directed link).
 
-use crate::fault::{FaultEvent, FaultPlan};
 use crate::platform::Platform;
 use crate::topology::Endpoint;
 
@@ -91,29 +90,6 @@ pub struct ExecStats {
     pub n_fragments: u32,
 }
 
-/// The result of simulating a plan under a [`FaultPlan`]: the stats of
-/// whatever did execute, plus what went wrong.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultedExec {
-    /// Stats of the (possibly partial) execution. When the run was cut short
-    /// the makespan and busy times cover only the work that completed.
-    pub stats: ExecStats,
-    /// Faults that affected the run, in injection/occurrence order.
-    pub events: Vec<FaultEvent>,
-    /// Fragments whose every kernel instance finished.
-    pub completed_fragments: u32,
-    /// The GPU whose loss stopped the run, if any (set for both device
-    /// dropouts and link failures that cut a device off).
-    pub lost_device: Option<usize>,
-}
-
-impl FaultedExec {
-    /// `true` if every kernel instance of every fragment ran to completion.
-    pub fn completed(&self) -> bool {
-        self.completed_fragments == self.stats.n_fragments
-    }
-}
-
 impl ExecStats {
     /// Average time per fragment (the throughput figure of merit).
     pub fn time_per_fragment_us(&self) -> f64 {
@@ -128,33 +104,18 @@ impl ExecStats {
 /// as soon as all of its incoming transfers for that fragment have arrived,
 /// and each GPU picks, among its ready instances, the one that can start
 /// earliest. Transfers are dispatched the moment their producer finishes and
-/// occupy every link of their route in store-and-forward fashion.
+/// occupy every link of their route in store-and-forward fashion, each hop at
+/// its own link's bandwidth and latency.
+///
+/// The simulation runs under an `execute` span and records kernel-launch and
+/// transfer counters into the ambient trace collector. The collector is
+/// write-only, so traced and untraced runs produce identical results.
 ///
 /// # Panics
 ///
 /// Panics if a kernel references a GPU outside the platform or if a transfer
 /// references a kernel outside the plan.
 pub fn simulate_plan(plan: &ExecutionPlan, platform: &Platform) -> ExecStats {
-    simulate_plan_with_faults(plan, platform, &FaultPlan::none()).stats
-}
-
-/// Simulates `plan` on `platform` under the given [`FaultPlan`].
-///
-/// With an empty plan this is exactly [`simulate_plan`]. Link degradations
-/// slow the affected hops for the whole run; a device dropout or a transfer
-/// over a failed link stops the simulation at the first point where no
-/// healthy work remains, returning partial stats and the triggering
-/// [`FaultEvent`].
-///
-/// The simulation runs under an `execute` span and records kernel-launch,
-/// transfer and `gpusim.fault_*` counters into the ambient trace collector.
-/// The collector is write-only, so traced and untraced runs produce
-/// identical results.
-pub fn simulate_plan_with_faults(
-    plan: &ExecutionPlan,
-    platform: &Platform,
-    faults: &FaultPlan,
-) -> FaultedExec {
     let mut span = sgmap_trace::span("execute");
     span.arg("kernels", plan.kernels.len());
     span.arg("fragments", plan.n_fragments as u64);
@@ -184,25 +145,6 @@ pub fn simulate_plan_with_faults(
         }
     }
 
-    let mut events: Vec<FaultEvent> = Vec::new();
-    for f in &faults.link_faults {
-        assert!(
-            f.link < topo.link_count(),
-            "fault on unknown link {}",
-            f.link
-        );
-        if f.bandwidth_factor > 0.0 {
-            events.push(FaultEvent::LinkDegraded {
-                link: f.link,
-                bandwidth_factor: f.bandwidth_factor,
-            });
-            sgmap_trace::add("gpusim.fault_link_degraded", 1);
-        }
-    }
-    for d in &faults.device_dropouts {
-        assert!(d.gpu < g, "dropout of unknown GPU {}", d.gpu);
-    }
-
     let fragments = plan.n_fragments as usize;
     let mut gpu_free = vec![0.0f64; g];
     let mut link_free = vec![0.0f64; topo.link_count()];
@@ -228,20 +170,12 @@ pub fn simulate_plan_with_faults(
         .collect();
     let mut ready_time = vec![0.0f64; fragments * k_count];
     let mut done = vec![false; fragments * k_count];
-    let mut finish_time = vec![0.0f64; fragments * k_count];
 
-    // Dispatch a transfer whose payload becomes available at `available`.
-    // Returns the arrival time, or the index of the dead link that makes the
-    // transfer impossible (the topology is a tree, so there is no detour).
-    let dispatch = |t: &PlannedTransfer,
-                    available: f64,
-                    link_free: &mut [f64],
-                    per_link_busy: &mut [f64],
-                    per_link_bytes: &mut [u64],
-                    transfer_total: &mut f64|
-     -> Result<f64, usize> {
+    // Dispatch a transfer whose payload becomes available at `available`;
+    // returns its arrival time.
+    let mut dispatch = |t: &PlannedTransfer, available: f64| -> f64 {
         if t.bytes_per_fragment == 0 || t.from == t.to {
-            return Ok(available);
+            return available;
         }
         let route: Vec<_> = match (plan.transfer_mode, t.from, t.to) {
             (TransferMode::ViaHost, Endpoint::Gpu(_), Endpoint::Gpu(_)) => {
@@ -254,59 +188,23 @@ pub fn simulate_plan_with_faults(
         let mut head = available;
         for link in route {
             let i = link.index();
-            let factor = faults.link_factor(i);
-            if factor <= 0.0 {
-                return Err(i);
-            }
-            // Each hop runs at its own link's bandwidth and latency; a
-            // degradation fault stretches only the bandwidth term. The
-            // healthy path goes through the exact same expression as the
-            // fault-free simulator so its floats are bit-identical.
-            let hop_time = if factor == 1.0 {
-                topo.link_transfer_us(link, t.bytes_per_fragment as f64)
-            } else {
-                topo.link_latency_us(link)
-                    + t.bytes_per_fragment as f64 / (topo.link_bytes_per_us(link) * factor)
-            };
+            let hop_time = topo.link_transfer_us(link, t.bytes_per_fragment as f64);
             let start = head.max(link_free[i]);
             let end = start + hop_time;
             link_free[i] = end;
             per_link_busy[i] += hop_time;
             per_link_bytes[i] += t.bytes_per_fragment;
-            *transfer_total += hop_time;
+            transfer_total += hop_time;
             head = end;
         }
-        Ok(head)
+        head
     };
-
-    // The GPU a transfer over a dead link cuts off (for the report).
-    let cut_device = |t: &PlannedTransfer| match (t.to, t.from) {
-        (Endpoint::Gpu(g), _) => Some(g),
-        (_, Endpoint::Gpu(g)) => Some(g),
-        _ => None,
-    };
-
-    // A transfer over a dead link, once hit, stops the simulation.
-    let mut dead_link: Option<(usize, Option<usize>)> = None;
 
     // Primary inputs (no producer kernel) are available from the host at time
     // zero for every fragment and pipeline over the host links.
-    'primary: for frag in 0..fragments {
+    for frag in 0..fragments {
         for t in plan.transfers.iter().filter(|t| t.after_kernel.is_none()) {
-            let arrival = match dispatch(
-                t,
-                0.0,
-                &mut link_free,
-                &mut per_link_busy,
-                &mut per_link_bytes,
-                &mut transfer_total,
-            ) {
-                Ok(arrival) => arrival,
-                Err(link) => {
-                    dead_link = Some((link, cut_device(t)));
-                    break 'primary;
-                }
-            };
+            let arrival = dispatch(t, 0.0);
             if let Some(k) = t.before_kernel {
                 let i = idx(frag, k);
                 ready_time[i] = ready_time[i].max(arrival);
@@ -318,82 +216,36 @@ pub fn simulate_plan_with_faults(
     }
 
     // List scheduling: repeatedly start the ready instance that can begin
-    // earliest on its GPU. A device dropout rejects launches that would start
-    // at or after the dropout time; when only such launches remain, the
-    // execution is stuck and stops with a DeviceLost event.
+    // earliest on its GPU.
     let total_instances = fragments * k_count;
-    let mut scheduled = 0usize;
-    let mut lost_device: Option<usize> = None;
-    'schedule: while dead_link.is_none() && scheduled < total_instances {
+    for _ in 0..total_instances {
         let mut best: Option<(usize, f64)> = None;
-        let mut blocked_by_dropout = false;
         for i in 0..total_instances {
             if done[i] || remaining_deps[i] > 0 {
                 continue;
             }
-            let k = i % k_count;
-            let gpu = plan.kernels[k].gpu;
+            let gpu = plan.kernels[i % k_count].gpu;
             let start = ready_time[i].max(gpu_free[gpu]);
-            if let Some(at) = faults.dropout_at(gpu) {
-                if start >= at {
-                    blocked_by_dropout = true;
-                    continue;
-                }
-            }
             match best {
                 None => best = Some((i, start)),
                 Some((_, s)) if start < s - 1e-12 => best = Some((i, start)),
                 _ => {}
             }
         }
-        let Some((i, start)) = best else {
-            // Nothing healthy can run. For a DAG plan this only happens when
-            // a dropout blocks every remaining chain.
-            assert!(
-                blocked_by_dropout,
-                "a ready kernel instance always exists for a DAG plan"
-            );
-            let d = faults
-                .device_dropouts
-                .iter()
-                .min_by(|a, b| a.at_us.total_cmp(&b.at_us))
-                .expect("a dropout blocked the schedule");
-            events.push(FaultEvent::DeviceLost {
-                gpu: d.gpu,
-                at_us: d.at_us,
-            });
-            sgmap_trace::add("gpusim.fault_device_lost", 1);
-            lost_device = Some(d.gpu);
-            break 'schedule;
-        };
+        let (i, start) = best.expect("a ready kernel instance always exists for a DAG plan");
         let frag = i / k_count;
         let k = i % k_count;
         let kernel = &plan.kernels[k];
         let end = start + kernel.time_per_fragment_us;
         done[i] = true;
-        finish_time[i] = end;
         gpu_free[kernel.gpu] = end;
         per_gpu_busy[kernel.gpu] += kernel.time_per_fragment_us;
         kernel_total += kernel.time_per_fragment_us;
         makespan = makespan.max(end);
-        scheduled += 1;
 
         // Dispatch the outgoing transfers of this instance.
         for t in plan.transfers.iter().filter(|t| t.after_kernel == Some(k)) {
-            let arrival = match dispatch(
-                t,
-                end,
-                &mut link_free,
-                &mut per_link_busy,
-                &mut per_link_bytes,
-                &mut transfer_total,
-            ) {
-                Ok(arrival) => arrival,
-                Err(link) => {
-                    dead_link = Some((link, cut_device(t)));
-                    break 'schedule;
-                }
-            };
+            let arrival = dispatch(t, end);
             match t.before_kernel {
                 Some(consumer) => {
                     let ci = idx(frag, consumer);
@@ -405,40 +257,21 @@ pub fn simulate_plan_with_faults(
         }
     }
 
-    if let Some((link, cut)) = dead_link {
-        events.push(FaultEvent::LinkFailed { link });
-        sgmap_trace::add("gpusim.fault_link_failed", 1);
-        lost_device = lost_device.or(cut);
-    }
-
-    let completed_fragments = if k_count == 0 {
-        plan.n_fragments
-    } else {
-        (0..fragments)
-            .filter(|&frag| (0..k_count).all(|k| done[idx(frag, k)]))
-            .count() as u32
-    };
-
-    FaultedExec {
-        stats: ExecStats {
-            makespan_us: makespan,
-            per_gpu_busy_us: per_gpu_busy,
-            per_link_busy_us: per_link_busy,
-            per_link_bytes,
-            kernel_total_us: kernel_total,
-            transfer_total_us: transfer_total,
-            n_fragments: plan.n_fragments,
-        },
-        events,
-        completed_fragments,
-        lost_device,
+    ExecStats {
+        makespan_us: makespan,
+        per_gpu_busy_us: per_gpu_busy,
+        per_link_busy_us: per_link_busy,
+        per_link_bytes,
+        kernel_total_us: kernel_total,
+        transfer_total_us: transfer_total,
+        n_fragments: plan.n_fragments,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::Platform;
+    use crate::platform::{Platform, PlatformSpec};
 
     fn kernel(name: &str, gpu: usize, time: f64) -> PlannedKernel {
         PlannedKernel {
@@ -574,124 +407,44 @@ mod tests {
         let _ = simulate_plan(&plan, &Platform::single_m2090());
     }
 
-    /// Two kernels on two GPUs joined by one transfer — the shared fixture
-    /// for the fault tests.
-    fn two_stage_plan(n: u32) -> (ExecutionPlan, Platform) {
-        let platform = Platform::quad_m2090().with_gpu_count(2);
+    #[test]
+    fn every_hop_of_a_mixed_class_route_is_priced_by_its_own_link() {
+        // GPU 0 and GPU 4 sit on different nodes of the cluster, so the
+        // route climbs PCIe to the network and back down.
+        let platform = PlatformSpec::cluster2x4_m2090().build().unwrap();
+        let topo = &platform.topology;
+        let bytes = 1u64 << 20;
         let plan = ExecutionPlan {
-            kernels: vec![kernel("p1", 0, 100.0), kernel("p2", 1, 100.0)],
+            kernels: vec![kernel("send", 0, 10.0), kernel("recv", 4, 20.0)],
             transfers: vec![PlannedTransfer {
                 from: Endpoint::Gpu(0),
-                to: Endpoint::Gpu(1),
-                bytes_per_fragment: 1 << 20,
+                to: Endpoint::Gpu(4),
+                bytes_per_fragment: bytes,
                 after_kernel: Some(0),
                 before_kernel: Some(1),
             }],
-            n_fragments: n,
+            n_fragments: 1,
             transfer_mode: TransferMode::PeerToPeer,
         };
-        (plan, platform)
-    }
-
-    #[test]
-    fn empty_fault_plan_reproduces_the_healthy_simulation_exactly() {
-        let (plan, platform) = two_stage_plan(16);
-        let healthy = simulate_plan(&plan, &platform);
-        let faulted = simulate_plan_with_faults(&plan, &platform, &FaultPlan::none());
-        assert_eq!(faulted.stats, healthy);
-        assert!(faulted.completed());
-        assert!(faulted.events.is_empty());
-        assert_eq!(faulted.lost_device, None);
-        assert_eq!(faulted.completed_fragments, 16);
-    }
-
-    #[test]
-    fn device_dropout_stops_the_run_with_a_device_lost_event() {
-        let (plan, platform) = two_stage_plan(16);
-        let healthy = simulate_plan(&plan, &platform);
-        let faults = FaultPlan::none().with_device_dropout(1, healthy.makespan_us * 0.4);
-        let faulted = simulate_plan_with_faults(&plan, &platform, &faults);
-        assert!(!faulted.completed());
-        assert_eq!(faulted.lost_device, Some(1));
-        assert!(faulted.completed_fragments < 16);
-        assert!(matches!(
-            faulted.events.as_slice(),
-            [FaultEvent::DeviceLost { gpu: 1, .. }]
-        ));
-        // Whatever did run finished before the healthy makespan... plus the
-        // producer side, which keeps running until its own chain stalls.
-        assert!(faulted.stats.per_gpu_busy_us[1] < healthy.per_gpu_busy_us[1]);
-    }
-
-    #[test]
-    fn dropout_after_the_makespan_changes_nothing() {
-        let (plan, platform) = two_stage_plan(8);
-        let healthy = simulate_plan(&plan, &platform);
-        let faults = FaultPlan::none().with_device_dropout(1, healthy.makespan_us + 1.0);
-        let faulted = simulate_plan_with_faults(&plan, &platform, &faults);
-        assert!(faulted.completed());
-        assert_eq!(faulted.stats, healthy);
-    }
-
-    #[test]
-    fn link_degradation_slows_the_run_but_completes_it() {
-        let (plan, platform) = two_stage_plan(16);
-        let healthy = simulate_plan(&plan, &platform);
-        // Degrade every link so the transfer route is hit no matter which
-        // direction it uses.
-        let mut faults = FaultPlan::none();
-        for l in platform.topology.link_ids() {
-            faults = faults.with_link_degradation(l.index(), 0.25);
-        }
-        let faulted = simulate_plan_with_faults(&plan, &platform, &faults);
-        assert!(faulted.completed());
-        assert_eq!(faulted.lost_device, None);
+        let stats = simulate_plan(&plan, &platform);
+        let route = topo.route(Endpoint::Gpu(0), Endpoint::Gpu(4));
+        let first_class = topo.link_class(route[0]);
         assert!(
-            faulted.stats.transfer_total_us > healthy.transfer_total_us * 2.0,
-            "quartered bandwidth should much more than double transfer time"
+            route.iter().any(|&l| topo.link_class(l) != first_class),
+            "the cross-node route mixes link classes"
         );
-        assert!(faulted.stats.makespan_us > healthy.makespan_us);
-        assert!(faulted
-            .events
-            .iter()
-            .all(|e| matches!(e, FaultEvent::LinkDegraded { .. })));
-        assert_eq!(faulted.events.len(), platform.topology.link_count());
-    }
-
-    #[test]
-    fn link_failure_on_the_route_stops_the_run() {
-        let (plan, platform) = two_stage_plan(8);
-        let route = platform.topology.route(Endpoint::Gpu(0), Endpoint::Gpu(1));
-        let dead = route[0].index();
-        let faults = FaultPlan::none().with_link_failure(dead);
-        let faulted = simulate_plan_with_faults(&plan, &platform, &faults);
-        assert!(!faulted.completed());
-        assert!(faulted
-            .events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::LinkFailed { link } if *link == dead)));
-        assert!(faulted.lost_device.is_some());
-    }
-
-    #[test]
-    fn failure_off_the_route_is_harmless() {
-        let (plan, platform) = two_stage_plan(8);
-        let healthy = simulate_plan(&plan, &platform);
-        let used: Vec<usize> = platform
-            .topology
-            .route(Endpoint::Gpu(0), Endpoint::Gpu(1))
-            .iter()
-            .map(|l| l.index())
-            .collect();
-        let unused = platform
-            .topology
-            .link_ids()
-            .map(|l| l.index())
-            .find(|i| !used.contains(i))
-            .expect("the quad tree has links off this route");
-        let faults = FaultPlan::none().with_link_failure(unused);
-        let faulted = simulate_plan_with_faults(&plan, &platform, &faults);
-        assert!(faulted.completed());
-        assert_eq!(faulted.stats, healthy);
+        let mut expected_makespan = 10.0;
+        for &link in route {
+            let hop = topo.link_transfer_us(link, bytes as f64);
+            assert_eq!(
+                stats.per_link_busy_us[link.index()].to_bits(),
+                hop.to_bits(),
+                "link {link:?} ({:?})",
+                topo.link_class(link)
+            );
+            expected_makespan += hop;
+        }
+        expected_makespan += 20.0;
+        assert_eq!(stats.makespan_us.to_bits(), expected_makespan.to_bits());
     }
 }

@@ -1,8 +1,7 @@
 //! Degradation-aware remapping after a device loss.
 //!
-//! When the simulator reports a [`DeviceLost`](sgmap_gpusim::FaultEvent)
-//! event, recompiling the application from scratch is the gold standard but
-//! wastes everything the original solve already learned. [`repair_mapping`]
+//! When a GPU is lost, recompiling the application from scratch is the gold
+//! standard but wastes everything the original solve already learned. [`repair_mapping`]
 //! instead patches the existing mapping in two bounded steps:
 //!
 //! 1. **Greedy patch** — only the lost device's partitions move; each is
@@ -69,7 +68,7 @@ pub struct RepairStats {
     pub lost_gpu: usize,
     /// How many partitions had to move off the lost device.
     pub moved_partitions: usize,
-    /// Objective of the original (pre-fault) mapping, microseconds.
+    /// Objective of the original (pre-loss) mapping, microseconds.
     pub baseline_tmax_us: f64,
     /// Objective right after the greedy patch, microseconds.
     pub patch_tmax_us: f64,

@@ -91,7 +91,8 @@ pub struct Estimator<'g> {
 
 impl<'g> Estimator<'g> {
     /// Creates an estimator for `graph` targeting `gpu`. It records into the
-    /// trace collector that is ambient when it is created (see
+    /// trace collector that is ambient when it is created or, when none is,
+    /// into the one ambient when it is queried (see
     /// [`Estimator::with_trace`]).
     ///
     /// # Errors
@@ -115,16 +116,6 @@ impl<'g> Estimator<'g> {
             shared: None,
             trace: sgmap_trace::current(),
         })
-    }
-
-    /// Replaces the performance-model constants (e.g. after calibration).
-    pub fn with_model(mut self, model: PerfModel) -> Self {
-        self.model = model;
-        self.cache
-            .get_mut()
-            .expect("estimator cache lock poisoned")
-            .clear();
-        self
     }
 
     /// Enables or disables the splitter/joiner elimination of Chapter V for
@@ -153,7 +144,8 @@ impl<'g> Estimator<'g> {
     }
 
     /// Replaces the trace collector taken from the ambient scope at
-    /// construction. The estimator records `pee.estimate_hits` /
+    /// construction; `None` records into whatever collector is ambient at
+    /// query time. The estimator records `pee.estimate_hits` /
     /// `pee.estimate_misses` counters (local single-flight cache) plus
     /// per-path counters and set-size histograms for the two ways
     /// characteristics are obtained (`pee.chars_from_set` vs
@@ -218,10 +210,8 @@ impl<'g> Estimator<'g> {
             // Path counters live inside the compute closure: they only fire
             // on the single-flight compute, so the counts are deterministic
             // across thread counts.
-            if let Some(trace) = &self.trace {
-                trace.add("pee.chars_from_set", 1);
-                trace.record("pee.chars_from_set_size", set.len() as u64);
-            }
+            self.add("pee.chars_from_set", 1);
+            self.record("pee.chars_from_set_size", set.len() as u64);
             Arc::new(self.index.for_set(self.graph, set, self.enhanced))
         })
     }
@@ -243,10 +233,8 @@ impl<'g> Estimator<'g> {
         union: &NodeSet,
     ) -> (Option<Estimate>, Arc<SetChars>) {
         self.estimate_impl(union, || {
-            if let Some(trace) = &self.trace {
-                trace.add("pee.chars_merged", 1);
-                trace.record("pee.chars_merged_size", union.len() as u64);
-            }
+            self.add("pee.chars_merged", 1);
+            self.record("pee.chars_merged_size", union.len() as u64);
             Arc::new(merge_characteristics(
                 &self.index,
                 self.graph,
@@ -324,15 +312,30 @@ impl<'g> Estimator<'g> {
             };
             CachedEstimate { estimate, chars }
         });
-        if let Some(trace) = &self.trace {
-            let counter = if computed {
-                "pee.estimate_misses"
-            } else {
-                "pee.estimate_hits"
-            };
-            trace.add(counter, 1);
-        }
+        let counter = if computed {
+            "pee.estimate_misses"
+        } else {
+            "pee.estimate_hits"
+        };
+        self.add(counter, 1);
         (cached.estimate, cached.chars.clone())
+    }
+
+    /// Adds to a counter of the attached collector, else of the ambient one.
+    fn add(&self, name: &'static str, delta: u64) {
+        match &self.trace {
+            Some(trace) => trace.add(name, delta),
+            None => sgmap_trace::add(name, delta),
+        }
+    }
+
+    /// Records a histogram sample into the attached collector, else into
+    /// the ambient one.
+    fn record(&self, name: &'static str, value: u64) {
+        match &self.trace {
+            Some(trace) => trace.record(name, value),
+            None => sgmap_trace::record(name, value),
+        }
     }
 
     fn estimate_from_chars(&self, chars: &PartitionCharacteristics) -> Option<Estimate> {
@@ -486,5 +489,21 @@ mod tests {
         assert!(est.enhanced());
         let e = est.estimate(&NodeSet::all(&g)).unwrap();
         assert!(e.t_exec_us > 0.0);
+    }
+
+    #[test]
+    fn an_estimator_built_outside_a_scope_records_into_the_scope_it_is_queried_in() {
+        use std::sync::Arc;
+
+        let g = chain(&[1.0, 10.0, 1.0]);
+        let est = Estimator::new(&g, GpuSpec::m2090()).unwrap();
+        let collector = Arc::new(sgmap_trace::Collector::new());
+        sgmap_trace::scope(Some(&collector), || {
+            est.estimate(&NodeSet::all(&g));
+            est.estimate(&NodeSet::all(&g));
+        });
+        assert!(collector.counter("pee.estimate_misses") > 0);
+        assert_eq!(collector.counter("pee.estimate_hits"), 1);
+        assert_eq!(collector.counter("pee.chars_from_set"), 1);
     }
 }

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use sgmap_apps::App;
-use sgmap_core::{compile, execute, FlowConfig};
-use sgmap_pee::EstimateCache;
+use sgmap_core::{compile_from_stage, execute, partition_graph, FlowConfig};
+use sgmap_pee::{EstimateCache, Estimator};
 use sgmap_sweep::{
     check_trace, run_sweep, AppSweep, GpuModel, StackConfig, SweepSpec, TraceCheckSummary,
 };
@@ -123,11 +123,13 @@ fn trace_counters_match_engine_statistics() {
     let collector = Arc::new(Collector::new());
     let graph = scope(Some(&collector), || App::Des.build(8)).unwrap();
     let cache = EstimateCache::shared();
-    let config = FlowConfig::new()
-        .with_gpu_count(2)
-        .with_estimate_cache(cache.clone());
+    let config = FlowConfig::new().with_gpu_count(2);
     let compiled = scope(Some(&collector), || {
-        let compiled = compile(&graph, &config).unwrap();
+        let estimator = Estimator::new(&graph, config.estimation_gpu().clone())
+            .unwrap()
+            .with_shared_cache(cache.clone());
+        let stage = partition_graph(&graph, &config, &estimator).unwrap();
+        let compiled = compile_from_stage(&graph, &config, &estimator, &stage).unwrap();
         execute(&compiled, &config);
         compiled
     });
