@@ -10,6 +10,8 @@
 
 use sgmap_graph::{Filter, GraphBuilder, GraphError, JoinKind, SplitKind, StreamGraph, StreamSpec};
 
+use crate::{unsupported_size, App};
+
 /// Work estimate (abstract ops) of one compare-exchange of two keys.
 pub const COMPARE_WORK: f64 = 3.0;
 
@@ -38,11 +40,11 @@ fn comparator_stage(n: u32, stage: usize) -> StreamSpec {
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::EmptySplitJoin`] if `n` is not a power of two of at
+/// Returns [`GraphError::UnsupportedSize`] if `n` is not a power of two of at
 /// least 2 (mirroring the StreamIt program's requirement).
 pub fn build_iterative(n: u32) -> Result<StreamGraph, GraphError> {
     if !is_power_of_two(n) {
-        return Err(GraphError::EmptySplitJoin);
+        return Err(unsupported_size(App::Bitonic, n, "a power of two >= 2"));
     }
     let k = n.trailing_zeros() as usize; // log2(n)
     let mut stages = Vec::new();
@@ -101,11 +103,11 @@ fn bitonic_sort(n: u32, path: String) -> StreamSpec {
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::EmptySplitJoin`] if `n` is not a power of two of at
+/// Returns [`GraphError::UnsupportedSize`] if `n` is not a power of two of at
 /// least 2.
 pub fn build_recursive(n: u32) -> Result<StreamGraph, GraphError> {
     if !is_power_of_two(n) {
-        return Err(GraphError::EmptySplitJoin);
+        return Err(unsupported_size(App::BitonicRec, n, "a power of two >= 2"));
     }
     let spec = StreamSpec::pipeline(vec![
         StreamSpec::from_filter(Filter::new("source", 0, n, 1.0)),

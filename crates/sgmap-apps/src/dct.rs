@@ -9,6 +9,8 @@
 
 use sgmap_graph::{GraphBuilder, GraphError, JoinKind, SplitKind, StreamGraph, StreamSpec};
 
+use crate::{unsupported_size, App};
+
 /// Work estimate of a 1-D DCT over `n` samples (direct `n²` formulation,
 /// two ops per multiply-accumulate).
 pub fn dct_1d_work(n: u32) -> f64 {
@@ -30,10 +32,10 @@ fn dct_pass(n: u32, axis: &str) -> StreamSpec {
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::EmptySplitJoin`] if `n` is below 2.
+/// Returns [`GraphError::UnsupportedSize`] if `n` is below 2.
 pub fn build(n: u32) -> Result<StreamGraph, GraphError> {
     if n < 2 {
-        return Err(GraphError::EmptySplitJoin);
+        return Err(unsupported_size(App::Dct, n, "at least 2"));
     }
     let block = n * n;
     let spec = StreamSpec::pipeline(vec![

@@ -10,6 +10,8 @@
 
 use sgmap_graph::{GraphBuilder, GraphError, JoinKind, SplitKind, StreamGraph, StreamSpec};
 
+use crate::{unsupported_size, App};
+
 /// Work estimate of one S-box substitution pass over a half block.
 pub const SBOX_WORK: f64 = 96.0;
 /// Work estimate of the expansion permutation.
@@ -43,10 +45,10 @@ fn round(index: u32) -> StreamSpec {
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::EmptyPipeline`] if `n` is zero.
+/// Returns [`GraphError::UnsupportedSize`] if `n` is zero.
 pub fn build(n: u32) -> Result<StreamGraph, GraphError> {
     if n == 0 {
-        return Err(GraphError::EmptyPipeline);
+        return Err(unsupported_size(App::Des, n, "at least 1"));
     }
     let mut stages = Vec::new();
     stages.push(StreamSpec::filter("source", 0, 2, 2.0));

@@ -9,6 +9,8 @@
 
 use sgmap_graph::{Filter, GraphBuilder, GraphError, JoinKind, SplitKind, StreamGraph, StreamSpec};
 
+use crate::{unsupported_size, App};
+
 /// Work estimate (abstract ops) per complex point of one butterfly stage.
 pub const BUTTERFLY_WORK_PER_POINT: f64 = 6.0;
 
@@ -16,11 +18,11 @@ pub const BUTTERFLY_WORK_PER_POINT: f64 = 6.0;
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::EmptyPipeline`] if `n` is not a power of two of at
+/// Returns [`GraphError::UnsupportedSize`] if `n` is not a power of two of at
 /// least 8.
 pub fn build(n: u32) -> Result<StreamGraph, GraphError> {
     if n < 8 || !n.is_power_of_two() {
-        return Err(GraphError::EmptyPipeline);
+        return Err(unsupported_size(App::Fft, n, "a power of two >= 8"));
     }
     // Tokens are complex samples: 8 bytes each.
     let token_bytes = 8;

@@ -9,6 +9,8 @@
 
 use sgmap_graph::{Filter, GraphBuilder, GraphError, JoinKind, SplitKind, StreamGraph, StreamSpec};
 
+use crate::{unsupported_size, App};
+
 /// Number of taps of each FIR filter (the StreamIt program uses 64).
 pub const FIR_TAPS: u32 = 64;
 /// Work estimate of one FIR firing (one multiply-accumulate per tap).
@@ -39,10 +41,10 @@ fn band(index: u32) -> StreamSpec {
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::EmptySplitJoin`] if `n` is zero.
+/// Returns [`GraphError::UnsupportedSize`] if `n` is zero.
 pub fn build(n: u32) -> Result<StreamGraph, GraphError> {
     if n == 0 {
-        return Err(GraphError::EmptySplitJoin);
+        return Err(unsupported_size(App::FmRadio, n, "at least 1"));
     }
     let bands: Vec<StreamSpec> = (0..n).map(band).collect();
     let spec = StreamSpec::pipeline(vec![

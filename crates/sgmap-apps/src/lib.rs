@@ -187,6 +187,16 @@ impl App {
     }
 }
 
+/// The error a generator returns for a size parameter its application does
+/// not support.
+fn unsupported_size(app: App, n: u32, requirement: &'static str) -> GraphError {
+    GraphError::UnsupportedSize {
+        app: app.name(),
+        n,
+        requirement,
+    }
+}
+
 impl std::fmt::Display for App {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -211,6 +221,28 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{app} N={n} rates: {e}"));
                 assert!(reps.iter().all(|&r| r >= 1), "{app} N={n} zero firing");
             }
+        }
+    }
+
+    #[test]
+    fn unsupported_sizes_name_the_app_and_n() {
+        let cases = [
+            (App::Des, 0),
+            (App::FmRadio, 0),
+            (App::Fft, 7),
+            (App::Dct, 1),
+            (App::MatMul2, 0),
+            (App::MatMul3, 0),
+            (App::BitonicRec, 6),
+            (App::Bitonic, 6),
+        ];
+        for (app, n) in cases {
+            let msg = app.build(n).unwrap_err().to_string();
+            assert!(
+                msg.starts_with(&format!("{app}: N must be "))
+                    && msg.ends_with(&format!("got {n}")),
+                "{app} N={n}: {msg}"
+            );
         }
     }
 

@@ -12,6 +12,8 @@
 use sgmap_graph::interp::{behavior, Interpreter};
 use sgmap_graph::{Filter, GraphBuilder, GraphError, JoinKind, SplitKind, StreamGraph, StreamSpec};
 
+use crate::{unsupported_size, App};
+
 /// Work of one row of an `n × n` product: `n` dot products of length `n`.
 pub fn row_work(n: u32) -> f64 {
     2.0 * f64::from(n) * f64::from(n)
@@ -42,10 +44,10 @@ fn product_stage(n: u32, tag: &str) -> StreamSpec {
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::EmptySplitJoin`] if `n` is zero.
+/// Returns [`GraphError::UnsupportedSize`] if `n` is zero.
 pub fn build_matmul2(n: u32) -> Result<StreamGraph, GraphError> {
     if n == 0 {
-        return Err(GraphError::EmptySplitJoin);
+        return Err(unsupported_size(App::MatMul2, n, "at least 1"));
     }
     let spec = StreamSpec::pipeline(vec![
         StreamSpec::filter("source", 0, 2 * n * n, f64::from(n)),
@@ -59,10 +61,10 @@ pub fn build_matmul2(n: u32) -> Result<StreamGraph, GraphError> {
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::EmptySplitJoin`] if `n` is zero.
+/// Returns [`GraphError::UnsupportedSize`] if `n` is zero.
 pub fn build_matmul3(n: u32) -> Result<StreamGraph, GraphError> {
     if n == 0 {
-        return Err(GraphError::EmptySplitJoin);
+        return Err(unsupported_size(App::MatMul3, n, "at least 1"));
     }
     let nn = n * n;
     // First stage consumes A and B (2n² tokens) and must forward C (n²

@@ -44,7 +44,7 @@ use sgmap_core::{
     compile_from_stage, execute, partition_graph, Algorithm, FlowConfig, MultilevelOptions,
     PartitionSearchOptions,
 };
-use sgmap_mapping::{map_on_survivors, repair_mapping, RepairOptions};
+use sgmap_mapping::{map_on_survivors, repair_mapping};
 use sgmap_pee::{EstimateCache, Estimator};
 use sgmap_sweep::{
     check_bench_report, load_cache_file_if_exists, run_sweep_with_cache, save_cache_file,
@@ -390,7 +390,6 @@ fn bench_repair(app: App, n: u32) -> JsonValue {
         &compiled.platform,
         &compiled.mapping,
         lost_gpu,
-        &RepairOptions::default(),
     )
     .expect("repair succeeds");
     let repair_ms = ms(t);

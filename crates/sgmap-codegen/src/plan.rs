@@ -10,7 +10,9 @@ use sgmap_pee::Estimator;
 
 use crate::kernel::generate_kernel;
 
-/// Options controlling plan generation.
+/// Options controlling plan generation. Kernel times in the plan always come
+/// from the cycle-approximate kernel simulation on the device that runs the
+/// kernel ("measured"), as in the paper's evaluation.
 #[derive(Debug, Clone)]
 pub struct PlanOptions {
     /// Number of input fragments pipelined through the graph (`N` in the
@@ -21,11 +23,6 @@ pub struct PlanOptions {
     pub iterations_per_fragment: u64,
     /// How inter-GPU transfers are routed.
     pub transfer_mode: TransferMode,
-    /// When `true`, kernel times in the plan come from the cycle-approximate
-    /// kernel simulation ("measured"); when `false`, from the PEE's analytic
-    /// estimate. The paper's evaluation uses real measurements, so `true` is
-    /// the default.
-    pub use_measured_kernel_times: bool,
 }
 
 impl Default for PlanOptions {
@@ -34,7 +31,6 @@ impl Default for PlanOptions {
             n_fragments: 8,
             iterations_per_fragment: 2048,
             transfer_mode: TransferMode::PeerToPeer,
-            use_measured_kernel_times: true,
         }
     }
 }
@@ -96,15 +92,11 @@ fn build_execution_plan_inner(
         let partition = &partitioning.partitions()[p];
         let name = format!("partition_{p}");
         let spec = generate_kernel(est, partition, &name);
-        let per_iteration_us = if options.use_measured_kernel_times {
-            // Simulate the kernel on the device that will actually run it, so
-            // mixed-model platforms get per-device kernel times.
-            let device = platform.device(mapping.assignment[p]);
-            let measurement = simulate_kernel(&spec, device, p as u64 + 1);
-            measurement.time_us / f64::from(spec.params.w.max(1))
-        } else {
-            partition.estimate.normalized_us
-        };
+        // Simulate the kernel on the device that will actually run it, so
+        // mixed-model platforms get per-device kernel times.
+        let device = platform.device(mapping.assignment[p]);
+        let measurement = simulate_kernel(&spec, device, p as u64 + 1);
+        let per_iteration_us = measurement.time_us / f64::from(spec.params.w.max(1));
         kernels.push(PlannedKernel {
             name,
             gpu: mapping.assignment[p],
@@ -238,29 +230,18 @@ mod tests {
         let partitioning = PartitionRequest::new(&est).run().unwrap();
         let pdg = build_pdg(&graph, &reps, &partitioning);
         let mapping = map_greedy(&pdg, &platform);
-        let measured_opts = PlanOptions::default();
-        let estimated_opts = PlanOptions {
-            use_measured_kernel_times: false,
-            ..PlanOptions::default()
-        };
-        let (mp, _) = build_execution_plan(
-            &est,
-            &partitioning,
-            &pdg,
-            &mapping,
-            &platform,
-            &measured_opts,
-        );
-        let (ep, _) = build_execution_plan(
-            &est,
-            &partitioning,
-            &pdg,
-            &mapping,
-            &platform,
-            &estimated_opts,
-        );
-        let m = simulate_plan(&mp, &platform).makespan_us;
-        let e = simulate_plan(&ep, &platform).makespan_us;
+        let opts = PlanOptions::default();
+        let (measured, _) =
+            build_execution_plan(&est, &partitioning, &pdg, &mapping, &platform, &opts);
+        // The same plan with every kernel charged its PEE estimate instead
+        // of its simulated time (kernels are listed in topological order).
+        let mut estimated = measured.clone();
+        for (kernel, p) in estimated.kernels.iter_mut().zip(pdg.topological_order()) {
+            kernel.time_per_fragment_us = partitioning.partitions()[p].estimate.normalized_us
+                * opts.iterations_per_fragment as f64;
+        }
+        let m = simulate_plan(&measured, &platform).makespan_us;
+        let e = simulate_plan(&estimated, &platform).makespan_us;
         let ratio = m / e;
         assert!(ratio > 0.5 && ratio < 2.0, "measured/estimated = {ratio}");
     }

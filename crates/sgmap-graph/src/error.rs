@@ -52,6 +52,16 @@ pub enum GraphError {
     },
     /// The requested node set is empty.
     EmptyNodeSet,
+    /// An application generator was asked for a size parameter it does not
+    /// support.
+    UnsupportedSize {
+        /// Display name of the application.
+        app: &'static str,
+        /// The rejected size parameter.
+        n: u32,
+        /// What the application requires of `N`.
+        requirement: &'static str,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -93,6 +103,11 @@ impl fmt::Display for GraphError {
                 filter.index()
             ),
             GraphError::EmptyNodeSet => write!(f, "node set is empty"),
+            GraphError::UnsupportedSize {
+                app,
+                n,
+                requirement,
+            } => write!(f, "{app}: N must be {requirement}, got {n}"),
         }
     }
 }

@@ -37,10 +37,6 @@ pub struct MappingOptions {
     pub time_limit: Duration,
     /// Node budget for the branch-and-bound search.
     pub max_nodes: usize,
-    /// When `false`, the communication constraints are dropped and the ILP
-    /// only balances the per-GPU workload (an ablation of the paper's main
-    /// contribution).
-    pub comm_aware: bool,
     /// Stop the search once the incumbent is proven within this relative gap
     /// of the best bound (`0.0` searches to optimality).
     pub relative_gap: f64,
@@ -51,7 +47,6 @@ impl Default for MappingOptions {
         MappingOptions {
             time_limit: Duration::from_secs(5),
             max_nodes: 600,
-            comm_aware: true,
             relative_gap: 0.0,
         }
     }
@@ -183,91 +178,89 @@ pub(crate) fn map_ilp_on(
     );
 
     let mut link_vars: Vec<LinkVars> = Vec::new();
-    if options.comm_aware {
-        for link in topo.link_ids() {
-            let dtlist = topo.dtlist(link);
-            // Source/destination sides of the link, restricted to GPUs that
-            // actually have assignment columns.
-            let mut srcs: Vec<usize> = dtlist
-                .iter()
-                .filter(|&&(k, _)| pos_of[k].is_some())
-                .map(|&(k, _)| k)
-                .collect();
-            let mut dsts: Vec<usize> = dtlist
-                .iter()
-                .filter(|&&(_, h)| pos_of[h].is_some())
-                .map(|&(_, h)| h)
-                .collect();
-            srcs.sort_unstable();
-            srcs.dedup();
-            dsts.sort_unstable();
-            dsts.dedup();
+    for link in topo.link_ids() {
+        let dtlist = topo.dtlist(link);
+        // Source/destination sides of the link, restricted to GPUs that
+        // actually have assignment columns.
+        let mut srcs: Vec<usize> = dtlist
+            .iter()
+            .filter(|&&(k, _)| pos_of[k].is_some())
+            .map(|&(k, _)| k)
+            .collect();
+        let mut dsts: Vec<usize> = dtlist
+            .iter()
+            .filter(|&&(_, h)| pos_of[h].is_some())
+            .map(|&(_, h)| h)
+            .collect();
+        srcs.sort_unstable();
+        srcs.dedup();
+        dsts.sort_unstable();
+        dsts.dedup();
 
-            // Accumulate the load expression; skip the link entirely if
-            // nothing can ever use it.
-            let mut load_terms: Vec<(VarId, f64)> = Vec::new();
-            let mut x_vars: Vec<(usize, VarId)> = Vec::new();
+        // Accumulate the load expression; skip the link entirely if
+        // nothing can ever use it.
+        let mut load_terms: Vec<(VarId, f64)> = Vec::new();
+        let mut x_vars: Vec<(usize, VarId)> = Vec::new();
 
-            let d_l = model.add_continuous(format!("d_{}", link.index()), 0.0);
+        let d_l = model.add_continuous(format!("d_{}", link.index()), 0.0);
 
-            if !srcs.is_empty() && !dsts.is_empty() {
-                for (e_idx, e) in pdg.edges.iter().enumerate() {
-                    if e.bytes_per_iteration == 0 {
-                        continue;
-                    }
-                    let x = model.add_continuous(format!("x_{}_{}", e_idx, link.index()), 0.0);
-                    // The crossing indicator lives in [0, 1] (a native
-                    // bound, not a row).
-                    model.set_bounds(x, 0.0, 1.0);
-                    // x >= A + B - 1  <=>  A + B - x <= 1.
-                    let mut cross: Vec<(VarId, f64)> = srcs
-                        .iter()
-                        .map(|&k| (n[e.from][pos_of[k].expect("filtered")], 1.0))
-                        .collect();
-                    cross.extend(
-                        dsts.iter()
-                            .map(|&h| (n[e.to][pos_of[h].expect("filtered")], 1.0)),
-                    );
-                    cross.push((x, -1.0));
-                    model.add_constraint_le(cross, 1.0);
-                    load_terms.push((x, e.bytes_per_iteration as f64));
-                    x_vars.push((e_idx, x));
+        if !srcs.is_empty() && !dsts.is_empty() {
+            for (e_idx, e) in pdg.edges.iter().enumerate() {
+                if e.bytes_per_iteration == 0 {
+                    continue;
                 }
+                let x = model.add_continuous(format!("x_{}_{}", e_idx, link.index()), 0.0);
+                // The crossing indicator lives in [0, 1] (a native
+                // bound, not a row).
+                model.set_bounds(x, 0.0, 1.0);
+                // x >= A + B - 1  <=>  A + B - x <= 1.
+                let mut cross: Vec<(VarId, f64)> = srcs
+                    .iter()
+                    .map(|&k| (n[e.from][pos_of[k].expect("filtered")], 1.0))
+                    .collect();
+                cross.extend(
+                    dsts.iter()
+                        .map(|&h| (n[e.to][pos_of[h].expect("filtered")], 1.0)),
+                );
+                cross.push((x, -1.0));
+                model.add_constraint_le(cross, 1.0);
+                load_terms.push((x, e.bytes_per_iteration as f64));
+                x_vars.push((e_idx, x));
             }
-            // Primary input / output over host routes.
-            for (i, ni) in n.iter().enumerate() {
-                for (pos, &j) in allowed.iter().enumerate() {
-                    let nij = ni[pos];
-                    if pdg.primary_input_bytes[i] > 0
-                        && topo.route(Endpoint::Host, Endpoint::Gpu(j)).contains(&link)
-                    {
-                        load_terms.push((nij, pdg.primary_input_bytes[i] as f64));
-                    }
-                    if pdg.primary_output_bytes[i] > 0
-                        && topo.route(Endpoint::Gpu(j), Endpoint::Host).contains(&link)
-                    {
-                        load_terms.push((nij, pdg.primary_output_bytes[i] as f64));
-                    }
-                }
-            }
-            if load_terms.is_empty() {
-                continue;
-            }
-            // d_l >= load  <=>  load - d_l <= 0.
-            load_terms.push((d_l, -1.0));
-            model.add_constraint_le(load_terms, 0.0);
-            // d_l / BW_l <= Tmax  (III.2, III.3, with the latency amortised
-            // away by pipelining and BW_l the link's own bandwidth).
-            model.add_constraint_le(
-                vec![(d_l, 1.0 / topo.link_bytes_per_us(link)), (tmax, -1.0)],
-                0.0,
-            );
-            link_vars.push(LinkVars {
-                link,
-                d: d_l,
-                x: x_vars,
-            });
         }
+        // Primary input / output over host routes.
+        for (i, ni) in n.iter().enumerate() {
+            for (pos, &j) in allowed.iter().enumerate() {
+                let nij = ni[pos];
+                if pdg.primary_input_bytes[i] > 0
+                    && topo.route(Endpoint::Host, Endpoint::Gpu(j)).contains(&link)
+                {
+                    load_terms.push((nij, pdg.primary_input_bytes[i] as f64));
+                }
+                if pdg.primary_output_bytes[i] > 0
+                    && topo.route(Endpoint::Gpu(j), Endpoint::Host).contains(&link)
+                {
+                    load_terms.push((nij, pdg.primary_output_bytes[i] as f64));
+                }
+            }
+        }
+        if load_terms.is_empty() {
+            continue;
+        }
+        // d_l >= load  <=>  load - d_l <= 0.
+        load_terms.push((d_l, -1.0));
+        model.add_constraint_le(load_terms, 0.0);
+        // d_l / BW_l <= Tmax  (III.2, III.3, with the latency amortised
+        // away by pipelining and BW_l the link's own bandwidth).
+        model.add_constraint_le(
+            vec![(d_l, 1.0 / topo.link_bytes_per_us(link)), (tmax, -1.0)],
+            0.0,
+        );
+        link_vars.push(LinkVars {
+            link,
+            d: d_l,
+            x: x_vars,
+        });
     }
 
     // Warm start from the incumbent assignment: fill in every variable so
@@ -365,10 +358,8 @@ pub(crate) fn map_ilp_on(
     }
     // Re-evaluate with the shared cost model (authoritative numbers); keep
     // the incumbent mapping if the budget-limited search somehow did worse.
-    // The workload-only ablation skips that guard on purpose: its whole point
-    // is to show what ignoring communication costs.
     let cost = evaluate_assignment(pdg, platform, &assignment);
-    if !options.comm_aware || cost.tmax_us <= incumbent.predicted_tmax_us + 1e-6 {
+    if cost.tmax_us <= incumbent.predicted_tmax_us + 1e-6 {
         Ok(Mapping {
             assignment,
             predicted_tmax_us: cost.tmax_us,
@@ -509,33 +500,6 @@ mod tests {
         );
         // Splitting them would cost ~500 us of link time.
         assert!(aware.predicted_tmax_us < 200.0);
-    }
-
-    #[test]
-    fn workload_only_ablation_ignores_the_interconnect() {
-        let p = pdg(
-            vec![50.0, 50.0],
-            vec![PdgEdge {
-                from: 0,
-                to: 1,
-                bytes_per_iteration: 3_000_000,
-            }],
-        );
-        let platform = Platform::quad_m2090().with_gpu_count(2);
-        let blind = map_ilp(
-            &p,
-            &platform,
-            &MappingOptions {
-                comm_aware: false,
-                ..MappingOptions::default()
-            },
-        )
-        .unwrap();
-        // The workload-only model happily splits them (each GPU 50 us)...
-        assert_ne!(blind.assignment[0], blind.assignment[1]);
-        // ...which the true cost model reveals to be communication bound.
-        let cost = evaluate_assignment(&p, &platform, &blind.assignment);
-        assert!(cost.communication_bound());
     }
 
     #[test]

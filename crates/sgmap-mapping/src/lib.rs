@@ -40,9 +40,7 @@ mod repair;
 pub use evaluate::{evaluate_assignment, MappingCost};
 pub use greedy::{map_greedy, map_round_robin};
 pub use ilp::{map_ilp, MappingOptions};
-pub use repair::{
-    map_on_survivors, repair_mapping, repair_mapping_greedy, RepairOptions, RepairStats,
-};
+pub use repair::{map_on_survivors, repair_mapping, RepairStats};
 pub use sgmap_ilp::SolveStats;
 
 use sgmap_gpusim::Platform;

@@ -29,35 +29,15 @@ use crate::greedy::map_greedy_on;
 use crate::ilp::map_ilp_on;
 use crate::{Mapping, MappingMethod, MappingOptions, SolveStats};
 
-/// Budget for the repair path. The defaults are intentionally much tighter
-/// than the interactive mapping budget: repair exists to be fast, and the
-/// warm start already guarantees the result is at least as good as the
-/// greedy patch.
-#[derive(Debug, Clone)]
-pub struct RepairOptions {
-    /// Run the warm-started ILP polish after the greedy patch. With `false`
-    /// the patch alone is returned (fastest possible repair).
-    pub polish_with_ilp: bool,
-    /// Budget for the ILP polish. `comm_aware` should stay `true`; the
-    /// node/time budget and relative gap are what keep repair cheap.
-    pub ilp: MappingOptions,
-}
-
-impl Default for RepairOptions {
-    fn default() -> Self {
-        RepairOptions {
-            polish_with_ilp: true,
-            ilp: MappingOptions {
-                time_limit: Duration::from_secs(1),
-                max_nodes: 24,
-                comm_aware: true,
-                // Repair trades the last few percent of proven optimality
-                // for speed.
-                relative_gap: 0.05,
-            },
-        }
-    }
-}
+/// Budget of the ILP polish: much tighter than the interactive mapping
+/// budget, because repair exists to be fast and the warm start already
+/// guarantees the result is at least as good as the greedy patch. Repair
+/// trades the last few percent of proven optimality for speed.
+const POLISH_BUDGET: MappingOptions = MappingOptions {
+    time_limit: Duration::from_secs(1),
+    max_nodes: 24,
+    relative_gap: 0.05,
+};
 
 /// What a repair did and what it cost, relative to the mapping it patched.
 /// Wall-clock comparisons against a full recompile are the caller's job
@@ -75,13 +55,17 @@ pub struct RepairStats {
     /// Objective of the returned mapping, microseconds.
     pub repaired_tmax_us: f64,
     /// Whether the ILP polish ran (and therefore whether `ilp_stats` is
-    /// meaningful).
+    /// meaningful). It runs whenever the PDG is non-empty and at least two
+    /// GPUs survive; with a single survivor the patch is already the only
+    /// possible mapping.
     pub polished: bool,
     /// Solver counters of the polish step (all zero when it did not run).
     pub ilp_stats: SolveStats,
 }
 
-/// Remaps the lost device's partitions onto the surviving GPUs.
+/// Remaps the lost device's partitions onto the surviving GPUs: the greedy
+/// patch, then the ILP polish under a fixed budget (1 s, 24 nodes, 5 %
+/// relative gap).
 ///
 /// The returned mapping assigns every partition to a GPU other than
 /// `lost_gpu`, and its objective is never worse than the greedy patch. Costs
@@ -103,7 +87,6 @@ pub fn repair_mapping(
     platform: &Platform,
     mapping: &Mapping,
     lost_gpu: usize,
-    options: &RepairOptions,
 ) -> Result<(Mapping, RepairStats), IlpError> {
     let g = platform.gpu_count();
     assert!(
@@ -163,9 +146,9 @@ pub fn repair_mapping(
     // ILP polish over the survivors, warm-started from the patch. The
     // incumbent guard inside the restricted solve keeps the patch whenever
     // the budget-limited search cannot beat it.
-    let polish = options.polish_with_ilp && !pdg.is_empty() && survivors.len() > 1;
+    let polish = !pdg.is_empty() && survivors.len() > 1;
     let repaired = if polish {
-        map_ilp_on(pdg, platform, &options.ilp, &survivors, patch)?
+        map_ilp_on(pdg, platform, &POLISH_BUDGET, &survivors, patch)?
     } else {
         patch
     };
@@ -181,26 +164,6 @@ pub fn repair_mapping(
     };
     span.arg("moved", moved_partitions);
     Ok((repaired, stats))
-}
-
-/// A patch-only repair: [`repair_mapping`] with the ILP polish disabled.
-/// Useful when even the tight polish budget is too slow (e.g. inside a hot
-/// failover loop).
-///
-/// # Errors
-///
-/// Never fails in practice; the signature matches [`repair_mapping`].
-pub fn repair_mapping_greedy(
-    pdg: &Pdg,
-    platform: &Platform,
-    mapping: &Mapping,
-    lost_gpu: usize,
-) -> Result<(Mapping, RepairStats), IlpError> {
-    let options = RepairOptions {
-        polish_with_ilp: false,
-        ..RepairOptions::default()
-    };
-    repair_mapping(pdg, platform, mapping, lost_gpu, &options)
 }
 
 /// The full-recompile comparison point for a repair: maps from scratch onto
@@ -260,9 +223,7 @@ mod tests {
         let platform = Platform::quad_m2090();
         let original = crate::map_greedy(&pdg, &platform);
         for lost in 0..platform.gpu_count() {
-            let (repaired, stats) =
-                repair_mapping(&pdg, &platform, &original, lost, &RepairOptions::default())
-                    .unwrap();
+            let (repaired, stats) = repair_mapping(&pdg, &platform, &original, lost).unwrap();
             assert!(repaired.assignment.iter().all(|&j| j != lost));
             assert_eq!(repaired.assignment.len(), pdg.len());
             assert_eq!(stats.lost_gpu, lost);
@@ -284,9 +245,7 @@ mod tests {
         let platform = Platform::quad_m2090();
         let original = crate::map_greedy(&pdg, &platform);
         for lost in 0..platform.gpu_count() {
-            let (repaired, _) =
-                repair_mapping(&pdg, &platform, &original, lost, &RepairOptions::default())
-                    .unwrap();
+            let (repaired, _) = repair_mapping(&pdg, &platform, &original, lost).unwrap();
             let full = map_on_survivors(&pdg, &platform, lost, &MappingOptions::default()).unwrap();
             assert!(full.assignment.iter().all(|&j| j != lost));
             assert!(
@@ -299,14 +258,17 @@ mod tests {
     }
 
     #[test]
-    fn patch_only_repair_also_evacuates() {
+    fn a_single_survivor_gets_the_unpolished_patch() {
         let pdg = chain_pdg(&[10.0, 9.0, 8.0, 7.0, 6.0, 5.0], 64);
-        let platform = Platform::quad_m2090();
+        let platform = Platform::quad_m2090().with_gpu_count(2);
         let original = crate::map_greedy(&pdg, &platform);
-        let (repaired, stats) = repair_mapping_greedy(&pdg, &platform, &original, 0).unwrap();
-        assert!(repaired.assignment.iter().all(|&j| j != 0));
-        assert!(!stats.polished);
-        assert_eq!(stats.repaired_tmax_us, stats.patch_tmax_us);
+        assert_eq!(original.gpus_used(), 2);
+        for lost in 0..2 {
+            let (repaired, stats) = repair_mapping(&pdg, &platform, &original, lost).unwrap();
+            assert!(!stats.polished);
+            assert_eq!(stats.repaired_tmax_us, stats.patch_tmax_us);
+            assert!(repaired.assignment.iter().all(|&j| j == 1 - lost));
+        }
     }
 
     #[test]
@@ -318,8 +280,7 @@ mod tests {
         assert_eq!(original.gpus_used(), 1);
         let used = original.assignment[0];
         let lost = (used + 1) % platform.gpu_count();
-        let (repaired, stats) =
-            repair_mapping(&pdg, &platform, &original, lost, &RepairOptions::default()).unwrap();
+        let (repaired, stats) = repair_mapping(&pdg, &platform, &original, lost).unwrap();
         assert_eq!(stats.moved_partitions, 0);
         assert!(repaired.assignment.iter().all(|&j| j != lost));
     }

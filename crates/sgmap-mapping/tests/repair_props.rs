@@ -8,8 +8,7 @@ use proptest::prelude::*;
 
 use sgmap_gpusim::{GpuSpec, Platform};
 use sgmap_mapping::{
-    evaluate_assignment, map_greedy, map_on_survivors, repair_mapping, repair_mapping_greedy,
-    MappingOptions, RepairOptions,
+    evaluate_assignment, map_greedy, map_on_survivors, repair_mapping, MappingOptions,
 };
 use sgmap_partition::{Pdg, PdgEdge};
 
@@ -97,8 +96,7 @@ proptest! {
         let g = platform.gpu_count();
         for lost in 0..g {
             let (repaired, stats) =
-                repair_mapping(&pdg, &platform, &original, lost, &RepairOptions::default())
-                    .unwrap();
+                repair_mapping(&pdg, &platform, &original, lost).unwrap();
             prop_assert_eq!(repaired.assignment.len(), pdg.len());
             prop_assert!(repaired.assignment.iter().all(|&j| j != lost && j < g));
             prop_assert_eq!(stats.lost_gpu, lost);
@@ -126,8 +124,7 @@ proptest! {
         let original = map_greedy(&pdg, &platform);
         let lost = lost_seed % platform.gpu_count();
         let (repaired, _) =
-            repair_mapping(&pdg, &platform, &original, lost, &RepairOptions::default())
-                .unwrap();
+            repair_mapping(&pdg, &platform, &original, lost).unwrap();
         let full =
             map_on_survivors(&pdg, &platform, lost, &MappingOptions::default()).unwrap();
         prop_assert!(full.assignment.iter().all(|&j| j != lost));
@@ -146,23 +143,5 @@ proptest! {
             opt,
             lost
         );
-    }
-
-    /// The patch-only repair (no ILP polish) also evacuates correctly and
-    /// reports itself honestly: not polished, objective equal to the patch.
-    #[test]
-    fn greedy_only_repair_evacuates_and_reports_the_patch(
-        pdg in pdg_strategy(),
-        platform in platform_strategy(),
-        lost_seed in 0usize..4,
-    ) {
-        let original = map_greedy(&pdg, &platform);
-        let lost = lost_seed % platform.gpu_count();
-        let (repaired, stats) =
-            repair_mapping_greedy(&pdg, &platform, &original, lost).unwrap();
-        prop_assert!(repaired.assignment.iter().all(|&j| j != lost));
-        prop_assert!(!stats.polished);
-        prop_assert_eq!(stats.repaired_tmax_us, stats.patch_tmax_us);
-        prop_assert_eq!(repaired.predicted_tmax_us, stats.patch_tmax_us);
     }
 }

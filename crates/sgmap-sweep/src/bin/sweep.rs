@@ -5,7 +5,7 @@
 //! sweep [--preset NAME | --spec FILE] [--threads N] [--out FILE]
 //!       [--cache-file FILE] [--strict-cache] [--canonical]
 //!       [--trace FILE] [--metrics FILE] [--allow-failed-points]
-//!       [--inject-panic IDX] [--inject-transient IDX] [--list]
+//!       [--inject-panic IDX] [--list]
 //! sweep --check REPORT.json
 //! sweep --check-trace TRACE.json
 //! sweep --compare-nonfaulted A.json B.json
@@ -37,11 +37,9 @@
 //! * `--allow-failed-points` — exit 0 even when some points carry per-point
 //!   error entries (the default exit is 1 so CI notices failures). The
 //!   report itself always includes every point either way.
-//! * `--inject-panic IDX` / `--inject-transient IDX` — deterministic fault
-//!   hooks for testing the sweep's failure isolation: panic at the expanded
-//!   point index `IDX` (caught, recorded as a per-point error), or fail its
-//!   first attempt with a transient error (retried, succeeds). May be
-//!   repeated.
+//! * `--inject-panic IDX` — deterministic fault hook for testing the
+//!   sweep's failure isolation: panic at the expanded point index `IDX`
+//!   (caught, recorded as a per-point error). May be repeated.
 //! * `--list` — print the available presets and exit.
 //! * `--check FILE` — validate a previously written report (non-empty, no
 //!   failed points, nonzero cache hits, nonzero compile-dedup groups) and
@@ -64,7 +62,7 @@ use sgmap_sweep::{
     sweep_spec_from_json, SweepSpec,
 };
 
-const USAGE: &str = "usage: sweep [--preset NAME | --spec FILE] [--threads N] [--out FILE] [--cache-file FILE] [--strict-cache] [--canonical] [--trace FILE] [--metrics FILE] [--allow-failed-points] [--inject-panic IDX] [--inject-transient IDX] [--list]\n       sweep --check REPORT.json\n       sweep --check-trace TRACE.json\n       sweep --compare-nonfaulted A.json B.json";
+const USAGE: &str = "usage: sweep [--preset NAME | --spec FILE] [--threads N] [--out FILE] [--cache-file FILE] [--strict-cache] [--canonical] [--trace FILE] [--metrics FILE] [--allow-failed-points] [--inject-panic IDX] [--list]\n       sweep --check REPORT.json\n       sweep --check-trace TRACE.json\n       sweep --compare-nonfaulted A.json B.json";
 
 struct Args {
     preset: Option<String>,
@@ -78,7 +76,6 @@ struct Args {
     metrics: Option<String>,
     allow_failed_points: bool,
     inject_panic: Vec<usize>,
-    inject_transient: Vec<usize>,
     list: bool,
     check: Option<String>,
     check_trace: Option<String>,
@@ -99,7 +96,6 @@ fn parse_args() -> Result<Args, String> {
         metrics: None,
         allow_failed_points: false,
         inject_panic: Vec::new(),
-        inject_transient: Vec::new(),
         list: false,
         check: None,
         check_trace: None,
@@ -134,13 +130,6 @@ fn parse_args() -> Result<Args, String> {
                 args.inject_panic.push(
                     v.parse()
                         .map_err(|_| format!("--inject-panic: not a point index: {v}"))?,
-                );
-            }
-            "--inject-transient" => {
-                let v = it.next().ok_or("--inject-transient needs a point index")?;
-                args.inject_transient.push(
-                    v.parse()
-                        .map_err(|_| format!("--inject-transient: not a point index: {v}"))?,
                 );
             }
             "--canonical" => args.canonical = true,
@@ -302,9 +291,6 @@ fn main() -> ExitCode {
     spec = spec.with_strict_cache(args.strict_cache);
     for &idx in &args.inject_panic {
         spec = spec.with_injected_panic(idx);
-    }
-    for &idx in &args.inject_transient {
-        spec = spec.with_injected_transient(idx);
     }
     let threads = if args.threads == 0 {
         default_threads()

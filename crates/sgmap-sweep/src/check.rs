@@ -362,7 +362,8 @@ fn check_bench_sweep(
 /// section. A report whose sweep
 /// was warm-started from a persistent cache file
 /// (`cache_preloaded_entries > 0`) must additionally report zero
-/// shared-cache misses — the contract of cache persistence.
+/// shared-cache misses — the contract of cache persistence. The field may be
+/// absent (a cold sweep) but, when present, must be a non-negative integer.
 ///
 /// # Errors
 ///
@@ -597,10 +598,15 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
     let sweep = report
         .get("sweep")
         .ok_or_else(|| CheckError::Shape("missing sweep section".to_string()))?;
-    let preloaded = report
-        .get("cache_preloaded_entries")
-        .and_then(Value::as_u64)
-        .unwrap_or(0);
+    let preloaded = match report.get("cache_preloaded_entries") {
+        None => 0,
+        Some(v) => v.as_u64().ok_or_else(|| {
+            CheckError::Shape(format!(
+                "'cache_preloaded_entries' must be a non-negative integer, got {}",
+                v.render()
+            ))
+        })?,
+    };
     // A sweep warm-started from a covering cache file must miss nothing; a
     // cold sweep must at least have queried the cache.
     let (sweep_points, sweep_wall_ms) = check_bench_sweep(sweep, "sweep", preloaded > 0)?;
@@ -1148,6 +1154,16 @@ mod tests {
         // contract.
         let err = check_bench_report(&bench_json(624, Some(624))).unwrap_err();
         assert!(err.to_string().contains("624 misses"), "{err}");
+        // A malformed warm-start count must not pass for a cold sweep.
+        for bad in ["\"624\"", "-3"] {
+            let report = bench_json(624, Some(624)).replace(
+                "\"cache_preloaded_entries\":624",
+                &format!("\"cache_preloaded_entries\":{bad}"),
+            );
+            let err = check_bench_report(&report).unwrap_err();
+            assert!(matches!(err, CheckError::Shape(_)), "{err}");
+            assert!(err.to_string().contains("cache_preloaded_entries"), "{err}");
+        }
         // Broken counters inside otherwise valid shapes.
         let zero_points = bench_json(624, None).replace("\"points\":48", "\"points\":0");
         assert!(check_bench_report(&zero_points).is_err());

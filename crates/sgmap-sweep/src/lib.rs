@@ -7,7 +7,8 @@
 //! * [`SweepSpec`] — a declarative description of the grid: per-application
 //!   `N` axes, named platforms (reference boxes, NVLink islands, clusters,
 //!   mixed-model boxes — or the legacy GPU-model × count product), correlated
-//!   partitioner/mapper/transfer "stacks" and per-axis [`PointFilter`]s,
+//!   partitioner/mapper/transfer "stacks", each optionally pinned to a subset
+//!   of the GPU counts,
 //! * [`SweepSpec::expand`] — deterministic expansion into an indexed work
 //!   list of [`SweepPoint`]s,
 //! * [`run_sweep`] — execution on a scoped worker pool. Points are grouped
@@ -76,8 +77,8 @@ pub use report::{Bottleneck, DedupStats, StabilityReport, SweepRecord, SweepRepo
 pub use runner::{default_threads, run_sweep, run_sweep_with_cache};
 pub use sgmap_trace::json::Value as JsonValue;
 pub use spec::{
-    mapper_name, partitioner_name, transfer_name, AppSweep, FaultInjectionSpec, GpuModel,
-    PointFilter, StackConfig, SweepError, SweepPoint, SweepSpec,
+    mapper_name, partitioner_name, transfer_name, AppSweep, GpuModel, StackConfig, SweepError,
+    SweepPoint, SweepSpec,
 };
 pub use spec_json::{
     sweep_spec_from_json, sweep_spec_from_value, sweep_spec_to_json, sweep_spec_to_value,

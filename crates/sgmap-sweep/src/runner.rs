@@ -25,20 +25,6 @@ use sgmap_pee::{EstimateCache, Estimator};
 use crate::report::{DedupStats, StabilityReport, SweepRecord, SweepReport};
 use crate::spec::{SweepError, SweepPoint, SweepSpec};
 
-/// How many times a point is attempted before its transient failure is
-/// recorded: the first attempt plus two retries. Only errors classified as
-/// transient by [`is_transient`] are retried; everything else (including
-/// panics) fails on first occurrence.
-const MAX_ATTEMPTS: usize = 3;
-
-/// Classifies a per-point failure as transient (worth retrying) or
-/// permanent. The flow marks retryable conditions by prefixing the message
-/// with `transient:`; everything else — model errors, invalid points,
-/// panics — is deterministic and retrying it would only repeat the failure.
-fn is_transient(message: &str) -> bool {
-    message.starts_with("transient:") || message.contains(" transient:")
-}
-
 /// Renders a caught panic payload as a message (panics carry `&str` or
 /// `String` payloads in practice).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -48,15 +34,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "opaque panic payload".to_string()
-    }
-}
-
-/// Deterministic backoff between retry attempts: a bounded number of
-/// scheduler yields instead of a wall-clock sleep, so retried sweeps stay
-/// byte-identical and fast under test.
-fn backoff(attempt: usize) {
-    for _ in 0..(attempt + 1) * 16 {
-        std::thread::yield_now();
     }
 }
 
@@ -406,11 +383,9 @@ fn run_group(
     })
 }
 
-/// Maps and executes one point in isolation: each attempt runs under
-/// `catch_unwind`, transient-classified failures are retried up to
-/// [`MAX_ATTEMPTS`] times with a deterministic backoff, and panics become
-/// structured error records rather than taking the worker (and the sweep)
-/// down.
+/// Maps and executes one point in isolation: the attempt runs under
+/// `catch_unwind`, so a panic becomes a structured error record rather than
+/// taking the worker (and the sweep) down.
 fn run_point(
     spec: &SweepSpec,
     point: &SweepPoint,
@@ -419,63 +394,33 @@ fn run_point(
     stage: &sgmap_core::PartitionStage,
     search: &PartitionSearchOptions,
 ) -> SweepRecord {
-    let attempt_once = |attempt: usize| -> Result<SweepRecord, String> {
-        if spec.inject.panic_points.contains(&point.index) {
+    let attempt = || -> Result<SweepRecord, String> {
+        if spec.panic_points.contains(&point.index) {
             panic!("injected panic at point {}", point.index);
         }
-        if attempt == 0 && spec.inject.transient_points.contains(&point.index) {
-            return Err(format!(
-                "transient: injected transient fault at point {}",
-                point.index
-            ));
-        }
         let config = point_config(spec, point, search);
-        match compile_from_stage(graph, &config, estimator, stage) {
-            Ok(compiled) => {
-                let run = execute(&compiled, &config);
-                let mut record = SweepRecord::from_run(point, &run);
-                if spec.stability_baseline.is_some() {
-                    record.mapping_signature = Some(mapping_signature(&run.mapping));
-                }
-                Ok(record)
-            }
-            Err(e) => Err(e.to_string()),
+        let compiled =
+            compile_from_stage(graph, &config, estimator, stage).map_err(|e| e.to_string())?;
+        let run = execute(&compiled, &config);
+        let mut record = SweepRecord::from_run(point, &run);
+        if spec.stability_baseline.is_some() {
+            record.mapping_signature = Some(mapping_signature(&run.mapping));
         }
+        Ok(record)
     };
-    let mut last_error = String::new();
-    for attempt in 0..MAX_ATTEMPTS {
-        match std::panic::catch_unwind(AssertUnwindSafe(|| attempt_once(attempt))) {
-            Ok(Ok(record)) => return record,
-            Ok(Err(message)) => {
-                let retryable = is_transient(&message) && attempt + 1 < MAX_ATTEMPTS;
-                last_error = message;
-                if !retryable {
-                    break;
-                }
-                sgmap_trace::add("sweep.retries", 1);
-                sgmap_trace::warn(
-                    "sweep.point_retried",
-                    format!(
-                        "point {} attempt {} failed transiently; retrying: {last_error}",
-                        point.index,
-                        attempt + 1
-                    ),
-                );
-                backoff(attempt);
-            }
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                sgmap_trace::add("sweep.panics_caught", 1);
-                sgmap_trace::warn(
-                    "sweep.point_panicked",
-                    format!("point {} panicked: {msg}", point.index),
-                );
-                last_error = format!("panic: {msg}");
-                break;
-            }
+    match std::panic::catch_unwind(AssertUnwindSafe(attempt)) {
+        Ok(Ok(record)) => record,
+        Ok(Err(message)) => SweepRecord::from_error(point, &message),
+        Err(payload) => {
+            let msg = panic_message(payload.as_ref());
+            sgmap_trace::add("sweep.panics_caught", 1);
+            sgmap_trace::warn(
+                "sweep.point_panicked",
+                format!("point {} panicked: {msg}", point.index),
+            );
+            SweepRecord::from_error(point, format!("panic: {msg}"))
         }
     }
-    SweepRecord::from_error(point, &last_error)
 }
 
 /// Fills `speedup_vs_1gpu` for every record whose (app, N, model, stack,

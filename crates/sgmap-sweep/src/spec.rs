@@ -232,87 +232,9 @@ pub fn transfer_name(mode: TransferMode) -> &'static str {
     }
 }
 
-/// Deliberate per-point fault injection, used by the robustness tests and
-/// CI gates to prove failure isolation: an injected fault must produce one
-/// structured error record (or a successful retry) and leave every other
-/// point byte-identical.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultInjectionSpec {
-    /// Work-list indices that panic on every execution attempt. The panic is
-    /// caught and recorded as a per-point error entry.
-    pub panic_points: Vec<usize>,
-    /// Work-list indices that fail with a transient-classified error on
-    /// their first attempt only; the bounded retry then succeeds.
-    pub transient_points: Vec<usize>,
-}
-
-impl FaultInjectionSpec {
-    /// `true` if nothing is injected.
-    pub fn is_empty(&self) -> bool {
-        self.panic_points.is_empty() && self.transient_points.is_empty()
-    }
-}
-
-/// Per-axis filters applied during expansion. All fields default to
-/// "accept everything"; set a field to narrow the grid without editing the
-/// axis lists themselves.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PointFilter {
-    /// Keep only these applications.
-    pub apps: Option<Vec<App>>,
-    /// Drop points with `N` below this value.
-    pub min_n: Option<u32>,
-    /// Drop points with `N` above this value.
-    pub max_n: Option<u32>,
-    /// Keep only points whose platform has one of these GPU counts.
-    pub gpu_counts: Option<Vec<usize>>,
-    /// Keep only platforms with these names.
-    pub platforms: Option<Vec<String>>,
-    /// Keep only stacks with these labels.
-    pub stack_labels: Option<Vec<String>>,
-    /// Truncate the expanded work list to its first `max_points` entries.
-    pub max_points: Option<usize>,
-}
-
-impl PointFilter {
-    fn accepts(&self, point: &SweepPoint) -> bool {
-        if let Some(apps) = &self.apps {
-            if !apps.contains(&point.app) {
-                return false;
-            }
-        }
-        if let Some(min) = self.min_n {
-            if point.n < min {
-                return false;
-            }
-        }
-        if let Some(max) = self.max_n {
-            if point.n > max {
-                return false;
-            }
-        }
-        if let Some(counts) = &self.gpu_counts {
-            if !counts.contains(&point.platform.gpu_count()) {
-                return false;
-            }
-        }
-        if let Some(platforms) = &self.platforms {
-            if !platforms.iter().any(|p| p == &point.platform.name) {
-                return false;
-            }
-        }
-        if let Some(labels) = &self.stack_labels {
-            if !labels.iter().any(|l| l == &point.stack.label) {
-                return false;
-            }
-        }
-        true
-    }
-}
-
 /// A declarative experiment grid: the cartesian product of applications ×
-/// size parameters × platforms × stacks × enhancement flags, narrowed by a
-/// [`PointFilter`].
+/// size parameters × platforms × stacks × enhancement flags (stacks may pin
+/// their own GPU counts).
 #[derive(Debug, Clone)]
 pub struct SweepSpec {
     /// Name of the sweep, echoed in the report.
@@ -328,8 +250,6 @@ pub struct SweepSpec {
     pub stacks: Vec<StackConfig>,
     /// The Chapter-V enhancement axis.
     pub enhanced: Vec<bool>,
-    /// Per-axis filters applied during expansion.
-    pub filter: PointFilter,
     /// ILP budget shared by every point. The default uses a node budget with
     /// an effectively unlimited wall-clock budget so results do not depend on
     /// machine load or worker-thread count.
@@ -350,8 +270,11 @@ pub struct SweepSpec {
     /// named baseline platform (see
     /// [`StabilityReport`](crate::StabilityReport)).
     pub stability_baseline: Option<String>,
-    /// Deliberate per-point fault injection (robustness tests and CI gates).
-    pub inject: FaultInjectionSpec,
+    /// Work-list indices that panic when run: a deterministic fault hook
+    /// for the robustness tests and CI gates. Each panic is caught and
+    /// recorded as that point's error entry; every other point must stay
+    /// byte-identical.
+    pub panic_points: Vec<usize>,
 }
 
 /// One expanded grid point, ready to run.
@@ -422,13 +345,12 @@ impl SweepSpec {
             platforms,
             stacks,
             enhanced: vec![false],
-            filter: PointFilter::default(),
             mapping_options: Self::deterministic_mapping_options(),
             plan: PlanOptions::default(),
             cache_file: None,
             strict_cache: false,
             stability_baseline: None,
-            inject: FaultInjectionSpec::default(),
+            panic_points: Vec::new(),
         }
     }
 
@@ -453,7 +375,6 @@ impl SweepSpec {
         MappingOptions {
             time_limit: Duration::from_secs(86_400),
             max_nodes: 80,
-            comm_aware: true,
             relative_gap: 0.0,
         }
     }
@@ -670,22 +591,7 @@ impl SweepSpec {
     /// index) — a test/CI hook for exercising the sweep's failure isolation.
     #[must_use]
     pub fn with_injected_panic(mut self, point: usize) -> Self {
-        self.inject.panic_points.push(point);
-        self
-    }
-
-    /// Injects a transient (retryable) failure into the named point: the
-    /// first attempt fails with a transient-classified error, the retry
-    /// succeeds.
-    #[must_use]
-    pub fn with_injected_transient(mut self, point: usize) -> Self {
-        self.inject.transient_points.push(point);
-        self
-    }
-
-    /// Replaces the per-axis filter.
-    pub fn with_filter(mut self, filter: PointFilter) -> Self {
-        self.filter = filter;
+        self.panic_points.push(point);
         self
     }
 
@@ -798,27 +704,18 @@ impl SweepSpec {
                             }
                         }
                         for &enhanced in &self.enhanced {
-                            let point = SweepPoint {
+                            points.push(SweepPoint {
                                 index: points.len(),
                                 app: app_sweep.app,
                                 n,
                                 platform: platform.clone(),
                                 stack: stack.clone(),
                                 enhanced,
-                            };
-                            if self.filter.accepts(&point) {
-                                points.push(point);
-                            }
+                            });
                         }
                     }
                 }
             }
-        }
-        if let Some(max) = self.filter.max_points {
-            points.truncate(max);
-        }
-        for (index, point) in points.iter_mut().enumerate() {
-            point.index = index;
         }
         Ok(points)
     }
@@ -891,9 +788,8 @@ mod tests {
     }
 
     #[test]
-    fn stack_gpu_count_pins_and_filters_narrow_the_grid() {
-        let spec = SweepSpec::compare(false);
-        let points = spec.expand().unwrap();
+    fn stack_gpu_count_pins_narrow_the_grid() {
+        let points = SweepSpec::compare(false).expand().unwrap();
         // SPSG only runs at 1 GPU; ours/previous run at 1-4.
         assert!(points
             .iter()
@@ -902,23 +798,7 @@ mod tests {
         assert!(points
             .iter()
             .any(|p| p.stack.label == "ours" && p.platform.gpu_count() == 4));
-
-        let filtered = spec
-            .clone()
-            .with_filter(PointFilter {
-                apps: Some(vec![App::Des]),
-                gpu_counts: Some(vec![1, 2]),
-                stack_labels: Some(vec!["ours".to_string()]),
-                max_points: Some(3),
-                ..PointFilter::default()
-            })
-            .expand()
-            .unwrap();
-        assert_eq!(filtered.len(), 3);
-        assert!(filtered
-            .iter()
-            .all(|p| p.app == App::Des && p.platform.gpu_count() <= 2 && p.stack.label == "ours"));
-        assert!(filtered.iter().enumerate().all(|(i, p)| p.index == i));
+        assert!(points.iter().enumerate().all(|(i, p)| p.index == i));
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //!
 //! Encoding is deterministic (insertion-ordered objects, shortest
 //! round-trip floats), so `to_json(from_json(s))` is a fixed point:
-//! re-encoding an encoded spec reproduces it byte for byte. Axes not
-//! expressible in the file (point filters, ILP budget, plan shape, cache
-//! file) take the same defaults [`SweepSpec::on_platforms`] applies.
+//! re-encoding an encoded spec reproduces it byte for byte. Settings not
+//! expressible in the file (ILP budget, plan shape, cache-file settings,
+//! stability baseline, injected panics) take the same defaults
+//! [`SweepSpec::on_platforms`] applies.
 
 use sgmap_apps::App;
 use sgmap_gpusim::{PlatformSpec, TransferMode};
