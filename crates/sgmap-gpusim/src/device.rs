@@ -104,6 +104,44 @@ impl GpuSpec {
         spec.name = format!("{} {}", self.name, suffix);
         spec
     }
+
+    /// Checks that the spec can drive the cost model: clocks and bandwidth
+    /// finite and positive, counts and sizes nonzero, access cycles finite
+    /// and non-negative.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first degenerate field, naming it.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        for (field, v) in [
+            ("core_clock_ghz", self.core_clock_ghz),
+            ("mem_clock_ghz", self.mem_clock_ghz),
+            ("mem_bandwidth_gbs", self.mem_bandwidth_gbs),
+        ] {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!("{field} must be finite and positive, got {v}"));
+            }
+        }
+        for (field, v) in [
+            ("sm_count", self.sm_count),
+            ("shared_mem_bytes", self.shared_mem_bytes),
+            ("max_threads_per_block", self.max_threads_per_block),
+            ("warp_size", self.warp_size),
+        ] {
+            if v == 0 {
+                return Err(format!("{field} must be nonzero"));
+            }
+        }
+        for (field, v) in [
+            ("global_access_cycles", self.global_access_cycles),
+            ("shared_access_cycles", self.shared_access_cycles),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!("{field} must be finite and non-negative, got {v}"));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Default for GpuSpec {

@@ -251,13 +251,23 @@ impl PlatformSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError`] if the GPU list is empty, the count does
-    /// not fit the interconnect shape, the shape itself is invalid, or a link
-    /// scale factor is not positive.
+    /// Returns [`TopologyError`] if the GPU list is empty, a GPU spec is
+    /// degenerate (a clock or bandwidth that is not finite and positive, a
+    /// zero count or size, negative or non-finite access cycles), the count
+    /// does not fit the interconnect shape, the shape itself is invalid, or
+    /// a link scale factor is not positive.
     pub fn build(&self) -> Result<Platform, TopologyError> {
         let n = self.gpus.len();
         if n == 0 {
             return Err(TopologyError::NoGpus);
+        }
+        for (g, gpu) in self.gpus.iter().enumerate() {
+            if let Err(field) = gpu.validate() {
+                return Err(TopologyError::UnsupportedShape(format!(
+                    "platform '{}': GPU {g} ('{}'): {field}",
+                    self.name, gpu.name
+                )));
+            }
         }
         let positive = |scale: f64| scale > 0.0; // NaN is rejected too
         if !positive(self.bandwidth_scale) || !positive(self.latency_scale) {
@@ -400,6 +410,39 @@ mod tests {
             .with_link_scales(1.0, -0.5)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn degenerate_gpu_specs_are_rejected() {
+        type Breaker = fn(&mut GpuSpec);
+        let cases: [(&str, Breaker); 11] = [
+            ("core_clock_ghz", |g| g.core_clock_ghz = 0.0),
+            ("core_clock_ghz", |g| g.core_clock_ghz = f64::NAN),
+            ("mem_clock_ghz", |g| g.mem_clock_ghz = -1.0),
+            ("mem_bandwidth_gbs", |g| g.mem_bandwidth_gbs = 0.0),
+            ("mem_bandwidth_gbs", |g| g.mem_bandwidth_gbs = f64::INFINITY),
+            ("sm_count", |g| g.sm_count = 0),
+            ("shared_mem_bytes", |g| g.shared_mem_bytes = 0),
+            ("max_threads_per_block", |g| g.max_threads_per_block = 0),
+            ("warp_size", |g| g.warp_size = 0),
+            ("global_access_cycles", |g| g.global_access_cycles = -400.0),
+            ("shared_access_cycles", |g| {
+                g.shared_access_cycles = f64::NAN
+            }),
+        ];
+        for (field, break_it) in cases {
+            let mut spec = PlatformSpec::nvlink8_m2090();
+            break_it(&mut spec.gpus[5]);
+            let err = spec.build().unwrap_err().to_string();
+            assert!(
+                err.contains("platform 'nvlink8'") && err.contains("GPU 5") && err.contains(field),
+                "{err}"
+            );
+        }
+        // Zero access cycles are a valid (idealised) device.
+        let mut spec = PlatformSpec::paper();
+        spec.gpus[0].shared_access_cycles = 0.0;
+        assert!(spec.build().is_ok());
     }
 
     #[test]

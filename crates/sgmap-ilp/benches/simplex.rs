@@ -6,6 +6,8 @@
 //! The `mapper80x2` / `mapper40x4` cases are sized like the benchmark's
 //! ILPs (a few hundred rows, several basis refactorisations per solve), so
 //! they show the LU refactorisation cost the small models hide.
+//! `mapper100x6` (1116 rows) is sized like the hierarchical-platform ILPs
+//! that dominate mapping time, where btran runs on its sparse path.
 //! `cargo bench -p sgmap-ilp --bench simplex -- --test` runs every body
 //! once as a smoke test.
 
@@ -64,20 +66,20 @@ fn bench_bb(c: &mut Criterion) {
 }
 
 /// Benchmark-scale models: a cold LP and a node-limited branch-and-bound
-/// (80 nodes, no wall-clock cut), the budget of the pivot-sequence golden
+/// (no wall-clock cut) with the node budgets of the pivot-sequence golden
 /// test.
 fn bench_benchmark_scale(c: &mut Criterion) {
-    for (p, g) in [(80, 2), (40, 4)] {
+    for (p, g, max_nodes) in [(80, 2, 80), (40, 4, 80), (100, 6, 400)] {
         let (model, _) = mapper_model(p, g);
         c.bench_function(&format!("lp/revised-cold/mapper{p}x{g}"), |b| {
             b.iter(|| simplex::solve_lp(black_box(&model), &[]).unwrap())
         });
         let opts = SolverOptions {
-            max_nodes: 80,
+            max_nodes,
             time_limit: Duration::from_secs(3600),
             ..SolverOptions::default()
         };
-        c.bench_function(&format!("ilp/bb-80-nodes/mapper{p}x{g}"), |b| {
+        c.bench_function(&format!("ilp/bb-{max_nodes}-nodes/mapper{p}x{g}"), |b| {
             b.iter(|| {
                 Solver::with_options(opts.clone())
                     .solve(black_box(&model))

@@ -2,7 +2,12 @@
 //! which row, the nonbasic-at-lower/upper states of everything else, and the
 //! sparse LU factorisation of the basis matrix ([`crate::lu::LuFactor`]:
 //! Markowitz pivot selection and an eta-update file), so solves cost
-//! `O(nnz)` of the factors and large sparse bases stay cheap.
+//! `O(nnz)` of the factors and large sparse bases stay cheap. The btrans of
+//! a unit vector ([`Basis::btran_unit`]) and of a cost vector with few
+//! basic costs ([`Basis::btran_costs`]) take the factor's sparse path and
+//! cost only the entries their nonzeros reach; their results are bit for
+//! bit those of the dense loops, because every skipped term is a product
+//! with an exact zero, which can change only the sign of a zero.
 //!
 //! Drift is bounded by rebuilding the factors after a fixed number of
 //! updates, or early when an update shows large pivot growth.

@@ -30,6 +30,31 @@
 //! * **btran** (`Bᵀ y = c`) applies the transposed `E_i⁻¹` newest to oldest,
 //!   then runs the LU-transpose solve.
 //!
+//! Both L solves visit only the steps that have L multipliers. Most btrans
+//! solve for a unit vector (the dual pivot row, and the basic costs when
+//! the objective's only cost is basic) and stay sparse throughout, so a
+//! sparse right-hand side runs btran on a nonzero list instead of over all
+//! of `m`:
+//!
+//! * the **eta phase** keeps an ascending list of the positions that may be
+//!   nonzero and sums each transposed eta over the listed positions only,
+//!   finding each one's entry in constant time through the eta's position
+//!   bitset and the per-word entry counts before it (one bit per position
+//!   and a count per 64 positions, a fraction of the eta's own storage at
+//!   the densities that take this path), unless the eta is short next to
+//!   the list and is cheaper to gather whole;
+//! * the **Uᵀ phase** solves only the steps reachable from the listed
+//!   positions, in ascending step order from a bitset.
+//!
+//! A right-hand side with more than `m / HYPERSPARSE_SHARE` nonzeros, or a
+//! list that fills in past that share, takes the dense loops instead. The
+//! sparse path is exact, not approximate: every term it skips is a product
+//! with an exact zero, and adding or subtracting a zero can change only
+//! the sign of a zero result, so every nonzero comes out bit for bit as
+//! the dense loops compute it and in the same summation order. A position
+//! that cancels to exactly zero stays listed, so if a later eta refills it
+//! it is still listed once.
+//!
 //! The factorisation is rebuilt every [`ETA_LIMIT`] updates, or earlier when
 //! an update shows large pivot growth (`|w_r|` tiny against `‖w‖∞`), which
 //! is the classical stability trigger for product-form files.
@@ -52,16 +77,38 @@ const ABS_PIVOT_TOL: f64 = 1e-11;
 const GROWTH_TOL: f64 = 1e-7;
 /// Entries cancelled below this magnitude during elimination are dropped.
 const DROP_TOL: f64 = 1e-12;
+/// A btran vector with more than `m / HYPERSPARSE_SHARE` nonzeros takes the
+/// dense loops.
+const HYPERSPARSE_SHARE: usize = 10;
+/// Looking a listed position up in an eta costs about as much as gathering
+/// this many of its entries: an eta shorter than this multiple of the
+/// listed positions is gathered whole.
+const ETA_LOOKUP_COST: usize = 4;
 
 /// One product-form update: the basic variable of position `r` was replaced
 /// by a column whose ftran direction had pivot `pivot` at `r` and the stored
-/// off-pivot entries elsewhere.
+/// off-pivot entries elsewhere, ascending by position.
 #[derive(Debug, Clone)]
 struct Eta {
     r: u32,
     pivot: f64,
     ix: Vec<u32>,
     val: Vec<f64>,
+    /// Bit `i` is set when the eta has an entry at position `i`, and
+    /// `before[w]` counts the entries below position `64·w`, so the entry
+    /// of a set bit sits at offset `before[w]` + the set bits below it.
+    bits: Vec<u64>,
+    before: Vec<u32>,
+}
+
+impl Eta {
+    /// The eta's value at position `i`, if it has an entry there.
+    fn get(&self, i: usize) -> Option<f64> {
+        let (w, b) = (i / 64, i % 64);
+        let word = self.bits[w];
+        (word >> b & 1 != 0)
+            .then(|| self.val[(self.before[w] + (word & ((1 << b) - 1)).count_ones()) as usize])
+    }
 }
 
 /// Sparse LU factors of the basis plus the eta file of updates since the
@@ -78,6 +125,8 @@ pub(crate) struct LuFactor {
     perm_row: Vec<u32>,
     /// Basis position pivoted at elimination step `k`.
     perm_col: Vec<u32>,
+    /// Elimination step of each basis position (the inverse of `perm_col`).
+    col_step: Vec<u32>,
     /// Pivot values `u_kk`.
     udiag: Vec<f64>,
     // L multipliers of each step: `(row, l)` means that row was reduced by
@@ -85,6 +134,8 @@ pub(crate) struct LuFactor {
     l_ptr: Vec<u32>,
     l_ix: Vec<u32>,
     l_val: Vec<f64>,
+    /// The steps with at least one L multiplier, ascending.
+    l_steps: Vec<u32>,
     // Off-diagonal U entries of each step's pivot row: `(position, u)`.
     u_ptr: Vec<u32>,
     u_ix: Vec<u32>,
@@ -92,8 +143,23 @@ pub(crate) struct LuFactor {
     etas: Vec<Eta>,
     force_refactor: bool,
     work: Vec<f64>,
+    /// Sparse-btran workspace, left clear between calls.
+    sparse: SparseBtran,
     /// Elimination workspace, reused by every refactorisation.
     ws: Markowitz,
+}
+
+/// Workspace of the sparse btran: all flags and bits are clear between
+/// calls.
+#[derive(Debug, Clone, Default)]
+struct SparseBtran {
+    /// Ascending positions that may hold a nonzero, each listed once.
+    nz: Vec<u32>,
+    listed: Vec<bool>,
+    /// Uᵀ steps reached but not yet solved, one bit each.
+    reach: Vec<u64>,
+    /// The solved Uᵀ steps with their values, in step order.
+    solved: Vec<(u32, f64)>,
 }
 
 impl LuFactor {
@@ -103,16 +169,23 @@ impl LuFactor {
             m,
             perm_row: Vec::new(),
             perm_col: Vec::new(),
+            col_step: Vec::new(),
             udiag: Vec::new(),
             l_ptr: Vec::new(),
             l_ix: Vec::new(),
             l_val: Vec::new(),
+            l_steps: Vec::new(),
             u_ptr: Vec::new(),
             u_ix: Vec::new(),
             u_val: Vec::new(),
             etas: Vec::new(),
             force_refactor: false,
             work: Vec::new(),
+            sparse: SparseBtran {
+                listed: vec![false; m],
+                reach: vec![0; m.div_ceil(64)],
+                ..SparseBtran::default()
+            },
             ws: Markowitz::default(),
         };
         f.reset_identity();
@@ -124,16 +197,19 @@ impl LuFactor {
         let m = self.m;
         self.perm_row.clear();
         self.perm_col.clear();
+        self.col_step.clear();
         self.udiag.clear();
         for k in 0..m {
             self.perm_row.push(k as u32);
             self.perm_col.push(k as u32);
+            self.col_step.push(k as u32);
             self.udiag.push(1.0);
         }
         self.l_ptr.clear();
         self.l_ptr.resize(m + 1, 0);
         self.l_ix.clear();
         self.l_val.clear();
+        self.l_steps.clear();
         self.u_ptr.clear();
         self.u_ptr.resize(m + 1, 0);
         self.u_ix.clear();
@@ -162,13 +238,22 @@ impl LuFactor {
         if pivot.abs() < ABS_PIVOT_TOL {
             return false;
         }
-        let mut ix = Vec::new();
-        let mut val = Vec::new();
+        // Sized exactly: the file holds up to `ETA_LIMIT` of these at a time.
+        let nnz = w.iter().filter(|&&wi| wi != 0.0).count() - 1;
+        let mut eta = Eta {
+            r: r as u32,
+            pivot,
+            ix: Vec::with_capacity(nnz),
+            val: Vec::with_capacity(nnz),
+            bits: vec![0; self.m.div_ceil(64)],
+            before: Vec::with_capacity(self.m.div_ceil(64)),
+        };
         let mut wmax = pivot.abs();
         for (i, &wi) in w.iter().enumerate() {
             if i != r && wi != 0.0 {
-                ix.push(i as u32);
-                val.push(wi);
+                eta.bits[i / 64] |= 1 << (i % 64);
+                eta.ix.push(i as u32);
+                eta.val.push(wi);
                 if wi.abs() > wmax {
                     wmax = wi.abs();
                 }
@@ -178,12 +263,12 @@ impl LuFactor {
             // Large pivot growth: accept the update but rebuild soon.
             self.force_refactor = true;
         }
-        self.etas.push(Eta {
-            r: r as u32,
-            pivot,
-            ix,
-            val,
-        });
+        let mut count = 0;
+        for word in &eta.bits {
+            eta.before.push(count);
+            count += word.count_ones();
+        }
+        self.etas.push(eta);
         true
     }
 
@@ -205,6 +290,7 @@ impl LuFactor {
         self.u_ptr.push(0);
         self.u_ix.clear();
         self.u_val.clear();
+        self.l_steps.clear();
         self.etas.clear();
         self.force_refactor = false;
 
@@ -228,7 +314,15 @@ impl LuFactor {
                 &mut self.l_val,
             );
             self.u_ptr.push(self.u_ix.len() as u32);
+            if self.l_ix.len() as u32 > *self.l_ptr.last().unwrap() {
+                self.l_steps.push(self.perm_row.len() as u32 - 1);
+            }
             self.l_ptr.push(self.l_ix.len() as u32);
+        }
+        self.col_step.clear();
+        self.col_step.resize(m, 0);
+        for (k, &t) in self.perm_col.iter().enumerate() {
+            self.col_step[t as usize] = k as u32;
         }
         true
     }
@@ -240,7 +334,8 @@ impl LuFactor {
         let m = self.m;
         debug_assert_eq!(x.len(), m);
         // L solve (apply the elimination steps to the rhs).
-        for k in 0..m {
+        for &k in &self.l_steps {
+            let k = k as usize;
             let xp = x[self.perm_row[k] as usize];
             if xp != 0.0 {
                 let (lo, hi) = (self.l_ptr[k] as usize, self.l_ptr[k + 1] as usize);
@@ -277,19 +372,157 @@ impl LuFactor {
     /// Solves `Bᵀ y = c` in place: on entry `x` holds the right-hand side
     /// indexed by basis position, on exit the solution indexed by
     /// constraint row.
+    ///
+    /// A sparse `x` (at most `m / HYPERSPARSE_SHARE` nonzeros) takes the
+    /// sparse path: the eta and Uᵀ phases visit only what its nonzeros
+    /// reach, and the vector falls back to the dense loops for the rest of
+    /// the solve once it fills in past that share. Both paths compute every
+    /// nonzero bit for bit alike (see the module docs).
     pub(crate) fn btran(&mut self, x: &mut [f64]) {
+        let mut sparse = self.list_nonzeros(x);
+        // Eta file transposed, newest to oldest.
+        for e in (0..self.etas.len()).rev() {
+            sparse = self.btran_eta(e, x, sparse);
+        }
+        if sparse {
+            self.btran_u_sparse(x);
+        } else {
+            self.btran_u_dense(x);
+        }
+        // Lᵀ solve (apply the transposed elimination steps in reverse).
+        for &k in self.l_steps.iter().rev() {
+            let k = k as usize;
+            let (lo, hi) = (self.l_ptr[k] as usize, self.l_ptr[k + 1] as usize);
+            let mut acc = x[self.perm_row[k] as usize];
+            for (ix, lv) in self.l_ix[lo..hi].iter().zip(&self.l_val[lo..hi]) {
+                acc -= lv * x[*ix as usize];
+            }
+            x[self.perm_row[k] as usize] = acc;
+        }
+    }
+
+    /// Lists the nonzero positions of `x` for the sparse btran; returns
+    /// `false` (nothing listed) when there are too many for it.
+    fn list_nonzeros(&mut self, x: &[f64]) -> bool {
         let m = self.m;
         debug_assert_eq!(x.len(), m);
-        // Eta file transposed, newest to oldest.
-        for eta in self.etas.iter().rev() {
-            let r = eta.r as usize;
-            let mut acc = x[r];
+        let sp = &mut self.sparse;
+        // Skip all-zero blocks with a branch-free test: shifting out the
+        // sign bit maps exactly `±0.0` to zero bits.
+        for (b, block) in x.chunks(16).enumerate() {
+            if block.iter().fold(0, |acc, xi| acc | xi.to_bits() << 1) == 0 {
+                continue;
+            }
+            for (j, &xi) in block.iter().enumerate() {
+                if xi != 0.0 {
+                    if sp.nz.len() == m / HYPERSPARSE_SHARE {
+                        sp.unlist();
+                        return false;
+                    }
+                    sp.nz.push((b * 16 + j) as u32);
+                }
+            }
+        }
+        for &i in &sp.nz {
+            sp.listed[i as usize] = true;
+        }
+        true
+    }
+
+    /// Applies the transpose of eta `e`: `x_r ← (x_r − Σ w_i·x_i) / pivot`
+    /// over the eta's entries in ascending position order. On the sparse
+    /// path only the listed positions can contribute a nonzero term, so
+    /// when they are few next to the eta's length each is looked up in it
+    /// instead of gathering the whole eta. Returns whether the solve is
+    /// still on the sparse path.
+    fn btran_eta(&mut self, e: usize, x: &mut [f64], sparse: bool) -> bool {
+        let eta = &self.etas[e];
+        let r = eta.r as usize;
+        let sp = &mut self.sparse;
+        let mut acc = x[r];
+        if sparse && sp.nz.len() * ETA_LOOKUP_COST < eta.ix.len() {
+            for &i in &sp.nz {
+                if let Some(wv) = eta.get(i as usize) {
+                    acc -= wv * x[i as usize];
+                }
+            }
+        } else {
             for (ix, wv) in eta.ix.iter().zip(&eta.val) {
                 acc -= wv * x[*ix as usize];
             }
-            x[r] = acc / eta.pivot;
         }
-        // Uᵀ forward solve (scatter form over the U rows).
+        let xr = acc / eta.pivot;
+        x[r] = xr;
+        // A listed position stays listed when it cancels to zero, so one
+        // that refills is never listed twice.
+        if !sparse || xr == 0.0 || sp.listed[r] {
+            return sparse;
+        }
+        if sp.nz.len() == self.m / HYPERSPARSE_SHARE {
+            sp.unlist();
+            return false;
+        }
+        sp.listed[r] = true;
+        let at = sp.nz.partition_point(|&i| (i as usize) < r);
+        sp.nz.insert(at, r as u32);
+        true
+    }
+
+    /// The Uᵀ forward solve over the reach of the listed positions: a step
+    /// whose position holds zero scatters nothing, so only the steps of
+    /// nonzero positions and of positions they scatter into are solved, in
+    /// ascending step order (every U entry of a step lies in a later step's
+    /// position). Clears the list.
+    fn btran_u_sparse(&mut self, x: &mut [f64]) {
+        let sp = &mut self.sparse;
+        debug_assert!(
+            sp.nz.windows(2).all(|w| w[0] < w[1]),
+            "each position is listed once, in ascending order"
+        );
+        for &p in &sp.nz {
+            let p = p as usize;
+            sp.listed[p] = false;
+            if x[p] != 0.0 {
+                let k = self.col_step[p] as usize;
+                sp.reach[k / 64] |= 1 << (k % 64);
+            }
+        }
+        sp.nz.clear();
+        sp.solved.clear();
+        let mut w = 0;
+        while w < sp.reach.len() {
+            let bits = sp.reach[w];
+            if bits == 0 {
+                w += 1;
+                continue;
+            }
+            sp.reach[w] = bits & (bits - 1);
+            let k = w * 64 + bits.trailing_zeros() as usize;
+            let vk = x[self.perm_col[k] as usize] / self.udiag[k];
+            sp.solved.push((k as u32, vk));
+            if vk != 0.0 {
+                let (lo, hi) = (self.u_ptr[k] as usize, self.u_ptr[k + 1] as usize);
+                for (ix, uv) in self.u_ix[lo..hi].iter().zip(&self.u_val[lo..hi]) {
+                    x[*ix as usize] -= uv * vk;
+                    let s = self.col_step[*ix as usize] as usize;
+                    debug_assert!(s > k, "U entries lie in later steps");
+                    sp.reach[s / 64] |= 1 << (s % 64);
+                }
+            }
+        }
+        // Every nonzero of `x` sits at a solved step's position: clear those
+        // and write the solution into row space.
+        for &(k, _) in &sp.solved {
+            x[self.perm_col[k as usize] as usize] = 0.0;
+        }
+        for &(k, vk) in &sp.solved {
+            x[self.perm_row[k as usize] as usize] = vk;
+        }
+    }
+
+    /// The Uᵀ forward solve over every step (scatter form over the U rows).
+    fn btran_u_dense(&mut self, x: &mut [f64]) {
+        let m = self.m;
         self.work.clear();
         self.work.resize(m, 0.0);
         for k in 0..m {
@@ -303,15 +536,16 @@ impl LuFactor {
             }
         }
         x.copy_from_slice(&self.work);
-        // Lᵀ solve (apply the transposed elimination steps in reverse).
-        for k in (0..m).rev() {
-            let (lo, hi) = (self.l_ptr[k] as usize, self.l_ptr[k + 1] as usize);
-            let mut acc = x[self.perm_row[k] as usize];
-            for (ix, lv) in self.l_ix[lo..hi].iter().zip(&self.l_val[lo..hi]) {
-                acc -= lv * x[*ix as usize];
-            }
-            x[self.perm_row[k] as usize] = acc;
+    }
+}
+
+impl SparseBtran {
+    /// Clears the list and its flags.
+    fn unlist(&mut self) {
+        for &i in &self.nz {
+            self.listed[i as usize] = false;
         }
+        self.nz.clear();
     }
 }
 
@@ -326,7 +560,6 @@ fn passes_threshold(v: f64, cmax: f64) -> bool {
 }
 /// End of a bucket list.
 const NIL: u32 = u32::MAX;
-
 /// Exact active-entry counts of the columns, with the active columns
 /// grouped by count: one doubly linked list per count, plus a bitset of the
 /// single-entry columns so the lowest-index one is found by a word scan.

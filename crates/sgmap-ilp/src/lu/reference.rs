@@ -1,10 +1,12 @@
-//! Test oracle of the LU refactorisation: the original full-scan pivot
-//! search, and a property test that the bucketed search picks the same
-//! pivots and so builds bit-identical factors.
+//! Test oracles of the LU factor: the original full-scan pivot search, with
+//! a property test that the bucketed search picks the same pivots and so
+//! builds bit-identical factors, and the original dense solves, with
+//! property tests that the sparse btran computes every nonzero bit for bit
+//! alike and the ftran over the non-empty L steps every bit.
 
 use proptest::prelude::*;
 
-use super::{LuFactor, ABS_PIVOT_TOL, DROP_TOL, MARKOWITZ_TAU};
+use super::{LuFactor, ABS_PIVOT_TOL, DROP_TOL, ETA_LIMIT, MARKOWITZ_TAU};
 use crate::model::{Model, ObjectiveSense};
 use crate::sparse::SparseCols;
 
@@ -203,6 +205,75 @@ impl LuFactor {
         }
         true
     }
+
+    /// The dense btran the sparse [`LuFactor::btran`] replaced, kept as its
+    /// oracle: every eta is gathered whole and every Uᵀ and Lᵀ step runs.
+    fn btran_reference(&self, x: &mut [f64]) {
+        let m = self.m;
+        for eta in self.etas.iter().rev() {
+            let r = eta.r as usize;
+            let mut acc = x[r];
+            for (ix, wv) in eta.ix.iter().zip(&eta.val) {
+                acc -= wv * x[*ix as usize];
+            }
+            x[r] = acc / eta.pivot;
+        }
+        let mut work = vec![0.0; m];
+        for k in 0..m {
+            let vk = x[self.perm_col[k] as usize] / self.udiag[k];
+            work[self.perm_row[k] as usize] = vk;
+            if vk != 0.0 {
+                let (lo, hi) = (self.u_ptr[k] as usize, self.u_ptr[k + 1] as usize);
+                for (ix, uv) in self.u_ix[lo..hi].iter().zip(&self.u_val[lo..hi]) {
+                    x[*ix as usize] -= uv * vk;
+                }
+            }
+        }
+        x.copy_from_slice(&work);
+        for k in (0..m).rev() {
+            let (lo, hi) = (self.l_ptr[k] as usize, self.l_ptr[k + 1] as usize);
+            let mut acc = x[self.perm_row[k] as usize];
+            for (ix, lv) in self.l_ix[lo..hi].iter().zip(&self.l_val[lo..hi]) {
+                acc -= lv * x[*ix as usize];
+            }
+            x[self.perm_row[k] as usize] = acc;
+        }
+    }
+
+    /// The ftran whose L solve visits every step, kept as the oracle of
+    /// [`LuFactor::ftran`], which visits only the steps with multipliers.
+    fn ftran_reference(&self, x: &mut [f64]) {
+        let m = self.m;
+        for k in 0..m {
+            let xp = x[self.perm_row[k] as usize];
+            if xp != 0.0 {
+                let (lo, hi) = (self.l_ptr[k] as usize, self.l_ptr[k + 1] as usize);
+                for (ix, lv) in self.l_ix[lo..hi].iter().zip(&self.l_val[lo..hi]) {
+                    x[*ix as usize] -= lv * xp;
+                }
+            }
+        }
+        let mut work = vec![0.0; m];
+        for k in (0..m).rev() {
+            let mut v = x[self.perm_row[k] as usize];
+            let (lo, hi) = (self.u_ptr[k] as usize, self.u_ptr[k + 1] as usize);
+            for (ix, uv) in self.u_ix[lo..hi].iter().zip(&self.u_val[lo..hi]) {
+                v -= uv * work[*ix as usize];
+            }
+            work[self.perm_col[k] as usize] = v / self.udiag[k];
+        }
+        x.copy_from_slice(&work);
+        for eta in &self.etas {
+            let r = eta.r as usize;
+            let xr = x[r] / eta.pivot;
+            x[r] = xr;
+            if xr != 0.0 {
+                for (ix, wv) in eta.ix.iter().zip(&eta.val) {
+                    x[*ix as usize] -= wv * xr;
+                }
+            }
+        }
+    }
 }
 
 /// Deterministic mini-RNG (SplitMix64): a whole basis derives from one seed,
@@ -329,4 +400,153 @@ proptest! {
             prop_assert_eq!(bits(&fast.u_val), bits(&oracle.u_val));
         }
     }
+}
+
+/// A factor of a random sparse basis of 20–120 rows with small dyadic
+/// entries, carrying up to [`ETA_LIMIT`] long random etas, plus `count`
+/// right-hand sides: unit vectors, a few nonzeros, dense ones and zero ones
+/// with `-0.0` entries.
+///
+/// Dyadic values keep the arithmetic exact, so positions cancel to exactly
+/// zero and etas that reuse a pivot position refill them.
+fn random_eta_file(seed: u64, count: usize) -> (LuFactor, Vec<Vec<f64>>) {
+    const VALUES: [f64; 7] = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1.0];
+    let mut g = Gen(seed);
+    let m = 20 + g.below(101);
+    let mut model = Model::new(ObjectiveSense::Minimize);
+    let vars: Vec<_> = (0..m)
+        .map(|j| model.add_continuous(format!("x{j}"), 0.0))
+        .collect();
+    for r in 0..m {
+        let mut terms = Vec::new();
+        for (j, &v) in vars.iter().enumerate() {
+            if j == r || g.chance(4) {
+                terms.push((v, VALUES[g.below(VALUES.len())]));
+            }
+        }
+        model.add_constraint_le(terms, 0.0);
+    }
+    let cols = SparseCols::from_model(&model);
+    // Mostly structural columns, in random order.
+    let mut basic: Vec<u32> = (0..m as u32)
+        .map(|j| if g.chance(20) { j + m as u32 } else { j })
+        .collect();
+    for i in (1..m).rev() {
+        basic.swap(i, g.below(i + 1));
+    }
+    let mut lu = LuFactor::identity(m);
+    if !lu.refactorize(&cols, &basic) {
+        lu.reset_identity();
+    }
+    // Few distinct pivot positions, so positions cancel and refill.
+    let pivots: Vec<usize> = (0..1 + g.below(6)).map(|_| g.below(m)).collect();
+    for _ in 0..g.below(ETA_LIMIT) {
+        let r = pivots[g.below(pivots.len())];
+        let density = 10 + g.below(90);
+        let mut w: Vec<f64> = (0..m)
+            .map(|_| {
+                if g.chance(density) {
+                    VALUES[g.below(VALUES.len())]
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        w[r] = [1.0, -1.0, 2.0, 0.5][g.below(4)];
+        assert!(lu.update(r, &w));
+    }
+    let rhs = (0..count)
+        .map(|_| {
+            let mut x = vec![0.0; m];
+            match g.below(4) {
+                0 => x[g.below(m)] = 1.0,
+                1 => {
+                    for _ in 0..1 + g.below(4) {
+                        x[g.below(m)] = VALUES[g.below(VALUES.len())];
+                    }
+                }
+                2 => {
+                    for v in &mut x {
+                        *v = VALUES[g.below(VALUES.len())];
+                    }
+                }
+                _ => {
+                    for v in &mut x {
+                        *v = if g.chance(50) { -0.0 } else { 0.0 };
+                    }
+                }
+            }
+            x
+        })
+        .collect();
+    (lu, rhs)
+}
+
+/// Asserts that `got` and `want` have the same zero pattern and
+/// bit-identical nonzeros (a zero's sign may differ).
+fn assert_same_nonzeros(got: &[f64], want: &[f64]) -> Result<(), TestCaseError> {
+    for (i, (a, b)) in got.iter().zip(want).enumerate() {
+        prop_assert_eq!(*a == 0.0, *b == 0.0, "zero pattern at {}", i);
+        if *a != 0.0 {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "value at {}: {} vs {}", i, a, b);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    #[test]
+    fn sparse_btran_matches_the_dense_reference(seed in any::<u64>()) {
+        // One factor serves every rhs, as in a solve, so state left in the
+        // sparse workspace by one btran cannot leak into the next.
+        let (mut lu, rhs) = random_eta_file(seed, 8);
+        for x in &rhs {
+            let mut got = x.clone();
+            lu.btran(&mut got);
+            let mut want = x.clone();
+            lu.btran_reference(&mut want);
+            assert_same_nonzeros(&got, &want)?;
+        }
+    }
+
+    #[test]
+    fn ftran_over_nonempty_l_steps_matches_the_reference(seed in any::<u64>()) {
+        let (mut lu, rhs) = random_eta_file(seed, 4);
+        for x in &rhs {
+            let mut got = x.clone();
+            lu.ftran(&mut got);
+            let mut want = x.clone();
+            lu.ftran_reference(&mut want);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+}
+
+#[test]
+fn a_position_that_cancels_and_refills_is_counted_once() {
+    // Identity factors with three long etas, applied newest first to
+    // x = e_0 + e_1: the newest cancels x_0 to exactly zero, the middle one
+    // refills it to 1, and the oldest sums every position into x_2 = -2.
+    // Position 0 must stay listed once throughout (the Uᵀ phase asserts
+    // the list strictly ascending in debug builds).
+    let m = 40;
+    let mut lu = LuFactor::identity(m);
+    let long_eta = |w1: f64| {
+        let mut w = vec![1.0; m];
+        w[1] = w1;
+        w
+    };
+    assert!(lu.update(2, &long_eta(1.0)));
+    assert!(lu.update(0, &long_eta(-1.0)));
+    assert!(lu.update(0, &long_eta(1.0)));
+    let mut x = vec![0.0; m];
+    x[0] = 1.0;
+    x[1] = 1.0;
+    let mut want = x.clone();
+    lu.btran_reference(&mut want);
+    lu.btran(&mut x);
+    assert_eq!(bits(&x), bits(&want));
+    assert_eq!(&x[..3], &[1.0, 1.0, -2.0]);
 }

@@ -20,6 +20,9 @@ use sgmap_ilp::{SolveStats, Solver, SolverOptions};
 /// reoptimisations and several refactorisations, small enough for a debug
 /// test run.
 const MAX_NODES: usize = 80;
+/// Node budget of the 1116-row golden, whose dive needs more nodes than
+/// [`MAX_NODES`] to reach its first incumbent.
+const MAX_NODES_LARGE: usize = 400;
 
 /// Counters and objective bits of one golden solve.
 #[derive(Debug, PartialEq, Eq)]
@@ -32,10 +35,10 @@ struct Golden {
     gap_bits: u64,
 }
 
-fn solve(p: usize, g: usize) -> Golden {
+fn solve(p: usize, g: usize, max_nodes: usize) -> Golden {
     let (model, _) = mapper_model(p, g);
     let opts = SolverOptions {
-        max_nodes: MAX_NODES,
+        max_nodes,
         // Node-limited only: a wall-clock cut would make the counters depend
         // on the machine.
         time_limit: Duration::from_secs(3600),
@@ -63,7 +66,7 @@ fn solve(p: usize, g: usize) -> Golden {
 #[test]
 fn mapper_80x2_replays_the_recorded_pivot_sequence() {
     assert_eq!(
-        solve(80, 2),
+        solve(80, 2, MAX_NODES),
         Golden {
             nodes: 80,
             lp_iterations: 470,
@@ -78,7 +81,7 @@ fn mapper_80x2_replays_the_recorded_pivot_sequence() {
 #[test]
 fn mapper_40x4_replays_the_recorded_pivot_sequence() {
     assert_eq!(
-        solve(40, 4),
+        solve(40, 4, MAX_NODES),
         Golden {
             nodes: 80,
             lp_iterations: 651,
@@ -86,6 +89,23 @@ fn mapper_40x4_replays_the_recorded_pivot_sequence() {
             bound_flips: 0,
             objective_bits: 4636385447633747968,
             gap_bits: 4589594677097338955,
+        }
+    );
+}
+
+#[test]
+fn mapper_100x6_replays_the_recorded_pivot_sequence() {
+    // 1116 rows: the size of the hierarchical-platform models whose solves
+    // dominate mapping time, where btran runs on the sparse path.
+    assert_eq!(
+        solve(100, 6, MAX_NODES_LARGE),
+        Golden {
+            nodes: 400,
+            lp_iterations: 5799,
+            refactorizations: 89,
+            bound_flips: 93,
+            objective_bits: 4639587225493831680,
+            gap_bits: 4583820608968276410,
         }
     );
 }

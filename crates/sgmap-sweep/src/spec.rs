@@ -15,8 +15,9 @@ use sgmap_partition::{Algorithm, MultilevelOptions, PartitionerKind};
 pub enum SweepError {
     /// An axis of the grid is empty, so the cartesian product is empty.
     EmptyAxis(&'static str),
-    /// An axis contains a degenerate value (zero N, a platform whose
-    /// topology cannot be built, conflicting platform names).
+    /// An axis contains a degenerate value (zero N, a platform that cannot
+    /// be built, conflicting platform names, a GPU-count pin that matches
+    /// no platform).
     InvalidAxisValue(String),
     /// No preset with the requested name exists.
     UnknownPreset(String),
@@ -118,7 +119,8 @@ pub struct StackConfig {
     /// How inter-GPU transfers are routed.
     pub transfer_mode: TransferMode,
     /// When set, this stack only runs on these GPU counts (intersected with
-    /// the spec's GPU-count axis); `None` means the whole axis.
+    /// the spec's GPU-count axis); `None` means the whole axis. At least one
+    /// count must match a platform (see [`SweepSpec::validate`]).
     pub gpu_counts: Option<Vec<usize>>,
 }
 
@@ -600,9 +602,9 @@ impl SweepSpec {
     /// # Errors
     ///
     /// Returns an error for empty axes and degenerate axis values (zero `N`,
-    /// platforms whose topology cannot be built, duplicate platform
-    /// coordinates, one platform name used with different estimation
-    /// devices, duplicate stack labels).
+    /// platforms that cannot be built, duplicate platform coordinates, one
+    /// platform name used with different estimation devices, duplicate
+    /// stack labels, a stack pinned to GPU counts no platform has).
     pub fn validate(&self) -> Result<(), SweepError> {
         if self.apps.is_empty() {
             return Err(SweepError::EmptyAxis("apps"));
@@ -668,6 +670,18 @@ impl SweepSpec {
                 if counts.is_empty() {
                     return Err(SweepError::InvalidAxisValue(format!(
                         "stack '{}' is pinned to an empty GPU-count list",
+                        stack.label
+                    )));
+                }
+                // A pin that matches no platform would expand to no points.
+                if !self
+                    .platforms
+                    .iter()
+                    .any(|p| counts.contains(&p.gpu_count()))
+                {
+                    return Err(SweepError::InvalidAxisValue(format!(
+                        "stack '{}' is pinned to GPU counts {counts:?}, \
+                         which match no platform's GPU count",
                         stack.label
                     )));
                 }
@@ -785,6 +799,33 @@ mod tests {
         spec.platforms
             .push(PlatformSpec::reference(GpuSpec::c2070(), 2).named("M2090"));
         assert!(spec.expand().is_err());
+    }
+
+    #[test]
+    fn gpu_count_pins_that_match_no_platform_are_rejected() {
+        let spec_pinned_to = |counts: Vec<usize>| {
+            let mut stack = StackConfig::ours();
+            stack.gpu_counts = Some(counts);
+            SweepSpec::new(
+                "t",
+                vec![AppSweep::explicit(App::Des, vec![4])],
+                vec![GpuModel::M2090],
+                vec![4],
+                vec![stack],
+            )
+        };
+        for counts in [vec![0], vec![99]] {
+            let err = spec_pinned_to(counts.clone()).validate().unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                matches!(err, SweepError::InvalidAxisValue(_))
+                    && msg.contains("stack 'ours'")
+                    && msg.contains(&format!("{counts:?}")),
+                "{msg}"
+            );
+        }
+        // One matching count is enough.
+        assert_eq!(spec_pinned_to(vec![4, 99]).expand().unwrap().len(), 1);
     }
 
     #[test]

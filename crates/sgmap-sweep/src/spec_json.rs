@@ -19,8 +19,9 @@
 //! or a full platform object in the [`platform_json`](crate::platform_json)
 //! codec. Stacks may select the multilevel algorithm with
 //! `"algorithm": {"multilevel": {"coarsen_target": 96, ...}}` (the default is
-//! `"flat"`) and may pin GPU counts with `"gpu_counts": [1, 2]`. The
-//! `enhanced` axis defaults to `[false]` when omitted.
+//! `"flat"`) and may pin GPU counts with `"gpu_counts": [1, 2]`, at least one
+//! of which a platform must have. The `enhanced` axis defaults to `[false]`
+//! when omitted.
 //!
 //! Encoding is deterministic (insertion-ordered objects, shortest
 //! round-trip floats), so `to_json(from_json(s))` is a fixed point:
