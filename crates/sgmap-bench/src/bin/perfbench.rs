@@ -3,7 +3,7 @@
 //! Times the phases of single compiles (graph build, estimator/profile
 //! construction, the partition search, mapping + code generation) on a fixed
 //! set of compile targets, then the multilevel partitioner's scaling curve
-//! on seeded synthetic graphs (1k–10k filters), then a full sweep preset,
+//! on seeded synthetic graphs (1k–50k filters), then a full sweep preset,
 //! and emits the results as `BENCH.json` — the canonical perf artefact CI
 //! uploads so the project accumulates a wall-clock trajectory to optimise
 //! against.
@@ -78,12 +78,13 @@ const COMPILE_TARGETS: &[(App, u32)] = &[
 
 /// The synthetic scaling curve: seeded generated pipelines far past the
 /// paper's benchmark sizes, compiled with the multilevel partitioner. The
-/// largest point is the scaling gate — a 10k-filter graph must partition and
+/// largest point is the scaling gate — a 50k-filter graph must partition and
 /// map end-to-end on a single core within CI's patience.
 const SYNTHETIC_TARGETS: &[(App, u32)] = &[
     (App::SynthPipe, 1_000),
     (App::SynthPipe, 5_000),
     (App::SynthPipe, 10_000),
+    (App::SynthPipe, 50_000),
 ];
 
 struct Args {

@@ -25,6 +25,9 @@ pub enum FlowError {
     Partition(PartitionError),
     /// The ILP mapper failed.
     Mapping(IlpError),
+    /// The partitions' dependences form a cycle, so they have no execution
+    /// order; holds the partitions Kahn's pass could not order.
+    CyclicPdg(Vec<usize>),
 }
 
 impl fmt::Display for FlowError {
@@ -34,6 +37,10 @@ impl fmt::Display for FlowError {
             FlowError::Graph(e) => write!(f, "graph analysis failed: {e}"),
             FlowError::Partition(e) => write!(f, "partitioning failed: {e}"),
             FlowError::Mapping(e) => write!(f, "mapping failed: {e}"),
+            FlowError::CyclicPdg(unordered) => write!(
+                f,
+                "the partition dependence graph has a cycle: partitions {unordered:?} cannot be ordered"
+            ),
         }
     }
 }
@@ -84,8 +91,9 @@ impl CompileResult {
 ///
 /// # Errors
 ///
-/// Returns an error if the configuration is degenerate or if graph analysis,
-/// partitioning or mapping fails.
+/// Returns an error if the configuration is degenerate, if graph analysis,
+/// partitioning or mapping fails, or if the partition dependence graph has a
+/// cycle.
 pub fn compile(graph: &StreamGraph, config: &FlowConfig) -> Result<CompileResult, FlowError> {
     config.validate().map_err(FlowError::InvalidConfig)?;
     let estimator =
@@ -187,7 +195,8 @@ pub struct PartitionStage {
 /// # Errors
 ///
 /// Returns an error if the configuration is degenerate, disagrees with the
-/// estimator, or if graph analysis or partitioning fails.
+/// estimator, if graph analysis or partitioning fails, or if the partition
+/// dependence graph has a cycle.
 pub fn partition_graph(
     graph: &StreamGraph,
     config: &FlowConfig,
@@ -213,6 +222,11 @@ pub fn partition_graph(
         let _span = sgmap_trace::span("pdg.build");
         build_pdg(graph, &reps, &partitioning)
     };
+    // Mapping and planning need an execution order of the partitions.
+    let unordered = pdg.unordered_partitions();
+    if !unordered.is_empty() {
+        return Err(FlowError::CyclicPdg(unordered));
+    }
     Ok(PartitionStage { partitioning, pdg })
 }
 
@@ -285,6 +299,35 @@ mod tests {
             times[3],
             times[0]
         );
+    }
+
+    /// Mixed-family synthetic programs (feedback loops included) on the
+    /// multilevel partitioner and 2 GPUs: seed 2's partitions depend on each
+    /// other in a cycle, because feedback channels become PDG edges too.
+    /// The compile reports that before mapping instead of panicking in the
+    /// planner; seed 1's PDG is acyclic and compiles.
+    #[test]
+    fn a_cyclic_partition_dependence_graph_is_an_error() {
+        use sgmap_apps::synthetic::{spec, Family};
+        use sgmap_graph::GraphBuilder;
+        use sgmap_partition::{Algorithm, MultilevelOptions};
+
+        let config = FlowConfig::default()
+            .with_gpu_count(2)
+            .with_algorithm(Algorithm::Multilevel(MultilevelOptions::default()));
+        let graph = |seed| {
+            GraphBuilder::new(format!("loop{seed}"))
+                .build(spec(Family::Mixed, 1000, seed))
+                .unwrap()
+        };
+        let cyclic = graph(2);
+        let err = compile(&cyclic, &config).unwrap_err();
+        let FlowError::CyclicPdg(unordered) = &err else {
+            panic!("expected a cyclic PDG, got {err}");
+        };
+        assert!(!unordered.is_empty());
+        assert!(err.to_string().contains("has a cycle"), "{err}");
+        compile(&graph(1), &config).unwrap();
     }
 
     #[test]

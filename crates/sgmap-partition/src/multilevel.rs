@@ -24,8 +24,26 @@
 //!
 //! Every stage is deterministic for every thread count: matching is a serial
 //! ascending scan, and refinement evaluates its candidates through the same
-//! [`first_accepted`] batching discipline the flat phases use, so the
+//! `first_accepted` batching discipline the flat phases use, so the
 //! accepted move is always the first one in serial order.
+//!
+//! Refinement pays only for candidates whose inputs changed. Whether moving
+//! cluster `c` from part `p` to part `q` is accepted depends on nothing but
+//! `c` and the current states of `p` and `q`, and every rejected move is
+//! remembered under the key (cluster, stamp of `p`, stamp of `q`). A stamp
+//! names one part *state*: whenever a move replaces a part, the part takes
+//! the next value of one counter shared by the whole level, so two states
+//! never share a stamp. (Per-part version counters would not do: a cluster
+//! that moved from A to B can meet B at the version number A had, and
+//! inherit a verdict about A.) The scan still restarts at cluster 0 after
+//! every move and draws the same batches, known rejections included, but a
+//! known rejection is skipped rather than re-estimated. Only rejections are
+//! remembered — speculative ones past the accepted move of a batch too —
+//! never an accepted plan, so the move sequence, the estimator's misses and
+//! every count of accepted work are those of the full rescan (kept as the
+//! test oracle in `multilevel/reference.rs`). Each cluster's target list is
+//! kept across moves and recomputed only for the moved cluster and its
+//! neighbours, the only clusters whose neighbouring parts a move changes.
 
 use sgmap_graph::StreamGraph;
 use sgmap_pee::Estimator;
@@ -37,7 +55,7 @@ use crate::proposed::{
     phase3_partition_merging, phase4_simultaneous, prewarm_singletons, singleton, FeasibilityCache,
     Part,
 };
-use crate::search::{first_accepted, PartitionSearchOptions};
+use crate::search::{first_accepted_skipping, PartitionSearchOptions};
 
 /// Tuning knobs for [`Algorithm::Multilevel`](crate::Algorithm::Multilevel).
 /// Integer-only so the options can sit inside hashable / comparable sweep
@@ -108,57 +126,7 @@ pub(crate) fn multilevel_partition(
     let batch = search.batch.max(1);
     let graph = est.graph();
     let feasible = FeasibilityCache::new(graph);
-
-    {
-        let _span = sgmap_trace::span("partition.prewarm");
-        prewarm_singletons(est, graph, threads);
-    }
-
-    // Level 0: every filter is its own cluster.
-    let mut clusters: Vec<Part> = graph
-        .filter_ids()
-        .map(|id| singleton(est, id))
-        .collect::<Result<_, _>>()?;
-
-    // Coarsen until the target is reached or matching dries up. `levels`
-    // keeps the finer cluster sets, finest first, for the way back down.
-    let target = options.coarsen_target.max(2);
-    let mut levels: Vec<Vec<Part>> = Vec::new();
-    while clusters.len() > target && levels.len() < options.max_levels.max(1) {
-        let mut span = sgmap_trace::span("partition.coarsen");
-        span.arg("level", levels.len());
-        span.arg("clusters_in", clusters.len());
-        match coarsen_level(est, graph, &feasible, options, &clusters) {
-            Some(coarser) => {
-                span.arg("clusters_out", coarser.len());
-                sgmap_trace::add("partition.coarsen_levels", 1);
-                levels.push(std::mem::replace(&mut clusters, coarser));
-            }
-            None => {
-                span.arg("clusters_out", clusters.len());
-                break;
-            }
-        }
-    }
-
-    // Initial partitioning: the flat phases 3 + 4 on the coarsest clusters.
-    let mut parts = clusters;
-    {
-        let mut span = sgmap_trace::span("partition.initial");
-        sgmap_trace::add("partition.adjacency_rebuilds", 1);
-        let mut adjacency = AdjacencyIndex::build(graph, parts.iter().map(|p| &p.nodes));
-        phase3_partition_merging(est, &feasible, threads, batch, &mut parts, &mut adjacency);
-        phase4_simultaneous(
-            est,
-            graph,
-            &feasible,
-            threads,
-            batch,
-            &mut parts,
-            &mut adjacency,
-        );
-        span.arg("parts", parts.len());
-    }
+    let (levels, mut parts) = coarsen_and_partition(est, &feasible, options, threads, batch)?;
 
     // Uncoarsen: refine against each finer level, coarsest-stored first.
     for (level, level_clusters) in levels.iter().enumerate().rev() {
@@ -182,6 +150,67 @@ pub(crate) fn multilevel_partition(
         .collect();
     partitioning.validate_cover(graph)?;
     Ok(partitioning)
+}
+
+/// Prewarm, coarsening and the initial partitioning: returns the cluster
+/// sets of the finer levels, finest first, for the way back down, and the
+/// parts of the coarsest level.
+fn coarsen_and_partition(
+    est: &Estimator<'_>,
+    feasible: &FeasibilityCache,
+    options: &MultilevelOptions,
+    threads: usize,
+    batch: usize,
+) -> Result<(Vec<Vec<Part>>, Vec<Part>), PartitionError> {
+    let graph = est.graph();
+    {
+        let _span = sgmap_trace::span("partition.prewarm");
+        prewarm_singletons(est, graph, threads);
+    }
+
+    // Level 0: every filter is its own cluster.
+    let mut clusters: Vec<Part> = graph
+        .filter_ids()
+        .map(|id| singleton(est, id))
+        .collect::<Result<_, _>>()?;
+
+    // Coarsen until the target is reached or matching dries up.
+    let target = options.coarsen_target.max(2);
+    let mut levels: Vec<Vec<Part>> = Vec::new();
+    while clusters.len() > target && levels.len() < options.max_levels.max(1) {
+        let mut span = sgmap_trace::span("partition.coarsen");
+        span.arg("level", levels.len());
+        span.arg("clusters_in", clusters.len());
+        match coarsen_level(est, graph, feasible, options, &clusters) {
+            Some(coarser) => {
+                span.arg("clusters_out", coarser.len());
+                sgmap_trace::add("partition.coarsen_levels", 1);
+                levels.push(std::mem::replace(&mut clusters, coarser));
+            }
+            None => {
+                span.arg("clusters_out", clusters.len());
+                break;
+            }
+        }
+    }
+
+    // Initial partitioning: the flat phases 3 + 4 on the coarsest clusters.
+    let mut parts = clusters;
+    let mut span = sgmap_trace::span("partition.initial");
+    sgmap_trace::add("partition.adjacency_rebuilds", 1);
+    let mut adjacency = AdjacencyIndex::build(graph, parts.iter().map(|p| &p.nodes));
+    phase3_partition_merging(est, feasible, threads, batch, &mut parts, &mut adjacency);
+    phase4_simultaneous(
+        est,
+        graph,
+        feasible,
+        threads,
+        batch,
+        &mut parts,
+        &mut adjacency,
+    );
+    span.arg("parts", parts.len());
+    Ok((levels, parts))
 }
 
 /// One heavy-edge matching round. Clusters are visited in ascending order;
@@ -220,10 +249,10 @@ fn coarsen_level(
                 continue;
             }
             let (estimate, chars) = est.estimate_union(
-                &clusters[i].nodes,
-                &clusters[i].chars,
-                &clusters[j].nodes,
-                &clusters[j].chars,
+                &[
+                    (&clusters[i].nodes, &clusters[i].chars),
+                    (&clusters[j].nodes, &clusters[j].chars),
+                ],
                 &union,
             );
             let Some(estimate) = estimate else { continue };
@@ -256,12 +285,107 @@ struct MovePlan {
     target: Part,
 }
 
+/// Evaluates moving `cluster` from its `home` part to the `target` part: the
+/// plan if the move keeps both parts feasible and strictly lowers their
+/// summed estimated time, else `None`. A pure function of the cluster and
+/// the two parts' states, which is what lets a rejection be remembered.
+fn evaluate_move(
+    est: &Estimator<'_>,
+    graph: &StreamGraph,
+    feasible: &FeasibilityCache,
+    cluster: &Part,
+    home: &Part,
+    target: &Part,
+) -> Option<MovePlan> {
+    sgmap_trace::add("partition.candidates_evaluated", 1);
+    let remain = home.nodes.difference(&cluster.nodes);
+    if remain.is_empty() || !feasible.is_mergeable(graph, &remain) {
+        return None;
+    }
+    let union = target.nodes.union(&cluster.nodes);
+    if !feasible.is_mergeable(graph, &union) {
+        return None;
+    }
+    let (remain_est, remain_chars) = est.estimate_with_chars(&remain);
+    let remain_est = remain_est?;
+    let (target_est, target_chars) = est.estimate_union(
+        &[
+            (&target.nodes, &target.chars),
+            (&cluster.nodes, &cluster.chars),
+        ],
+        &union,
+    );
+    let target_est = target_est?;
+    let before = home.estimate.normalized_us + target.estimate.normalized_us;
+    let after = remain_est.normalized_us + target_est.normalized_us;
+    (after < before).then_some(MovePlan {
+        remain: Part {
+            nodes: remain,
+            estimate: remain_est,
+            chars: remain_chars,
+        },
+        target: Part {
+            nodes: union,
+            estimate: target_est,
+            chars: target_chars,
+        },
+    })
+}
+
+/// One entry of a cluster's target list: a neighbouring part, and the
+/// stamps of the (home, target) part states under which moving the cluster
+/// there was last rejected.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    part: usize,
+    rejected_at: (usize, usize),
+}
+
+/// `rejected_at` of a target never rejected (stamps never reach it).
+const NEVER: (usize, usize) = (usize::MAX, usize::MAX);
+
+/// A candidate move of the refinement scan.
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    cluster: usize,
+    home: usize,
+    target: usize,
+    known_rejected: bool,
+}
+
+/// The sorted, deduplicated parts of a cluster's `neighbours` other than its
+/// own `home`, each carrying its verdict over from the `old` list. A verdict
+/// whose parts have changed since is carried too; its stamps no longer
+/// match, so it is inert.
+fn target_list(neighbours: &[usize], home: &[usize], own: usize, old: &[Target]) -> Vec<Target> {
+    let mut parts: Vec<usize> = neighbours
+        .iter()
+        .map(|&d| home[d])
+        .filter(|&q| q != own)
+        .collect();
+    parts.sort_unstable();
+    parts.dedup();
+    parts
+        .into_iter()
+        .map(|part| Target {
+            part,
+            rejected_at: old
+                .binary_search_by_key(&part, |t| t.part)
+                .map_or(NEVER, |at| old[at].rejected_at),
+        })
+        .collect()
+}
+
 /// Boundary-local refinement at one level: repeatedly move a cluster to an
 /// adjacent part while that strictly lowers the summed estimated time of the
 /// two parts involved. Candidates are enumerated in ascending (cluster,
-/// target-part) order and evaluated through [`first_accepted`], so any
-/// thread count applies the serial move sequence. A move never empties its
-/// source part, so the part count is stable. Returns the number of moves.
+/// target-part) order and evaluated through [`first_accepted_skipping`], so
+/// any thread count applies the serial move sequence; moves already
+/// rejected against the same part states are skipped (see the module
+/// docs). A move never empties its source part, so the part count is
+/// stable. Returns the number of moves.
+///
+/// `parts` must be unions of `clusters`, as every level's parts are.
 pub(crate) fn refine_level(
     est: &Estimator<'_>,
     graph: &StreamGraph,
@@ -271,93 +395,114 @@ pub(crate) fn refine_level(
     clusters: &[Part],
     parts: &mut [Part],
 ) -> usize {
-    // Filter → part position, maintained across moves.
-    let mut assignment = vec![usize::MAX; graph.filter_count()];
-    for (p, part) in parts.iter().enumerate() {
-        for id in part.nodes.iter() {
-            assignment[id.index()] = p;
+    let mut cluster_of = vec![usize::MAX; graph.filter_count()];
+    for (c, cluster) in clusters.iter().enumerate() {
+        for id in cluster.nodes.iter() {
+            cluster_of[id.index()] = c;
         }
     }
-    let mut moves = 0usize;
-    // Strict improvement of a finite state space already terminates; the cap
-    // only bounds pathological churn.
-    let cap = clusters.len().max(16) * 2;
-    while moves < cap {
-        let parts_ref: &[Part] = parts;
-        let assignment_ref: &[usize] = &assignment;
-        // Interior clusters (every neighbour in the home part) fall out with
-        // an empty target list, so only boundary clusters reach evaluation.
-        // Neighbours are read straight off the forward channels; the sort
-        // and dedup below make their order and repetition irrelevant.
-        let candidates = (0..clusters.len()).flat_map(|c| {
-            let home = assignment_ref[clusters[c].nodes.as_slice()[0].index()];
-            let mut targets: Vec<usize> = clusters[c]
+    // Cluster → the part holding it, maintained across moves.
+    let mut home = vec![usize::MAX; clusters.len()];
+    for (p, part) in parts.iter().enumerate() {
+        for id in part.nodes.iter() {
+            home[cluster_of[id.index()]] = p;
+        }
+    }
+    // The clusters a forward channel links to each cluster; fixed for the
+    // level. Interior clusters (every neighbour in the home part) end up
+    // with an empty target list, so only boundary clusters are candidates.
+    let neighbours: Vec<Vec<usize>> = clusters
+        .iter()
+        .enumerate()
+        .map(|(c, cluster)| {
+            let mut linked: Vec<usize> = cluster
                 .nodes
                 .iter()
                 .flat_map(|id| {
                     let incident = graph.in_channels(id).iter().chain(graph.out_channels(id));
                     incident
-                        .map(|&c| graph.channel(c))
+                        .map(|&ch| graph.channel(ch))
                         .filter(|ch| !ch.feedback)
                         .map(move |ch| if ch.src == id { ch.dst } else { ch.src })
                 })
-                .map(|nb| assignment_ref[nb.index()])
-                .filter(|&q| q != home)
+                .map(|nb| cluster_of[nb.index()])
+                .filter(|&d| d != c)
                 .collect();
-            targets.sort_unstable();
-            targets.dedup();
-            targets.into_iter().map(move |q| (c, home, q))
-        });
-        let found = first_accepted(threads, batch, candidates, |&(c, p, q)| {
-            sgmap_trace::add("partition.candidates_evaluated", 1);
-            let remain = parts_ref[p].nodes.difference(&clusters[c].nodes);
-            if remain.is_empty() || !feasible.is_mergeable(graph, &remain) {
-                return None;
-            }
-            let union = parts_ref[q].nodes.union(&clusters[c].nodes);
-            if !feasible.is_mergeable(graph, &union) {
-                return None;
-            }
-            let (remain_est, remain_chars) = est.estimate_with_chars(&remain);
-            let remain_est = remain_est?;
-            let (target_est, target_chars) = est.estimate_union(
-                &parts_ref[q].nodes,
-                &parts_ref[q].chars,
-                &clusters[c].nodes,
-                &clusters[c].chars,
-                &union,
-            );
-            let target_est = target_est?;
-            let before = parts_ref[p].estimate.normalized_us + parts_ref[q].estimate.normalized_us;
-            let after = remain_est.normalized_us + target_est.normalized_us;
-            (after < before).then_some(MovePlan {
-                remain: Part {
-                    nodes: remain,
-                    estimate: remain_est,
-                    chars: remain_chars,
-                },
-                target: Part {
-                    nodes: union,
-                    estimate: target_est,
-                    chars: target_chars,
-                },
+            linked.sort_unstable();
+            linked.dedup();
+            linked
+        })
+        .collect();
+    let mut targets: Vec<Vec<Target>> = (0..clusters.len())
+        .map(|c| target_list(&neighbours[c], &home, home[c], &[]))
+        .collect();
+    // Part → stamp of its current state; `next_stamp` is the level's one
+    // counter.
+    let mut stamp: Vec<usize> = (0..parts.len()).collect();
+    let mut next_stamp = parts.len();
+
+    let mut moves = 0usize;
+    let mut rejected: Vec<Move> = Vec::new();
+    // Strict improvement of a finite state space already terminates; the cap
+    // only bounds pathological churn.
+    let cap = clusters.len().max(16) * 2;
+    while moves < cap {
+        let parts_ref: &[Part] = parts;
+        let (home_ref, stamp_ref) = (&home, &stamp);
+        let candidates = targets.iter().enumerate().flat_map(|(c, list)| {
+            let p = home_ref[c];
+            list.iter().map(move |t| Move {
+                cluster: c,
+                home: p,
+                target: t.part,
+                known_rejected: t.rejected_at == (stamp_ref[p], stamp_ref[t.part]),
             })
         });
-        match found {
-            Some(((c, p, q), plan)) => {
-                parts[p] = plan.remain;
-                parts[q] = plan.target;
-                for id in clusters[c].nodes.iter() {
-                    assignment[id.index()] = q;
-                }
-                sgmap_trace::add("partition.refine_moves", 1);
-                moves += 1;
-            }
-            None => break,
+        rejected.clear();
+        let found = first_accepted_skipping(
+            threads,
+            batch,
+            candidates,
+            |m| m.known_rejected,
+            |m| {
+                evaluate_move(
+                    est,
+                    graph,
+                    feasible,
+                    &clusters[m.cluster],
+                    &parts_ref[m.home],
+                    &parts_ref[m.target],
+                )
+            },
+            |m| rejected.push(*m),
+        );
+        for m in &rejected {
+            let list = &mut targets[m.cluster];
+            let at = list
+                .binary_search_by_key(&m.target, |t| t.part)
+                .expect("a rejected move came from the target list");
+            list[at].rejected_at = (stamp[m.home], stamp[m.target]);
         }
+        let Some((m, plan)) = found else { break };
+        let (c, p, q) = (m.cluster, m.home, m.target);
+        parts[p] = plan.remain;
+        parts[q] = plan.target;
+        for replaced in [p, q] {
+            stamp[replaced] = next_stamp;
+            next_stamp += 1;
+        }
+        home[c] = q;
+        for d in std::iter::once(c).chain(neighbours[c].iter().copied()) {
+            targets[d] = target_list(&neighbours[d], &home, home[d], &targets[d]);
+        }
+        sgmap_trace::add("partition.refine_moves", 1);
+        moves += 1;
     }
     moves
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -54,33 +54,55 @@ impl Pdg {
     }
 
     /// A topological order of the partitions (the PDG of a convex
-    /// partitioning is a DAG).
+    /// partitioning of an acyclic graph is a DAG).
     ///
     /// # Panics
     ///
-    /// Panics if the PDG contains a cycle, which a valid convex partitioning
-    /// cannot produce.
+    /// Panics if the PDG contains a cycle; [`Pdg::unordered_partitions`]
+    /// names the partitions involved without panicking.
     pub fn topological_order(&self) -> Vec<usize> {
+        let order = self.kahn_order();
+        assert_eq!(
+            order.len(),
+            self.len(),
+            "partition dependence graph has a cycle"
+        );
+        order
+    }
+
+    /// The partitions Kahn's pass cannot order, ascending: those on a cycle
+    /// of the PDG or downstream of one. Empty exactly when the PDG is a DAG.
+    pub fn unordered_partitions(&self) -> Vec<usize> {
+        let mut ordered = vec![false; self.len()];
+        for p in self.kahn_order() {
+            ordered[p] = true;
+        }
+        (0..self.len()).filter(|&p| !ordered[p]).collect()
+    }
+
+    /// Kahn's pass: the partitions it can order, in order. Sources are
+    /// taken in ascending order and each partition's successors in edge
+    /// order.
+    fn kahn_order(&self) -> Vec<usize> {
         let n = self.len();
         let mut indegree = vec![0usize; n];
+        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
         for e in &self.edges {
             indegree[e.to] += 1;
+            successors[e.from].push(e.to);
         }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
+        let mut order: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
         let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
+        while head < order.len() {
+            let u = order[head];
             head += 1;
-            order.push(u);
-            for e in self.edges.iter().filter(|e| e.from == u) {
-                indegree[e.to] -= 1;
-                if indegree[e.to] == 0 {
-                    queue.push(e.to);
+            for &v in &successors[u] {
+                indegree[v] -= 1;
+                if indegree[v] == 0 {
+                    order.push(v);
                 }
             }
         }
-        assert_eq!(order.len(), n, "partition dependence graph has a cycle");
         order
     }
 }
@@ -191,7 +213,26 @@ mod tests {
         // Topological order covers every partition once.
         let order = pdg.topological_order();
         assert_eq!(order.len(), pdg.len());
+        assert!(pdg.unordered_partitions().is_empty());
         // The total workload matches the partitioning's estimate sum.
         assert!((pdg.total_time_us() - partitioning.total_estimated_time_us()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn kahn_leaves_cycles_and_what_they_feed_unordered() {
+        let edge = |from, to| PdgEdge {
+            from,
+            to,
+            bytes_per_iteration: 1,
+        };
+        // 0 -> 1 -> 2 -> 1 (a cycle), 2 -> 3, and an independent 4 -> 0.
+        let pdg = Pdg {
+            times_us: vec![1.0; 5],
+            edges: vec![edge(0, 1), edge(1, 2), edge(2, 1), edge(2, 3), edge(4, 0)],
+            primary_input_bytes: vec![0; 5],
+            primary_output_bytes: vec![0; 5],
+        };
+        assert_eq!(pdg.unordered_partitions(), vec![1, 2, 3]);
+        assert!(std::panic::catch_unwind(|| pdg.topological_order()).is_err());
     }
 }

@@ -219,7 +219,7 @@ pub(crate) fn try_merge(
     if !feasible.is_mergeable(est.graph(), &union) {
         return None;
     }
-    let (merged, chars) = est.estimate_union(&a.nodes, &a.chars, &b.nodes, &b.chars, &union);
+    let (merged, chars) = est.estimate_union(&[(&a.nodes, &a.chars), (&b.nodes, &b.chars)], &union);
     let merged = merged?;
     let combined = a.estimate.normalized_us + b.estimate.normalized_us;
     if merged.normalized_us < MERGE_GAIN_FACTOR * combined {
@@ -487,27 +487,18 @@ pub(crate) fn phase4_simultaneous(
             });
             let found = first_accepted(threads, batch, triples, |&(p, a, b)| {
                 sgmap_trace::add("partition.candidates_evaluated", 1);
-                let pa = parts_ref[p].nodes.union(&parts_ref[a].nodes);
-                let union = pa.union(&parts_ref[b].nodes);
+                let union = parts_ref[p]
+                    .nodes
+                    .union(&parts_ref[a].nodes)
+                    .union(&parts_ref[b].nodes);
                 if !feasible.is_mergeable(graph, &union) {
                     return None;
                 }
-                // Characteristics of the intermediate p ∪ a are derived
-                // without estimating it (that would disturb the shared-cache
-                // counters); the final union then goes through the caches as
-                // a single query, exactly like the full-rescan path did.
-                let pa_chars = est.merge_chars(
-                    &parts_ref[p].nodes,
-                    &parts_ref[p].chars,
-                    &parts_ref[a].nodes,
-                    &parts_ref[a].chars,
-                    &pa,
-                );
+                // One query for the triple: on a miss its characteristics
+                // are derived from the three operands at once, so no
+                // intermediate union is characterised.
                 let (e, chars) = est.estimate_union(
-                    &pa,
-                    &pa_chars,
-                    &parts_ref[b].nodes,
-                    &parts_ref[b].chars,
+                    &[p, a, b].map(|k| (&parts_ref[k].nodes, &*parts_ref[k].chars)),
                     &union,
                 );
                 let e = e?;

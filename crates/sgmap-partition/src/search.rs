@@ -150,13 +150,47 @@ where
     F: Fn(&T) -> Option<R> + Sync,
     I: Iterator<Item = T>,
 {
+    first_accepted_skipping(threads, batch, items, |_| false, eval, |_| {})
+}
+
+/// [`first_accepted`] for a caller that already knows some candidates fail.
+/// An item for which `known_rejected` holds still takes its place in its
+/// batch, so every batch covers the same items as in the plain scan and the
+/// accepted candidate is the same, but it is not evaluated. Every evaluated
+/// rejection of a drawn batch — speculative ones past the accepted
+/// candidate included — is passed to `on_rejected`, in item order, for the
+/// caller to remember.
+pub(crate) fn first_accepted_skipping<T, R, F, I>(
+    threads: usize,
+    batch: usize,
+    items: I,
+    known_rejected: impl Fn(&T) -> bool,
+    eval: F,
+    mut on_rejected: impl FnMut(&T),
+) -> Option<(T, R)>
+where
+    T: Send + Sync,
+    R: Send,
+    F: Fn(&T) -> Option<R> + Sync,
+    I: Iterator<Item = T>,
+{
     let batch = batch.max(1);
     let mut items = items.peekable();
     let mut chunk = Vec::with_capacity(batch);
     while items.peek().is_some() {
         chunk.clear();
-        chunk.extend(items.by_ref().take(batch));
+        chunk.extend(
+            items
+                .by_ref()
+                .take(batch)
+                .filter(|item| !known_rejected(item)),
+        );
         let results = par_map(threads, &chunk, &eval);
+        for (item, result) in chunk.iter().zip(&results) {
+            if result.is_none() {
+                on_rejected(item);
+            }
+        }
         if let Some(offset) = results.iter().position(Option::is_some) {
             let r = results
                 .into_iter()
@@ -211,6 +245,25 @@ mod tests {
         assert_eq!(got, Some((2, 2)));
         // One batch of 4 (plus the peeked element) — not the whole range.
         assert!(generated.load(Ordering::Relaxed) <= 8);
+    }
+
+    #[test]
+    fn skipped_items_keep_their_batch_slot_and_rejections_are_reported() {
+        // Batches of 3 over 0..9: [0 1 2] [3 4 5] [6 7 8]. Even numbers
+        // above 4 are accepted; 1 and 2 are known rejections.
+        let mut rejected = Vec::new();
+        let got = first_accepted_skipping(
+            1,
+            3,
+            0..9u32,
+            |&x| x == 1 || x == 2,
+            |&x| (x > 4 && x % 2 == 0).then_some(x),
+            |&x| rejected.push(x),
+        );
+        assert_eq!(got, Some((6, 6)));
+        // 1 and 2 are never evaluated; the accepting batch [6 7 8] reports
+        // its speculative rejection 7 but never the accepted 6 or 8.
+        assert_eq!(rejected, vec![0, 3, 4, 5, 7]);
     }
 
     #[test]

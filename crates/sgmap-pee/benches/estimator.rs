@@ -69,10 +69,7 @@ fn bench_characteristics(c: &mut Criterion) {
                 &index,
                 black_box(&graph),
                 false,
-                &front_chars,
-                &front,
-                &back_chars,
-                &back,
+                &[(&front, &front_chars), (&back, &back_chars)],
                 &union,
             )
         })

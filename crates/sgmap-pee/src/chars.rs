@@ -11,16 +11,26 @@
 //!   per-channel byte volumes, per-filter facts) built once per estimator,
 //! * [`CharsIndex::for_set`] — characteristics of an arbitrary set in
 //!   O(|set| · degree) instead of O(|graph|),
-//! * [`merge_characteristics`] — characteristics of a *union* derived from
-//!   the two operands plus the channels crossing between them; only the
-//!   internal-buffer peak is rescanned (it depends on the interleaved firing
-//!   schedule), everything else is pure integer algebra.
+//! * [`merge_characteristics`] — characteristics of a *union* of two or
+//!   more disjoint operands, derived from the operands plus the channels
+//!   crossing between them; only the internal-buffer peak is rescanned (it
+//!   depends on the interleaved firing schedule), everything else is pure
+//!   integer algebra.
 //!
 //! All three produce identical `f64` bit patterns and identical integers
 //! (the property suite enforces this on random graphs), so cache keys and
-//! estimates are independent of which path computed them.
-
-use std::collections::HashMap;
+//! estimates are independent of which path computed them. A union of three
+//! operands derived in one step equals the two-step derivation through the
+//! intermediate union: the filter list is the same sorted merge, the IO,
+//! state and peek byte counts are integer sums (associative, so the order of
+//! the additions cannot matter), and the one non-algebraic component, the
+//! internal peak, is computed over the final union either way. So the
+//! intermediate union's peak is never needed, and the one-step derivation
+//! skips its scan.
+//!
+//! The internal peak tracks the set's internal channels in a vector sorted
+//! by channel index and looked up by binary search, rather than a hash map
+//! built per query.
 
 use sgmap_gpusim::profile::ProfileTable;
 use sgmap_gpusim::sm_layout;
@@ -223,42 +233,54 @@ impl CharsIndex {
     /// [`CharsIndex::for_set`] and [`merge_characteristics`] recompute it
     /// with exactly the arithmetic of [`sm_layout::footprint`].
     fn internal_peak(&self, graph: &StreamGraph, set: &NodeSet, enhanced: bool) -> u64 {
-        let mut order: Vec<FilterId> = set.iter().collect();
-        order.sort_unstable_by_key(|&id| self.topo.position(id));
-        // Like the reference scan, the consumed-bytes map starts out holding
-        // every internal channel at its full volume; producing a channel
-        // overwrites the entry (with zero for elided splitters/joiners).
-        let mut consumed_remaining: HashMap<usize, u64> = HashMap::new();
-        for &fid in &order {
-            for &c in graph.out_channels(fid) {
+        // Like the reference scan, every internal channel (feedback ones
+        // included, though nothing ever consumes those) starts out holding
+        // its full volume; producing a channel overwrites its entry (with
+        // zero for elided splitters/joiners) and consuming one removes it.
+        // Every channel has one producer, so each is listed once.
+        let mut buffers: Vec<(usize, Option<u64>)> = Vec::new();
+        let mut order: Vec<(usize, FilterId)> = Vec::with_capacity(set.len());
+        for id in set.iter() {
+            order.push((self.topo.position(id), id));
+            for &c in graph.out_channels(id) {
                 if set.contains(graph.channel(c).dst) {
-                    consumed_remaining.insert(c.index(), self.chan_bytes[c.index()]);
+                    buffers.push((c.index(), Some(self.chan_bytes[c.index()])));
                 }
             }
         }
+        buffers.sort_unstable_by_key(|&(c, _)| c);
+        // Positions are distinct, so this is the scan order by position.
+        order.sort_unstable();
+        // A channel of a member is internal exactly when it is listed, so
+        // the lookup doubles as the test that its other end is a member.
+        fn slot(buffers: &mut [(usize, Option<u64>)], c: usize) -> Option<&mut Option<u64>> {
+            let at = buffers.binary_search_by_key(&c, |&(k, _)| k).ok()?;
+            Some(&mut buffers[at].1)
+        }
         let mut live = 0u64;
         let mut peak = 0u64;
-        for &fid in &order {
+        for &(_, fid) in &order {
             for &c in graph.out_channels(fid) {
-                let ch = graph.channel(c);
-                if ch.feedback || !set.contains(ch.dst) {
+                if graph.channel(c).feedback {
                     continue;
                 }
+                let Some(entry) = slot(&mut buffers, c.index()) else {
+                    continue;
+                };
                 let bytes = if enhanced && self.facts[fid.index()].reorder_only {
                     0
                 } else {
                     self.chan_bytes[c.index()]
                 };
                 live += bytes;
-                consumed_remaining.insert(c.index(), bytes);
+                *entry = Some(bytes);
             }
             peak = peak.max(live);
             for &c in graph.in_channels(fid) {
-                let ch = graph.channel(c);
-                if ch.feedback || !set.contains(ch.src) {
+                if graph.channel(c).feedback {
                     continue;
                 }
-                if let Some(bytes) = consumed_remaining.remove(&c.index()) {
+                if let Some(bytes) = slot(&mut buffers, c.index()).and_then(Option::take) {
                     live = live.saturating_sub(bytes);
                 }
             }
@@ -289,6 +311,11 @@ pub struct SetChars {
 }
 
 impl SetChars {
+    /// The per-filter list and the ids aligned with it.
+    fn filter_lists(&self) -> (&[(f64, u64)], &[FilterId]) {
+        (&self.chars.filters, &self.ids)
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         filters: Vec<(f64, u64)>,
@@ -321,77 +348,109 @@ impl SetChars {
     }
 }
 
-/// Derives the characteristics of `a ∪ b` from the operands' [`SetChars`]
-/// plus the channels crossing between the two (disjoint) sets, instead of
-/// re-walking the union: the per-filter list is a sorted merge, the IO
-/// volumes lose exactly the crossing bytes on each side, state and peek
-/// bytes add, and only the internal-buffer peak is rescanned over the union.
-/// Bit-identical to [`PartitionCharacteristics::from_set`] on the union.
-#[allow(clippy::too_many_arguments)]
+/// Derives the characteristics of the union of disjoint `operands` (each a
+/// node set with its [`SetChars`]) instead of re-walking the union: the
+/// per-filter list is a sorted merge, the IO volumes lose exactly the bytes
+/// of the channels crossing between operands on each side, state and peek
+/// bytes add, and only the internal-buffer peak is rescanned, once, over
+/// `union`, which must equal the operands' union. Bit-identical to
+/// [`PartitionCharacteristics::from_set`] on the union.
 pub fn merge_characteristics(
     index: &CharsIndex,
     graph: &StreamGraph,
     enhanced: bool,
-    a: &SetChars,
-    a_set: &NodeSet,
-    b: &SetChars,
-    b_set: &NodeSet,
+    operands: &[(&NodeSet, &SetChars)],
     union: &NodeSet,
 ) -> SetChars {
-    // Sorted merge of the per-filter lists (both ascend by filter id; the
-    // sets are disjoint, so no key appears twice).
-    let mut filters = Vec::with_capacity(a.ids.len() + b.ids.len());
-    let mut ids = Vec::with_capacity(a.ids.len() + b.ids.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.ids.len() && j < b.ids.len() {
-        if a.ids[i] < b.ids[j] {
-            filters.push(a.chars.filters[i]);
-            ids.push(a.ids[i]);
-            i += 1;
-        } else {
-            filters.push(b.chars.filters[j]);
-            ids.push(b.ids[j]);
-            j += 1;
-        }
-    }
-    filters.extend_from_slice(&a.chars.filters[i..]);
-    ids.extend_from_slice(&a.ids[i..]);
-    filters.extend_from_slice(&b.chars.filters[j..]);
-    ids.extend_from_slice(&b.ids[j..]);
-
-    // Bytes of the channels crossing between the operands: each such channel
-    // was boundary input of exactly one operand and boundary output of the
-    // other, and is internal to the union. Scanning the smaller side's
-    // incident channels sees every crossing channel exactly once.
-    let (small, other) = if a_set.len() <= b_set.len() {
-        (a_set, b_set)
-    } else {
-        (b_set, a_set)
+    // Sorted merge of the per-filter lists, one operand at a time (each list
+    // ascends by filter id; the sets are disjoint, so no key appears twice).
+    let (first, rest) = operands.split_first().expect("at least one operand");
+    let (mut filters, mut ids) = match rest.first() {
+        None => (first.1.chars.filters.clone(), first.1.ids.clone()),
+        Some(second) => merge_filter_lists(first.1.filter_lists(), second.1.filter_lists()),
     };
+    for (_, chars) in rest.iter().skip(1) {
+        (filters, ids) = merge_filter_lists((&filters, &ids), chars.filter_lists());
+    }
+
+    // Bytes of the channels crossing between operands: each such channel was
+    // boundary input of one operand and boundary output of another, and is
+    // internal to the union. The largest operand is not scanned; every other
+    // one counts its inputs from the other operands and its outputs into the
+    // largest operand, which sees every crossing channel exactly once.
+    let largest = (0..operands.len())
+        .max_by_key(|&k| operands[k].0.len())
+        .expect("at least one operand");
+    let largest_set = operands[largest].0;
     let mut cross_bytes = 0u64;
-    for id in small.iter() {
-        for &c in graph.in_channels(id) {
-            if other.contains(graph.channel(c).src) {
-                cross_bytes += index.chan_bytes[c.index()];
-            }
+    for (k, (set, _)) in operands.iter().enumerate() {
+        if k == largest {
+            continue;
         }
-        for &c in graph.out_channels(id) {
-            if other.contains(graph.channel(c).dst) {
-                cross_bytes += index.chan_bytes[c.index()];
+        for id in set.iter() {
+            for &c in graph.in_channels(id) {
+                let src = graph.channel(c).src;
+                let from_another = operands
+                    .iter()
+                    .enumerate()
+                    .any(|(j, (operand, _))| j != k && operand.contains(src));
+                if from_another {
+                    cross_bytes += index.chan_bytes[c.index()];
+                }
+            }
+            for &c in graph.out_channels(id) {
+                if largest_set.contains(graph.channel(c).dst) {
+                    cross_bytes += index.chan_bytes[c.index()];
+                }
             }
         }
     }
 
+    let sum = |field: fn(&SetChars) -> u64| operands.iter().map(|(_, c)| field(c)).sum::<u64>();
     SetChars::assemble(
         filters,
         ids,
-        a.chars.max_firing_rate.max(b.chars.max_firing_rate),
-        a.input_bytes + b.input_bytes - cross_bytes,
-        a.output_bytes + b.output_bytes - cross_bytes,
-        a.state_bytes + b.state_bytes,
-        a.peek_bytes + b.peek_bytes,
+        operands
+            .iter()
+            .map(|(_, c)| c.chars.max_firing_rate)
+            .max()
+            .expect("at least one operand"),
+        sum(|c| c.input_bytes) - cross_bytes,
+        sum(|c| c.output_bytes) - cross_bytes,
+        sum(|c| c.state_bytes),
+        sum(|c| c.peek_bytes),
         index.internal_peak(graph, union, enhanced),
     )
+}
+
+/// Merges two per-filter lists ascending by filter id, copying whole runs:
+/// each run's end is found by binary search, so merging a small list into a
+/// large one costs a few searches plus the copy.
+fn merge_filter_lists(
+    a: (&[(f64, u64)], &[FilterId]),
+    b: (&[(f64, u64)], &[FilterId]),
+) -> (Vec<(f64, u64)>, Vec<FilterId>) {
+    let mut filters = Vec::with_capacity(a.1.len() + b.1.len());
+    let mut ids = Vec::with_capacity(a.1.len() + b.1.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.1.len() && j < b.1.len() {
+        if a.1[i] < b.1[j] {
+            let end = i + a.1[i..].partition_point(|&id| id < b.1[j]);
+            filters.extend_from_slice(&a.0[i..end]);
+            ids.extend_from_slice(&a.1[i..end]);
+            i = end;
+        } else {
+            let end = j + b.1[j..].partition_point(|&id| id < a.1[i]);
+            filters.extend_from_slice(&b.0[j..end]);
+            ids.extend_from_slice(&b.1[j..end]);
+            j = end;
+        }
+    }
+    filters.extend_from_slice(&a.0[i..]);
+    ids.extend_from_slice(&a.1[i..]);
+    filters.extend_from_slice(&b.0[j..]);
+    ids.extend_from_slice(&b.1[j..]);
+    (filters, ids)
 }
 
 #[cfg(test)]
@@ -468,10 +527,10 @@ mod tests {
                     &index,
                     &g,
                     enhanced,
-                    &index.for_set(&g, &front, enhanced),
-                    &front,
-                    &index.for_set(&g, &back, enhanced),
-                    &back,
+                    &[
+                        (&front, &index.for_set(&g, &front, enhanced)),
+                        (&back, &index.for_set(&g, &back, enhanced)),
+                    ],
                     &all,
                 );
                 assert_same(&merged.chars, &reference);

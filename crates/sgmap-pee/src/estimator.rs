@@ -216,20 +216,19 @@ impl<'g> Estimator<'g> {
         })
     }
 
-    /// Estimates the union of two disjoint, already-characterised sets.
+    /// Estimates the union of disjoint, already-characterised sets: the
+    /// `operands` pair each node set with its characteristics bundle.
     ///
-    /// `union` must equal `a_set ∪ b_set` and the bundles must come from
-    /// this estimator (under its current enhancement flag). When the union
-    /// is not already cached, its characteristics are derived from the
-    /// operands via [`merge_characteristics`] instead of re-walking the
-    /// graph; the result — estimate, cache key, counters — is bit-identical
-    /// to [`Estimator::estimate`] on `union` either way.
+    /// `union` must equal the operands' union and the bundles must come
+    /// from this estimator (under its current enhancement flag). When the
+    /// union is not already cached, its characteristics are derived from
+    /// the operands via [`merge_characteristics`] instead of re-walking the
+    /// graph; on a cache hit nothing is derived. The result — estimate,
+    /// cache key, counters — is bit-identical to [`Estimator::estimate`] on
+    /// `union` either way.
     pub fn estimate_union(
         &self,
-        a_set: &NodeSet,
-        a_chars: &SetChars,
-        b_set: &NodeSet,
-        b_chars: &SetChars,
+        operands: &[(&NodeSet, &SetChars)],
         union: &NodeSet,
     ) -> (Option<Estimate>, Arc<SetChars>) {
         self.estimate_impl(union, || {
@@ -239,37 +238,10 @@ impl<'g> Estimator<'g> {
                 &self.index,
                 self.graph,
                 self.enhanced,
-                a_chars,
-                a_set,
-                b_chars,
-                b_set,
+                operands,
                 union,
             ))
         })
-    }
-
-    /// Derives union characteristics without touching any cache; used by
-    /// callers that need characteristics of an intermediate union they do
-    /// not want estimated (estimating it would disturb the shared-cache
-    /// counters the sweep reports).
-    pub fn merge_chars(
-        &self,
-        a_set: &NodeSet,
-        a_chars: &SetChars,
-        b_set: &NodeSet,
-        b_chars: &SetChars,
-        union: &NodeSet,
-    ) -> SetChars {
-        merge_characteristics(
-            &self.index,
-            self.graph,
-            self.enhanced,
-            a_chars,
-            a_set,
-            b_chars,
-            b_set,
-            union,
-        )
     }
 
     fn estimate_impl(

@@ -352,7 +352,7 @@ fn check_bench_sweep(
 /// `ilp_gap` per compile, at least one `lp_warm_starts` across the suite —
 /// the revised simplex must actually be warm-starting), a
 /// `synthetic_scaling` curve whose largest point partitioned a graph of at
-/// least 10 000 filters through the multilevel pipeline (non-zero coarsen
+/// least 50 000 filters through the multilevel pipeline (non-zero coarsen
 /// levels, non-negative phase timings), a `budget_bounded` point whose
 /// node-capped branch-and-bound still produced a feasible mapping with a
 /// finite optimality gap, a `repair` section whose degradation-aware
@@ -490,9 +490,9 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
     }
     // The whole point of the curve is to exercise the partitioner past the
     // paper's benchmark sizes.
-    if synthetic_max_filters < 10_000 {
+    if synthetic_max_filters < 50_000 {
         return Err(CheckError::Shape(format!(
-            "synthetic_scaling tops out at {synthetic_max_filters} filters (need >= 10000)"
+            "synthetic_scaling tops out at {synthetic_max_filters} filters (need >= 50000)"
         )));
     }
     // The budget-bounded point proves a node-capped branch-and-bound still
@@ -1017,8 +1017,8 @@ mod tests {
                 "\"estimate_queries\":126,\"estimate_misses\":88,",
                 "\"estimates_per_sec\":84000.0,\"time_per_iteration_us\":12.5}}],",
                 "\"synthetic_scaling\":[",
-                "{{\"app\":\"SynthPipe\",\"n\":10000,\"filters\":11498,",
-                "\"partitions\":67,\"coarsen_levels\":8,",
+                "{{\"app\":\"SynthPipe\",\"n\":50000,\"filters\":57126,",
+                "\"partitions\":82,\"coarsen_levels\":8,",
                 "\"build_ms\":5.6,\"estimator_ms\":1.9,\"coarsen_ms\":2200.0,",
                 "\"initial_ms\":110.0,\"refine_ms\":900.0,",
                 "\"partition_ms\":5608.8,\"map_ms\":88.8,",
@@ -1119,12 +1119,12 @@ mod tests {
         let summary = check_bench_report(&bench_json(624, None)).unwrap();
         assert_eq!(summary.compiles, 1);
         assert_eq!(summary.synthetic_points, 1);
-        assert_eq!(summary.synthetic_max_filters, 11498);
+        assert_eq!(summary.synthetic_max_filters, 57126);
         assert_eq!(summary.sweep_points, 48);
         assert_eq!(summary.repair_speedup, 35.0);
         assert_eq!(summary.mapping_stability, 0.8333);
         assert!(summary.to_string().contains("48 points"));
-        assert!(summary.to_string().contains("11498 filters"));
+        assert!(summary.to_string().contains("57126 filters"));
         assert!(summary.to_string().contains("35.0x faster"));
         // A warm-started report with zero misses passes too.
         check_bench_report(&bench_json(0, Some(624))).unwrap();
@@ -1199,9 +1199,9 @@ mod tests {
                 "\"partition_phase3_ms\":-0.5",
             ),
             // The synthetic scaling curve is mandatory and must be healthy:
-            // present, coarsened, and reaching at least 10k filters.
+            // present, coarsened, and reaching at least 50k filters.
             bench_json(624, None).replace("\"synthetic_scaling\":[", "\"synthetic_scaling_x\":["),
-            bench_json(624, None).replace("\"filters\":11498", "\"filters\":9000"),
+            bench_json(624, None).replace("\"filters\":57126", "\"filters\":49999"),
             bench_json(624, None).replace("\"coarsen_levels\":8", "\"coarsen_levels\":0"),
             bench_json(624, None).replace("\"coarsen_ms\":2200.0", "\"coarsen_ms\":-1.0"),
             bench_json(624, None).replace("\"refine_ms\":900.0,", ""),
@@ -1237,5 +1237,16 @@ mod tests {
         );
         let err = check_bench_report(&empty_curve).unwrap_err();
         assert!(err.to_string().contains("empty synthetic_scaling"), "{err}");
+        // A curve topping out at the old 10k point no longer passes the gate.
+        let short_curve = bench_json(624, None).replace(
+            "\"n\":50000,\"filters\":57126,",
+            "\"n\":10000,\"filters\":11498,",
+        );
+        let err = check_bench_report(&short_curve).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("tops out at 11498 filters (need >= 50000)"),
+            "{err}"
+        );
     }
 }

@@ -244,13 +244,14 @@ proptest! {
 
     /// The incremental characteristics path is bit-identical to the
     /// reference `from_set` rescan: for arbitrary subsets, and for unions
-    /// derived via `merge_characteristics` from a random disjoint split —
-    /// in both enhancement modes.
+    /// derived via `merge_characteristics` from a random disjoint split into
+    /// two and into three operands — in both enhancement modes. The
+    /// three-operand derivation (phase 4's triple merges) also equals the
+    /// two-step derivation through the intermediate union.
     #[test]
     fn incremental_characteristics_match_from_set(
         spec in spec_strategy(2, false),
-        mask in prop::collection::vec(any::<bool>(), 64..65),
-        enhanced in any::<bool>(),
+        mask in prop::collection::vec(0u8..3, 64..65),
         feedback in prop::collection::vec((any::<u8>(), any::<u8>()), 0..3),
     ) {
         let graph = add_random_feedback(random_graph(spec), &feedback);
@@ -258,34 +259,70 @@ proptest! {
         let profile = profile_graph(&graph, &GpuSpec::m2090());
         let index = CharsIndex::new(&graph, &reps, &profile);
 
-        // Split the filters into two disjoint halves by the random mask.
-        let a_ids: Vec<FilterId> = graph.filter_ids().filter(|id| mask[id.index() % mask.len()]).collect();
-        let b_ids: Vec<FilterId> = graph.filter_ids().filter(|id| !mask[id.index() % mask.len()]).collect();
-        prop_assume!(!a_ids.is_empty() && !b_ids.is_empty());
-        let a_set = NodeSet::from_ids(a_ids);
-        let b_set = NodeSet::from_ids(b_ids);
+        // Split the filters three ways by the random mask; pieces 1 and 2
+        // together are the second half of the two-way split.
+        let piece = |k: u8| {
+            NodeSet::from_ids(graph.filter_ids().filter(|id| mask[id.index() % mask.len()] == k))
+        };
+        let (a_set, b1_set, b2_set) = (piece(0), piece(1), piece(2));
+        let b_set = b1_set.union(&b2_set);
+        prop_assume!(!a_set.is_empty() && !b1_set.is_empty() && !b2_set.is_empty());
         let all = NodeSet::all(&graph);
 
-        // Indexed single-set path vs the reference, on every piece.
-        for set in [&a_set, &b_set, &all] {
+        for enhanced in [false, true] {
+            // Indexed single-set path vs the reference, on every piece.
+            for set in [&a_set, &b1_set, &b2_set, &b_set, &all] {
+                let reference =
+                    PartitionCharacteristics::from_set(&graph, set, &reps, &profile, enhanced);
+                assert_chars_bit_identical(&index.for_set(&graph, set, enhanced).chars, &reference)?;
+            }
             let reference =
-                PartitionCharacteristics::from_set(&graph, set, &reps, &profile, enhanced);
-            assert_chars_bit_identical(&index.for_set(&graph, set, enhanced).chars, &reference)?;
-        }
+                PartitionCharacteristics::from_set(&graph, &all, &reps, &profile, enhanced);
+            let [a, b, b1, b2] =
+                [&a_set, &b_set, &b1_set, &b2_set].map(|set| index.for_set(&graph, set, enhanced));
 
-        // The merged union vs the reference on the union.
-        let merged = merge_characteristics(
-            &index,
-            &graph,
-            enhanced,
-            &index.for_set(&graph, &a_set, enhanced),
-            &a_set,
-            &index.for_set(&graph, &b_set, enhanced),
-            &b_set,
-            &all,
-        );
-        let reference = PartitionCharacteristics::from_set(&graph, &all, &reps, &profile, enhanced);
-        assert_chars_bit_identical(&merged.chars, &reference)?;
+            // Two operands vs the reference on the union.
+            let two = merge_characteristics(
+                &index,
+                &graph,
+                enhanced,
+                &[(&a_set, &a), (&b_set, &b)],
+                &all,
+            );
+            assert_chars_bit_identical(&two.chars, &reference)?;
+
+            // Three operands in one step vs the reference, and vs two steps.
+            let three = merge_characteristics(
+                &index,
+                &graph,
+                enhanced,
+                &[(&a_set, &a), (&b1_set, &b1), (&b2_set, &b2)],
+                &all,
+            );
+            assert_chars_bit_identical(&three.chars, &reference)?;
+            let a_b1 = a_set.union(&b1_set);
+            let stepwise = merge_characteristics(
+                &index,
+                &graph,
+                enhanced,
+                &[
+                    (
+                        &a_b1,
+                        &merge_characteristics(
+                            &index,
+                            &graph,
+                            enhanced,
+                            &[(&a_set, &a), (&b1_set, &b1)],
+                            &a_b1,
+                        ),
+                    ),
+                    (&b2_set, &b2),
+                ],
+                &all,
+            );
+            prop_assert_eq!(&three, &stepwise);
+            prop_assert_eq!(&three, &index.for_set(&graph, &all, enhanced));
+        }
     }
 
     /// The adjacency index stays exact through arbitrary merge sequences:
