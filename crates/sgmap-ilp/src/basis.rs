@@ -26,6 +26,16 @@ pub(crate) enum VarState {
     AtUpper,
 }
 
+/// A basis saved for a later restart: the basic column of each row and the
+/// nonbasic columns at their upper bound (every other column sits at its
+/// lower bound). The factors are not saved; [`Basis::restore`] rebuilds
+/// them.
+#[derive(Debug, Clone)]
+pub(crate) struct BasisSnapshot {
+    basic: Box<[u32]>,
+    at_upper: Box<[u32]>,
+}
+
 /// The current basis together with its factorised matrix.
 #[derive(Debug, Clone)]
 pub(crate) struct Basis {
@@ -154,6 +164,33 @@ impl Basis {
     /// pivot, so callers should refactorise before trusting one.
     pub(crate) fn is_fresh(&self) -> bool {
         self.lu.is_fresh()
+    }
+
+    /// Saves the basic columns and the nonbasic states.
+    pub(crate) fn snapshot(&self) -> BasisSnapshot {
+        let at_upper = (0..self.state.len() as u32)
+            .filter(|&j| self.state[j as usize] == VarState::AtUpper)
+            .collect();
+        BasisSnapshot {
+            basic: self.basic.clone().into_boxed_slice(),
+            at_upper,
+        }
+    }
+
+    /// Installs a saved basis and factorises it from scratch, so what
+    /// follows depends on the snapshot alone, not on the updates this basis
+    /// went through since. Returns `false` when the factorisation fails, as
+    /// [`Basis::refactorize`] does.
+    pub(crate) fn restore(&mut self, snapshot: &BasisSnapshot, cols: &SparseCols) -> bool {
+        self.state.fill(VarState::AtLower);
+        for &j in snapshot.at_upper.iter() {
+            self.state[j as usize] = VarState::AtUpper;
+        }
+        self.basic.copy_from_slice(&snapshot.basic);
+        for (r, &j) in self.basic.iter().enumerate() {
+            self.state[j as usize] = VarState::Basic(r as u32);
+        }
+        self.refactorize(cols)
     }
 
     /// Rebuilds the factors from the current `basic[]` assignment.

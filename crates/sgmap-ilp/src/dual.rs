@@ -1,9 +1,10 @@
 //! Bounded-variable dual simplex — the warm-start engine.
 //!
-//! Starts from a dual-feasible basis (any optimal parent basis after the
-//! nonbasic-state remap in [`LpWorkspace::solve`]) whose basic values may
-//! violate the new bounds, and restores primal feasibility while keeping the
-//! reduced costs sign-consistent.
+//! Starts from a dual-feasible basis (the node's parent's optimal basis —
+//! still live for a dive child, restored from a snapshot for a best-bound
+//! pop — after the nonbasic-state remap in [`LpWorkspace::solve`]) whose
+//! basic values may violate the new bounds, and restores primal feasibility
+//! while keeping the reduced costs sign-consistent.
 //!
 //! Each iteration:
 //!

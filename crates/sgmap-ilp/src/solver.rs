@@ -6,10 +6,18 @@
 //! mapped back to the original variable space through the postsolve map.
 //!
 //! All nodes share one [`LpWorkspace`]: the root relaxation is solved cold
-//! by the primal simplex, and every subsequent node — which only tightens
-//! variable bounds — inherits the basis left behind by the previously solved
-//! node and reoptimises with the bounded-variable dual simplex, typically in
-//! a handful of pivots.
+//! by the primal simplex, and every other node starts from its *parent's*
+//! final basis and reoptimises with the bounded-variable dual simplex. A
+//! child only tightens its parent's bounds, so that basis stays dual
+//! feasible and the child typically costs a handful of pivots. A dive child
+//! finds its parent's basis still live in the workspace; a node on the
+//! best-bound heap carries a snapshot of it (the basic column of each row and
+//! the nonbasic columns at their upper bound, about 4 KB at 1,000 rows),
+//! which is installed and refactorised when the node is popped. A heap
+//! node's relaxation therefore depends on its parent's basis and its own
+//! bounds, not on the order in which the search visited the tree: warm-started
+//! from whichever node was solved last, the first pop after a deep dive
+//! would start dozens of bounds away from its own parent.
 //!
 //! The search is **budget-aware**: open nodes live in a best-bound priority
 //! queue, while each branching also starts a depth-first *dive* on the
@@ -25,6 +33,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
+use crate::basis::BasisSnapshot;
 use crate::error::IlpError;
 use crate::model::{Model, ObjectiveSense, VarId};
 use crate::presolve::{presolve, PresolveMap, Presolved};
@@ -138,11 +147,14 @@ pub struct Solver {
 /// An open node of the search tree. `bound` is the parent's LP objective in
 /// the *original* model space — a valid bound on every solution below this
 /// node — and `seq` is the insertion number that makes heap order total and
-/// deterministic.
+/// deterministic. A node on the best-bound heap carries its parent's final
+/// `basis`, to restart from when it is popped; a dive node carries none,
+/// because its parent is the node solved just before it.
 struct OpenNode {
     bounds: Vec<VarBound>,
     bound: f64,
     seq: u64,
+    basis: Option<BasisSnapshot>,
 }
 
 /// Max-heap adapter: pops the open node with the best bound; ties pop the
@@ -229,14 +241,7 @@ impl Solver {
         let start = Instant::now();
         let deadline = start.checked_add(self.options.time_limit);
         let minimize = model.objective_sense() == ObjectiveSense::Minimize;
-        // "Better" means smaller for minimisation, larger for maximisation.
-        let better = |a: f64, b: f64| {
-            if minimize {
-                a < b - 1e-12
-            } else {
-                a > b + 1e-12
-            }
-        };
+        let better = |a: f64, b: f64| is_better(minimize, a, b);
 
         // Presolve. The search runs on the reduced model; `offset` converts
         // reduced LP objectives back to the original space and `pre` maps
@@ -302,7 +307,9 @@ impl Solver {
         let binaries = search_model.binary_vars();
         let mut nodes_explored = 0usize;
         let mut budget_hit = false;
-        let mut gap_stop = false;
+        // Best bound among the nodes dropped for numerical trouble: their
+        // subtrees were never searched.
+        let mut dropped: Option<f64> = None;
 
         // Open nodes: a best-bound heap plus a dive stack holding the
         // preferred child of the last branching, so the search plunges for an
@@ -374,6 +381,7 @@ impl Solver {
             &root,
             root.objective + offset,
             &[],
+            lp.basis.snapshot(),
             self.options.integrality_tol,
         );
 
@@ -382,17 +390,10 @@ impl Solver {
         let peek_bound = |heap: &BinaryHeap<ByBound>, dive: &[OpenNode], extra: Option<f64>| {
             let mut best: Option<f64> = extra;
             if let Some(top) = heap.peek() {
-                let b = top.node.bound;
-                best = Some(match best {
-                    Some(cur) if better(cur, b) => cur,
-                    _ => b,
-                });
+                best = Some(best_of(minimize, best, top.node.bound));
             }
             for n in dive {
-                best = Some(match best {
-                    Some(cur) if better(cur, n.bound) => cur,
-                    _ => n.bound,
-                });
+                best = Some(best_of(minimize, best, n.bound));
             }
             best
         };
@@ -424,7 +425,6 @@ impl Solver {
                 if self.options.relative_gap > 0.0 {
                     if let Some(frontier) = peek_bound(&heap, &dive, Some(node.bound)) {
                         if gap_between(minimize, *inc_obj, frontier) <= self.options.relative_gap {
-                            gap_stop = true;
                             let score = score_of(node.bound);
                             heap.push(ByBound { node, score });
                             break;
@@ -436,14 +436,24 @@ impl Solver {
             let outcome = {
                 let mut node_span = sgmap_trace::span("ilp.node");
                 node_span.arg("depth", node.bounds.len());
+                // A heap node restarts from its parent's basis: the live one
+                // belongs to whichever node was solved last, possibly far
+                // away in the tree.
+                if let Some(basis) = &node.basis {
+                    lp.restore(basis);
+                }
                 lp.solve(&node.bounds, deadline)
             };
             let relax = match outcome {
                 LpOutcome::Optimal(s) => s,
                 LpOutcome::Infeasible => continue,
                 // A numerically troubled node is skipped rather than
-                // aborting the whole search; the incumbent stays valid.
-                LpOutcome::Numerical(_) => continue,
+                // aborting the whole search; the incumbent stays valid, but
+                // the unsearched subtree's bound stays in the gap.
+                LpOutcome::Numerical(_) => {
+                    dropped = Some(best_of(minimize, dropped, node.bound));
+                    continue;
+                }
                 LpOutcome::Unbounded => return Err(IlpError::Unbounded),
                 LpOutcome::TimeLimit => {
                     budget_hit = true;
@@ -480,6 +490,7 @@ impl Solver {
                     &relax,
                     relax_bound,
                     &node.bounds,
+                    lp.basis.snapshot(),
                     self.options.integrality_tol,
                 );
             }
@@ -487,30 +498,78 @@ impl Solver {
 
         match incumbent {
             Some((values, objective)) => {
-                let gap = if budget_hit {
-                    let bound =
-                        peek_bound(&heap, &dive, None).unwrap_or_else(|| static_bound(model));
-                    gap_between(minimize, objective, bound)
-                } else if gap_stop {
-                    let bound = peek_bound(&heap, &dive, None).unwrap_or(objective);
-                    gap_between(minimize, objective, bound)
-                } else {
-                    0.0
-                };
+                let (status, gap) = search_end(
+                    minimize,
+                    objective,
+                    budget_hit,
+                    peek_bound(&heap, &dive, None),
+                    dropped,
+                    || static_bound(model),
+                );
                 Ok(Solution {
                     values,
                     objective,
-                    status: if budget_hit {
-                        SolutionStatus::Feasible
-                    } else {
-                        SolutionStatus::Optimal
-                    },
+                    status,
                     nodes_explored,
                     stats: finish_stats(nodes_explored, &lp, gap),
                 })
             }
             None => Err(IlpError::NoIntegerSolution),
         }
+    }
+}
+
+/// Whether objective value `a` is better than `b`: smaller for minimisation,
+/// larger for maximisation, by more than rounding noise.
+fn is_better(minimize: bool, a: f64, b: f64) -> bool {
+    if minimize {
+        a < b - 1e-12
+    } else {
+        a > b + 1e-12
+    }
+}
+
+/// The better of an optional bound and another one.
+fn best_of(minimize: bool, current: Option<f64>, bound: f64) -> f64 {
+    match current {
+        Some(cur) if is_better(minimize, cur, bound) => cur,
+        _ => bound,
+    }
+}
+
+/// Status and gap of a search that ends with an incumbent. `frontier` is the
+/// best bound still open (none once the tree is exhausted; some after a
+/// budget or relative-gap stop), `dropped` the best bound of the nodes
+/// skipped for numerical trouble, and `fallback` a bound for a budget stop
+/// with nothing open.
+///
+/// Optimality needs every subtree searched or pruned: a dropped node whose
+/// bound still beats the incumbent may hide a better solution, so it makes
+/// the result [`SolutionStatus::Feasible`] and its bound enters the gap.
+fn search_end(
+    minimize: bool,
+    incumbent: f64,
+    budget_hit: bool,
+    frontier: Option<f64>,
+    dropped: Option<f64>,
+    fallback: impl FnOnce() -> f64,
+) -> (SolutionStatus, f64) {
+    let dropped = dropped.filter(|&b| is_better(minimize, b, incumbent));
+    let open = frontier.map(|f| best_of(minimize, dropped, f)).or(dropped);
+    if budget_hit {
+        let bound = open.unwrap_or_else(fallback);
+        (
+            SolutionStatus::Feasible,
+            gap_between(minimize, incumbent, bound),
+        )
+    } else {
+        let gap = open.map_or(0.0, |b| gap_between(minimize, incumbent, b));
+        let status = if dropped.is_some() {
+            SolutionStatus::Feasible
+        } else {
+            SolutionStatus::Optimal
+        };
+        (status, gap)
     }
 }
 
@@ -544,8 +603,9 @@ fn static_bound(model: &Model) -> f64 {
 }
 
 /// Branches on the most fractional binary of `relax`: the preferred
-/// ("rounded") child goes on the dive stack so it is explored next, the
-/// other child enters the best-bound heap under the parent's bound.
+/// ("rounded") child goes on the dive stack so it is explored next, from
+/// the live basis; the other child enters the best-bound heap under the
+/// parent's bound, carrying the parent's final `basis`.
 #[allow(clippy::too_many_arguments)]
 fn push_children(
     heap: &mut BinaryHeap<ByBound>,
@@ -556,6 +616,7 @@ fn push_children(
     relax: &LpSolution,
     bound: f64,
     bounds: &[VarBound],
+    basis: BasisSnapshot,
     tol: f64,
 ) {
     let branch_var = match most_fractional(binaries, relax, tol) {
@@ -583,13 +644,15 @@ fn push_children(
             bounds,
             bound,
             seq: *seq,
+            basis: None,
         }
     };
-    let (preferred, other) = if frac >= 0.5 {
+    let (preferred, mut other) = if frac >= 0.5 {
         (node_of(hi_bounds), node_of(lo_bounds))
     } else {
         (node_of(lo_bounds), node_of(hi_bounds))
     };
+    other.basis = Some(basis);
     let score = score_of(other.bound);
     heap.push(ByBound { node: other, score });
     dive.push(preferred);
@@ -904,6 +967,59 @@ mod tests {
                 assert_eq!(s.stats.optimality_gap, 0.0);
             }
         }
+    }
+
+    #[test]
+    fn a_node_dropped_for_numerical_trouble_forbids_an_optimal_claim() {
+        let static_bound = || panic!("only a budget stop with nothing open needs it");
+        // Tree exhausted, nothing dropped: proven optimal.
+        assert_eq!(
+            search_end(true, 10.0, false, None, None, static_bound),
+            (SolutionStatus::Optimal, 0.0)
+        );
+        // A dropped subtree whose bound beats the incumbent may hide a
+        // better solution: feasible, with that bound in the gap.
+        assert_eq!(
+            search_end(true, 10.0, false, None, Some(8.0), static_bound),
+            (SolutionStatus::Feasible, 0.2)
+        );
+        assert_eq!(
+            search_end(false, 10.0, false, None, Some(12.0), static_bound),
+            (SolutionStatus::Feasible, 0.2)
+        );
+        // One the incumbent prunes anyway hides nothing.
+        assert_eq!(
+            search_end(true, 10.0, false, None, Some(10.0), static_bound),
+            (SolutionStatus::Optimal, 0.0)
+        );
+        assert_eq!(
+            search_end(false, 10.0, false, None, Some(9.0), static_bound),
+            (SolutionStatus::Optimal, 0.0)
+        );
+        // A relative-gap stop is optimal within its frontier's gap, unless a
+        // dropped bound is better still.
+        assert_eq!(
+            search_end(true, 10.0, false, Some(9.5), None, static_bound),
+            (SolutionStatus::Optimal, 0.05)
+        );
+        assert_eq!(
+            search_end(true, 10.0, false, Some(9.5), Some(9.0), static_bound),
+            (SolutionStatus::Feasible, 0.1)
+        );
+        // A budget stop takes the better of the frontier and the dropped
+        // bounds, and the static bound only when neither exists.
+        assert_eq!(
+            search_end(true, 10.0, true, Some(9.5), Some(7.5), static_bound),
+            (SolutionStatus::Feasible, 0.25)
+        );
+        assert_eq!(
+            search_end(true, 10.0, true, Some(9.0), Some(9.5), static_bound),
+            (SolutionStatus::Feasible, 0.1)
+        );
+        assert_eq!(
+            search_end(true, 10.0, true, None, None, || 5.0),
+            (SolutionStatus::Feasible, 0.5)
+        );
     }
 
     #[test]

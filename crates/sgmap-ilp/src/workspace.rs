@@ -12,10 +12,13 @@
 //! * **cold** — all-logical basis, bounded-variable *primal* simplex with a
 //!   composite phase 1 (minimise the sum of bound violations of the basic
 //!   variables) followed by phase 2 on the true costs ([`crate::primal`]);
-//! * **warm** — reuse the final basis of the previous solve: branch bounds
-//!   only tighten variable bounds, which preserves dual feasibility of the
-//!   parent basis, so a bounded-variable *dual* simplex reoptimises in a
-//!   handful of pivots ([`crate::dual`]).
+//! * **warm** — start from the basis in the workspace: the final basis of
+//!   the previous solve, or a saved one installed by
+//!   [`LpWorkspace::restore`] (the branch-and-bound search restores a node's
+//!   parent basis when it jumps across the tree). A child's bounds only
+//!   tighten its parent's, which preserves dual feasibility of the parent
+//!   basis, so a bounded-variable *dual* simplex reoptimises in a handful of
+//!   pivots ([`crate::dual`]).
 //!
 //! The basis matrix itself lives behind the [`Basis`] facade and is factored
 //! as a sparse LU with eta updates.
@@ -27,7 +30,7 @@
 
 use std::time::Instant;
 
-use crate::basis::{Basis, VarState};
+use crate::basis::{Basis, BasisSnapshot, VarState};
 use crate::error::IlpError;
 use crate::model::{ConstraintSense, Model, ObjectiveSense};
 use crate::pricing::DevexWeights;
@@ -229,6 +232,14 @@ impl LpWorkspace {
         self.solve_cold(deadline)
     }
 
+    /// Makes a saved basis the one the next [`LpWorkspace::solve`] warm-starts
+    /// from, with freshly computed factors. When the saved basis no longer
+    /// factorises, the next solve runs cold.
+    pub(crate) fn restore(&mut self, snapshot: &BasisSnapshot) {
+        self.factored = self.basis.restore(snapshot, &self.cols);
+        self.stats.refactorizations += 1;
+    }
+
     /// Attempts the warm path: remap nonbasic states so the inherited basis
     /// is dual feasible under the new bounds, recompute the basic values and
     /// reoptimise with the dual simplex. Returns `None` when the caller
@@ -409,5 +420,89 @@ impl LpWorkspace {
     #[inline]
     pub(crate) fn bland_threshold(&self) -> usize {
         5 * (self.cols.m + self.cols.n_total()) + 1_000
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mapper::mapper_model;
+    use crate::VarId;
+
+    fn fix(var: VarId, value: f64) -> VarBound {
+        VarBound {
+            var: var.index(),
+            lo: value,
+            hi: value,
+        }
+    }
+
+    fn optimal(outcome: LpOutcome) -> LpSolution {
+        match outcome {
+            LpOutcome::Optimal(s) => s,
+            other => panic!("expected an optimal relaxation, got {other:?}"),
+        }
+    }
+
+    /// Solves `bounds` and returns the solution's bits and the iterations
+    /// it took.
+    fn solve_bits(lp: &mut LpWorkspace, bounds: &[VarBound]) -> (Vec<u64>, u64, u64) {
+        let before = lp.stats.iterations;
+        let s = optimal(lp.solve(bounds, None));
+        (
+            s.values.iter().map(|v| v.to_bits()).collect(),
+            s.objective.to_bits(),
+            lp.stats.iterations - before,
+        )
+    }
+
+    #[test]
+    fn a_restored_child_solve_does_not_depend_on_visit_order() {
+        let (p, g) = (24, 4);
+        let (model, n) = mapper_model(p, g);
+        let mut lp = LpWorkspace::new(&model);
+        optimal(lp.solve(&[], None));
+        let parent_bounds = vec![fix(n[0][0], 1.0), fix(n[3][1], 0.0), fix(n[7][2], 1.0)];
+        let relax = optimal(lp.solve(&parent_bounds, None));
+        assert!(
+            lp.basis.state.contains(&VarState::AtUpper),
+            "the parent basis must have columns at their upper bound"
+        );
+        let parent = lp.basis.snapshot();
+        // The child the search would put on its heap: the most fractional
+        // binary, rounded the other way.
+        let branch = n
+            .iter()
+            .flatten()
+            .copied()
+            .min_by(|&a, &b| {
+                let dist = |v: VarId| (relax.values[v.index()] - 0.5).abs();
+                dist(a).total_cmp(&dist(b))
+            })
+            .unwrap();
+        let other_side = if relax.values[branch.index()] >= 0.5 {
+            0.0
+        } else {
+            1.0
+        };
+        let mut child_bounds = parent_bounds.clone();
+        child_bounds.push(fix(branch, other_side));
+
+        // Right after the parent, from its own basis with fresh factors.
+        assert!(lp.refactor_and_sync());
+        let after_parent = solve_bits(&mut lp, &child_bounds);
+
+        // After an unrelated dive that leaves another basis and a long eta
+        // file behind.
+        let mut dive = Vec::new();
+        for (i, ni) in n.iter().enumerate() {
+            dive.push(fix(ni[(i * 3 + 1) % g], 1.0));
+            optimal(lp.solve(&dive, None));
+        }
+        lp.restore(&parent);
+        let after_dive = solve_bits(&mut lp, &child_bounds);
+
+        assert_eq!(after_parent, after_dive);
+        assert!(after_parent.2 > 0, "the child must need a reoptimisation");
     }
 }

@@ -84,11 +84,11 @@ fn mapper_40x4_replays_the_recorded_pivot_sequence() {
         solve(40, 4, MAX_NODES),
         Golden {
             nodes: 80,
-            lp_iterations: 651,
-            refactorizations: 10,
+            lp_iterations: 538,
+            refactorizations: 8,
             bound_flips: 0,
             objective_bits: 4636385447633747968,
-            gap_bits: 4589594677097338955,
+            gap_bits: 4589594677097338945,
         }
     );
 }
@@ -101,11 +101,11 @@ fn mapper_100x6_replays_the_recorded_pivot_sequence() {
         solve(100, 6, MAX_NODES_LARGE),
         Golden {
             nodes: 400,
-            lp_iterations: 5799,
-            refactorizations: 89,
-            bound_flips: 93,
-            objective_bits: 4639587225493831680,
-            gap_bits: 4583820608968276410,
+            lp_iterations: 5466,
+            refactorizations: 86,
+            bound_flips: 0,
+            objective_bits: 4640290912935608320,
+            gap_bits: 4594235654553318412,
         }
     );
 }

@@ -3,9 +3,10 @@
 //! platform simulator, and the headline qualitative results of the paper
 //! hold on the simulated platform.
 
-use sgmap::{compile, compile_and_run, execute, FlowConfig};
+use sgmap::sweep::SweepSpec;
+use sgmap::{compile, compile_and_run, execute, Algorithm, FlowConfig};
 use sgmap_apps::App;
-use sgmap_gpusim::TransferMode;
+use sgmap_gpusim::{GpuSpec, PlatformSpec, TransferMode};
 use sgmap_mapping::MappingMethod;
 use sgmap_partition::PartitionerKind;
 
@@ -175,4 +176,33 @@ fn splitter_elimination_helps_split_heavy_apps_more_than_fft() {
         bitonic_gain >= fft_gain * 0.9,
         "bitonic (many splitters) should gain at least as much as FFT: {bitonic_gain:.2} vs {fft_gain:.2}"
     );
+}
+
+#[test]
+fn dct_on_four_gpus_maps_without_a_dual_simplex_stall() {
+    // A node popped from the best-bound heap restarts from its parent's
+    // basis. Warm-starting it from the last node solved, often the end of a
+    // dive dozens of bounds away, sends one reoptimisation of each of these
+    // points past the Bland threshold: 59,502 and 45,364 iterations for the
+    // 80 nodes. Counters, not a clock, so the check does not depend on the
+    // machine.
+    for (n, tmax) in [(26, 3.7026538461538463), (30, 6.108959549071621)] {
+        let graph = App::Dct.build(n).unwrap();
+        let mut config = FlowConfig::new()
+            .with_platform(PlatformSpec::reference(GpuSpec::m2090(), 4))
+            .with_algorithm(Algorithm::Flat);
+        config.mapping_options = SweepSpec::deterministic_mapping_options();
+        let compiled = compile(&graph, &config).unwrap();
+        let stats = &compiled.mapping.ilp_stats;
+        assert!(
+            stats.lp_iterations <= 10_000,
+            "DCT-{n} on 4 GPUs: {} LP iterations over {} nodes",
+            stats.lp_iterations,
+            stats.nodes
+        );
+        assert_eq!(
+            compiled.mapping.predicted_tmax_us, tmax,
+            "DCT-{n} on 4 GPUs"
+        );
+    }
 }
