@@ -15,6 +15,16 @@
 //! by the N-fragment pipelining and charged by the executor instead), so the
 //! per-link time is the pure bandwidth term `d_l / BW`.
 //!
+//! Two valid cuts become `Tmax`'s lower bound, so they cost no rows: the
+//! total work over the allowed GPUs' capacity, and the pigeonhole bound of
+//! Dell'Amico & Martello (1995). With `G` allowed GPUs and the partition
+//! times sorted in descending order, some GPU receives `k + 1` of the
+//! `kG + 1` largest, for every `k` with `kG + 1 <= P`, and it runs them at
+//! best at the fastest allowed GPU's speed. Without the second cut the root
+//! LP of twelve partitions on eight GPUs sits well below a greedy warm start
+//! that is already optimal, and the search spends its whole node budget
+//! failing to close the gap.
+//!
 //! The model is warm-started with the greedy mapping and solved by the
 //! branch-and-bound solver of `sgmap-ilp` under a configurable node/time
 //! budget; if the budget expires, the best incumbent (never worse than the
@@ -159,21 +169,15 @@ pub(crate) fn map_ilp_on(
     }
     // Valid cuts that tighten the LP relaxation (they cut off fractional
     // assignments but no integer one): the busiest GPU can never beat the
-    // average load, nor the largest single partition. The revised simplex
-    // handles variable bounds natively, so they cost no rows.
+    // average load, nor the pigeonhole bound on the largest partitions. The
+    // revised simplex handles variable bounds natively, so they cost no rows.
     let total_work: f64 = pdg.times_us.iter().sum();
-    let max_partition = pdg.times_us.iter().cloned().fold(0.0f64, f64::max);
     // With heterogeneous devices the aggregate capacity is the sum of the
-    // inverse time factors (exactly the GPU count on homogeneous platforms),
-    // and the largest partition at best runs on the fastest allowed device.
+    // inverse time factors (exactly the GPU count on homogeneous platforms).
     let capacity: f64 = allowed.iter().map(|&j| 1.0 / platform.time_factor(j)).sum();
-    let fastest = allowed
-        .iter()
-        .map(|&j| platform.time_factor(j))
-        .fold(f64::INFINITY, f64::min);
     model.set_bounds(
         tmax,
-        (total_work / capacity).max(max_partition * fastest),
+        (total_work / capacity).max(pigeonhole_bound(&pdg.times_us, platform, allowed)),
         f64::INFINITY,
     );
 
@@ -379,10 +383,37 @@ pub(crate) fn map_ilp_on(
     }
 }
 
+/// The makespan lower bound for identical machines (Dell'Amico & Martello,
+/// "Optimal scheduling of tasks on identical parallel processors", ORSA J.
+/// Computing 7(2), 1995) on the `allowed` GPUs. With the partition times
+/// sorted in descending order, the `kG + 1` largest share `G` GPUs, so some
+/// GPU receives `k + 1` of them, which take at least the `k + 1` smallest of
+/// those, `p[kG - k] + … + p[kG]` (0-based), even on the fastest allowed
+/// device. `k = 0` is the largest single partition.
+fn pigeonhole_bound(times_us: &[f64], platform: &Platform, allowed: &[usize]) -> f64 {
+    let gpus = allowed.len();
+    let fastest = allowed
+        .iter()
+        .map(|&j| platform.time_factor(j))
+        .fold(f64::INFINITY, f64::min);
+    let mut sorted = times_us.to_vec();
+    sorted.sort_unstable_by(|a, b| b.total_cmp(a));
+    let work = (0..sorted.len())
+        .step_by(gpus)
+        .map(|kg| sorted[kg - kg / gpus..=kg].iter().sum::<f64>())
+        .fold(0.0, f64::max);
+    work * fastest
+}
+
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::greedy::map_round_robin;
+    use crate::repair::{map_on_survivors, repair_mapping};
+    use proptest::prelude::*;
+    use sgmap_gpusim::{GpuSpec, InterconnectSpec, PlatformSpec};
     use sgmap_partition::PdgEdge;
 
     fn pdg(times: Vec<f64>, edges: Vec<PdgEdge>) -> Pdg {
@@ -508,5 +539,135 @@ mod tests {
         let m = map_ilp(&p, &Platform::single_m2090(), &MappingOptions::default()).unwrap();
         assert!(m.optimal);
         assert!(m.assignment.iter().all(|&a| a == 0));
+    }
+
+    /// Random PDGs of 2–7 partitions: uneven times, so the pigeonhole bound
+    /// often binds, and edges light enough that compute decides many maps.
+    fn small_pdg_strategy() -> BoxedStrategy<Pdg> {
+        prop::collection::vec((1.0f64..400.0, 0usize..7, 0u64..400_000), 2..8)
+            .prop_map(|parts| {
+                let times = parts.iter().map(|&(t, _, _)| t).collect();
+                // Partition i > 0 consumes from an earlier one: a connected DAG.
+                let edges = parts
+                    .iter()
+                    .enumerate()
+                    .skip(1)
+                    .map(|(i, &(_, from, bytes))| PdgEdge {
+                        from: from % i,
+                        to: i,
+                        bytes_per_iteration: bytes,
+                    })
+                    .collect();
+                pdg(times, edges)
+            })
+            .boxed()
+    }
+
+    /// The paper tree at 2–4 GPUs, `mixed4` (time factors above 1), and a
+    /// mixed box whose primary GPU is the slower C2070 (factors below 1).
+    fn oracle_platforms() -> Vec<Platform> {
+        let c2070_primary = PlatformSpec {
+            name: "c2070_primary".to_string(),
+            gpus: vec![GpuSpec::c2070(), GpuSpec::m2090(), GpuSpec::m2090()],
+            interconnect: InterconnectSpec::Flat,
+            bandwidth_scale: 1.0,
+            latency_scale: 1.0,
+        };
+        let mut platforms: Vec<Platform> = (2..=4)
+            .map(|g| Platform::quad_m2090().with_gpu_count(g))
+            .collect();
+        platforms.push(PlatformSpec::mixed_m2090_c2070().build().unwrap());
+        platforms.push(c2070_primary.build().unwrap());
+        platforms
+    }
+
+    /// The exact optimum of the cost model over every assignment to the
+    /// `allowed` GPUs (at most 4^7 evaluations).
+    fn exhaustive_tmax(pdg: &Pdg, platform: &Platform, allowed: &[usize]) -> f64 {
+        let n = pdg.len();
+        let mut best = f64::INFINITY;
+        for code in 0..allowed.len().pow(n as u32) {
+            let mut rest = code;
+            let assignment: Vec<usize> = (0..n)
+                .map(|_| {
+                    let gpu = allowed[rest % allowed.len()];
+                    rest /= allowed.len();
+                    gpu
+                })
+                .collect();
+            best = best.min(evaluate_assignment(pdg, platform, &assignment).tmax_us);
+        }
+        best
+    }
+
+    /// Runs `map` and checks the lower bound it claims on its own `Tmax`,
+    /// `Tmax · (1 − gap)`, against the exhaustive `optimum`: a search proven
+    /// optimal (gap 0) must hit it, and a proven gap must not promise more.
+    /// When the solver gives up on numerical trouble the mapper keeps its
+    /// warm start and claims nothing, so only a search that finishes is held
+    /// to the optimum.
+    fn check_claim(optimum: f64, map: impl FnOnce() -> Mapping) -> Result<(), TestCaseError> {
+        let collector = Arc::new(sgmap_trace::Collector::new());
+        let mapping = sgmap_trace::scope(Some(&collector), map);
+        let gave_up = collector
+            .warnings()
+            .iter()
+            .any(|w| w.code == "ilp.numerical_fallback");
+        let tmax = mapping.predicted_tmax_us;
+        let claimed = if gave_up {
+            prop_assert!(!mapping.optimal, "a numerical fallback claims optimality");
+            0.0
+        } else {
+            tmax * (1.0 - mapping.ilp_stats.optimality_gap)
+        };
+        prop_assert!(
+            tmax >= optimum * (1.0 - 1e-9),
+            "Tmax {tmax} beats the optimum {optimum}"
+        );
+        prop_assert!(
+            claimed <= optimum * (1.0 + 1e-9),
+            "claims Tmax >= {claimed} (optimal: {}) but the optimum is {optimum}",
+            mapping.optimal
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The pigeonhole cut never cuts off an integer mapping: on every
+        /// platform and survivor subset it stays at or below the exhaustive
+        /// optimum, a search with nodes to spare proves that optimum, and
+        /// the budget-limited repair polish claims no gap it has not earned.
+        #[test]
+        fn pigeonhole_bound_never_exceeds_the_exhaustive_optimum(pdg in small_pdg_strategy()) {
+            let unlimited = MappingOptions {
+                time_limit: Duration::from_secs(3600),
+                max_nodes: 1_000_000,
+                relative_gap: 0.0,
+            };
+            for platform in oracle_platforms() {
+                let all: Vec<usize> = (0..platform.gpu_count()).collect();
+                let optimum = exhaustive_tmax(&pdg, &platform, &all);
+                let bound = pigeonhole_bound(&pdg.times_us, &platform, &all);
+                prop_assert!(bound <= optimum * (1.0 + 1e-9), "bound {bound} > optimum {optimum}");
+                check_claim(optimum, || map_ilp(&pdg, &platform, &unlimited).unwrap())?;
+
+                let original = map_greedy(&pdg, &platform);
+                for lost in all.iter().copied() {
+                    let survivors: Vec<usize> = all.iter().copied().filter(|&j| j != lost).collect();
+                    let optimum = exhaustive_tmax(&pdg, &platform, &survivors);
+                    let bound = pigeonhole_bound(&pdg.times_us, &platform, &survivors);
+                    prop_assert!(bound <= optimum * (1.0 + 1e-9),
+                        "lost {lost}: bound {bound} > optimum {optimum}");
+                    check_claim(optimum, || {
+                        map_on_survivors(&pdg, &platform, lost, &unlimited).unwrap()
+                    })?;
+                    check_claim(optimum, || {
+                        repair_mapping(&pdg, &platform, &original, lost).unwrap().0
+                    })?;
+                }
+            }
+        }
     }
 }

@@ -206,3 +206,40 @@ fn dct_on_four_gpus_maps_without_a_dual_simplex_stall() {
         );
     }
 }
+
+#[test]
+fn greedy_optimal_maps_on_eight_gpus_are_proven_at_the_root() {
+    // Twelve or more partitions on eight GPUs: the greedy warm start is
+    // already optimal, but with average load and the largest partition as
+    // its only bounds the root LP sat 23% (DES-12) and 13% (FMRadio-12)
+    // below it, and the search spent all 80 nodes without closing the gap.
+    // The pigeonhole bound on the largest partitions meets it at the root.
+    // The flat partitioner and the node budget of the `hier_mapping`
+    // benchmark. Each `Tmax` is bit-equal to what the budget-limited
+    // 80-node search returned without the bound.
+    for (app, n, tmax) in [
+        (App::Des, 12, 0.0408974358974359),
+        (App::FmRadio, 12, 0.06296153846153846),
+    ] {
+        let graph = app.build(n).unwrap();
+        for spec in [
+            PlatformSpec::nvlink8_m2090(),
+            PlatformSpec::cluster2x4_m2090(),
+        ] {
+            let label = format!("{app}-{n} on {}", spec.name);
+            let mut config = FlowConfig::new()
+                .with_platform(spec)
+                .with_algorithm(Algorithm::Flat);
+            config.mapping_options = SweepSpec::deterministic_mapping_options();
+            let mapping = compile(&graph, &config).unwrap().mapping;
+            assert_eq!(
+                mapping.ilp_stats.nodes, 1,
+                "{label}: {:?}",
+                mapping.ilp_stats
+            );
+            assert!(mapping.optimal, "{label}");
+            assert_eq!(mapping.ilp_stats.optimality_gap, 0.0, "{label}");
+            assert_eq!(mapping.predicted_tmax_us, tmax, "{label}");
+        }
+    }
+}
