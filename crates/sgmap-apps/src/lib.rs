@@ -158,12 +158,6 @@ impl App {
         }
     }
 
-    /// The paper's classification of the application (Section 4.0.3):
-    /// `true` for compute-bound, `false` for memory-bound.
-    pub fn expected_compute_bound(&self) -> bool {
-        !matches!(self, App::Fft | App::Bitonic | App::BitonicRec)
-    }
-
     /// Builds the stream graph for the given size parameter.
     ///
     /// # Errors
@@ -272,10 +266,6 @@ mod tests {
     #[test]
     fn names_and_classification_match_the_paper() {
         assert_eq!(App::Des.name(), "DES");
-        assert!(App::Des.expected_compute_bound());
-        assert!(App::Dct.expected_compute_bound());
-        assert!(!App::Bitonic.expected_compute_bound());
-        assert!(!App::Fft.expected_compute_bound());
         assert_eq!(App::figure_4_3_subset().len(), 5);
     }
 

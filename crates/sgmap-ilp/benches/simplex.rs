@@ -11,8 +11,6 @@
 //! `cargo bench -p sgmap-ilp --bench simplex -- --test` runs every body
 //! once as a smoke test.
 
-use std::time::Duration;
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use sgmap_ilp::simplex::VarBound;
@@ -66,8 +64,7 @@ fn bench_bb(c: &mut Criterion) {
 }
 
 /// Benchmark-scale models: a cold LP and a node-limited branch-and-bound
-/// (no wall-clock cut) with the node budgets of the pivot-sequence golden
-/// test.
+/// with the node budgets of the pivot-sequence golden test.
 fn bench_benchmark_scale(c: &mut Criterion) {
     for (p, g, max_nodes) in [(80, 2, 80), (40, 4, 80), (100, 6, 400)] {
         let (model, _) = mapper_model(p, g);
@@ -76,7 +73,6 @@ fn bench_benchmark_scale(c: &mut Criterion) {
         });
         let opts = SolverOptions {
             max_nodes,
-            time_limit: Duration::from_secs(3600),
             ..SolverOptions::default()
         };
         c.bench_function(&format!("ilp/bb-{max_nodes}-nodes/mapper{p}x{g}"), |b| {

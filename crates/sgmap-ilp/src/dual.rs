@@ -27,8 +27,6 @@
 //! and Bland-style lowest-index selection (no flips) past the stall
 //! threshold.
 
-use std::time::Instant;
-
 use crate::basis::VarState;
 use crate::workspace::{LoopEnd, LpWorkspace, PIVOT_TOL, PRIMAL_TOL, STABLE_PIVOT_REL};
 
@@ -40,7 +38,7 @@ impl LpWorkspace {
     /// Runs the dual simplex to primal feasibility. Expects `self.d` to hold
     /// the reduced costs of the current basis (see
     /// [`LpWorkspace::compute_reduced_costs`]).
-    pub(crate) fn dual_simplex(&mut self, deadline: Option<Instant>) -> LoopEnd {
+    pub(crate) fn dual_simplex(&mut self) -> LoopEnd {
         let m = self.cols.m;
         let n_total = self.cols.n_total();
         let cap = self.iteration_cap();
@@ -50,9 +48,6 @@ impl LpWorkspace {
         let mut flips: Vec<u32> = Vec::new();
 
         for iter in 0..cap {
-            if Self::past_deadline(deadline) {
-                return LoopEnd::TimeLimit;
-            }
             if self.basis.wants_refactor() {
                 if !self.refactor_and_sync() {
                     return LoopEnd::Stalled;

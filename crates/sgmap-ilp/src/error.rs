@@ -13,7 +13,7 @@ pub enum IlpError {
     Infeasible,
     /// The linear program is unbounded in the optimisation direction.
     Unbounded,
-    /// No integer-feasible solution was found within the node/time budget.
+    /// No integer-feasible solution was found within the node budget.
     NoIntegerSolution,
     /// The model has no variables.
     EmptyModel,

@@ -21,12 +21,13 @@
 //!   is built,
 //! * **branch-and-bound** over the binary variables with **best-bound node
 //!   ordering** plus early-incumbent dives, incumbent pruning, warm-start
-//!   incumbents, node/time budgets, a reported optimality gap and per-node
-//!   dual reoptimisation from the parent's basis ([`Solver`]) — a branch only
-//!   tightens one bound, so the parent basis stays dual feasible and a child
-//!   relaxation typically costs a handful of pivots instead of a full solve.
-//!   Dive children find that basis live; best-bound nodes carry a snapshot
-//!   of it and restore it when popped.
+//!   incumbents, a node budget (the only budget: no clock is read), a
+//!   reported optimality gap and per-node dual reoptimisation from the
+//!   parent's basis ([`Solver`]) — a branch only tightens one bound, so the
+//!   parent basis stays dual feasible and a child relaxation typically costs
+//!   a handful of pivots instead of a full solve. Dive children find that
+//!   basis live; best-bound nodes carry a snapshot of it and restore it when
+//!   popped.
 //!
 //! The original dense two-phase tableau is not shipped: it lives in
 //! `tests/common/dense.rs` as the oracle the equivalence tests hold the

@@ -13,8 +13,6 @@
 //! Bland's rule after a stall threshold, so the pivot sequence is fully
 //! deterministic.
 
-use std::time::Instant;
-
 use crate::basis::VarState;
 use crate::workspace::{LoopEnd, LpWorkspace, DUAL_TOL, PIVOT_TOL, PRIMAL_TOL, STABLE_PIVOT_REL};
 
@@ -31,16 +29,13 @@ enum Block {
 
 impl LpWorkspace {
     /// Runs the composite primal simplex to optimality.
-    pub(crate) fn primal_simplex(&mut self, deadline: Option<Instant>) -> LoopEnd {
+    pub(crate) fn primal_simplex(&mut self) -> LoopEnd {
         let m = self.cols.m;
         let n_total = self.cols.n_total();
         let cap = self.iteration_cap();
         let bland_after = self.bland_threshold();
 
         for iter in 0..cap {
-            if Self::past_deadline(deadline) {
-                return LoopEnd::TimeLimit;
-            }
             if self.basis.wants_refactor() && !self.refactor_and_sync() {
                 return LoopEnd::Stalled;
             }

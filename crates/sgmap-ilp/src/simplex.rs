@@ -72,7 +72,7 @@ impl LpSolver {
     /// [`IlpError::Numerical`](crate::IlpError::Numerical) if pivoting fails
     /// to make progress even after a cold restart.
     pub fn solve(&mut self, bounds: &[VarBound]) -> Result<LpSolution> {
-        self.ws.solve(bounds, None).into_result()
+        self.ws.solve(bounds).into_result()
     }
 
     /// Number of simplex iterations (pivots and bound flips) so far.

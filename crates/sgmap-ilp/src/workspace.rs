@@ -28,8 +28,6 @@
 //! the same model and bounds always reproduce the same vertex, independent
 //! of thread count or load.
 
-use std::time::Instant;
-
 use crate::basis::{Basis, BasisSnapshot, VarState};
 use crate::error::IlpError;
 use crate::model::{ConstraintSense, Model, ObjectiveSense};
@@ -63,22 +61,17 @@ pub(crate) enum LpOutcome {
     Infeasible,
     /// The objective is unbounded in the optimisation direction.
     Unbounded,
-    /// The deadline expired mid-solve.
-    TimeLimit,
     /// Pivoting failed to make progress even after a cold restart.
     Numerical(&'static str),
 }
 
 impl LpOutcome {
-    /// Converts the outcome into the crate's `Result` shape (time limits
-    /// surface as a numerical failure — callers that pass a deadline match
-    /// on the outcome directly instead).
+    /// Converts the outcome into the crate's `Result` shape.
     pub(crate) fn into_result(self) -> Result<LpSolution> {
         match self {
             LpOutcome::Optimal(s) => Ok(s),
             LpOutcome::Infeasible => Err(IlpError::Infeasible),
             LpOutcome::Unbounded => Err(IlpError::Unbounded),
-            LpOutcome::TimeLimit => Err(IlpError::Numerical("lp deadline expired")),
             LpOutcome::Numerical(msg) => Err(IlpError::Numerical(msg)),
         }
     }
@@ -93,8 +86,6 @@ pub(crate) enum LoopEnd {
     Unbounded,
     /// No improving direction while still infeasible.
     Infeasible,
-    /// The deadline expired.
-    TimeLimit,
     /// Iteration cap or numerical breakdown — caller should fall back.
     Stalled,
 }
@@ -203,7 +194,7 @@ impl LpWorkspace {
 
     /// Solves the LP under `bounds`, warm-starting from the previous basis
     /// when one is available.
-    pub(crate) fn solve(&mut self, bounds: &[VarBound], deadline: Option<Instant>) -> LpOutcome {
+    pub(crate) fn solve(&mut self, bounds: &[VarBound]) -> LpOutcome {
         // Install the node's bounds: the base intersected with the extras.
         self.lo.copy_from_slice(&self.base_lo);
         self.hi.copy_from_slice(&self.base_hi);
@@ -221,7 +212,7 @@ impl LpWorkspace {
         }
 
         if self.factored {
-            match self.try_warm(deadline) {
+            match self.try_warm() {
                 Some(outcome) => return outcome,
                 None => {
                     // Dual reoptimisation could not run or stalled: restart
@@ -229,7 +220,7 @@ impl LpWorkspace {
                 }
             }
         }
-        self.solve_cold(deadline)
+        self.solve_cold()
     }
 
     /// Makes a saved basis the one the next [`LpWorkspace::solve`] warm-starts
@@ -244,7 +235,7 @@ impl LpWorkspace {
     /// is dual feasible under the new bounds, recompute the basic values and
     /// reoptimise with the dual simplex. Returns `None` when the caller
     /// should fall back to a cold solve.
-    fn try_warm(&mut self, deadline: Option<Instant>) -> Option<LpOutcome> {
+    fn try_warm(&mut self) -> Option<LpOutcome> {
         self.compute_reduced_costs();
         // Remap every nonbasic column onto a bound that is both finite and
         // consistent with the sign of its reduced cost. Branch bounds only
@@ -283,7 +274,7 @@ impl LpWorkspace {
             }
         }
         self.recompute_xb();
-        match self.dual_simplex(deadline) {
+        match self.dual_simplex() {
             LoopEnd::Done => {
                 self.stats.warm_starts += 1;
                 self.factored = true;
@@ -293,17 +284,16 @@ impl LpWorkspace {
                 self.stats.warm_starts += 1;
                 Some(LpOutcome::Infeasible)
             }
-            LoopEnd::TimeLimit => Some(LpOutcome::TimeLimit),
             LoopEnd::Stalled | LoopEnd::Unbounded => None,
         }
     }
 
     /// Cold path: all-logical basis, primal phases 1 and 2.
-    fn solve_cold(&mut self, deadline: Option<Instant>) -> LpOutcome {
+    fn solve_cold(&mut self) -> LpOutcome {
         self.basis.reset_logical();
         self.stats.cold_solves += 1;
         self.recompute_xb();
-        match self.primal_simplex(deadline) {
+        match self.primal_simplex() {
             LoopEnd::Done => {
                 self.factored = true;
                 LpOutcome::Optimal(self.extract())
@@ -316,7 +306,6 @@ impl LpWorkspace {
                 self.factored = false;
                 LpOutcome::Unbounded
             }
-            LoopEnd::TimeLimit => LpOutcome::TimeLimit,
             LoopEnd::Stalled => {
                 self.factored = false;
                 LpOutcome::Numerical("simplex failed to make progress")
@@ -404,12 +393,6 @@ impl LpWorkspace {
         }
     }
 
-    /// Whether the deadline expired.
-    #[inline]
-    pub(crate) fn past_deadline(deadline: Option<Instant>) -> bool {
-        deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
     /// Iteration cap of one simplex loop.
     #[inline]
     pub(crate) fn iteration_cap(&self) -> usize {
@@ -448,7 +431,7 @@ mod tests {
     /// it took.
     fn solve_bits(lp: &mut LpWorkspace, bounds: &[VarBound]) -> (Vec<u64>, u64, u64) {
         let before = lp.stats.iterations;
-        let s = optimal(lp.solve(bounds, None));
+        let s = optimal(lp.solve(bounds));
         (
             s.values.iter().map(|v| v.to_bits()).collect(),
             s.objective.to_bits(),
@@ -461,9 +444,9 @@ mod tests {
         let (p, g) = (24, 4);
         let (model, n) = mapper_model(p, g);
         let mut lp = LpWorkspace::new(&model);
-        optimal(lp.solve(&[], None));
+        optimal(lp.solve(&[]));
         let parent_bounds = vec![fix(n[0][0], 1.0), fix(n[3][1], 0.0), fix(n[7][2], 1.0)];
-        let relax = optimal(lp.solve(&parent_bounds, None));
+        let relax = optimal(lp.solve(&parent_bounds));
         assert!(
             lp.basis.state.contains(&VarState::AtUpper),
             "the parent basis must have columns at their upper bound"
@@ -497,7 +480,7 @@ mod tests {
         let mut dive = Vec::new();
         for (i, ni) in n.iter().enumerate() {
             dive.push(fix(ni[(i * 3 + 1) % g], 1.0));
-            optimal(lp.solve(&dive, None));
+            optimal(lp.solve(&dive));
         }
         lp.restore(&parent);
         let after_dive = solve_bits(&mut lp, &child_bounds);

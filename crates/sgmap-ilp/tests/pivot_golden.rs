@@ -11,8 +11,6 @@
 #[path = "common/mapper.rs"]
 mod mapper;
 
-use std::time::Duration;
-
 use mapper::mapper_model;
 use sgmap_ilp::{SolveStats, Solver, SolverOptions};
 
@@ -39,9 +37,6 @@ fn solve(p: usize, g: usize, max_nodes: usize) -> Golden {
     let (model, _) = mapper_model(p, g);
     let opts = SolverOptions {
         max_nodes,
-        // Node-limited only: a wall-clock cut would make the counters depend
-        // on the machine.
-        time_limit: Duration::from_secs(3600),
         ..SolverOptions::default()
     };
     let s = Solver::with_options(opts).solve(&model).unwrap();

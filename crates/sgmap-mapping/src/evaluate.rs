@@ -23,15 +23,6 @@ pub struct MappingCost {
     pub per_link_bytes: Vec<u64>,
 }
 
-impl MappingCost {
-    /// Returns `true` if a PCIe link, rather than a GPU, is the bottleneck.
-    pub fn communication_bound(&self) -> bool {
-        let gpu_max = self.per_gpu_time_us.iter().cloned().fold(0.0, f64::max);
-        let link_max = self.per_link_time_us.iter().cloned().fold(0.0, f64::max);
-        link_max > gpu_max
-    }
-}
-
 /// Evaluates `assignment` (partition index → GPU index) on `platform`.
 ///
 /// # Panics
@@ -129,7 +120,6 @@ mod tests {
         let cost = evaluate_assignment(&p, &platform, &[0, 1, 0]);
         assert_eq!(cost.per_gpu_time_us, vec![40.0, 20.0]);
         assert!(cost.tmax_us >= 40.0);
-        assert!(!cost.communication_bound());
     }
 
     #[test]
@@ -153,9 +143,6 @@ mod tests {
         assert_eq!(loaded(&same), 0);
         assert_eq!(loaded(&near), 2);
         assert_eq!(loaded(&far), 4);
-        // 600 KB over a 6 GB/s link takes 100 us + latency: communication
-        // dominates the 1 us partitions.
-        assert!(near.communication_bound());
         assert!(far.tmax_us >= near.tmax_us);
     }
 

@@ -26,11 +26,10 @@
 //! failing to close the gap.
 //!
 //! The model is warm-started with the greedy mapping and solved by the
-//! branch-and-bound solver of `sgmap-ilp` under a configurable node/time
-//! budget; if the budget expires, the best incumbent (never worse than the
-//! greedy warm start) is returned.
-
-use std::time::Duration;
+//! branch-and-bound solver of `sgmap-ilp` under a configurable node budget,
+//! the only budget: no clock is read, so a mapping is a function of its
+//! inputs alone. If the budget runs out, the best incumbent (never worse
+//! than the greedy warm start) is returned.
 
 use sgmap_gpusim::{Endpoint, LinkId, Platform};
 use sgmap_ilp::{IlpError, Model, ObjectiveSense, SolutionStatus, Solver, SolverOptions, VarId};
@@ -40,11 +39,9 @@ use crate::evaluate::evaluate_assignment;
 use crate::greedy::map_greedy;
 use crate::{Mapping, MappingMethod};
 
-/// Budget and modelling options for the ILP mapper.
+/// Budget options for the ILP mapper.
 #[derive(Debug, Clone)]
 pub struct MappingOptions {
-    /// Wall-clock budget for the branch-and-bound search.
-    pub time_limit: Duration,
     /// Node budget for the branch-and-bound search.
     pub max_nodes: usize,
     /// Stop the search once the incumbent is proven within this relative gap
@@ -55,7 +52,6 @@ pub struct MappingOptions {
 impl Default for MappingOptions {
     fn default() -> Self {
         MappingOptions {
-            time_limit: Duration::from_secs(5),
             max_nodes: 600,
             relative_gap: 0.0,
         }
@@ -296,7 +292,6 @@ pub(crate) fn map_ilp_on(
 
     let solver_options = SolverOptions {
         max_nodes: options.max_nodes,
-        time_limit: options.time_limit,
         relative_gap: options.relative_gap,
         ..SolverOptions::default()
     };
@@ -305,15 +300,15 @@ pub(crate) fn map_ilp_on(
         .solve(&model)
     {
         Ok(s) => {
-            // A Feasible (not Optimal) status means the node or time budget
-            // ran out mid-search — surface it instead of leaving it buried
-            // in SolveStats.
+            // Without a relative gap, a Feasible (not Optimal) status means
+            // the node budget ran out mid-search — surface it instead of
+            // leaving it buried in SolveStats.
             if s.status == SolutionStatus::Feasible && options.relative_gap == 0.0 {
                 sgmap_trace::add("ilp.budget_exhausted", 1);
                 sgmap_trace::warn(
                     "ilp.budget_exhausted",
                     format!(
-                        "mapping ILP stopped at its node/time budget after {} nodes \
+                        "mapping ILP stopped at its node budget after {} nodes \
                          (proven gap {:.4}); using the best incumbent",
                         s.nodes_explored, s.stats.optimality_gap
                     ),
@@ -605,7 +600,8 @@ mod tests {
     /// optimal (gap 0) must hit it, and a proven gap must not promise more.
     /// When the solver gives up on numerical trouble the mapper keeps its
     /// warm start and claims nothing, so only a search that finishes is held
-    /// to the optimum.
+    /// to the optimum. A mapping that says `optimal` claims gap 0 whatever
+    /// its reported gap, so its `Tmax` must be the optimum itself.
     fn check_claim(optimum: f64, map: impl FnOnce() -> Mapping) -> Result<(), TestCaseError> {
         let collector = Arc::new(sgmap_trace::Collector::new());
         let mapping = sgmap_trace::scope(Some(&collector), map);
@@ -629,6 +625,10 @@ mod tests {
             "claims Tmax >= {claimed} (optimal: {}) but the optimum is {optimum}",
             mapping.optimal
         );
+        prop_assert!(
+            !mapping.optimal || (tmax - optimum).abs() <= optimum * 1e-9,
+            "claims optimality at Tmax {tmax} but the optimum is {optimum}"
+        );
         Ok(())
     }
 
@@ -642,7 +642,6 @@ mod tests {
         #[test]
         fn pigeonhole_bound_never_exceeds_the_exhaustive_optimum(pdg in small_pdg_strategy()) {
             let unlimited = MappingOptions {
-                time_limit: Duration::from_secs(3600),
                 max_nodes: 1_000_000,
                 relative_gap: 0.0,
             };

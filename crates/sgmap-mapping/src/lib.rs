@@ -17,7 +17,7 @@
 //!
 //! * [`map_ilp`] — the exact formulation above, solved with the
 //!   branch-and-bound ILP solver of `sgmap-ilp` (warm-started by the greedy
-//!   mapper and bounded by a node/time budget),
+//!   mapper and bounded by a node budget),
 //! * [`map_greedy`] — longest-processing-time list scheduling followed by a
 //!   communication-aware local search; used both as the ILP warm start and as
 //!   a fast stand-alone mapper,

@@ -18,8 +18,6 @@
 //! the repaired objective looks like — the caller compares it against a full
 //! recompile (see the `repair` section of BENCH.json).
 
-use std::time::Duration;
-
 use sgmap_gpusim::Platform;
 use sgmap_ilp::IlpError;
 use sgmap_partition::Pdg;
@@ -34,7 +32,6 @@ use crate::{Mapping, MappingMethod, MappingOptions, SolveStats};
 /// guarantees the result is at least as good as the greedy patch. Repair
 /// trades the last few percent of proven optimality for speed.
 const POLISH_BUDGET: MappingOptions = MappingOptions {
-    time_limit: Duration::from_secs(1),
     max_nodes: 24,
     relative_gap: 0.05,
 };

@@ -25,10 +25,10 @@
 //!   `sweep --check`, used verbatim by CI.
 //!
 //! Reports are deterministic by construction: points are reassembled in
-//! work-list order, the ILP budget is node-bound rather than wall-clock
-//! bound, and the single-flight cache makes even the hit/miss counters
-//! independent of thread scheduling. Running the same spec with 1 or N
-//! worker threads therefore renders byte-identical
+//! work-list order, the ILP budget counts nodes rather than time, and the
+//! single-flight cache makes even the hit/miss counters independent of
+//! thread scheduling. Running the same spec with 1 or N worker threads
+//! therefore renders byte-identical
 //! [`SweepReport::canonical_json`].
 //!
 //! ```rust

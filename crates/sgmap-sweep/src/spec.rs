@@ -1,7 +1,6 @@
 //! Declarative sweep specifications and their expansion into work lists.
 
 use std::fmt;
-use std::time::Duration;
 
 use sgmap_apps::App;
 use sgmap_codegen::PlanOptions;
@@ -252,9 +251,10 @@ pub struct SweepSpec {
     pub stacks: Vec<StackConfig>,
     /// The Chapter-V enhancement axis.
     pub enhanced: Vec<bool>,
-    /// ILP budget shared by every point. The default uses a node budget with
-    /// an effectively unlimited wall-clock budget so results do not depend on
-    /// machine load or worker-thread count.
+    /// ILP node budget shared by every point. The default is
+    /// [`SweepSpec::deterministic_mapping_options`]; a node budget, unlike a
+    /// clock, keeps results independent of machine load and worker-thread
+    /// count.
     pub mapping_options: MappingOptions,
     /// Plan-generation options shared by every point.
     pub plan: PlanOptions,
@@ -365,26 +365,23 @@ impl SweepSpec {
         self
     }
 
-    /// The ILP budget used by sweeps: bounded by the node count alone, so a
-    /// loaded machine (or more worker threads) cannot change the mapping the
-    /// solver returns. This is what makes multi-threaded sweep reports
-    /// byte-identical to single-threaded ones. The default node budget is
-    /// smaller than the interactive default because sweeps solve hundreds of
-    /// warm-started instances and the greedy warm start already matches the
-    /// ILP on most grid points; the figure-fidelity presets raise it to the
-    /// historical 300 via [`SweepSpec::with_figure_fidelity_ilp_budget`].
+    /// The sweep's node budget: 80 branch-and-bound nodes, against the 600
+    /// of [`MappingOptions::default`]. Sweeps solve hundreds of warm-started
+    /// instances and the greedy warm start already matches the ILP on most
+    /// grid points; the figure-fidelity presets raise it to the historical
+    /// 300 via [`SweepSpec::with_figure_fidelity_ilp_budget`]. Like every
+    /// ILP budget it counts nodes, not time, so multi-threaded sweep reports
+    /// are byte-identical to single-threaded ones.
     pub fn deterministic_mapping_options() -> MappingOptions {
         MappingOptions {
-            time_limit: Duration::from_secs(86_400),
             max_nodes: 80,
-            relative_gap: 0.0,
+            ..MappingOptions::default()
         }
     }
 
     /// Raises the ILP node budget to the 300 nodes the figure harness has
     /// always used, so the sweeps backing the paper's figures keep their
-    /// historical mapping quality (still wall-clock-unbounded, hence still
-    /// deterministic). On the `quick` preset it measured 2.2–2.4x the ILP
+    /// historical mapping quality. On the `quick` preset it measured 2.2–2.4x the ILP
     /// solve time of the default budget: 127–129 ms for 1,228 nodes against
     /// 53–58 ms for 348, three single-threaded runs on a 2-vCPU Xeon VM.
     pub fn with_figure_fidelity_ilp_budget(mut self) -> Self {

@@ -208,6 +208,29 @@ fn dct_on_four_gpus_maps_without_a_dual_simplex_stall() {
 }
 
 #[test]
+fn default_compile_is_node_bounded_on_the_slowest_paper_points() {
+    // The interactive default, `FlowConfig::new()`, has one budget: 600
+    // branch-and-bound nodes and no clock. These are the slowest points of
+    // the paper grid (Fig. 4.2 apps at 2 and 4 GPUs); each spends the whole
+    // budget, so the mapping it returns is pinned by the node count alone and
+    // cannot depend on how loaded the machine is. The DCT values equal the
+    // 80-node pins of `dct_on_four_gpus_maps_without_a_dual_simplex_stall`.
+    for (app, n, tmax) in [
+        (App::Dct, 26, 3.7026538461538463),
+        (App::Dct, 30, 6.108959549071621),
+        (App::FmRadio, 32, 0.2833269230769232),
+    ] {
+        let graph = app.build(n).unwrap();
+        let config = FlowConfig::new().with_gpu_count(4);
+        let mapping = compile(&graph, &config).unwrap().mapping;
+        let label = format!("{app}-{n} on 4 GPUs");
+        assert_eq!(mapping.ilp_stats.nodes, 600, "{label}");
+        assert!(!mapping.optimal, "{label}");
+        assert_eq!(mapping.predicted_tmax_us, tmax, "{label}");
+    }
+}
+
+#[test]
 fn greedy_optimal_maps_on_eight_gpus_are_proven_at_the_root() {
     // Twelve or more partitions on eight GPUs: the greedy warm start is
     // already optimal, but with average load and the largest partition as
