@@ -198,10 +198,10 @@ fn bench_compile(app: App, n: u32, collector: &Collector) -> JsonValue {
         0.0
     };
     eprintln!(
-        "compile {:>8} N={:<4} {:7.1} ms (build {:.1}, estimator {:.1}, partition {:.1}, map+plan {:.1}) — {} partitions, {} estimates ({:.0}/s), ilp {} nodes / {} pivots / {} warm",
+        "compile {:>8} N={:<4} {:7.1} ms (build {:.1}, estimator {:.1}, partition {:.1}, map+plan {:.1}) — {} partitions, {} estimates ({:.0}/s), ilp {} nodes / {} pivots / {} warm on {}x{}",
         app.name(), n, total_ms, build_ms, estimator_ms, partition_ms, finish_ms,
         compiled.partition_count(), stats.queries(), estimates_per_sec,
-        ilp.nodes, ilp.lp_iterations, ilp.lp_warm_starts,
+        ilp.nodes, ilp.lp_iterations, ilp.lp_warm_starts, ilp.rows, ilp.cols,
     );
     JsonValue::object(vec![
         ("app", JsonValue::str(app.name())),
@@ -217,6 +217,8 @@ fn bench_compile(app: App, n: u32, collector: &Collector) -> JsonValue {
         ("lp_warm_starts", JsonValue::Uint(ilp.lp_warm_starts)),
         ("lp_refactorizations", JsonValue::Uint(ilp.refactorizations)),
         ("ilp_gap", JsonValue::Float(ilp.optimality_gap)),
+        ("ilp_rows", JsonValue::Uint(ilp.rows)),
+        ("ilp_cols", JsonValue::Uint(ilp.cols)),
         ("build_ms", JsonValue::Float(build_ms)),
         ("estimator_ms", JsonValue::Float(estimator_ms)),
         ("partition_ms", JsonValue::Float(partition_ms)),
@@ -362,6 +364,8 @@ fn bench_budget_bounded(app: App, n: u32, max_nodes: usize) -> JsonValue {
         ("ilp_nodes", JsonValue::Uint(ilp.nodes)),
         ("ilp_gap", JsonValue::Float(ilp.optimality_gap)),
         ("lp_iterations", JsonValue::Uint(ilp.lp_iterations)),
+        ("ilp_rows", JsonValue::Uint(ilp.rows)),
+        ("ilp_cols", JsonValue::Uint(ilp.cols)),
         ("map_ms", JsonValue::Float(map_ms)),
     ])
 }

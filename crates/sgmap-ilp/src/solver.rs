@@ -71,6 +71,10 @@ pub struct SolveStats {
     pub presolve_removed_rows: u64,
     /// Variables eliminated by presolve.
     pub presolve_removed_cols: u64,
+    /// Constraint rows of the LP the search solved (after presolve).
+    pub rows: u64,
+    /// Columns of the LP the search solved (after presolve).
+    pub cols: u64,
     /// Relative gap between the returned solution and the best remaining
     /// bound: `0.0` when optimality was proven, and the gap to the best
     /// open (or numerically skipped) node's bound otherwise.
@@ -204,8 +208,8 @@ impl Solver {
     /// Solves `model` to (proven or budget-limited) optimality.
     ///
     /// With a trace collector ambient, the whole solve runs under an
-    /// `ilp.solve` span, every branch-and-bound relaxation under an `ilp.node`
-    /// span, and the [`SolveStats`] of each successful solve are accumulated
+    /// `ilp.solve` span (with the solved LP's `rows` and `cols` as args),
+    /// every branch-and-bound relaxation under an `ilp.node` span, and the [`SolveStats`] of each successful solve are accumulated
     /// into the `ilp.nodes` / `ilp.lp_iterations` / `ilp.lp_warm_starts` /
     /// `ilp.lp_cold_solves` / `ilp.refactorizations` / `ilp.bound_flips` /
     /// `ilp.presolve_removed_rows` counters. The collector is write-only: it
@@ -218,9 +222,11 @@ impl Solver {
     /// [`IlpError::NoIntegerSolution`] when the budget is exhausted without
     /// any integer-feasible point.
     pub fn solve(&self, model: &Model) -> Result<Solution> {
-        let _solve_span = sgmap_trace::span("ilp.solve");
+        let mut solve_span = sgmap_trace::span("ilp.solve");
         let result = self.solve_inner(model);
         if let Ok(s) = &result {
+            solve_span.arg("rows", s.stats.rows);
+            solve_span.arg("cols", s.stats.cols);
             sgmap_trace::add("ilp.nodes", s.stats.nodes);
             sgmap_trace::add("ilp.lp_iterations", s.stats.lp_iterations);
             sgmap_trace::add("ilp.lp_warm_starts", s.stats.lp_warm_starts);
@@ -256,6 +262,10 @@ impl Solver {
             Some(map) => (map.removed_rows as u64, map.removed_cols as u64),
             None => (0, 0),
         };
+        let (rows, cols) = (
+            search_model.num_constraints() as u64,
+            search_model.num_vars() as u64,
+        );
         let restore = |values: &[f64]| -> Vec<f64> {
             match &pre {
                 Some(map) => map.restore(values),
@@ -276,6 +286,8 @@ impl Solver {
                 stats: SolveStats {
                     presolve_removed_rows: removed_rows,
                     presolve_removed_cols: removed_cols,
+                    rows,
+                    cols,
                     ..SolveStats::default()
                 },
             });
@@ -327,6 +339,8 @@ impl Solver {
             bound_flips: lp.stats.bound_flips,
             presolve_removed_rows: removed_rows,
             presolve_removed_cols: removed_cols,
+            rows,
+            cols,
             optimality_gap: gap,
         };
         let root = match root_outcome {

@@ -4,9 +4,10 @@
 use sgmap_ilp::{Model, ObjectiveSense, VarId};
 
 /// A mapper-shaped model: minimise the makespan `t` of `p` partitions on
-/// `g` GPUs with per-link communication rows — the same min-max structure
-/// `map_ilp` emits, sized like a mid-sized application. Returns the model
-/// and the assignment binaries `n[partition][gpu]`.
+/// `g` GPUs with per-link communication rows — the min-max structure of
+/// `map_ilp`, with the crossing rows per link as the paper states them
+/// (`map_ilp` shares them per cut), sized like a mid-sized application.
+/// Returns the model and the assignment binaries `n[partition][gpu]`.
 pub fn mapper_model(p: usize, g: usize) -> (Model, Vec<Vec<VarId>>) {
     let mut m = Model::new(ObjectiveSense::Minimize);
     let t = m.add_continuous("t", 1.0);

@@ -3,27 +3,39 @@
 //! Decision variables:
 //!
 //! * `n_ij` (binary) — partition `i` runs on GPU `j`,
-//! * `x_el` (continuous, 0..1) — PDG edge `e`'s traffic crosses link `l`;
-//!   linearised as `x_el >= A + B - 1` where `A` (`B`) says the producer
-//!   (consumer) sits on the link's source (destination) side, derived from
-//!   the topology's `dtlist(l)`,
+//! * `x_ec` (continuous, 0..1) — PDG edge `e`'s traffic crosses cut `c`;
+//!   linearised as `x_ec >= A + B - 1` where `A` (`B`) says the producer
+//!   (consumer) sits on the cut's source (destination) side,
 //! * `d_l` (continuous) — bytes crossing link `l`, including the primary
 //!   input/output travelling between the host and the partitions' GPUs,
 //! * `Tmax` (continuous) — the objective.
+//!
+//! A cut `c = (S, D)` is the pair of GPU sides a link separates: the sorted
+//! sources and destinations of the topology's `dtlist(l)`, restricted to the
+//! allowed GPUs. The paper states the crossing term per link, `x_el`, but
+//! the term depends on the link only through its cut, and on a tree several
+//! links share one. A link separates the GPUs below it from the rest, so
+//! the up-link out of a subtree and the down-link into the complementary
+//! one have the same cut: on two GPUs, the up-link out of GPU 0 and the
+//! down-link into GPU 1. So one `x_ec` per edge and cut is charged to the
+//! `d_l` row of every link with that cut. Projected onto `n`, `d` and
+//! `Tmax` the relaxation is unchanged, and with it the root bound and the
+//! integer optimum, but the 2-GPU reference tree needs `2E` crossing rows
+//! instead of `4E` and the 4-GPU paper tree `10E` instead of `12E`.
 //!
 //! Per-transfer latency is excluded from the static objective (it is hidden
 //! by the N-fragment pipelining and charged by the executor instead), so the
 //! per-link time is the pure bandwidth term `d_l / BW`.
 //!
-//! Two valid cuts become `Tmax`'s lower bound, so they cost no rows: the
-//! total work over the allowed GPUs' capacity, and the pigeonhole bound of
-//! Dell'Amico & Martello (1995). With `G` allowed GPUs and the partition
+//! Two valid inequalities become `Tmax`'s lower bound, so they cost no rows:
+//! the total work over the allowed GPUs' capacity, and the pigeonhole bound
+//! of Dell'Amico & Martello (1995). With `G` allowed GPUs and the partition
 //! times sorted in descending order, some GPU receives `k + 1` of the
 //! `kG + 1` largest, for every `k` with `kG + 1 <= P`, and it runs them at
-//! best at the fastest allowed GPU's speed. Without the second cut the root
-//! LP of twelve partitions on eight GPUs sits well below a greedy warm start
-//! that is already optimal, and the search spends its whole node budget
-//! failing to close the gap.
+//! best at the fastest allowed GPU's speed. Without the pigeonhole bound the
+//! root LP of twelve partitions on eight GPUs sits well below a greedy warm
+//! start that is already optimal, and the search spends its whole node
+//! budget failing to close the gap.
 //!
 //! The model is warm-started with the greedy mapping and solved by the
 //! branch-and-bound solver of `sgmap-ilp` under a configurable node budget,
@@ -58,12 +70,244 @@ impl Default for MappingOptions {
     }
 }
 
-/// Bookkeeping for the auxiliary variables of one PCIe link.
+/// The load column of one link that carries a load row.
 struct LinkVars {
     link: LinkId,
     d: VarId,
-    /// `(edge index, x_el)` pairs.
+}
+
+/// One cut `(S, D)`: the source and destination GPU sides of a link's
+/// `dtlist`, restricted to the allowed GPUs. Every link that separates the
+/// same sides shares its crossing indicators.
+struct Cut {
+    /// Sorted global indices of the source-side GPUs.
+    srcs: Vec<usize>,
+    /// Sorted global indices of the destination-side GPUs.
+    dsts: Vec<usize>,
+    /// `(edge index, x_ec)` pairs, one per PDG edge with bytes.
     x: Vec<(usize, VarId)>,
+}
+
+impl Cut {
+    /// Whether an edge from `src` to `dst` (global GPU indices) crosses it.
+    fn separates(&self, src: usize, dst: usize) -> bool {
+        self.srcs.binary_search(&src).is_ok() && self.dsts.binary_search(&dst).is_ok()
+    }
+}
+
+/// The mapper ILP over the `allowed` GPUs, with the columns the warm start
+/// and the solution readout address.
+struct MapperModel {
+    model: Model,
+    tmax: VarId,
+    /// `n[i][pos]`: partition `i` runs on GPU `allowed[pos]`.
+    n: Vec<Vec<VarId>>,
+    /// The links that carry a load row, in link order.
+    links: Vec<LinkVars>,
+    /// The distinct cuts, in the order their first link appears.
+    cuts: Vec<Cut>,
+}
+
+impl MapperModel {
+    /// Builds the model: the paper's assignment, GPU-time and link rows, with
+    /// one crossing indicator per PDG edge and distinct cut.
+    fn build(pdg: &Pdg, platform: &Platform, allowed: &[usize]) -> MapperModel {
+        let topo = &platform.topology;
+        // Position of a global GPU index among the allowed columns.
+        let mut pos_of: Vec<Option<usize>> = vec![None; platform.gpu_count()];
+        for (pos, &j) in allowed.iter().enumerate() {
+            pos_of[j] = Some(pos);
+        }
+
+        let mut model = Model::new(ObjectiveSense::Minimize);
+        let tmax = model.add_continuous("tmax", 1.0);
+
+        // n_ij, one column per allowed GPU.
+        let n: Vec<Vec<VarId>> = (0..pdg.len())
+            .map(|i| {
+                allowed
+                    .iter()
+                    .map(|&j| model.add_binary(format!("n_{i}_{j}"), 0.0))
+                    .collect()
+            })
+            .collect();
+        // Assignment constraints (III.5).
+        for ni in &n {
+            model.add_constraint_eq(ni.iter().map(|&v| (v, 1.0)).collect(), 1.0);
+        }
+        // GPU time constraints (III.1, III.4), with each device charging its
+        // own (throughput-scaled) execution time.
+        for (pos, &j) in allowed.iter().enumerate() {
+            let factor = platform.time_factor(j);
+            let mut terms: Vec<(VarId, f64)> = n
+                .iter()
+                .zip(&pdg.times_us)
+                .map(|(ni, &t)| (ni[pos], t * factor))
+                .collect();
+            terms.push((tmax, -1.0));
+            model.add_constraint_le(terms, 0.0);
+        }
+        // Valid inequalities that tighten the LP relaxation (they cut off
+        // fractional assignments but no integer one): the busiest GPU can
+        // never beat the average load, nor the pigeonhole bound on the
+        // largest partitions. The revised simplex handles variable bounds
+        // natively, so they cost no rows.
+        let total_work: f64 = pdg.times_us.iter().sum();
+        // With heterogeneous devices the aggregate capacity is the sum of the
+        // inverse time factors (exactly the GPU count on homogeneous
+        // platforms).
+        let capacity: f64 = allowed.iter().map(|&j| 1.0 / platform.time_factor(j)).sum();
+        model.set_bounds(
+            tmax,
+            (total_work / capacity).max(pigeonhole_bound(&pdg.times_us, platform, allowed)),
+            f64::INFINITY,
+        );
+
+        let mut links: Vec<LinkVars> = Vec::new();
+        let mut cuts: Vec<Cut> = Vec::new();
+        for link in topo.link_ids() {
+            let dtlist = topo.dtlist(link);
+            // Source/destination sides of the link, restricted to GPUs that
+            // actually have assignment columns.
+            let side = |pick: fn(&(usize, usize)) -> usize| {
+                let mut gpus: Vec<usize> = dtlist
+                    .iter()
+                    .map(pick)
+                    .filter(|&k| pos_of[k].is_some())
+                    .collect();
+                gpus.sort_unstable();
+                gpus.dedup();
+                gpus
+            };
+            let (srcs, dsts) = (side(|&(k, _)| k), side(|&(_, h)| h));
+
+            let d_l = model.add_continuous(format!("d_{}", link.index()), 0.0);
+            let mut load_terms: Vec<(VarId, f64)> = Vec::new();
+            if !srcs.is_empty() && !dsts.is_empty() {
+                // The first link of a cut creates its crossing indicators;
+                // every later one charges the same indicators to its own load.
+                let c = match cuts.iter().position(|c| c.srcs == srcs && c.dsts == dsts) {
+                    Some(c) => c,
+                    None => {
+                        let x =
+                            crossing_indicators(&mut model, pdg, &n, &pos_of, link, &srcs, &dsts);
+                        cuts.push(Cut { srcs, dsts, x });
+                        cuts.len() - 1
+                    }
+                };
+                load_terms.extend(
+                    cuts[c]
+                        .x
+                        .iter()
+                        .map(|&(e_idx, x)| (x, pdg.edges[e_idx].bytes_per_iteration as f64)),
+                );
+            }
+            // Primary input / output over host routes.
+            for (i, ni) in n.iter().enumerate() {
+                for (pos, &j) in allowed.iter().enumerate() {
+                    let nij = ni[pos];
+                    if pdg.primary_input_bytes[i] > 0
+                        && topo.route(Endpoint::Host, Endpoint::Gpu(j)).contains(&link)
+                    {
+                        load_terms.push((nij, pdg.primary_input_bytes[i] as f64));
+                    }
+                    if pdg.primary_output_bytes[i] > 0
+                        && topo.route(Endpoint::Gpu(j), Endpoint::Host).contains(&link)
+                    {
+                        load_terms.push((nij, pdg.primary_output_bytes[i] as f64));
+                    }
+                }
+            }
+            // Skip the link entirely if nothing can ever use it.
+            if load_terms.is_empty() {
+                continue;
+            }
+            // d_l >= load  <=>  load - d_l <= 0.
+            load_terms.push((d_l, -1.0));
+            model.add_constraint_le(load_terms, 0.0);
+            // d_l / BW_l <= Tmax  (III.2, III.3, with the latency amortised
+            // away by pipelining and BW_l the link's own bandwidth).
+            model.add_constraint_le(
+                vec![(d_l, 1.0 / topo.link_bytes_per_us(link)), (tmax, -1.0)],
+                0.0,
+            );
+            links.push(LinkVars { link, d: d_l });
+        }
+        MapperModel {
+            model,
+            tmax,
+            n,
+            links,
+            cuts,
+        }
+    }
+
+    /// The model point of an assignment onto the allowed GPUs, every column
+    /// filled in so that it is feasible for the whole model: `x_ec` is 1
+    /// exactly when the producer sits in `S` and the consumer in `D`, which
+    /// on a tree is when the route between them crosses the cut's links.
+    fn point(
+        &self,
+        pdg: &Pdg,
+        platform: &Platform,
+        allowed: &[usize],
+        assignment: &[usize],
+    ) -> Vec<f64> {
+        let topo = &platform.topology;
+        let mut values = vec![0.0; self.model.num_vars()];
+        for (ni, &gpu) in self.n.iter().zip(assignment) {
+            let pos = allowed.iter().position(|&j| j == gpu);
+            values[ni[pos.expect("assignment uses allowed GPUs")].index()] = 1.0;
+        }
+        let cost = evaluate_assignment(pdg, platform, assignment);
+        let mut t = cost.per_gpu_time_us.iter().cloned().fold(0.0f64, f64::max);
+        for lv in &self.links {
+            let bytes = cost.per_link_bytes[lv.link.index()] as f64;
+            values[lv.d.index()] = bytes;
+            t = t.max(bytes / topo.link_bytes_per_us(lv.link));
+        }
+        for cut in &self.cuts {
+            for &(e_idx, x) in &cut.x {
+                let e = &pdg.edges[e_idx];
+                if cut.separates(assignment[e.from], assignment[e.to]) {
+                    values[x.index()] = 1.0;
+                }
+            }
+        }
+        values[self.tmax.index()] = t;
+        values
+    }
+}
+
+/// Adds the crossing indicators of the cut `(srcs, dsts)`, which `link` is
+/// the first to separate: one `x_ec` in `[0, 1]` per PDG edge with bytes,
+/// with its row `x_ec >= A + B - 1`. Returns the `(edge index, x_ec)` pairs.
+fn crossing_indicators(
+    model: &mut Model,
+    pdg: &Pdg,
+    n: &[Vec<VarId>],
+    pos_of: &[Option<usize>],
+    link: LinkId,
+    srcs: &[usize],
+    dsts: &[usize],
+) -> Vec<(usize, VarId)> {
+    let column = |i: usize, j: usize| n[i][pos_of[j].expect("sides hold allowed GPUs")];
+    let mut x_vars: Vec<(usize, VarId)> = Vec::new();
+    for (e_idx, e) in pdg.edges.iter().enumerate() {
+        if e.bytes_per_iteration == 0 {
+            continue;
+        }
+        let x = model.add_continuous(format!("x_{}_{}", e_idx, link.index()), 0.0);
+        // The crossing indicator lives in [0, 1] (a native bound, not a row).
+        model.set_bounds(x, 0.0, 1.0);
+        // x >= A + B - 1  <=>  A + B - x <= 1.
+        let mut cross: Vec<(VarId, f64)> = srcs.iter().map(|&k| (column(e.from, k), 1.0)).collect();
+        cross.extend(dsts.iter().map(|&h| (column(e.to, h), 1.0)));
+        cross.push((x, -1.0));
+        model.add_constraint_le(cross, 1.0);
+        x_vars.push((e_idx, x));
+    }
+    x_vars
 }
 
 /// Solves the partition-to-GPU mapping with the ILP formulation. The
@@ -127,168 +371,8 @@ pub(crate) fn map_ilp_on(
         });
     }
 
-    let topo = &platform.topology;
-    // Position of a global GPU index among the allowed columns.
-    let mut pos_of: Vec<Option<usize>> = vec![None; g];
-    for (pos, &j) in allowed.iter().enumerate() {
-        pos_of[j] = Some(pos);
-    }
-
-    let mut model = Model::new(ObjectiveSense::Minimize);
-    let tmax = model.add_continuous("tmax", 1.0);
-
-    // n_ij, one column per allowed GPU.
-    let mut n: Vec<Vec<VarId>> = Vec::with_capacity(p);
-    for i in 0..p {
-        n.push(
-            allowed
-                .iter()
-                .map(|&j| model.add_binary(format!("n_{i}_{j}"), 0.0))
-                .collect(),
-        );
-    }
-    // Assignment constraints (III.5).
-    for ni in &n {
-        model.add_constraint_eq(ni.iter().map(|&v| (v, 1.0)).collect(), 1.0);
-    }
-    // GPU time constraints (III.1, III.4), with each device charging its
-    // own (throughput-scaled) execution time.
-    for (pos, &j) in allowed.iter().enumerate() {
-        let factor = platform.time_factor(j);
-        let mut terms: Vec<(VarId, f64)> = n
-            .iter()
-            .zip(&pdg.times_us)
-            .map(|(ni, &t)| (ni[pos], t * factor))
-            .collect();
-        terms.push((tmax, -1.0));
-        model.add_constraint_le(terms, 0.0);
-    }
-    // Valid cuts that tighten the LP relaxation (they cut off fractional
-    // assignments but no integer one): the busiest GPU can never beat the
-    // average load, nor the pigeonhole bound on the largest partitions. The
-    // revised simplex handles variable bounds natively, so they cost no rows.
-    let total_work: f64 = pdg.times_us.iter().sum();
-    // With heterogeneous devices the aggregate capacity is the sum of the
-    // inverse time factors (exactly the GPU count on homogeneous platforms).
-    let capacity: f64 = allowed.iter().map(|&j| 1.0 / platform.time_factor(j)).sum();
-    model.set_bounds(
-        tmax,
-        (total_work / capacity).max(pigeonhole_bound(&pdg.times_us, platform, allowed)),
-        f64::INFINITY,
-    );
-
-    let mut link_vars: Vec<LinkVars> = Vec::new();
-    for link in topo.link_ids() {
-        let dtlist = topo.dtlist(link);
-        // Source/destination sides of the link, restricted to GPUs that
-        // actually have assignment columns.
-        let mut srcs: Vec<usize> = dtlist
-            .iter()
-            .filter(|&&(k, _)| pos_of[k].is_some())
-            .map(|&(k, _)| k)
-            .collect();
-        let mut dsts: Vec<usize> = dtlist
-            .iter()
-            .filter(|&&(_, h)| pos_of[h].is_some())
-            .map(|&(_, h)| h)
-            .collect();
-        srcs.sort_unstable();
-        srcs.dedup();
-        dsts.sort_unstable();
-        dsts.dedup();
-
-        // Accumulate the load expression; skip the link entirely if
-        // nothing can ever use it.
-        let mut load_terms: Vec<(VarId, f64)> = Vec::new();
-        let mut x_vars: Vec<(usize, VarId)> = Vec::new();
-
-        let d_l = model.add_continuous(format!("d_{}", link.index()), 0.0);
-
-        if !srcs.is_empty() && !dsts.is_empty() {
-            for (e_idx, e) in pdg.edges.iter().enumerate() {
-                if e.bytes_per_iteration == 0 {
-                    continue;
-                }
-                let x = model.add_continuous(format!("x_{}_{}", e_idx, link.index()), 0.0);
-                // The crossing indicator lives in [0, 1] (a native
-                // bound, not a row).
-                model.set_bounds(x, 0.0, 1.0);
-                // x >= A + B - 1  <=>  A + B - x <= 1.
-                let mut cross: Vec<(VarId, f64)> = srcs
-                    .iter()
-                    .map(|&k| (n[e.from][pos_of[k].expect("filtered")], 1.0))
-                    .collect();
-                cross.extend(
-                    dsts.iter()
-                        .map(|&h| (n[e.to][pos_of[h].expect("filtered")], 1.0)),
-                );
-                cross.push((x, -1.0));
-                model.add_constraint_le(cross, 1.0);
-                load_terms.push((x, e.bytes_per_iteration as f64));
-                x_vars.push((e_idx, x));
-            }
-        }
-        // Primary input / output over host routes.
-        for (i, ni) in n.iter().enumerate() {
-            for (pos, &j) in allowed.iter().enumerate() {
-                let nij = ni[pos];
-                if pdg.primary_input_bytes[i] > 0
-                    && topo.route(Endpoint::Host, Endpoint::Gpu(j)).contains(&link)
-                {
-                    load_terms.push((nij, pdg.primary_input_bytes[i] as f64));
-                }
-                if pdg.primary_output_bytes[i] > 0
-                    && topo.route(Endpoint::Gpu(j), Endpoint::Host).contains(&link)
-                {
-                    load_terms.push((nij, pdg.primary_output_bytes[i] as f64));
-                }
-            }
-        }
-        if load_terms.is_empty() {
-            continue;
-        }
-        // d_l >= load  <=>  load - d_l <= 0.
-        load_terms.push((d_l, -1.0));
-        model.add_constraint_le(load_terms, 0.0);
-        // d_l / BW_l <= Tmax  (III.2, III.3, with the latency amortised
-        // away by pipelining and BW_l the link's own bandwidth).
-        model.add_constraint_le(
-            vec![(d_l, 1.0 / topo.link_bytes_per_us(link)), (tmax, -1.0)],
-            0.0,
-        );
-        link_vars.push(LinkVars {
-            link,
-            d: d_l,
-            x: x_vars,
-        });
-    }
-
-    // Warm start from the incumbent assignment: fill in every variable so
-    // the point is feasible for the full model.
-    let warm = {
-        let mut values = vec![0.0; model.num_vars()];
-        for (i, &gpu) in incumbent.assignment.iter().enumerate() {
-            values[n[i][pos_of[gpu].expect("incumbent uses allowed GPUs")].index()] = 1.0;
-        }
-        let cost = evaluate_assignment(pdg, platform, &incumbent.assignment);
-        let mut t = cost.per_gpu_time_us.iter().cloned().fold(0.0f64, f64::max);
-        for lv in &link_vars {
-            let bytes = cost.per_link_bytes[lv.link.index()];
-            values[lv.d.index()] = bytes as f64;
-            t = t.max(bytes as f64 / topo.link_bytes_per_us(lv.link));
-            for &(e_idx, x) in &lv.x {
-                let e = &pdg.edges[e_idx];
-                let (src, dst) = (incumbent.assignment[e.from], incumbent.assignment[e.to]);
-                let crossing = src != dst
-                    && topo
-                        .route(Endpoint::Gpu(src), Endpoint::Gpu(dst))
-                        .contains(&lv.link);
-                values[x.index()] = if crossing { 1.0 } else { 0.0 };
-            }
-        }
-        values[tmax.index()] = t;
-        values
-    };
+    let mm = MapperModel::build(pdg, platform, allowed);
+    let warm = mm.point(pdg, platform, allowed, &incumbent.assignment);
 
     let solver_options = SolverOptions {
         max_nodes: options.max_nodes,
@@ -297,7 +381,7 @@ pub(crate) fn map_ilp_on(
     };
     let solution = match Solver::with_options(solver_options)
         .warm_start(warm)
-        .solve(&model)
+        .solve(&mm.model)
     {
         Ok(s) => {
             // Without a relative gap, a Feasible (not Optimal) status means
@@ -347,14 +431,15 @@ pub(crate) fn map_ilp_on(
     };
     let ilp_stats = solution.stats;
 
-    let mut assignment = vec![0usize; p];
-    for (i, ni) in n.iter().enumerate() {
-        let pos = ni
-            .iter()
-            .position(|&v| solution.binary_value(v))
-            .unwrap_or(0);
-        assignment[i] = allowed[pos];
-    }
+    let assignment: Vec<usize> =
+        mm.n.iter()
+            .map(|ni| {
+                allowed[ni
+                    .iter()
+                    .position(|&v| solution.binary_value(v))
+                    .unwrap_or(0)]
+            })
+            .collect();
     // Re-evaluate with the shared cost model (authoritative numbers); keep
     // the incumbent mapping if the budget-limited search somehow did worse.
     let cost = evaluate_assignment(pdg, platform, &assignment);
@@ -405,10 +490,12 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::greedy::map_round_robin;
+    use crate::greedy::{map_greedy_on, map_round_robin};
     use crate::repair::{map_on_survivors, repair_mapping};
     use proptest::prelude::*;
     use sgmap_gpusim::{GpuSpec, InterconnectSpec, PlatformSpec};
+    use sgmap_ilp::simplex::solve_lp;
+    use sgmap_ilp::VarBound;
     use sgmap_partition::PdgEdge;
 
     fn pdg(times: Vec<f64>, edges: Vec<PdgEdge>) -> Pdg {
@@ -632,6 +719,196 @@ mod tests {
         Ok(())
     }
 
+    /// The sorted source and destination GPU sides of `link`, restricted to
+    /// `allowed`, read straight from the topology's `dtlist`.
+    fn sides(platform: &Platform, link: LinkId, allowed: &[usize]) -> (Vec<usize>, Vec<usize>) {
+        let dtlist = platform.topology.dtlist(link);
+        let side = |pick: fn(&(usize, usize)) -> usize| {
+            let mut gpus: Vec<usize> = dtlist
+                .iter()
+                .map(pick)
+                .filter(|j| allowed.contains(j))
+                .collect();
+            gpus.sort_unstable();
+            gpus.dedup();
+            gpus
+        };
+        (side(|&(k, _)| k), side(|&(_, h)| h))
+    }
+
+    /// The per-link formulation, the oracle of the per-cut one: every link
+    /// whose restricted sides are both non-empty gets its own crossing
+    /// indicator and row per PDG edge with bytes, as Section 3.2.2 states
+    /// the model.
+    fn per_link_model(
+        pdg: &Pdg,
+        platform: &Platform,
+        allowed: &[usize],
+    ) -> (Model, Vec<Vec<VarId>>) {
+        let topo = &platform.topology;
+        let mut model = Model::new(ObjectiveSense::Minimize);
+        let tmax = model.add_continuous("tmax", 1.0);
+        let n: Vec<Vec<VarId>> = (0..pdg.len())
+            .map(|_| allowed.iter().map(|_| model.add_binary("n", 0.0)).collect())
+            .collect();
+        for ni in &n {
+            model.add_constraint_eq(ni.iter().map(|&v| (v, 1.0)).collect(), 1.0);
+        }
+        for (pos, &j) in allowed.iter().enumerate() {
+            let factor = platform.time_factor(j);
+            let mut terms: Vec<(VarId, f64)> = n
+                .iter()
+                .zip(&pdg.times_us)
+                .map(|(ni, &t)| (ni[pos], t * factor))
+                .collect();
+            terms.push((tmax, -1.0));
+            model.add_constraint_le(terms, 0.0);
+        }
+        let total_work: f64 = pdg.times_us.iter().sum();
+        let capacity: f64 = allowed.iter().map(|&j| 1.0 / platform.time_factor(j)).sum();
+        let pigeonhole = pigeonhole_bound(&pdg.times_us, platform, allowed);
+        model.set_bounds(tmax, (total_work / capacity).max(pigeonhole), f64::INFINITY);
+        let column = |i: usize, j: usize| n[i][allowed.iter().position(|&a| a == j).unwrap()];
+        for link in topo.link_ids() {
+            let (srcs, dsts) = sides(platform, link, allowed);
+            let mut load: Vec<(VarId, f64)> = Vec::new();
+            if !srcs.is_empty() && !dsts.is_empty() {
+                for e in pdg.edges.iter().filter(|e| e.bytes_per_iteration > 0) {
+                    let x = model.add_continuous("x", 0.0);
+                    model.set_bounds(x, 0.0, 1.0);
+                    let mut cross: Vec<(VarId, f64)> =
+                        srcs.iter().map(|&k| (column(e.from, k), 1.0)).collect();
+                    cross.extend(dsts.iter().map(|&h| (column(e.to, h), 1.0)));
+                    cross.push((x, -1.0));
+                    model.add_constraint_le(cross, 1.0);
+                    load.push((x, e.bytes_per_iteration as f64));
+                }
+            }
+            for i in 0..pdg.len() {
+                for &j in allowed {
+                    let (input, output) = (pdg.primary_input_bytes[i], pdg.primary_output_bytes[i]);
+                    if input > 0 && topo.route(Endpoint::Host, Endpoint::Gpu(j)).contains(&link) {
+                        load.push((column(i, j), input as f64));
+                    }
+                    if output > 0 && topo.route(Endpoint::Gpu(j), Endpoint::Host).contains(&link) {
+                        load.push((column(i, j), output as f64));
+                    }
+                }
+            }
+            if load.is_empty() {
+                continue;
+            }
+            let d = model.add_continuous("d", 0.0);
+            load.push((d, -1.0));
+            model.add_constraint_le(load, 0.0);
+            model.add_constraint_le(
+                vec![(d, 1.0 / topo.link_bytes_per_us(link)), (tmax, -1.0)],
+                0.0,
+            );
+        }
+        (model, n)
+    }
+
+    /// The distinct non-empty cuts of the platform's links, restricted to
+    /// `allowed`.
+    fn distinct_cuts(platform: &Platform, allowed: &[usize]) -> usize {
+        let mut cuts: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
+        for link in platform.topology.link_ids() {
+            let cut = sides(platform, link, allowed);
+            if !cut.0.is_empty() && !cut.1.is_empty() && !cuts.contains(&cut) {
+                cuts.push(cut);
+            }
+        }
+        cuts.len()
+    }
+
+    /// Every subset of the platform's GPUs with at least two members (a
+    /// single GPU needs no model).
+    fn survivor_subsets(gpus: usize) -> impl Iterator<Item = Vec<usize>> {
+        (1usize..1 << gpus)
+            .filter(|mask| mask.count_ones() >= 2)
+            .map(move |mask| (0..gpus).filter(|j| mask >> j & 1 == 1).collect())
+    }
+
+    /// Bounds that fix the assignment columns `n` (one per `allowed` GPU) to
+    /// `assignment`.
+    fn fixed(n: &[Vec<VarId>], allowed: &[usize], assignment: &[usize]) -> Vec<VarBound> {
+        n.iter()
+            .zip(assignment)
+            .flat_map(|(ni, &gpu)| {
+                ni.iter().zip(allowed).map(move |(&v, &j)| {
+                    let on = if j == gpu { 1.0 } else { 0.0 };
+                    VarBound {
+                        var: v.index(),
+                        lo: on,
+                        hi: on,
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// Checks the per-cut model of `pdg` on `allowed` against the per-link
+    /// oracle: the same LP value at the root and with the assignment fixed
+    /// (the root LP rarely sees traffic, a fixed assignment always does), a
+    /// feasible greedy warm start, and one crossing column per edge with
+    /// bytes and distinct cut.
+    fn check_per_cut_model(
+        pdg: &Pdg,
+        platform: &Platform,
+        allowed: &[usize],
+    ) -> Result<(), TestCaseError> {
+        let mm = MapperModel::build(pdg, platform, allowed);
+        let (oracle, oracle_n) = per_link_model(pdg, platform, allowed);
+        let greedy = map_greedy_on(pdg, platform, allowed);
+        let spread: Vec<usize> = (0..pdg.len()).map(|i| allowed[i % allowed.len()]).collect();
+        for assignment in [None, Some(&greedy.assignment), Some(&spread)] {
+            let bounds = |n: &[Vec<VarId>]| assignment.map_or(Vec::new(), |a| fixed(n, allowed, a));
+            let per_cut = solve_lp(&mm.model, &bounds(&mm.n)).unwrap().objective;
+            let per_link = solve_lp(&oracle, &bounds(&oracle_n)).unwrap().objective;
+            prop_assert!(
+                (per_cut - per_link).abs() <= 1e-9 * per_link.abs().max(1.0),
+                "{allowed:?} at {assignment:?}: per-cut LP {per_cut} != per-link {per_link}"
+            );
+        }
+        let warm = mm.point(pdg, platform, allowed, &greedy.assignment);
+        prop_assert!(
+            mm.model.is_feasible(&warm, 1e-6),
+            "{allowed:?}: the greedy warm start {:?} is infeasible",
+            greedy.assignment
+        );
+        let with_bytes = pdg
+            .edges
+            .iter()
+            .filter(|e| e.bytes_per_iteration > 0)
+            .count();
+        let crossing: usize = mm.cuts.iter().map(|c| c.x.len()).sum();
+        prop_assert_eq!(crossing, with_bytes * distinct_cuts(platform, allowed));
+        Ok(())
+    }
+
+    #[test]
+    fn paper_trees_keep_two_and_ten_crossing_columns_per_edge() {
+        // A chain of 6 partitions: E = 5 edges with bytes.
+        let p = pdg(
+            vec![10.0; 6],
+            (0..5)
+                .map(|i| PdgEdge {
+                    from: i,
+                    to: i + 1,
+                    bytes_per_iteration: 1_024,
+                })
+                .collect(),
+        );
+        for (gpus, per_edge) in [(2, 2), (4, 10)] {
+            let platform = Platform::quad_m2090().with_gpu_count(gpus);
+            let all: Vec<usize> = (0..gpus).collect();
+            let mm = MapperModel::build(&p, &platform, &all);
+            let crossing: usize = mm.cuts.iter().map(|c| c.x.len()).sum();
+            assert_eq!(crossing, per_edge * 5, "{gpus} GPUs");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -665,6 +942,31 @@ mod tests {
                     check_claim(optimum, || {
                         repair_mapping(&pdg, &platform, &original, lost).unwrap().0
                     })?;
+                }
+            }
+        }
+
+        /// The per-cut model is an exact reformulation of the per-link one
+        /// on every platform and survivor subset: the same root bound, a
+        /// feasible warm start (the solver silently drops an infeasible
+        /// one), and exactly one crossing column per edge and cut.
+        #[test]
+        fn per_cut_model_matches_the_per_link_oracle(pdg in small_pdg_strategy()) {
+            let mut platforms = oracle_platforms();
+            platforms.push(PlatformSpec::nvlink8_m2090().build().unwrap());
+            platforms.push(PlatformSpec::cluster2x4_m2090().build().unwrap());
+            // At most four partitions on eight GPUs keeps the 247 subsets cheap.
+            let keep = pdg.len().min(4);
+            let small = Pdg {
+                times_us: pdg.times_us[..keep].to_vec(),
+                edges: pdg.edges.iter().filter(|e| e.to < keep).cloned().collect(),
+                primary_input_bytes: pdg.primary_input_bytes[..keep].to_vec(),
+                primary_output_bytes: pdg.primary_output_bytes[..keep].to_vec(),
+            };
+            for platform in &platforms {
+                let pdg = if platform.gpu_count() > 4 { &small } else { &pdg };
+                for allowed in survivor_subsets(platform.gpu_count()) {
+                    check_per_cut_model(pdg, platform, &allowed)?;
                 }
             }
         }

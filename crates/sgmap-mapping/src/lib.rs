@@ -10,8 +10,13 @@
 //!   T_gpu_j  = Σ_i n_ij · T_i              ≤ Tmax      (III.1, III.4)
 //!   T_comm_l = Lat + D_l / BW              ≤ Tmax      (III.2, III.3)
 //!   Σ_j n_ij = 1                                        (III.5)
-//!   D_l      = Σ_{(i,j)∈E_P} [crossing] · D_ij          (III.6, III.7)
+//!   D_l      = Σ_{e=(i,j)∈E_P} x_e,c(l) · D_ij          (III.6, III.7)
+//!   x_e,c    ≥ Σ_{k∈S_c} n_ik + Σ_{h∈D_c} n_jh − 1
 //! ```
+//!
+//! The crossing indicator `x_e,c` belongs to the link's cut `c(l) = (S, D)`,
+//! the GPU sides the link separates, not to the link itself: every link
+//! with the same sides shares it (see the `ilp` module).
 //!
 //! Three mappers are provided:
 //!

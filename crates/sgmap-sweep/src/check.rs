@@ -345,18 +345,30 @@ fn check_bench_sweep(
     Ok((points, wall_ms))
 }
 
+/// The solved LP's size (`ilp_rows` / `ilp_cols`, after presolve) is
+/// recorded and positive: an ILP that searched a node solved some LP.
+fn check_lp_size(entry: &Value, at: &str) -> Result<(), CheckError> {
+    for field in ["ilp_rows", "ilp_cols"] {
+        if entry.u64(field).map_err(shape(at))? == 0 {
+            return Err(CheckError::Shape(format!("{at}: zero {field}")));
+        }
+    }
+    Ok(())
+}
+
 /// Validates the JSON text of a `perfbench` report (`BENCH.json`): format
 /// version 4, a non-empty list of timed compiles with positive wall-clocks,
 /// non-zero estimate counts and live ILP solver counters (`ilp_nodes`,
-/// `lp_iterations`, `lp_refactorizations` and a finite non-negative
-/// `ilp_gap` per compile, at least one `lp_warm_starts` across the suite —
-/// the revised simplex must actually be warm-starting), a
+/// `lp_iterations`, `lp_refactorizations`, a finite non-negative
+/// `ilp_gap` and a positive LP size `ilp_rows` / `ilp_cols` per compile, at
+/// least one `lp_warm_starts` across the suite — the revised simplex must
+/// actually be warm-starting), a
 /// `synthetic_scaling` curve whose largest point partitioned a graph of at
 /// least 50 000 filters through the multilevel pipeline (non-zero coarsen
 /// levels, non-negative phase timings), a `budget_bounded` point whose
 /// node-capped branch-and-bound still produced a feasible mapping with a
-/// finite optimality gap, a `repair` section whose degradation-aware
-/// remapping is at least 5× faster than the full recompile while staying
+/// finite optimality gap and a positive LP size, a `repair` section whose
+/// degradation-aware remapping is at least 5× faster than the full recompile while staying
 /// within 10 % of its objective, a `stability` section with a well-formed
 /// mapping-stability fraction and no failed points, and a healthy sweep
 /// section. A report whose sweep
@@ -423,6 +435,7 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
         if compile.u64("lp_iterations").map_err(shape(&at))? == 0 {
             return Err(CheckError::Shape(format!("{at}: zero lp_iterations")));
         }
+        check_lp_size(compile, &at)?;
         // The sparse-LU backend counts refactorisations (>= 1 per cold
         // solve) and every solve reports its proven optimality gap.
         compile.u64("lp_refactorizations").map_err(shape(&at))?;
@@ -511,6 +524,7 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
         if budget.u64("ilp_nodes").map_err(shape(at))? == 0 {
             return Err(CheckError::Shape(format!("{at}: zero ilp_nodes")));
         }
+        check_lp_size(budget, at)?;
         let gap = budget.f64("ilp_gap").map_err(shape(at))?;
         if !gap.is_finite() || gap < 0.0 {
             return Err(CheckError::Shape(format!(
@@ -1010,6 +1024,7 @@ mod tests {
                 "\"filters\":34,\"partitions\":8,",
                 "\"ilp_nodes\":57,\"lp_iterations\":412,\"lp_warm_starts\":56,",
                 "\"lp_refactorizations\":9,\"ilp_gap\":0.0,",
+                "\"ilp_rows\":177,\"ilp_cols\":210,",
                 "\"build_ms\":0.1,\"estimator_ms\":0.2,\"partition_ms\":1.5,",
                 "\"partition_phase1_ms\":0.4,\"partition_phase2_ms\":0.3,",
                 "\"partition_phase3_ms\":0.5,\"partition_phase4_ms\":0.3,",
@@ -1025,7 +1040,8 @@ mod tests {
                 "\"total_ms\":5705.1}}],",
                 "\"budget_bounded\":{{\"app\":\"SynthFan\",\"n\":5000,",
                 "\"max_nodes\":40,\"partitions\":61,\"ilp_nodes\":41,",
-                "\"ilp_gap\":0.0312,\"lp_iterations\":2210,\"map_ms\":120.5}},",
+                "\"ilp_gap\":0.0312,\"lp_iterations\":2210,",
+                "\"ilp_rows\":900,\"ilp_cols\":1200,\"map_ms\":120.5}},",
                 "\"repair\":{{\"app\":\"FMRadio\",\"n\":16,\"gpus\":4,",
                 "\"lost_gpu\":0,\"moved_partitions\":5,",
                 "\"repair_ms\":2.4,\"recompile_ms\":84.0,\"speedup\":35.0,",
@@ -1186,6 +1202,11 @@ mod tests {
             bench_json(624, None).replace("\"ilp_nodes\":57,", ""),
             bench_json(624, None).replace("\"lp_refactorizations\":9,", ""),
             bench_json(624, None).replace("\"ilp_gap\":0.0,", ""),
+            // The solved LP's size is recorded and positive.
+            bench_json(624, None).replace("\"ilp_rows\":177,", ""),
+            bench_json(624, None).replace("\"ilp_cols\":210", "\"ilp_cols\":0"),
+            bench_json(624, None).replace("\"ilp_rows\":900", "\"ilp_rows\":0"),
+            bench_json(624, None).replace("\"ilp_cols\":1200,", ""),
             // The budget-bounded point is mandatory and must have searched
             // at least one node, a finite gap and a positive wall-clock.
             bench_json(624, None).replace("\"budget_bounded\":", "\"budget_bounded_x\":"),

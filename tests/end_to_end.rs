@@ -213,11 +213,12 @@ fn default_compile_is_node_bounded_on_the_slowest_paper_points() {
     // branch-and-bound nodes and no clock. These are the slowest points of
     // the paper grid (Fig. 4.2 apps at 2 and 4 GPUs); each spends the whole
     // budget, so the mapping it returns is pinned by the node count alone and
-    // cannot depend on how loaded the machine is. The DCT values equal the
-    // 80-node pins of `dct_on_four_gpus_maps_without_a_dual_simplex_stall`.
+    // cannot depend on how loaded the machine is. DCT-26 equals its 80-node
+    // pin in `dct_on_four_gpus_maps_without_a_dual_simplex_stall`; DCT-30's
+    // extra 520 nodes find a map 0.5% faster than its 80-node pin.
     for (app, n, tmax) in [
         (App::Dct, 26, 3.7026538461538463),
-        (App::Dct, 30, 6.108959549071621),
+        (App::Dct, 30, 6.078315718996754),
         (App::FmRadio, 32, 0.2833269230769232),
     ] {
         let graph = app.build(n).unwrap();
