@@ -40,7 +40,7 @@ fn bench_ilp_solver(c: &mut Criterion) {
         b.iter(|| {
             let mut m = Model::new(ObjectiveSense::Maximize);
             let items: Vec<_> = (0..12)
-                .map(|i| m.add_binary(format!("x{i}"), 1.0 + f64::from(i % 5)))
+                .map(|i| m.add_binary(1.0 + f64::from(i % 5)))
                 .collect();
             m.add_constraint_le(
                 items

@@ -1,7 +1,6 @@
-//! Micro-benchmarks of the revised bounded-variable simplex: presolve on vs
-//! off, and cold solves vs warm-started dual reoptimisation after a single
-//! branch-style bound tightening — the exact access pattern of the
-//! branch-and-bound mapper.
+//! Micro-benchmarks of the revised bounded-variable simplex: cold solves vs
+//! warm-started dual reoptimisation after a single branch-style bound
+//! tightening — the exact access pattern of the branch-and-bound mapper.
 //!
 //! The `mapper80x2` / `mapper40x4` cases are sized like the benchmark's
 //! ILPs (a few hundred rows, several basis refactorisations per solve), so
@@ -49,17 +48,6 @@ fn bench_bb(c: &mut Criterion) {
     let (model, _) = mapper_model(12, 2);
     c.bench_function("ilp/bb-warm-started/mapper12x2", |b| {
         b.iter(|| Solver::new().solve(black_box(&model)).unwrap())
-    });
-    c.bench_function("ilp/bb-no-presolve/mapper12x2", |b| {
-        let opts = SolverOptions {
-            presolve: false,
-            ..SolverOptions::default()
-        };
-        b.iter(|| {
-            Solver::with_options(opts.clone())
-                .solve(black_box(&model))
-                .unwrap()
-        })
     });
 }
 

@@ -209,8 +209,8 @@ mod tests {
 
     fn toy() -> (SparseCols, Model) {
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_continuous("x", 1.0);
-        let y = m.add_continuous("y", 1.0);
+        let x = m.add_continuous(1.0);
+        let y = m.add_continuous(1.0);
         m.add_constraint_le(vec![(x, 2.0), (y, 1.0)], 4.0);
         m.add_constraint_le(vec![(x, 1.0), (y, 3.0)], 6.0);
         (SparseCols::from_model(&m), m)

@@ -15,10 +15,6 @@
 //!   dual simplex with **devex pricing** and a **bound-flipping ratio test**
 //!   that warm-starts from the previous basis when only bounds changed
 //!   ([`simplex`], [`LpSolver`]),
-//! * a **presolve pass** — fixed-variable substitution, singleton-row →
-//!   bound conversion, empty-row/column elimination — with a postsolve map
-//!   back to the original variable space, run before the constraint matrix
-//!   is built,
 //! * **branch-and-bound** over the binary variables with **best-bound node
 //!   ordering** plus early-incumbent dives, incumbent pruning, warm-start
 //!   incumbents, a node budget (the only budget: no clock is read), a
@@ -27,7 +23,9 @@
 //!   parent basis stays dual feasible and a child relaxation typically costs
 //!   a handful of pivots instead of a full solve. Dive children find that
 //!   basis live; best-bound nodes carry a snapshot of it and restore it when
-//!   popped.
+//!   popped. There is no presolve: the search runs on the caller's model as
+//!   built, so a model should carry no empty column, singleton row or
+//!   bound-fixed variable it does not need (the mapper's carries none).
 //!
 //! The original dense two-phase tableau is not shipped: it lives in
 //! `tests/common/dense.rs` as the oracle the equivalence tests hold the
@@ -41,8 +39,8 @@
 //! # fn main() -> Result<(), sgmap_ilp::IlpError> {
 //! // maximise 3x + 2y  s.t.  x + y <= 4, x <= 2, y <= 3, x,y >= 0
 //! let mut m = Model::new(ObjectiveSense::Maximize);
-//! let x = m.add_continuous("x", 3.0);
-//! let y = m.add_continuous("y", 2.0);
+//! let x = m.add_continuous(3.0);
+//! let y = m.add_continuous(2.0);
 //! m.add_constraint_le(vec![(x, 1.0), (y, 1.0)], 4.0);
 //! m.add_constraint_le(vec![(x, 1.0)], 2.0);
 //! m.add_constraint_le(vec![(y, 1.0)], 3.0);
@@ -60,7 +58,6 @@ mod dual;
 mod error;
 mod lu;
 mod model;
-mod presolve;
 mod pricing;
 mod primal;
 pub mod simplex;

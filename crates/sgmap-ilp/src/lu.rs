@@ -958,8 +958,8 @@ mod tests {
     fn toy() -> SparseCols {
         // Rows: 2x + y <= 4, x + 3y <= 6 (logical cols 2 and 3).
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_continuous("x", 1.0);
-        let y = m.add_continuous("y", 1.0);
+        let x = m.add_continuous(1.0);
+        let y = m.add_continuous(1.0);
         m.add_constraint_le(vec![(x, 2.0), (y, 1.0)], 4.0);
         m.add_constraint_le(vec![(x, 1.0), (y, 3.0)], 6.0);
         SparseCols::from_model(&m)
@@ -1008,7 +1008,7 @@ mod tests {
     fn singular_basis_is_reported() {
         // Two identical columns cannot form a basis.
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_continuous("x", 1.0);
+        let x = m.add_continuous(1.0);
         m.add_constraint_le(vec![(x, 1.0)], 1.0);
         m.add_constraint_le(vec![(x, 1.0)], 2.0);
         let cols = SparseCols::from_model(&m);

@@ -332,9 +332,7 @@ fn random_bases(seed: u64, count: usize) -> (SparseCols, Vec<Vec<u32>>) {
         columns.push(column);
     }
     let mut model = Model::new(ObjectiveSense::Minimize);
-    let vars: Vec<_> = (0..n)
-        .map(|j| model.add_continuous(format!("x{j}"), 0.0))
-        .collect();
+    let vars: Vec<_> = (0..n).map(|_| model.add_continuous(0.0)).collect();
     for r in 0..m {
         let terms = columns
             .iter()
@@ -414,9 +412,7 @@ fn random_eta_file(seed: u64, count: usize) -> (LuFactor, Vec<Vec<f64>>) {
     let mut g = Gen(seed);
     let m = 20 + g.below(101);
     let mut model = Model::new(ObjectiveSense::Minimize);
-    let vars: Vec<_> = (0..m)
-        .map(|j| model.add_continuous(format!("x{j}"), 0.0))
-        .collect();
+    let vars: Vec<_> = (0..m).map(|_| model.add_continuous(0.0)).collect();
     for r in 0..m {
         let mut terms = Vec::new();
         for (j, &v) in vars.iter().enumerate() {

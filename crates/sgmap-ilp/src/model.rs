@@ -65,7 +65,6 @@ pub enum ConstraintSense {
 
 #[derive(Debug, Clone)]
 pub(crate) struct Variable {
-    pub(crate) name: String,
     pub(crate) kind: VarKind,
     pub(crate) objective: f64,
     /// Native lower bound (`x >= lo`); finite.
@@ -105,24 +104,23 @@ impl Model {
 
     /// Adds a continuous variable in `[0, +inf)` with the given objective
     /// coefficient and returns its id.
-    pub fn add_continuous(&mut self, name: impl Into<String>, objective: f64) -> VarId {
-        self.add_var(name, VarKind::Continuous, objective)
+    pub fn add_continuous(&mut self, objective: f64) -> VarId {
+        self.add_var(VarKind::Continuous, objective)
     }
 
     /// Adds a binary variable with the given objective coefficient and
     /// returns its id.
-    pub fn add_binary(&mut self, name: impl Into<String>, objective: f64) -> VarId {
-        self.add_var(name, VarKind::Binary, objective)
+    pub fn add_binary(&mut self, objective: f64) -> VarId {
+        self.add_var(VarKind::Binary, objective)
     }
 
-    fn add_var(&mut self, name: impl Into<String>, kind: VarKind, objective: f64) -> VarId {
+    fn add_var(&mut self, kind: VarKind, objective: f64) -> VarId {
         let id = VarId(self.vars.len());
         let (lo, hi) = match kind {
             VarKind::Continuous => (0.0, f64::INFINITY),
             VarKind::Binary => (0.0, 1.0),
         };
         self.vars.push(Variable {
-            name: name.into(),
             kind,
             objective,
             lo,
@@ -315,8 +313,8 @@ mod tests {
     #[test]
     fn model_builder_accumulates_vars_and_constraints() {
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_continuous("x", 1.0);
-        let y = m.add_binary("y", -2.0);
+        let x = m.add_continuous(1.0);
+        let y = m.add_binary(-2.0);
         m.add_constraint_le(vec![(x, 1.0), (y, 3.0)], 5.0);
         m.add_constraint_eq(vec![(y, 1.0)], 1.0);
         assert_eq!(m.num_vars(), 2);
@@ -330,8 +328,8 @@ mod tests {
     #[test]
     fn feasibility_check_covers_all_senses() {
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_continuous("x", 1.0);
-        let y = m.add_binary("y", 1.0);
+        let x = m.add_continuous(1.0);
+        let y = m.add_binary(1.0);
         m.add_constraint_le(vec![(x, 1.0)], 4.0);
         m.add_constraint_ge(vec![(x, 1.0), (y, 1.0)], 2.0);
         m.add_constraint_eq(vec![(y, 1.0)], 1.0);
@@ -347,7 +345,7 @@ mod tests {
         let m = Model::new(ObjectiveSense::Minimize);
         assert_eq!(m.validate(), Err(IlpError::EmptyModel));
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let _x = m.add_continuous("x", 1.0);
+        let _x = m.add_continuous(1.0);
         m.add_constraint_le(vec![(VarId(7), 1.0)], 1.0);
         assert_eq!(m.validate(), Err(IlpError::UnknownVariable(7)));
     }

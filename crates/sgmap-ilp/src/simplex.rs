@@ -128,8 +128,8 @@ mod tests {
     fn maximisation_with_slack_only() {
         // max 3x + 2y s.t. x + y <= 4, x <= 2, y <= 3  =>  x=2, y=2, obj=10.
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_continuous("x", 3.0);
-        let y = m.add_continuous("y", 2.0);
+        let x = m.add_continuous(3.0);
+        let y = m.add_continuous(2.0);
         m.add_constraint_le(vec![(x, 1.0), (y, 1.0)], 4.0);
         m.add_constraint_le(vec![(x, 1.0)], 2.0);
         m.add_constraint_le(vec![(y, 1.0)], 3.0);
@@ -143,8 +143,8 @@ mod tests {
     fn minimisation_with_ge_rows_needs_phase1() {
         // min 2x + 3y s.t. x + y >= 4, x >= 1  =>  x=4, y=0.
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_continuous("x", 2.0);
-        let y = m.add_continuous("y", 3.0);
+        let x = m.add_continuous(2.0);
+        let y = m.add_continuous(3.0);
         m.add_constraint_ge(vec![(x, 1.0), (y, 1.0)], 4.0);
         m.add_constraint_ge(vec![(x, 1.0)], 1.0);
         let s = solve_lp(&m, &[]).unwrap();
@@ -156,8 +156,8 @@ mod tests {
     fn equality_constraints_are_honoured() {
         // min x + y s.t. x + 2y == 6, x - y == 0  => x = y = 2, obj 4.
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_continuous("x", 1.0);
-        let y = m.add_continuous("y", 1.0);
+        let x = m.add_continuous(1.0);
+        let y = m.add_continuous(1.0);
         m.add_constraint_eq(vec![(x, 1.0), (y, 2.0)], 6.0);
         m.add_constraint_eq(vec![(x, 1.0), (y, -1.0)], 0.0);
         let s = solve_lp(&m, &[]).unwrap();
@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn infeasible_model_is_detected() {
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_continuous("x", 1.0);
+        let x = m.add_continuous(1.0);
         m.add_constraint_le(vec![(x, 1.0)], 1.0);
         m.add_constraint_ge(vec![(x, 1.0)], 2.0);
         assert_eq!(solve_lp(&m, &[]).unwrap_err(), IlpError::Infeasible);
@@ -178,8 +178,8 @@ mod tests {
     #[test]
     fn unbounded_model_is_detected() {
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_continuous("x", 1.0);
-        let y = m.add_continuous("y", 1.0);
+        let x = m.add_continuous(1.0);
+        let y = m.add_continuous(1.0);
         m.add_constraint_ge(vec![(x, 1.0), (y, -1.0)], 0.0);
         assert_eq!(solve_lp(&m, &[]).unwrap_err(), IlpError::Unbounded);
     }
@@ -188,8 +188,8 @@ mod tests {
     fn negative_rhs_rows_are_handled() {
         // x - y <= -1  (i.e. y >= x + 1), minimise y with x >= 0.
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_continuous("x", 0.0);
-        let y = m.add_continuous("y", 1.0);
+        let x = m.add_continuous(0.0);
+        let y = m.add_continuous(1.0);
         m.add_constraint_le(vec![(x, 1.0), (y, -1.0)], -1.0);
         let s = solve_lp(&m, &[]).unwrap();
         assert!((s.objective - 1.0).abs() < 1e-6);
@@ -200,8 +200,8 @@ mod tests {
     fn branch_bounds_restrict_variables() {
         // max x + y s.t. x + y <= 3, both binary-relaxed; force x = 0.
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x = m.add_binary("x", 2.0);
-        let y = m.add_binary("y", 1.0);
+        let x = m.add_binary(2.0);
+        let y = m.add_binary(1.0);
         m.add_constraint_le(vec![(x, 1.0), (y, 1.0)], 3.0);
         let free = solve_lp(&m, &[]).unwrap();
         assert!((free.objective - 3.0).abs() < 1e-6);
@@ -222,10 +222,10 @@ mod tests {
     fn degenerate_problem_terminates() {
         // A classic degenerate LP; mostly checks that pivoting terminates.
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let x1 = m.add_continuous("x1", 10.0);
-        let x2 = m.add_continuous("x2", -57.0);
-        let x3 = m.add_continuous("x3", -9.0);
-        let x4 = m.add_continuous("x4", -24.0);
+        let x1 = m.add_continuous(10.0);
+        let x2 = m.add_continuous(-57.0);
+        let x3 = m.add_continuous(-9.0);
+        let x4 = m.add_continuous(-24.0);
         m.add_constraint_le(vec![(x1, 0.5), (x2, -5.5), (x3, -2.5), (x4, 9.0)], 0.0);
         m.add_constraint_le(vec![(x1, 0.5), (x2, -1.5), (x3, -0.5), (x4, 1.0)], 0.0);
         m.add_constraint_le(vec![(x1, 1.0)], 1.0);
@@ -237,8 +237,8 @@ mod tests {
     fn native_bounds_need_no_rows() {
         // min x with x in [2.5, 10]: optimum sits on the native lower bound.
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_continuous("x", 1.0);
-        let y = m.add_continuous("y", -1.0);
+        let x = m.add_continuous(1.0);
+        let y = m.add_continuous(-1.0);
         m.set_bounds(x, 2.5, 10.0);
         m.set_bounds(y, 0.0, 4.0);
         // No constraint rows at all: everything is decided by the bounds.
@@ -255,9 +255,9 @@ mod tests {
         // a time and compare the warm-started reoptimisation against a cold
         // solver at every step.
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let a = m.add_binary("a", 2.0);
-        let b = m.add_binary("b", 1.0);
-        let c = m.add_binary("c", 1.5);
+        let a = m.add_binary(2.0);
+        let b = m.add_binary(1.0);
+        let c = m.add_binary(1.5);
         m.add_constraint_le(vec![(a, 1.0), (b, 1.0), (c, 1.0)], 2.0);
         let mut warm = LpSolver::new(&m).unwrap();
         let paths: &[&[VarBound]] = &[

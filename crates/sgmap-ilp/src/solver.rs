@@ -1,9 +1,8 @@
 //! Branch-and-bound over the binary variables of a [`Model`].
 //!
-//! The model first runs through [`crate::presolve`] (fixed-variable
-//! substitution, singleton-row → bound conversion, empty-row/column
-//! elimination), and the search operates on the reduced model; solutions are
-//! mapped back to the original variable space through the postsolve map.
+//! The search runs on the caller's model as built: there is no presolve, so
+//! every relaxation has the model's own rows and columns, and a solution is
+//! already in the model's variable space.
 //!
 //! All nodes share one [`LpWorkspace`]: the root relaxation is solved cold
 //! by the primal simplex, and every other node starts from its *parent's*
@@ -36,7 +35,6 @@ use std::collections::BinaryHeap;
 use crate::basis::BasisSnapshot;
 use crate::error::IlpError;
 use crate::model::{Model, ObjectiveSense, VarId};
-use crate::presolve::{presolve, PresolveMap, Presolved};
 use crate::simplex::{LpSolution, VarBound, TOL};
 use crate::workspace::{LpOutcome, LpWorkspace};
 use crate::Result;
@@ -67,13 +65,12 @@ pub struct SolveStats {
     pub refactorizations: u64,
     /// Bound flips (primal flip steps and dual BFRT flips).
     pub bound_flips: u64,
-    /// Constraint rows eliminated by presolve.
+    /// Always 0: the solver has no presolve; kept because `benchmark/`
+    /// reads it.
     pub presolve_removed_rows: u64,
-    /// Variables eliminated by presolve.
-    pub presolve_removed_cols: u64,
-    /// Constraint rows of the LP the search solved (after presolve).
+    /// Constraint rows of the LP the search solved: the model's own.
     pub rows: u64,
-    /// Columns of the LP the search solved (after presolve).
+    /// Columns of the LP the search solved: the model's own.
     pub cols: u64,
     /// Relative gap between the returned solution and the best remaining
     /// bound: `0.0` when optimality was proven, and the gap to the best
@@ -119,9 +116,6 @@ pub struct SolverOptions {
     /// (the default) disables the early stop: the search only ends when the
     /// tree is exhausted or the node budget is spent.
     pub relative_gap: f64,
-    /// Whether to run the presolve reductions before building the constraint
-    /// matrix. On by default; mainly disabled by equivalence tests.
-    pub presolve: bool,
 }
 
 impl Default for SolverOptions {
@@ -129,7 +123,6 @@ impl Default for SolverOptions {
         SolverOptions {
             max_nodes: 20_000,
             relative_gap: 0.0,
-            presolve: true,
         }
     }
 }
@@ -144,12 +137,12 @@ pub struct Solver {
     warm_start: Option<Vec<f64>>,
 }
 
-/// An open node of the search tree. `bound` is the parent's LP objective in
-/// the *original* model space — a valid bound on every solution below this
-/// node — and `seq` is the insertion number that makes heap order total and
-/// deterministic. A node on the best-bound heap carries its parent's final
-/// `basis`, to restart from when it is popped; a dive node carries none,
-/// because its parent is the node solved just before it.
+/// An open node of the search tree. `bound` is the parent's LP objective —
+/// a valid bound on every solution below this node — and `seq` is the
+/// insertion number that makes heap order total and deterministic. A node
+/// on the best-bound heap carries its parent's final `basis`, to restart
+/// from when it is popped; a dive node carries none, because its parent is
+/// the node solved just before it.
 struct OpenNode {
     bounds: Vec<VarBound>,
     bound: f64,
@@ -211,14 +204,14 @@ impl Solver {
     /// `ilp.solve` span (with the solved LP's `rows` and `cols` as args),
     /// every branch-and-bound relaxation under an `ilp.node` span, and the [`SolveStats`] of each successful solve are accumulated
     /// into the `ilp.nodes` / `ilp.lp_iterations` / `ilp.lp_warm_starts` /
-    /// `ilp.lp_cold_solves` / `ilp.refactorizations` / `ilp.bound_flips` /
-    /// `ilp.presolve_removed_rows` counters. The collector is write-only: it
-    /// cannot change the solution.
+    /// `ilp.lp_cold_solves` / `ilp.refactorizations` / `ilp.bound_flips`
+    /// counters. The collector is write-only: it cannot change the solution.
     ///
     /// # Errors
     ///
-    /// Returns [`IlpError::Infeasible`] / [`IlpError::Unbounded`] when
-    /// presolve or the root relaxation already fails, and
+    /// Returns [`IlpError::EmptyModel`] / [`IlpError::UnknownVariable`] for a
+    /// model [`Model::validate`] rejects, [`IlpError::Infeasible`] /
+    /// [`IlpError::Unbounded`] when the root relaxation already fails, and
     /// [`IlpError::NoIntegerSolution`] when the budget is exhausted without
     /// any integer-feasible point.
     pub fn solve(&self, model: &Model) -> Result<Solution> {
@@ -233,7 +226,6 @@ impl Solver {
             sgmap_trace::add("ilp.lp_cold_solves", s.stats.lp_cold_solves);
             sgmap_trace::add("ilp.refactorizations", s.stats.refactorizations);
             sgmap_trace::add("ilp.bound_flips", s.stats.bound_flips);
-            sgmap_trace::add("ilp.presolve_removed_rows", s.stats.presolve_removed_rows);
         }
         result
     }
@@ -242,64 +234,15 @@ impl Solver {
         model.validate()?;
         let minimize = model.objective_sense() == ObjectiveSense::Minimize;
         let better = |a: f64, b: f64| is_better(minimize, a, b);
+        // The branching candidates, listed once for the warm start's and
+        // every node's integrality test, branching choice and rounding.
+        let binaries = model.binary_vars();
 
-        // Presolve. The search runs on the reduced model; `offset` converts
-        // reduced LP objectives back to the original space and `pre` maps
-        // solutions back.
-        let pre: Option<PresolveMap> = if self.options.presolve {
-            match presolve(model, INTEGRALITY_TOL) {
-                Presolved::Infeasible => return Err(IlpError::Infeasible),
-                Presolved::Reduced(map) => Some(map),
-            }
-        } else {
-            None
-        };
-        let (search_model, offset) = match &pre {
-            Some(map) => (&map.model, map.offset),
-            None => (model, 0.0),
-        };
-        let (removed_rows, removed_cols) = match &pre {
-            Some(map) => (map.removed_rows as u64, map.removed_cols as u64),
-            None => (0, 0),
-        };
-        let (rows, cols) = (
-            search_model.num_constraints() as u64,
-            search_model.num_vars() as u64,
-        );
-        let restore = |values: &[f64]| -> Vec<f64> {
-            match &pre {
-                Some(map) => map.restore(values),
-                None => values.to_vec(),
-            }
-        };
-
-        // Presolve solved the whole model: the fixed values are the unique
-        // (and hence optimal) solution.
-        if search_model.num_vars() == 0 {
-            let values = restore(&[]);
-            let objective = model.evaluate_objective(&values);
-            return Ok(Solution {
-                values,
-                objective,
-                status: SolutionStatus::Optimal,
-                nodes_explored: 0,
-                stats: SolveStats {
-                    presolve_removed_rows: removed_rows,
-                    presolve_removed_cols: removed_cols,
-                    rows,
-                    cols,
-                    ..SolveStats::default()
-                },
-            });
-        }
-
-        // The incumbent lives in *original* variable space; bounds from the
-        // reduced search are converted with `offset` before any comparison.
         let mut incumbent: Option<(Vec<f64>, f64)> = None;
         if let Some(ws) = &self.warm_start {
             if ws.len() == model.num_vars()
                 && model.is_feasible(ws, 1e-6)
-                && is_integral(&model.binary_vars(), ws)
+                && is_integral(&binaries, ws)
             {
                 incumbent = Some((ws.clone(), model.evaluate_objective(ws)));
             }
@@ -307,10 +250,7 @@ impl Solver {
 
         // The LP workspace every node shares: one sparse matrix, one basis
         // warm-started from node to node.
-        let mut lp = LpWorkspace::new(search_model);
-        // The branching candidates, listed once for every node's
-        // integrality test, branching choice and rounding.
-        let binaries = search_model.binary_vars();
+        let mut lp = LpWorkspace::new(model);
         let mut nodes_explored = 0usize;
         // Best bound among the nodes dropped for numerical trouble: their
         // subtrees were never searched.
@@ -337,10 +277,9 @@ impl Solver {
             lp_cold_solves: lp.stats.cold_solves,
             refactorizations: lp.stats.refactorizations,
             bound_flips: lp.stats.bound_flips,
-            presolve_removed_rows: removed_rows,
-            presolve_removed_cols: removed_cols,
-            rows,
-            cols,
+            presolve_removed_rows: 0,
+            rows: model.num_constraints() as u64,
+            cols: model.num_vars() as u64,
             optimality_gap: gap,
         };
         let root = match root_outcome {
@@ -350,8 +289,7 @@ impl Solver {
             LpOutcome::Numerical(msg) => return Err(IlpError::Numerical(msg)),
         };
         if is_integral(&binaries, &root.values) {
-            let reduced = round_binaries(&binaries, root.values);
-            let values = restore(&reduced);
+            let values = round_binaries(&binaries, root.values);
             let objective = model.evaluate_objective(&values);
             return Ok(Solution {
                 values,
@@ -369,12 +307,12 @@ impl Solver {
             score_of,
             &binaries,
             &root,
-            root.objective + offset,
+            root.objective,
             &[],
             lp.basis.snapshot(),
         );
 
-        // Best remaining original-space bound among the open nodes,
+        // Best remaining bound among the open nodes,
         // optionally also covering one just-popped node.
         let peek_bound = |heap: &BinaryHeap<ByBound>, dive: &[OpenNode], extra: Option<f64>| {
             let mut best: Option<f64> = extra;
@@ -442,16 +380,14 @@ impl Solver {
                 }
                 LpOutcome::Unbounded => return Err(IlpError::Unbounded),
             };
-            let relax_bound = relax.objective + offset;
             if let Some((_, inc_obj)) = &incumbent {
-                if !better(relax_bound, *inc_obj) {
+                if !better(relax.objective, *inc_obj) {
                     continue;
                 }
             }
             if is_integral(&binaries, &relax.values) {
                 // Integer feasible: candidate incumbent.
-                let reduced = round_binaries(&binaries, relax.values);
-                let values = restore(&reduced);
+                let values = round_binaries(&binaries, relax.values);
                 let obj = model.evaluate_objective(&values);
                 let accept = match &incumbent {
                     None => true,
@@ -468,7 +404,7 @@ impl Solver {
                     score_of,
                     &binaries,
                     &relax,
-                    relax_bound,
+                    relax.objective,
                     &node.bounds,
                     lp.basis.snapshot(),
                 );
@@ -648,10 +584,10 @@ mod tests {
         // max 10a + 13b + 7c + 5d  s.t. 3a + 4b + 2c + 1d <= 6.
         // Optimum: a + c + d = 22 with weight 6 (b + c = 20 at weight 6).
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let a = m.add_binary("a", 10.0);
-        let b = m.add_binary("b", 13.0);
-        let c = m.add_binary("c", 7.0);
-        let d = m.add_binary("d", 5.0);
+        let a = m.add_binary(10.0);
+        let b = m.add_binary(13.0);
+        let c = m.add_binary(7.0);
+        let d = m.add_binary(5.0);
         m.add_constraint_le(vec![(a, 3.0), (b, 4.0), (c, 2.0), (d, 1.0)], 6.0);
         let s = Solver::new().solve(&m).unwrap();
         assert_eq!(s.status, SolutionStatus::Optimal);
@@ -670,8 +606,8 @@ mod tests {
         let mut m = Model::new(ObjectiveSense::Minimize);
         let mut x = vec![vec![]; 3];
         for (i, xi) in x.iter_mut().enumerate() {
-            for (j, &c) in cost[i].iter().enumerate() {
-                xi.push(m.add_binary(format!("x{i}{j}"), c));
+            for &c in &cost[i] {
+                xi.push(m.add_binary(c));
             }
         }
         for xi in &x {
@@ -692,13 +628,10 @@ mod tests {
         // of 2 bins, items {5, 4, 3, 2} assigned to exactly one bin.
         let w = [5.0, 4.0, 3.0, 2.0];
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let t = m.add_continuous("t", 1.0);
+        let t = m.add_continuous(1.0);
         let mut x = Vec::new();
-        for (i, _) in w.iter().enumerate() {
-            x.push([
-                m.add_binary(format!("x{i}a"), 0.0),
-                m.add_binary(format!("x{i}b"), 0.0),
-            ]);
+        for _ in &w {
+            x.push([m.add_binary(0.0), m.add_binary(0.0)]);
         }
         for xs in &x {
             m.add_constraint_eq(vec![(xs[0], 1.0), (xs[1], 1.0)], 1.0);
@@ -720,8 +653,8 @@ mod tests {
     #[test]
     fn warm_start_is_used_as_incumbent() {
         let mut m = Model::new(ObjectiveSense::Maximize);
-        let a = m.add_binary("a", 1.0);
-        let b = m.add_binary("b", 1.0);
+        let a = m.add_binary(1.0);
+        let b = m.add_binary(1.0);
         m.add_constraint_le(vec![(a, 1.0), (b, 1.0)], 1.0);
         let s = Solver::new().warm_start(vec![1.0, 0.0]).solve(&m).unwrap();
         assert!((s.objective - 1.0).abs() < 1e-6);
@@ -730,8 +663,8 @@ mod tests {
     #[test]
     fn infeasible_integer_model_is_reported() {
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let a = m.add_binary("a", 1.0);
-        let b = m.add_binary("b", 1.0);
+        let a = m.add_binary(1.0);
+        let b = m.add_binary(1.0);
         m.add_constraint_ge(vec![(a, 1.0), (b, 1.0)], 3.0);
         assert!(matches!(
             Solver::new().solve(&m),
@@ -746,7 +679,7 @@ mod tests {
         // rather than erroring, or report NoIntegerSolution cleanly.
         let mut m = Model::new(ObjectiveSense::Maximize);
         let vars: Vec<_> = (0..8)
-            .map(|i| m.add_binary(format!("v{i}"), 1.0 + (i as f64) * 0.3))
+            .map(|i| m.add_binary(1.0 + (i as f64) * 0.3))
             .collect();
         m.add_constraint_le(vars.iter().map(|&v| (v, 1.0)).collect(), 3.0);
         let opts = SolverOptions {
@@ -762,31 +695,19 @@ mod tests {
     }
 
     #[test]
-    fn pure_lp_model_presolves_to_its_bound() {
-        // min x with x >= 2.5: the singleton row becomes a bound and the
-        // empty column is fixed at it — no LP runs at all.
+    fn pure_lp_model_is_answered_by_the_root_relaxation() {
+        // min x with x >= 2.5: no binaries, so the cold root solve is the
+        // whole search.
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_continuous("x", 1.0);
+        let x = m.add_continuous(1.0);
         m.add_constraint_ge(vec![(x, 1.0)], 2.5);
         let s = Solver::new().solve(&m).unwrap();
-        assert_eq!(s.status, SolutionStatus::Optimal);
-        assert!((s.objective - 2.5).abs() < 1e-6);
-        assert_eq!(s.nodes_explored, 0, "presolve should solve this alone");
-        assert_eq!(s.stats.presolve_removed_rows, 1);
-        assert_eq!(s.stats.presolve_removed_cols, 1);
-        assert_eq!(s.stats.optimality_gap, 0.0);
-
-        // With presolve off the root relaxation answers instead.
-        let opts = SolverOptions {
-            presolve: false,
-            ..SolverOptions::default()
-        };
-        let s = Solver::with_options(opts).solve(&m).unwrap();
         assert_eq!(s.status, SolutionStatus::Optimal);
         assert!((s.objective - 2.5).abs() < 1e-6);
         assert_eq!(s.nodes_explored, 1);
         assert_eq!(s.stats.lp_cold_solves, 1);
         assert_eq!(s.stats.lp_warm_starts, 0);
+        assert_eq!(s.stats.optimality_gap, 0.0);
     }
 
     #[test]
@@ -801,8 +722,8 @@ mod tests {
         let mut m = Model::new(ObjectiveSense::Minimize);
         let mut x = vec![vec![]; 4];
         for (i, xi) in x.iter_mut().enumerate() {
-            for (j, &c) in cost[i].iter().enumerate() {
-                xi.push(m.add_binary(format!("x{i}{j}"), c));
+            for &c in &cost[i] {
+                xi.push(m.add_binary(c));
             }
         }
         for xi in &x {
@@ -835,7 +756,7 @@ mod tests {
         // back Feasible, and the frontier's best bound yields a finite gap.
         let mut m = Model::new(ObjectiveSense::Maximize);
         let vars: Vec<_> = (0..10)
-            .map(|i| m.add_binary(format!("v{i}"), 3.0 + ((i * 7) % 5) as f64))
+            .map(|i| m.add_binary(3.0 + ((i * 7) % 5) as f64))
             .collect();
         m.add_constraint_le(vars.iter().map(|&v| (v, 2.0)).collect(), 9.0);
         for pair in vars.chunks(2) {
@@ -919,7 +840,7 @@ mod tests {
         // reported and within the requested one.
         let mut m = Model::new(ObjectiveSense::Maximize);
         let vars: Vec<_> = (0..10)
-            .map(|i| m.add_binary(format!("v{i}"), 5.0 + ((i * 3) % 7) as f64))
+            .map(|i| m.add_binary(5.0 + ((i * 3) % 7) as f64))
             .collect();
         m.add_constraint_le(vars.iter().map(|&v| (v, 3.0)).collect(), 10.0);
         for pair in vars.chunks(2) {
@@ -939,33 +860,5 @@ mod tests {
         // The exact solve must never be worse than the gap-limited one.
         let exact = Solver::new().solve(&m).unwrap();
         assert!(exact.objective >= s.objective - 1e-9);
-    }
-
-    #[test]
-    fn presolve_on_and_off_agree() {
-        let mut m = Model::new(ObjectiveSense::Minimize);
-        let t = m.add_continuous("t", 1.0);
-        let a = m.add_binary("a", 0.5);
-        let b = m.add_binary("b", 0.25);
-        let fixed = m.add_continuous("fixed", 2.0);
-        m.set_bounds(fixed, 1.5, 1.5);
-        m.add_constraint_eq(vec![(a, 1.0), (b, 1.0)], 1.0);
-        m.add_constraint_ge(vec![(t, 1.0), (a, -2.0), (fixed, 1.0)], 0.5);
-        let on = Solver::new().solve(&m).unwrap();
-        let opts = SolverOptions {
-            presolve: false,
-            ..SolverOptions::default()
-        };
-        let off = Solver::with_options(opts).solve(&m).unwrap();
-        assert!(
-            (on.objective - off.objective).abs() < 1e-6,
-            "presolve on {} vs off {}",
-            on.objective,
-            off.objective
-        );
-        assert!((on.value(fixed) - 1.5).abs() < 1e-9);
-        assert!(on.stats.presolve_removed_cols >= 1);
-        assert_eq!(off.stats.presolve_removed_cols, 0);
-        assert!(m.is_feasible(&on.values, 1e-6));
     }
 }

@@ -100,8 +100,8 @@ mod tests {
     #[test]
     fn columns_merge_duplicates_and_keep_row_order() {
         let mut m = Model::new(ObjectiveSense::Minimize);
-        let x = m.add_continuous("x", 1.0);
-        let y = m.add_continuous("y", 1.0);
+        let x = m.add_continuous(1.0);
+        let y = m.add_continuous(1.0);
         // Row 0 mentions x twice: the terms must merge.
         m.add_constraint_le(vec![(x, 1.0), (y, 2.0), (x, 3.0)], 5.0);
         m.add_constraint_ge(vec![(y, -1.0)], -2.0);

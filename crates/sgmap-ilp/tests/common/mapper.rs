@@ -10,14 +10,10 @@ use sgmap_ilp::{Model, ObjectiveSense, VarId};
 /// Returns the model and the assignment binaries `n[partition][gpu]`.
 pub fn mapper_model(p: usize, g: usize) -> (Model, Vec<Vec<VarId>>) {
     let mut m = Model::new(ObjectiveSense::Minimize);
-    let t = m.add_continuous("t", 1.0);
+    let t = m.add_continuous(1.0);
     let mut n: Vec<Vec<VarId>> = Vec::with_capacity(p);
-    for i in 0..p {
-        n.push(
-            (0..g)
-                .map(|j| m.add_binary(format!("n_{i}_{j}"), 0.0))
-                .collect(),
-        );
+    for _ in 0..p {
+        n.push((0..g).map(|_| m.add_binary(0.0)).collect());
     }
     for ni in &n {
         m.add_constraint_eq(ni.iter().map(|&v| (v, 1.0)).collect(), 1.0);
@@ -38,13 +34,13 @@ pub fn mapper_model(p: usize, g: usize) -> (Model, Vec<Vec<VarId>>) {
     for l in 0..2 * (g - 1) {
         let mut load: Vec<(VarId, f64)> = Vec::new();
         for e in 0..p - 1 {
-            let x = m.add_continuous(format!("x_{e}_{l}"), 0.0);
+            let x = m.add_continuous(0.0);
             m.set_bounds(x, 0.0, 1.0);
             let (a, b) = (l / 2, l / 2 + 1);
             m.add_constraint_le(vec![(n[e][a], 1.0), (n[e + 1][b], 1.0), (x, -1.0)], 1.0);
             load.push((x, 64.0 + ((e * 31) % 5) as f64 * 16.0));
         }
-        let d = m.add_continuous(format!("d_{l}"), 0.0);
+        let d = m.add_continuous(0.0);
         load.push((d, -1.0));
         m.add_constraint_le(load, 0.0);
         m.add_constraint_le(vec![(d, 1.0 / 512.0), (t, -1.0)], 0.0);

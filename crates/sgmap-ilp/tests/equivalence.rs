@@ -15,7 +15,7 @@ mod dense;
 use proptest::prelude::*;
 
 use sgmap_ilp::simplex::VarBound;
-use sgmap_ilp::{simplex, IlpError, Model, ObjectiveSense, Solver, SolverOptions};
+use sgmap_ilp::{simplex, IlpError, Model, ObjectiveSense, Solver};
 
 /// Absolute + relative tolerance for comparing optimal objectives.
 fn close(a: f64, b: f64) -> bool {
@@ -51,9 +51,9 @@ impl Gen {
 }
 
 /// A random small model with every row sense, native bounds, a mix of
-/// binary and continuous variables — including presolve fodder: variables
-/// fixed by their bounds and singleton rows — plus branch-style bound
-/// restrictions.
+/// binary and continuous variables — including variables fixed by their
+/// bounds and singleton rows, which the simplex handles as they come — plus
+/// branch-style bound restrictions.
 fn random_model(seed: u64) -> (Model, Vec<VarBound>) {
     let mut g = Gen(seed);
     let sense = if g.chance(50) {
@@ -65,12 +65,12 @@ fn random_model(seed: u64) -> (Model, Vec<VarBound>) {
     let n_vars = 1 + g.below(5) as usize;
     let mut vars = Vec::with_capacity(n_vars);
     let mut binaries = Vec::new();
-    for i in 0..n_vars {
+    for _ in 0..n_vars {
         let cost = g.int(-5, 5) as f64;
         if g.chance(50) {
-            let v = model.add_binary(format!("b{i}"), cost);
+            let v = model.add_binary(cost);
             if g.chance(15) {
-                // Bound-fixed binary: presolve substitutes it away.
+                // Bound-fixed binary: a column the simplex never moves.
                 let fix = if g.chance(50) { 1.0 } else { 0.0 };
                 model.set_bounds(v, fix, fix);
             } else {
@@ -78,7 +78,7 @@ fn random_model(seed: u64) -> (Model, Vec<VarBound>) {
             }
             vars.push(v);
         } else {
-            let v = model.add_continuous(format!("c{i}"), cost);
+            let v = model.add_continuous(cost);
             if g.chance(15) {
                 // Bound-fixed continuous variable.
                 let fix = g.int(0, 3) as f64;
@@ -99,7 +99,7 @@ fn random_model(seed: u64) -> (Model, Vec<VarBound>) {
     for _ in 0..n_rows {
         let mut terms = Vec::new();
         if g.chance(25) {
-            // Singleton row: presolve turns it into a bound.
+            // Singleton row: a bound in all but name.
             let v = vars[g.below(vars.len() as u64) as usize];
             let coef = g.int(-3, 3) as f64;
             if coef != 0.0 {
@@ -279,43 +279,6 @@ proptest! {
                 prop_assume!(false);
             }
             (a, b) => prop_assert!(false, "ILP outcome differs: reference {a:?} vs revised {b:?}"),
-        }
-    }
-
-    /// Presolve level: the full solver with and without the presolve pass
-    /// agrees on classification, optimal objective and feasibility — over
-    /// models that include bound-fixed variables and singleton rows.
-    #[test]
-    fn presolve_on_and_off_agree(seed in 0u64..(1u64 << 62)) {
-        let (model, _) = random_model(seed);
-        let on = Solver::new().solve(&model);
-        let off = Solver::with_options(SolverOptions {
-            presolve: false,
-            ..SolverOptions::default()
-        })
-        .solve(&model);
-        match (on, off) {
-            (Ok(a), Ok(b)) => {
-                prop_assert!(
-                    close(a.objective, b.objective),
-                    "objectives differ: presolve on {} vs off {}",
-                    a.objective,
-                    b.objective
-                );
-                prop_assert!(satisfies(&model, &[], &a.values), "presolved point infeasible");
-                prop_assert!(satisfies(&model, &[], &b.values), "unpresolved point infeasible");
-            }
-            // Presolve proves infeasibility structurally where the search
-            // proves it by exhaustion; both mean "no solution".
-            (
-                Err(IlpError::Infeasible) | Err(IlpError::NoIntegerSolution),
-                Err(IlpError::Infeasible) | Err(IlpError::NoIntegerSolution),
-            ) => {}
-            (Err(IlpError::Unbounded), Err(IlpError::Unbounded)) => {}
-            (Err(IlpError::Numerical(_)), _) | (_, Err(IlpError::Numerical(_))) => {
-                prop_assume!(false);
-            }
-            (a, b) => prop_assert!(false, "classification differs: presolve on {a:?} vs off {b:?}"),
         }
     }
 

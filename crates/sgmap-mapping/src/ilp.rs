@@ -7,7 +7,8 @@
 //!   linearised as `x_ec >= A + B - 1` where `A` (`B`) says the producer
 //!   (consumer) sits on the cut's source (destination) side,
 //! * `d_l` (continuous) — bytes crossing link `l`, including the primary
-//!   input/output travelling between the host and the partitions' GPUs,
+//!   input/output travelling between the host and the partitions' GPUs;
+//!   only a link that some traffic can use gets one,
 //! * `Tmax` (continuous) — the objective.
 //!
 //! A cut `c = (S, D)` is the pair of GPU sides a link separates: the sorted
@@ -120,16 +121,11 @@ impl MapperModel {
         }
 
         let mut model = Model::new(ObjectiveSense::Minimize);
-        let tmax = model.add_continuous("tmax", 1.0);
+        let tmax = model.add_continuous(1.0);
 
         // n_ij, one column per allowed GPU.
         let n: Vec<Vec<VarId>> = (0..pdg.len())
-            .map(|i| {
-                allowed
-                    .iter()
-                    .map(|&j| model.add_binary(format!("n_{i}_{j}"), 0.0))
-                    .collect()
-            })
+            .map(|_| allowed.iter().map(|_| model.add_binary(0.0)).collect())
             .collect();
         // Assignment constraints (III.5).
         for ni in &n {
@@ -163,6 +159,8 @@ impl MapperModel {
             f64::INFINITY,
         );
 
+        // Crossing indicators exist only for edges that carry bytes.
+        let has_traffic = pdg.edges.iter().any(|e| e.bytes_per_iteration > 0);
         let mut links: Vec<LinkVars> = Vec::new();
         let mut cuts: Vec<Cut> = Vec::new();
         for link in topo.link_ids() {
@@ -181,16 +179,40 @@ impl MapperModel {
             };
             let (srcs, dsts) = (side(|&(k, _)| k), side(|&(_, h)| h));
 
-            let d_l = model.add_continuous(format!("d_{}", link.index()), 0.0);
+            let crosses = has_traffic && !srcs.is_empty() && !dsts.is_empty();
+            // Primary input / output over host routes.
+            let mut host_terms: Vec<(VarId, f64)> = Vec::new();
+            for (i, ni) in n.iter().enumerate() {
+                for (pos, &j) in allowed.iter().enumerate() {
+                    let nij = ni[pos];
+                    if pdg.primary_input_bytes[i] > 0
+                        && topo.route(Endpoint::Host, Endpoint::Gpu(j)).contains(&link)
+                    {
+                        host_terms.push((nij, pdg.primary_input_bytes[i] as f64));
+                    }
+                    if pdg.primary_output_bytes[i] > 0
+                        && topo.route(Endpoint::Gpu(j), Endpoint::Host).contains(&link)
+                    {
+                        host_terms.push((nij, pdg.primary_output_bytes[i] as f64));
+                    }
+                }
+            }
+            // Skip the link entirely, load column included, if nothing can
+            // ever use it: on a survivor subset, the links to a lost GPU.
+            if !crosses && host_terms.is_empty() {
+                continue;
+            }
+            // The load column comes before any crossing indicators its cut
+            // creates: the column order steers the simplex's tie-breaks.
+            let d_l = model.add_continuous(0.0);
             let mut load_terms: Vec<(VarId, f64)> = Vec::new();
-            if !srcs.is_empty() && !dsts.is_empty() {
+            if crosses {
                 // The first link of a cut creates its crossing indicators;
                 // every later one charges the same indicators to its own load.
                 let c = match cuts.iter().position(|c| c.srcs == srcs && c.dsts == dsts) {
                     Some(c) => c,
                     None => {
-                        let x =
-                            crossing_indicators(&mut model, pdg, &n, &pos_of, link, &srcs, &dsts);
+                        let x = crossing_indicators(&mut model, pdg, &n, &pos_of, &srcs, &dsts);
                         cuts.push(Cut { srcs, dsts, x });
                         cuts.len() - 1
                     }
@@ -202,26 +224,7 @@ impl MapperModel {
                         .map(|&(e_idx, x)| (x, pdg.edges[e_idx].bytes_per_iteration as f64)),
                 );
             }
-            // Primary input / output over host routes.
-            for (i, ni) in n.iter().enumerate() {
-                for (pos, &j) in allowed.iter().enumerate() {
-                    let nij = ni[pos];
-                    if pdg.primary_input_bytes[i] > 0
-                        && topo.route(Endpoint::Host, Endpoint::Gpu(j)).contains(&link)
-                    {
-                        load_terms.push((nij, pdg.primary_input_bytes[i] as f64));
-                    }
-                    if pdg.primary_output_bytes[i] > 0
-                        && topo.route(Endpoint::Gpu(j), Endpoint::Host).contains(&link)
-                    {
-                        load_terms.push((nij, pdg.primary_output_bytes[i] as f64));
-                    }
-                }
-            }
-            // Skip the link entirely if nothing can ever use it.
-            if load_terms.is_empty() {
-                continue;
-            }
+            load_terms.extend(host_terms);
             // d_l >= load  <=>  load - d_l <= 0.
             load_terms.push((d_l, -1.0));
             model.add_constraint_le(load_terms, 0.0);
@@ -279,15 +282,14 @@ impl MapperModel {
     }
 }
 
-/// Adds the crossing indicators of the cut `(srcs, dsts)`, which `link` is
-/// the first to separate: one `x_ec` in `[0, 1]` per PDG edge with bytes,
-/// with its row `x_ec >= A + B - 1`. Returns the `(edge index, x_ec)` pairs.
+/// Adds the crossing indicators of the cut `(srcs, dsts)`: one `x_ec` in
+/// `[0, 1]` per PDG edge with bytes, with its row `x_ec >= A + B - 1`.
+/// Returns the `(edge index, x_ec)` pairs.
 fn crossing_indicators(
     model: &mut Model,
     pdg: &Pdg,
     n: &[Vec<VarId>],
     pos_of: &[Option<usize>],
-    link: LinkId,
     srcs: &[usize],
     dsts: &[usize],
 ) -> Vec<(usize, VarId)> {
@@ -297,7 +299,7 @@ fn crossing_indicators(
         if e.bytes_per_iteration == 0 {
             continue;
         }
-        let x = model.add_continuous(format!("x_{}_{}", e_idx, link.index()), 0.0);
+        let x = model.add_continuous(0.0);
         // The crossing indicator lives in [0, 1] (a native bound, not a row).
         model.set_bounds(x, 0.0, 1.0);
         // x >= A + B - 1  <=>  A + B - x <= 1.
@@ -377,7 +379,6 @@ pub(crate) fn map_ilp_on(
     let solver_options = SolverOptions {
         max_nodes: options.max_nodes,
         relative_gap: options.relative_gap,
-        ..SolverOptions::default()
     };
     let solution = match Solver::with_options(solver_options)
         .warm_start(warm)
@@ -747,9 +748,9 @@ mod tests {
     ) -> (Model, Vec<Vec<VarId>>) {
         let topo = &platform.topology;
         let mut model = Model::new(ObjectiveSense::Minimize);
-        let tmax = model.add_continuous("tmax", 1.0);
+        let tmax = model.add_continuous(1.0);
         let n: Vec<Vec<VarId>> = (0..pdg.len())
-            .map(|_| allowed.iter().map(|_| model.add_binary("n", 0.0)).collect())
+            .map(|_| allowed.iter().map(|_| model.add_binary(0.0)).collect())
             .collect();
         for ni in &n {
             model.add_constraint_eq(ni.iter().map(|&v| (v, 1.0)).collect(), 1.0);
@@ -774,7 +775,7 @@ mod tests {
             let mut load: Vec<(VarId, f64)> = Vec::new();
             if !srcs.is_empty() && !dsts.is_empty() {
                 for e in pdg.edges.iter().filter(|e| e.bytes_per_iteration > 0) {
-                    let x = model.add_continuous("x", 0.0);
+                    let x = model.add_continuous(0.0);
                     model.set_bounds(x, 0.0, 1.0);
                     let mut cross: Vec<(VarId, f64)> =
                         srcs.iter().map(|&k| (column(e.from, k), 1.0)).collect();
@@ -798,7 +799,7 @@ mod tests {
             if load.is_empty() {
                 continue;
             }
-            let d = model.add_continuous("d", 0.0);
+            let d = model.add_continuous(0.0);
             load.push((d, -1.0));
             model.add_constraint_le(load, 0.0);
             model.add_constraint_le(
@@ -887,6 +888,35 @@ mod tests {
         Ok(())
     }
 
+    /// Checks that `model` has nothing a presolve would remove: every column
+    /// sits in some row with a nonzero coefficient, every row has at least
+    /// two distinct columns and names none twice, and no column is fixed by
+    /// its bounds. The solver searches the model as built, so an empty
+    /// column or a singleton row would cost every LP of the search.
+    fn check_nothing_to_presolve(model: &Model, allowed: &[usize]) -> Result<(), TestCaseError> {
+        let mut in_a_row = vec![false; model.num_vars()];
+        for row in 0..model.num_constraints() {
+            let (terms, _, _) = model.constraint(row);
+            let mut cols: Vec<usize> = terms.iter().map(|(v, _)| v.index()).collect();
+            cols.sort_unstable();
+            cols.dedup();
+            let distinct = cols.len() == terms.len() && cols.len() >= 2;
+            prop_assert!(
+                distinct,
+                "{allowed:?}: row {row} needs 2+ distinct columns: {terms:?}"
+            );
+            for &(v, coef) in terms {
+                in_a_row[v.index()] |= coef != 0.0;
+            }
+        }
+        for (j, &used) in in_a_row.iter().enumerate() {
+            prop_assert!(used, "{allowed:?}: column {j} is in no row");
+            let (lo, hi) = model.var_bounds(VarId::from(j));
+            prop_assert!(lo != hi, "{allowed:?}: column {j} is fixed at {lo}");
+        }
+        Ok(())
+    }
+
     #[test]
     fn paper_trees_keep_two_and_ten_crossing_columns_per_edge() {
         // A chain of 6 partitions: E = 5 edges with bytes.
@@ -942,6 +972,19 @@ mod tests {
                     check_claim(optimum, || {
                         repair_mapping(&pdg, &platform, &original, lost).unwrap().0
                     })?;
+                }
+            }
+        }
+
+        /// The mapper builds no empty column, singleton row, repeated term or
+        /// bound-fixed column on any oracle platform and survivor subset:
+        /// on a subset, the links to the lost GPUs get no load column.
+        #[test]
+        fn mapper_model_leaves_presolve_nothing_to_do(pdg in small_pdg_strategy()) {
+            for platform in oracle_platforms() {
+                for allowed in survivor_subsets(platform.gpu_count()) {
+                    let mm = MapperModel::build(&pdg, &platform, &allowed);
+                    check_nothing_to_presolve(&mm.model, &allowed)?;
                 }
             }
         }

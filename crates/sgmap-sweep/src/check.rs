@@ -345,8 +345,8 @@ fn check_bench_sweep(
     Ok((points, wall_ms))
 }
 
-/// The solved LP's size (`ilp_rows` / `ilp_cols`, after presolve) is
-/// recorded and positive: an ILP that searched a node solved some LP.
+/// The solved LP's size (`ilp_rows` / `ilp_cols`, the mapper model's own
+/// rows and columns) is recorded and positive: an ILP that searched a node solved some LP.
 fn check_lp_size(entry: &Value, at: &str) -> Result<(), CheckError> {
     for field in ["ilp_rows", "ilp_cols"] {
         if entry.u64(field).map_err(shape(at))? == 0 {

@@ -411,11 +411,7 @@ proptest! {
         let values = &values[..n];
         let weights: Vec<f64> = weights_seed[..n].iter().map(|&w| f64::from(w)).collect();
         let mut model = Model::new(ObjectiveSense::Maximize);
-        let vars: Vec<_> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| model.add_binary(format!("x{i}"), v))
-            .collect();
+        let vars: Vec<_> = values.iter().map(|&v| model.add_binary(v)).collect();
         model.add_constraint_le(
             vars.iter().zip(&weights).map(|(&v, &w)| (v, w)).collect(),
             f64::from(cap),
