@@ -14,6 +14,8 @@
 //! * [`NodeSet`] — a sub-graph (candidate partition) with connectivity and
 //!   convexity queries, and [`TopoIndex`] — the topological positions those
 //!   queries bound their search with,
+//! * [`FxHasher`] — the deterministic hasher of the caches keyed by node
+//!   sets and estimate keys,
 //! * [`interp`] — a functional interpreter used to check that generated
 //!   benchmark graphs compute what they claim to compute.
 //!
@@ -51,6 +53,7 @@ mod algo;
 mod builder;
 mod error;
 mod filter;
+mod fxhash;
 mod graph;
 pub mod interp;
 mod nodeset;
@@ -60,6 +63,7 @@ pub use algo::TopoIndex;
 pub use builder::{GraphBuilder, StreamSpec};
 pub use error::GraphError;
 pub use filter::{Filter, FilterId, FilterKind, JoinKind, SplitKind};
+pub use fxhash::FxHasher;
 pub use graph::{Channel, ChannelId, StreamGraph};
 pub use nodeset::NodeSet;
 pub use rates::{Rational, RepetitionVector};

@@ -17,9 +17,10 @@
 //! in parallel instead.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, RwLock};
 
-use sgmap_graph::{FilterId, NodeSet, StreamGraph, TopoIndex};
+use sgmap_graph::{FilterId, FxHasher, NodeSet, StreamGraph, TopoIndex};
 use sgmap_pee::{Estimate, Estimator, SetChars};
 
 use crate::adjacency::AdjacencyIndex;
@@ -53,14 +54,14 @@ pub(crate) struct Part {
 /// threads computing the same pure predicate) cannot change any decision.
 #[derive(Debug)]
 pub(crate) struct FeasibilityCache {
-    map: RwLock<HashMap<NodeSet, bool>>,
+    map: RwLock<HashMap<NodeSet, bool, BuildHasherDefault<FxHasher>>>,
     topo: TopoIndex,
 }
 
 impl FeasibilityCache {
     pub(crate) fn new(graph: &StreamGraph) -> Self {
         FeasibilityCache {
-            map: RwLock::new(HashMap::new()),
+            map: RwLock::new(HashMap::default()),
             topo: TopoIndex::new(graph),
         }
     }

@@ -28,13 +28,17 @@
 //! intermediate union's peak is never needed, and the one-step derivation
 //! skips its scan.
 //!
-//! The internal peak tracks the set's internal channels in a vector sorted
-//! by channel index and looked up by binary search, rather than a hash map
-//! built per query.
+//! The internal peak is one pass over the set in firing order with no table
+//! of buffers: a channel's consumer subtracts what its producer added when
+//! the producer fired first, and the channel's full volume (the reference
+//! scan's initial value) when it did not, which happens only in the id-order
+//! fallback for graphs whose forward channels form a cycle.
 
 use sgmap_gpusim::profile::ProfileTable;
 use sgmap_gpusim::sm_layout;
-use sgmap_graph::{FilterId, FilterKind, NodeSet, RepetitionVector, StreamGraph, TopoIndex};
+use sgmap_graph::{
+    ChannelId, FilterId, FilterKind, NodeSet, RepetitionVector, StreamGraph, TopoIndex,
+};
 
 /// Everything the performance model needs to know about a partition,
 /// independent of the kernel parameters.
@@ -233,56 +237,46 @@ impl CharsIndex {
     /// [`CharsIndex::for_set`] and [`merge_characteristics`] recompute it
     /// with exactly the arithmetic of [`sm_layout::footprint`].
     fn internal_peak(&self, graph: &StreamGraph, set: &NodeSet, enhanced: bool) -> u64 {
-        // Like the reference scan, every internal channel (feedback ones
-        // included, though nothing ever consumes those) starts out holding
-        // its full volume; producing a channel overwrites its entry (with
-        // zero for elided splitters/joiners) and consuming one removes it.
-        // Every channel has one producer, so each is listed once.
-        let mut buffers: Vec<(usize, Option<u64>)> = Vec::new();
-        let mut order: Vec<(usize, FilterId)> = Vec::with_capacity(set.len());
-        for id in set.iter() {
-            order.push((self.topo.position(id), id));
-            for &c in graph.out_channels(id) {
-                if set.contains(graph.channel(c).dst) {
-                    buffers.push((c.index(), Some(self.chan_bytes[c.index()])));
-                }
-            }
-        }
-        buffers.sort_unstable_by_key(|&(c, _)| c);
+        // The reference scan starts every internal channel at its full
+        // volume, overwrites it with the produced bytes (zero for elided
+        // splitters/joiners) when the source fires, and subtracts what it
+        // holds when the destination consumes. So a consumer that fires after
+        // its source subtracts the produced bytes, and one that fires first
+        // (only in the id-order fallback for cyclic graphs) subtracts the full
+        // volume; the source's later production then stays live. Feedback
+        // channels are never produced or consumed.
+        let mut order: Vec<(usize, FilterId)> =
+            set.iter().map(|id| (self.topo.position(id), id)).collect();
         // Positions are distinct, so this is the scan order by position.
         order.sort_unstable();
-        // A channel of a member is internal exactly when it is listed, so
-        // the lookup doubles as the test that its other end is a member.
-        fn slot(buffers: &mut [(usize, Option<u64>)], c: usize) -> Option<&mut Option<u64>> {
-            let at = buffers.binary_search_by_key(&c, |&(k, _)| k).ok()?;
-            Some(&mut buffers[at].1)
-        }
+        let produced = |src: FilterId, c: ChannelId| {
+            if enhanced && self.facts[src.index()].reorder_only {
+                0
+            } else {
+                self.chan_bytes[c.index()]
+            }
+        };
         let mut live = 0u64;
         let mut peak = 0u64;
-        for &(_, fid) in &order {
+        for &(position, fid) in &order {
             for &c in graph.out_channels(fid) {
-                if graph.channel(c).feedback {
-                    continue;
+                let ch = graph.channel(c);
+                if !ch.feedback && set.contains(ch.dst) {
+                    live += produced(fid, c);
                 }
-                let Some(entry) = slot(&mut buffers, c.index()) else {
-                    continue;
-                };
-                let bytes = if enhanced && self.facts[fid.index()].reorder_only {
-                    0
-                } else {
-                    self.chan_bytes[c.index()]
-                };
-                live += bytes;
-                *entry = Some(bytes);
             }
             peak = peak.max(live);
             for &c in graph.in_channels(fid) {
-                if graph.channel(c).feedback {
+                let ch = graph.channel(c);
+                if ch.feedback || !set.contains(ch.src) {
                     continue;
                 }
-                if let Some(bytes) = slot(&mut buffers, c.index()).and_then(Option::take) {
-                    live = live.saturating_sub(bytes);
-                }
+                let bytes = if self.topo.position(ch.src) <= position {
+                    produced(ch.src, c)
+                } else {
+                    self.chan_bytes[c.index()]
+                };
+                live = live.saturating_sub(bytes);
             }
         }
         peak
@@ -458,7 +452,18 @@ mod tests {
     use super::*;
     use sgmap_gpusim::profile::profile_graph;
     use sgmap_gpusim::GpuSpec;
-    use sgmap_graph::{GraphBuilder, JoinKind, SplitKind, StreamSpec};
+    use sgmap_graph::{Filter, GraphBuilder, JoinKind, SplitKind, StreamSpec};
+
+    fn assert_same(a: &PartitionCharacteristics, b: &PartitionCharacteristics) {
+        assert_eq!(a.filters.len(), b.filters.len());
+        for ((ta, fa), (tb, fb)) in a.filters.iter().zip(&b.filters) {
+            assert_eq!(ta.to_bits(), tb.to_bits());
+            assert_eq!(fa, fb);
+        }
+        assert_eq!(a.io_bytes_per_exec, b.io_bytes_per_exec);
+        assert_eq!(a.sm_bytes_per_exec, b.sm_bytes_per_exec);
+        assert_eq!(a.max_firing_rate, b.max_firing_rate);
+    }
 
     fn graph_with_split() -> StreamGraph {
         let spec = StreamSpec::pipeline(vec![
@@ -497,16 +502,6 @@ mod tests {
         let gpu = GpuSpec::m2090();
         let prof = profile_graph(&g, &gpu);
         let index = CharsIndex::new(&g, &reps, &prof);
-        let assert_same = |a: &PartitionCharacteristics, b: &PartitionCharacteristics| {
-            assert_eq!(a.filters.len(), b.filters.len());
-            for ((ta, fa), (tb, fb)) in a.filters.iter().zip(&b.filters) {
-                assert_eq!(ta.to_bits(), tb.to_bits());
-                assert_eq!(fa, fb);
-            }
-            assert_eq!(a.io_bytes_per_exec, b.io_bytes_per_exec);
-            assert_eq!(a.sm_bytes_per_exec, b.sm_bytes_per_exec);
-            assert_eq!(a.max_firing_rate, b.max_firing_rate);
-        };
         for enhanced in [false, true] {
             // Every singleton and the whole graph.
             for id in g.filter_ids() {
@@ -536,6 +531,134 @@ mod tests {
                 assert_same(&merged.chars, &reference);
                 assert_eq!(merged, index.for_set(&g, &all, enhanced));
             }
+        }
+    }
+
+    /// Graphs whose forward (non-feedback) channels form a cycle, so the
+    /// scan order is the filter ids and some consumers fire before their
+    /// producers. Channel volumes differ, so a wrong subtraction shows.
+    fn forward_cyclic_graphs() -> Vec<StreamGraph> {
+        let split = FilterKind::Splitter(SplitKind::Duplicate);
+        let join = FilterKind::Joiner(JoinKind::RoundRobin(vec![1, 1]));
+        let mut graphs = Vec::new();
+
+        // A split-join whose joiner feeds back into filter 0, the first in
+        // the scan, with a source and a sink hanging off the cycle.
+        let mut g = StreamGraph::new("back-edge-into-first");
+        let a = g.add_filter(Filter::new("a", 2, 1, 3.0).with_token_bytes(8));
+        let s = g.add_filter(Filter::new("split", 1, 2, 0.0).with_kind(split.clone()));
+        let b = g.add_filter(Filter::new("b", 1, 1, 7.0).with_token_bytes(12));
+        let c = g.add_filter(Filter::new("c", 1, 1, 11.0).with_token_bytes(16));
+        let j = g.add_filter(
+            Filter::new("join", 2, 2, 0.0)
+                .with_kind(join.clone())
+                .with_token_bytes(20),
+        );
+        let src = g.add_filter(Filter::new("src", 0, 1, 1.0).with_token_bytes(24));
+        let sink = g.add_filter(Filter::new("sink", 1, 0, 1.0));
+        for (from, to) in [
+            (src, a),
+            (a, s),
+            (s, b),
+            (s, c),
+            (b, j),
+            (c, j),
+            (j, a),
+            (j, sink),
+        ] {
+            g.add_channel(from, to, 1, 1).unwrap();
+        }
+        graphs.push(g);
+
+        // A pipeline looping back into its middle, with unequal rates, a
+        // splitter inside the loop and a feedback channel alongside.
+        let mut g = StreamGraph::new("back-edge-into-middle");
+        let src = g.add_filter(Filter::new("src", 0, 2, 1.0).with_token_bytes(4));
+        let x = g.add_filter(Filter::new("x", 3, 1, 5.0).with_token_bytes(8));
+        let s = g.add_filter(
+            Filter::new("split", 1, 2, 0.0)
+                .with_kind(split)
+                .with_token_bytes(12),
+        );
+        let y = g.add_filter(Filter::new("y", 1, 1, 9.0).with_token_bytes(16));
+        let sink = g.add_filter(Filter::new("sink", 1, 0, 2.0));
+        g.add_channel(src, x, 2, 2).unwrap();
+        g.add_channel(x, s, 1, 1).unwrap();
+        g.add_channel(s, y, 1, 1).unwrap();
+        g.add_channel(y, x, 1, 1).unwrap();
+        g.add_channel(s, sink, 1, 1).unwrap();
+        g.add_feedback_channel(sink, src, 1, 1, 1).unwrap();
+        graphs.push(g);
+
+        // Two cycles sharing a joiner, and a source whose id is the highest,
+        // so its channel also runs against id order.
+        let mut g = StreamGraph::new("two-cycles");
+        let p = g.add_filter(Filter::new("p", 2, 1, 4.0).with_token_bytes(8));
+        let q = g.add_filter(Filter::new("q", 1, 2, 6.0).with_token_bytes(4));
+        let j = g.add_filter(
+            Filter::new("join", 2, 2, 0.0)
+                .with_kind(join)
+                .with_token_bytes(16),
+        );
+        let r = g.add_filter(Filter::new("r", 1, 1, 8.0).with_token_bytes(32));
+        let src = g.add_filter(Filter::new("src", 0, 1, 1.0).with_token_bytes(64));
+        g.add_channel(src, p, 1, 1).unwrap();
+        g.add_channel(p, q, 1, 1).unwrap();
+        g.add_channel(q, j, 1, 1).unwrap();
+        g.add_channel(q, r, 1, 1).unwrap();
+        g.add_channel(r, j, 1, 1).unwrap();
+        g.add_channel(j, p, 1, 1).unwrap();
+        g.add_channel(j, q, 1, 1).unwrap();
+        graphs.push(g);
+        graphs
+    }
+
+    #[test]
+    fn forward_cyclic_graphs_match_from_set_on_every_subset() {
+        let gpu = GpuSpec::m2090();
+        for g in forward_cyclic_graphs() {
+            assert!(!TopoIndex::new(&g).is_acyclic(), "{}", g.name());
+            let reps = g.repetition_vector().unwrap();
+            let prof = profile_graph(&g, &gpu);
+            let index = CharsIndex::new(&g, &reps, &prof);
+            let ids: Vec<_> = g.filter_ids().collect();
+            let subset = |mask: u32| {
+                NodeSet::from_ids(
+                    ids.iter()
+                        .enumerate()
+                        .filter_map(|(k, &id)| (mask & (1 << k) != 0).then_some(id)),
+                )
+            };
+            let mut internal_peaks = std::collections::BTreeSet::new();
+            for enhanced in [false, true] {
+                for mask in 1..1u32 << ids.len() {
+                    let union = subset(mask);
+                    let reference =
+                        PartitionCharacteristics::from_set(&g, &union, &reps, &prof, enhanced);
+                    let direct = index.for_set(&g, &union, enhanced);
+                    assert_same(&direct.chars, &reference);
+                    internal_peaks.insert(direct.internal_peak_bytes);
+                    // Every split of the set into two operands.
+                    let mut part = (mask - 1) & mask;
+                    while part != 0 {
+                        let (front, back) = (subset(part), subset(mask & !part));
+                        let merged = merge_characteristics(
+                            &index,
+                            &g,
+                            enhanced,
+                            &[
+                                (&front, &index.for_set(&g, &front, enhanced)),
+                                (&back, &index.for_set(&g, &back, enhanced)),
+                            ],
+                            &union,
+                        );
+                        assert_eq!(merged, direct, "{} {mask:b} = {part:b} + rest", g.name());
+                        part = (part - 1) & mask;
+                    }
+                }
+            }
+            // The graphs give the scan distinct peaks to get right.
+            assert!(internal_peaks.len() > 3, "{}: {internal_peaks:?}", g.name());
         }
     }
 

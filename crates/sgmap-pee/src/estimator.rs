@@ -2,15 +2,16 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use sgmap_gpusim::profile::{profile_graph, ProfileTable};
 use sgmap_gpusim::{GpuSpec, KernelParams};
-use sgmap_graph::{GraphError, NodeSet, RepetitionVector, StreamGraph};
+use sgmap_graph::{FxHasher, GraphError, NodeSet, RepetitionVector, StreamGraph};
 
 use crate::chars::{merge_characteristics, CharsIndex, PartitionCharacteristics, SetChars};
 use crate::model::PerfModel;
-use crate::params::{select_parameters, ParamSearchSpace};
+use crate::params::{search, ParamSearchSpace, Selection};
 use crate::shared_cache::{EstimateCache, EstimateKey};
 
 /// The PEE's answer for one partition.
@@ -61,9 +62,9 @@ struct CachedEstimate {
 /// The local cache: single-flight cells keyed by node set. (The enhancement
 /// flag is no longer part of the key; flipping it clears the cache instead.)
 /// Lookups borrow the caller's set — the key is cloned only when a fresh
-/// entry is inserted, so cache hits pay neither a clone nor a rehash beyond
-/// the set's precomputed hash.
-type LocalCache = HashMap<NodeSet, Arc<OnceLock<CachedEstimate>>>;
+/// entry is inserted — and [`FxHasher`] hashes the set's precomputed hash,
+/// one word, so a lookup never re-walks the members.
+type LocalCache = HashMap<NodeSet, Arc<OnceLock<CachedEstimate>>, BuildHasherDefault<FxHasher>>;
 
 /// The Performance Estimation Engine: profiles a stream graph once, then
 /// produces [`Estimate`]s for arbitrary sub-graphs, caching results because
@@ -112,7 +113,7 @@ impl<'g> Estimator<'g> {
             model,
             space: ParamSearchSpace::default(),
             enhanced: false,
-            cache: RwLock::new(HashMap::new()),
+            cache: RwLock::new(HashMap::default()),
             shared: None,
             trace: sgmap_trace::current(),
         })
@@ -149,10 +150,12 @@ impl<'g> Estimator<'g> {
     /// `pee.estimate_misses` counters (local single-flight cache) plus
     /// per-path counters and set-size histograms for the two ways
     /// characteristics are obtained (`pee.chars_from_set` vs
-    /// `pee.chars_merged`). It keeps its own handle so that its counters land
-    /// in one collector wherever it is queried: on partition-search worker
-    /// threads, or after the scope it was built in has ended. The collector
-    /// is write-only: estimates are bit-identical with and without it.
+    /// `pee.chars_merged`), and `pee.param_points`, the kernel-parameter
+    /// points its searches priced. It keeps its own handle so that its
+    /// counters land in one collector wherever it is queried: on
+    /// partition-search worker threads, or after the scope it was built in
+    /// has ended. The collector is write-only: estimates are bit-identical
+    /// with and without it.
     pub fn with_trace(mut self, trace: Option<Arc<sgmap_trace::Collector>>) -> Self {
         self.trace = trace;
         self
@@ -311,18 +314,20 @@ impl<'g> Estimator<'g> {
     }
 
     fn estimate_from_chars(&self, chars: &PartitionCharacteristics) -> Option<Estimate> {
-        let (params, normalized_us) =
-            select_parameters(chars, &self.model, &self.gpu, &self.space)?;
-        let t_comp_us = self.model.t_comp_us(chars, params);
-        let t_dt_us = self.model.t_dt_us(chars, params);
-        let t_db_us = self.model.t_db_us(chars, params);
-        let t_exec_us = self.model.t_exec_us(chars, params);
+        let (selection, points) = search(chars, &self.model, &self.gpu, &self.space);
+        self.add("pee.param_points", points);
+        let Selection {
+            params,
+            normalized_us,
+            latency_us,
+            serial_us,
+        } = selection?;
         Some(Estimate {
             params,
-            t_comp_us,
-            t_dt_us,
-            t_db_us,
-            t_exec_us,
+            t_comp_us: self.model.comp_from(latency_us, serial_us, params.w),
+            t_dt_us: self.model.t_dt_us(chars, params),
+            t_db_us: self.model.t_db_us(chars, params),
+            t_exec_us: self.model.exec_from(chars, latency_us, serial_us, params),
             normalized_us,
             sm_bytes: chars.kernel_sm_bytes(params.w),
             io_bytes_per_exec: chars.io_bytes_per_exec,

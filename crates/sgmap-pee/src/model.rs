@@ -68,7 +68,7 @@ impl PerfModel {
 
     /// [`PerfModel::t_comp_us`] from the per-S latency sum and the serial
     /// time, both of which the caller may have computed once.
-    fn comp_from(&self, latency: f64, serial_us: f64, w: u32) -> f64 {
+    pub(crate) fn comp_from(&self, latency: f64, serial_us: f64, w: u32) -> f64 {
         if self.issue_throughput_correction {
             let throughput = f64::from(w.max(1)) * serial_us / f64::from(self.warp_size);
             latency.max(throughput)
@@ -101,8 +101,8 @@ impl PerfModel {
     }
 
     /// [`PerfModel::t_exec_us`] from a precomputed latency sum and serial
-    /// time: O(1) per parameter triple.
-    fn exec_from(
+    /// time, bit-identically.
+    pub(crate) fn exec_from(
         &self,
         chars: &PartitionCharacteristics,
         latency: f64,
@@ -128,8 +128,9 @@ impl PerfModel {
     /// [`PerfModel::normalized_us`] from the latency sum of `params.s`
     /// ([`latency_us`]) and [`PartitionCharacteristics::serial_compute_us`].
     /// Both depend on the characteristics and S alone, so the parameter
-    /// search computes them once and evaluates its (F, W) grid in O(1) per
-    /// point, bit-identically to [`PerfModel::normalized_us`].
+    /// search sums them once per S rather than per point, and the estimator
+    /// prices the winner's times from the same sums; the result is
+    /// bit-identical to [`PerfModel::normalized_us`].
     pub(crate) fn normalized_from(
         &self,
         chars: &PartitionCharacteristics,

@@ -41,21 +41,55 @@ impl Default for ParamSearchSpace {
 /// Returns `None` if even the smallest configuration does not fit in shared
 /// memory (the partition violates the SM constraint and must not be formed).
 ///
-/// The serial time is summed once per call and the latency term of
-/// Equation III.9 once per S, so each (F, W) point costs O(1); every time
-/// is bit-identical to [`PerfModel::normalized_us`] at the same point.
+/// For each usable `(S, F)` pair the search prices a ladder of `W` values
+/// (`1, 2, 4, ...` below the largest feasible `W`, then that `W` itself)
+/// and keeps the earliest point that beats the incumbent by more than
+/// `1e-12`. Every time is bit-identical to [`PerfModel::normalized_us`] at
+/// the same point. In exact arithmetic
+/// `T(W) = max(lat_S / W, serial / warp, C1·io / F) + C2·io / (W·S + F)`,
+/// so no ladder point is below the ladder's floor `T(w_max)`. The search
+/// prices the floor first and the rest of the ladder only when
+/// `floor·(1 − 1e-13)` is below the incumbent's threshold: the margin is far
+/// above the few ulps of rounding in pricing one point, so a skipped ladder
+/// never held a winner, and the result equals the exhaustive search's.
+/// Records the points priced as the `pee.param_points` counter of the
+/// ambient collector.
 pub fn select_parameters(
     chars: &PartitionCharacteristics,
     model: &PerfModel,
     gpu: &GpuSpec,
     space: &ParamSearchSpace,
 ) -> Option<(KernelParams, f64)> {
+    let (selection, points) = search(chars, model, gpu, space);
+    sgmap_trace::add("pee.param_points", points);
+    selection.map(|s| (s.params, s.normalized_us))
+}
+
+/// The winner of a [`search`] with the sums it was priced from.
+pub(crate) struct Selection {
+    pub(crate) params: KernelParams,
+    pub(crate) normalized_us: f64,
+    /// [`latency_us`] at the winner's `S`.
+    pub(crate) latency_us: f64,
+    /// [`PartitionCharacteristics::serial_compute_us`].
+    pub(crate) serial_us: f64,
+}
+
+/// [`select_parameters`] returning the winner's sums and the number of
+/// points priced instead of recording them.
+pub(crate) fn search(
+    chars: &PartitionCharacteristics,
+    model: &PerfModel,
+    gpu: &GpuSpec,
+    space: &ParamSearchSpace,
+) -> (Option<Selection>, u64) {
     let shared_mem = u64::from(gpu.shared_mem_bytes);
     if chars.kernel_sm_bytes(1) > shared_mem {
-        return None;
+        return (None, 0);
     }
     let serial_us = chars.serial_compute_us();
-    let mut best: Option<(KernelParams, f64)> = None;
+    let mut best: Option<Selection> = None;
+    let mut points = 0u64;
     for &s in &space.s_candidates {
         // S beyond the maximum firing rate wastes threads (min(f_i, S)).
         if u64::from(s) > chars.max_firing_rate.max(1) && s != 1 {
@@ -77,32 +111,52 @@ pub fn select_parameters(
             if w_max == 0 {
                 continue;
             }
-            // The normalised time is monotone enough that checking a handful
-            // of W values (1, 2, 4, ..., w_max) finds the minimum; include
-            // w_max itself.
-            let powers = std::iter::successors(Some(1u32), |w| {
-                let next = w * 2;
-                (next < w_max).then_some(next)
-            });
-            for w in powers.chain(std::iter::once(w_max)) {
-                let params = KernelParams { w, s, f };
-                let t = model.normalized_from(chars, latency, serial_us, params);
-                let better = match &best {
-                    None => true,
-                    Some((_, bt)) => t < *bt - 1e-12,
+            let price =
+                |w| model.normalized_from(chars, latency, serial_us, KernelParams { w, s, f });
+            let floor = price(w_max);
+            points += 1;
+            // No point of the ladder prices below floor·(1 − 1e-13), so if
+            // that cannot beat the incumbent's threshold, nothing in the
+            // ladder can.
+            if best
+                .as_ref()
+                .is_some_and(|b| floor * (1.0 - 1e-13) >= b.normalized_us - 1e-12)
+            {
+                continue;
+            }
+            // The ladder runs up from W = 1, because an earlier point within
+            // 1e-12 of the incumbent's threshold wins a tie; w_max, already
+            // priced, comes last.
+            let mut w = 1;
+            loop {
+                let t = if w < w_max {
+                    points += 1;
+                    price(w)
+                } else {
+                    floor
                 };
-                if better {
-                    best = Some((params, t));
+                if best.as_ref().is_none_or(|b| t < b.normalized_us - 1e-12) {
+                    best = Some(Selection {
+                        params: KernelParams { w, s, f },
+                        normalized_us: t,
+                        latency_us: latency,
+                        serial_us,
+                    });
                 }
+                if w == w_max {
+                    break;
+                }
+                w = w.saturating_mul(2).min(w_max);
             }
         }
     }
-    best
+    (best, points)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{PAPER_C1, PAPER_C2};
     use sgmap_gpusim::GpuSpec;
 
     fn chars(serial_us: f64, firing: u64, io: u64, sm_per_exec: u64) -> PartitionCharacteristics {
@@ -162,18 +216,20 @@ mod tests {
     }
 
     /// The search as first written: every (S, F, W) point priced from
-    /// scratch by [`PerfModel::normalized_us`].
+    /// scratch by [`PerfModel::normalized_us`]. Also returns the number of
+    /// distinct points it priced.
     fn brute_force(
         chars: &PartitionCharacteristics,
         model: &PerfModel,
         gpu: &GpuSpec,
         space: &ParamSearchSpace,
-    ) -> Option<(KernelParams, f64)> {
+    ) -> (Option<(KernelParams, f64)>, u64) {
         let shared_mem = u64::from(gpu.shared_mem_bytes);
         if chars.kernel_sm_bytes(1) > shared_mem {
-            return None;
+            return (None, 0);
         }
         let mut best: Option<(KernelParams, f64)> = None;
+        let mut points = 0;
         for &s in &space.s_candidates {
             if u64::from(s) > chars.max_firing_rate.max(1) && s != 1 {
                 continue;
@@ -194,6 +250,8 @@ mod tests {
                     std::iter::successors(Some(1u32), |w| (w * 2 < w_max).then_some(w * 2))
                         .collect();
                 ws.push(w_max);
+                // A ladder of one W lists it twice.
+                points += ws.len() as u64 - u64::from(w_max == 1);
                 for w in ws {
                     let params = KernelParams { w, s, f };
                     let t = model.normalized_us(chars, params);
@@ -203,12 +261,11 @@ mod tests {
                 }
             }
         }
-        best
+        (best, points)
     }
 
     #[test]
     fn hoisted_search_matches_the_brute_force_loop_bit_for_bit() {
-        let gpu = GpuSpec::m2090();
         let mut state = 0x5eed_u64;
         let mut next = move || {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -217,39 +274,82 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
-        let mut found = 0;
-        for case in 0..400u64 {
-            let filters: Vec<(f64, u64)> = (0..1 + next() % 12)
-                .map(|_| ((next() % 1_000_000) as f64 / 997.0, 1 + next() % 64))
-                .collect();
-            let c = PartitionCharacteristics {
-                max_firing_rate: filters.iter().map(|&(_, f)| f).max().unwrap_or(1),
-                filters,
-                io_bytes_per_exec: next() % 40_000,
-                // Every seventh case has no per-execution footprint, so W is
-                // bounded by threads alone.
-                sm_bytes_per_exec: if case % 7 == 0 { 0 } else { next() % 30_000 },
-            };
-            let space = ParamSearchSpace {
-                max_w: [1, 7, 64, 200][(case % 4) as usize],
-                ..Default::default()
-            };
-            let corrected = PerfModel::for_gpu(&gpu);
-            for model in [corrected, corrected.without_throughput_correction()] {
-                let hoisted = select_parameters(&c, &model, &gpu, &space);
-                let reference = brute_force(&c, &model, &gpu, &space);
-                assert_eq!(
-                    hoisted.map(|(p, t)| (p, t.to_bits())),
-                    reference.map(|(p, t)| (p, t.to_bits())),
-                    "case {case}: {c:?}"
-                );
-                if let Some((p, t)) = hoisted {
-                    assert_eq!(t.to_bits(), model.normalized_us(&c, p).to_bits());
-                    found += 1;
+        let collector = std::sync::Arc::new(sgmap_trace::Collector::new());
+        let (mut found, mut searches, mut pruned) = (0, 0, 0);
+        for gpu in [GpuSpec::m2090(), GpuSpec::c2070()] {
+            for case in 0..400u64 {
+                let filters: Vec<(f64, u64)> = (0..1 + next() % 12)
+                    .map(|_| ((next() % 1_000_000) as f64 / 997.0, 1 + next() % 64))
+                    .collect();
+                let c = PartitionCharacteristics {
+                    max_firing_rate: filters.iter().map(|&(_, f)| f).max().unwrap_or(1),
+                    filters,
+                    // Every fifth case moves no data, so with the throughput
+                    // correction late ladder points tie within 1e-12 and the
+                    // earliest must win.
+                    io_bytes_per_exec: if case % 5 == 0 { 0 } else { next() % 40_000 },
+                    // Every seventh case has no per-execution footprint, so W
+                    // is bounded by threads alone.
+                    sm_bytes_per_exec: if case % 7 == 0 { 0 } else { next() % 30_000 },
+                };
+                let space = ParamSearchSpace {
+                    max_w: [1, 2, 7, 64, 200][(case % 6).min(4) as usize],
+                    ..Default::default()
+                };
+                let derived = PerfModel::for_gpu(&gpu);
+                let paper = derived.with_constants(PAPER_C1, PAPER_C2);
+                for model in [
+                    derived,
+                    derived.without_throughput_correction(),
+                    paper,
+                    paper.without_throughput_correction(),
+                ] {
+                    let before = collector.counter("pee.param_points");
+                    let hoisted = sgmap_trace::scope(Some(&collector), || {
+                        select_parameters(&c, &model, &gpu, &space)
+                    });
+                    let priced = collector.counter("pee.param_points") - before;
+                    let (reference, exhaustive) = brute_force(&c, &model, &gpu, &space);
+                    assert_eq!(
+                        hoisted.map(|(p, t)| (p, t.to_bits())),
+                        reference.map(|(p, t)| (p, t.to_bits())),
+                        "{} case {case}: {c:?} {model:?}",
+                        gpu.name
+                    );
+                    assert!(priced <= exhaustive, "case {case}: {priced} > {exhaustive}");
+                    searches += 1;
+                    pruned += u64::from(priced < exhaustive);
+                    if let Some((p, t)) = hoisted {
+                        assert_eq!(t.to_bits(), model.normalized_us(&c, p).to_bits());
+                        found += 1;
+                    }
                 }
             }
         }
-        assert!(found > 200, "too few feasible cases: {found}");
+        assert!(found > 1600, "too few feasible cases: {found}");
+        // The floor rule really skipped ladders: the comparison above is not
+        // between two exhaustive searches.
+        assert!(
+            pruned * 4 > searches,
+            "{pruned} of {searches} searches pruned"
+        );
+    }
+
+    #[test]
+    fn the_earliest_of_tied_ladder_points_wins() {
+        // No IO and the throughput correction on: from W = warp size on,
+        // T(W) = max(t / W, t / 32) sits at t / 32 up to rounding, and the
+        // first W to reach it must win over the ladder's floor at w_max.
+        let gpu = GpuSpec::m2090();
+        let model = PerfModel::for_gpu(&gpu);
+        assert_eq!(model.warp_size, 32);
+        let c = chars(977.0, 1, 0, 64);
+        let (p, t) = select_parameters(&c, &model, &gpu, &Default::default()).unwrap();
+        assert_eq!(p.w, 32);
+        assert_eq!(
+            brute_force(&c, &model, &gpu, &Default::default()).0,
+            Some((p, t))
+        );
     }
 
     #[test]

@@ -16,13 +16,24 @@
 //! query multiset — misses equal the number of distinct keys regardless of
 //! thread interleaving — which lets sweep reports include cache statistics
 //! while staying byte-identical across thread counts.
+//!
+//! Keys are hashed with [`FxHasher`], a seedless multiply-rotate hasher that
+//! costs a fraction of the standard library's SipHash on a key of a few
+//! dozen words; every key is built by the estimator from characteristics,
+//! never read from outside the program, so none is crafted to collide.
+//! Determinism does not rest on the hasher: an answer is a function of its
+//! key alone, the counters follow from the query multiset as above, and
+//! the one reader of the map's iteration order, [`EstimateCache::entries`],
+//! feeds a persisted cache file whose writer sorts the entries.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use sgmap_gpusim::GpuSpec;
+use sgmap_graph::FxHasher;
 
 use crate::chars::PartitionCharacteristics;
 use crate::estimator::Estimate;
@@ -92,9 +103,11 @@ impl EstimateKey {
 /// Version of the estimation *algorithm* (model equations, parameter-search
 /// procedure) whose answers an [`EstimateCache`] holds. [`EstimateKey`]
 /// captures every numeric input, but not the code that consumes them: bump
-/// this whenever `estimate_from_chars`/`select_parameters` logic changes, so
-/// persisted caches from older binaries are rejected instead of silently
-/// replaying stale estimates.
+/// this whenever `estimate_from_chars`/`select_parameters` logic changes an
+/// answer, so persisted caches from older binaries are rejected instead of
+/// silently replaying stale estimates. A speed-up that leaves every answer
+/// bit-identical does not bump it: skipping parameter ladders that cannot
+/// win and reusing the search's sums left it at 1.
 pub const ESTIMATOR_ALGORITHM_VERSION: u32 = 1;
 
 /// Hit/miss/size counters of an [`EstimateCache`].
@@ -126,13 +139,16 @@ impl CacheStats {
     }
 }
 
+/// The cache's map: one single-flight cell per key.
+type Cells = HashMap<EstimateKey, Arc<OnceLock<Option<Estimate>>>, BuildHasherDefault<FxHasher>>;
+
 /// A shared, thread-safe estimate cache.
 ///
 /// Cloneable handles are obtained by wrapping the cache in an [`Arc`] and
 /// passing it to [`Estimator::with_shared_cache`](crate::Estimator::with_shared_cache).
 #[derive(Default)]
 pub struct EstimateCache {
-    map: RwLock<HashMap<EstimateKey, Arc<OnceLock<Option<Estimate>>>>>,
+    map: RwLock<Cells>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
