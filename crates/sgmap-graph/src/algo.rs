@@ -5,6 +5,12 @@
 //! its incident channels and (for convexity) the non-members inside the set's
 //! topological window, never the whole graph. The partition search runs one
 //! per candidate merge, so their cost is what bounds coarsening at scale.
+//! Both walk on a per-thread `Scratch` of epoch-stamped member and visit
+//! marks and a stack, instead of allocating their buffers and binary-searching
+//! the members on every call: the partition search runs them on its scoped
+//! worker threads, each of which keeps one scratch for the search.
+
+use std::cell::RefCell;
 
 use crate::error::GraphError;
 use crate::filter::FilterId;
@@ -104,6 +110,70 @@ fn forward_successors(graph: &StreamGraph, u: FilterId) -> impl Iterator<Item = 
         .map(|ch| ch.dst)
 }
 
+/// The buffers of one feasibility walk, reused across calls on a thread.
+/// Marks are epoch stamps indexed by filter id, so starting a walk clears
+/// nothing: a filter belongs to the walked set exactly when its `member`
+/// stamp holds the current epoch, and is visited exactly when its `seen`
+/// stamp does. Membership is then one load instead of a binary search.
+#[derive(Debug, Default)]
+struct Scratch {
+    member: Vec<u32>,
+    seen: Vec<u32>,
+    epoch: u32,
+    stack: Vec<FilterId>,
+}
+
+impl Scratch {
+    /// Starts a walk over `members` of a graph of `filters` filters: the
+    /// members are marked, nothing is visited and the stack is empty.
+    fn begin(&mut self, filters: usize, members: &[FilterId]) {
+        if self.member.len() < filters {
+            self.member.resize(filters, 0);
+            self.seen.resize(filters, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // The stamps wrapped: clear them once and start over.
+            self.member.fill(0);
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        for &m in members {
+            self.member[m.index()] = self.epoch;
+        }
+        self.stack.clear();
+    }
+
+    fn is_member(&self, id: FilterId) -> bool {
+        self.member[id.index()] == self.epoch
+    }
+
+    /// Marks `id` visited and queues it, unless it already was.
+    fn visit(&mut self, id: FilterId) {
+        if self.seen[id.index()] != self.epoch {
+            self.seen[id.index()] = self.epoch;
+            self.stack.push(id);
+        }
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Runs `walk` on this thread's scratch, begun over `members` of `graph`.
+fn with_scratch<T>(
+    graph: &StreamGraph,
+    members: &[FilterId],
+    walk: impl FnOnce(&mut Scratch) -> T,
+) -> T {
+    SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        scratch.begin(graph.filter_count(), members);
+        walk(&mut scratch)
+    })
+}
+
 /// Returns `true` if `members` (sorted ascending, no duplicates) form a
 /// non-empty weakly connected sub-graph, treating forward channels as
 /// undirected and ignoring feedback channels. Walks the members and their
@@ -112,28 +182,24 @@ pub(crate) fn is_weakly_connected(graph: &StreamGraph, members: &[FilterId]) -> 
     if members.is_empty() {
         return false;
     }
-    let mut seen = vec![false; members.len()];
-    let mut stack = vec![0usize];
-    seen[0] = true;
-    let mut visited = 0usize;
-    while let Some(i) = stack.pop() {
-        visited += 1;
-        let u = members[i];
-        for &c in graph.out_channels(u).iter().chain(graph.in_channels(u)) {
-            let ch = graph.channel(c);
-            if ch.feedback {
-                continue;
-            }
-            let v = if ch.src == u { ch.dst } else { ch.src };
-            if let Ok(j) = members.binary_search(&v) {
-                if !seen[j] {
-                    seen[j] = true;
-                    stack.push(j);
+    with_scratch(graph, members, |scratch| {
+        scratch.visit(members[0]);
+        let mut visited = 0usize;
+        while let Some(u) = scratch.stack.pop() {
+            visited += 1;
+            for &c in graph.out_channels(u).iter().chain(graph.in_channels(u)) {
+                let ch = graph.channel(c);
+                if ch.feedback {
+                    continue;
+                }
+                let v = if ch.src == u { ch.dst } else { ch.src };
+                if scratch.is_member(v) {
+                    scratch.visit(v);
                 }
             }
         }
-    }
-    visited == members.len()
+        visited == members.len()
+    })
 }
 
 /// Returns `true` if `members` (sorted ascending, no duplicates) is convex:
@@ -142,50 +208,38 @@ pub(crate) fn is_weakly_connected(graph: &StreamGraph, members: &[FilterId]) -> 
 /// A forward search starts at the members' non-member successors and walks
 /// non-members only; the set is non-convex exactly when it reaches a member.
 /// In an acyclic graph no member lies past the set's last topological
-/// position, so the search is pruned there, and its visited marks cover just
-/// the window between the set's first and last positions. Without a
-/// topological order the window is the whole graph and nothing is pruned.
+/// position, so the search is pruned there and visits only non-members
+/// between the set's first and last positions. Without a topological order
+/// nothing is pruned.
 pub(crate) fn is_convex(graph: &StreamGraph, topo: &TopoIndex, members: &[FilterId]) -> bool {
     if members.len() <= 1 {
         return true;
     }
-    let (lo, hi) = if topo.is_acyclic() {
-        members.iter().fold((usize::MAX, 0), |(lo, hi), &m| {
-            let p = topo.position(m);
-            (lo.min(p), hi.max(p))
-        })
+    let hi = if topo.is_acyclic() {
+        members.iter().map(|&m| topo.position(m)).max().unwrap_or(0)
     } else {
-        (0, graph.filter_count() - 1)
+        graph.filter_count() - 1
     };
-    let is_member = |v: FilterId| members.binary_search(&v).is_ok();
-    let mut seen = vec![false; hi - lo + 1];
-    let mut stack: Vec<FilterId> = Vec::new();
-    // Marks a non-member inside the window and queues it. A successor of a
-    // member (or of a non-member reached from one) sits after that member,
-    // so its position is never below `lo`.
-    let mut enqueue = |v: FilterId, stack: &mut Vec<FilterId>| {
-        let p = topo.position(v);
-        if p <= hi && !seen[p - lo] {
-            seen[p - lo] = true;
-            stack.push(v);
-        }
-    };
-    for &m in members {
-        for v in forward_successors(graph, m) {
-            if !is_member(v) {
-                enqueue(v, &mut stack);
+    with_scratch(graph, members, |scratch| {
+        for &m in members {
+            for v in forward_successors(graph, m) {
+                if !scratch.is_member(v) && topo.position(v) <= hi {
+                    scratch.visit(v);
+                }
             }
         }
-    }
-    while let Some(u) = stack.pop() {
-        for v in forward_successors(graph, u) {
-            if is_member(v) {
-                return false;
+        while let Some(u) = scratch.stack.pop() {
+            for v in forward_successors(graph, u) {
+                if scratch.is_member(v) {
+                    return false;
+                }
+                if topo.position(v) <= hi {
+                    scratch.visit(v);
+                }
             }
-            enqueue(v, &mut stack);
         }
-    }
-    true
+        true
+    })
 }
 
 #[cfg(test)]
@@ -231,6 +285,22 @@ mod tests {
         assert!(!is_weakly_connected(&g, &[ids[1], ids[2]]));
         assert!(is_weakly_connected(&g, &[ids[0], ids[1], ids[2]]));
         assert!(!is_weakly_connected(&g, &[]));
+    }
+
+    #[test]
+    fn walks_on_reused_scratch_answer_alike_across_the_epoch_wrap() {
+        let (g, ids) = diamond();
+        let topo = TopoIndex::new(&g);
+        // Start two walks short of the wrap; every answer must stay put
+        // while the stamps wrap and are cleared.
+        SCRATCH.with(|scratch| scratch.borrow_mut().epoch = u32::MAX - 2);
+        for _ in 0..6 {
+            assert!(!is_weakly_connected(&g, &[ids[1], ids[2]]));
+            assert!(is_weakly_connected(&g, &ids));
+            assert!(!is_convex(&g, &topo, &[ids[0], ids[3]]));
+            assert!(is_convex(&g, &topo, &[ids[0], ids[1]]));
+        }
+        SCRATCH.with(|scratch| assert!(scratch.borrow().epoch < 100));
     }
 
     #[test]

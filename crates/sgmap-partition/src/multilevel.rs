@@ -44,6 +44,9 @@
 //! test oracle in `multilevel/reference.rs`). Each cluster's target list is
 //! kept across moves and recomputed only for the moved cluster and its
 //! neighbours, the only clusters whose neighbouring parts a move changes.
+//! A candidate's remaining part is characterised from its home part's
+//! bundle minus the cluster's ([`Estimator::estimate_difference`]), so
+//! pricing a move walks the cluster, not the part it leaves.
 
 use sgmap_graph::StreamGraph;
 use sgmap_pee::Estimator;
@@ -306,7 +309,8 @@ fn evaluate_move(
     if !feasible.is_mergeable(graph, &union) {
         return None;
     }
-    let (remain_est, remain_chars) = est.estimate_with_chars(&remain);
+    let (remain_est, remain_chars) =
+        est.estimate_difference(&home.chars, (&cluster.nodes, &cluster.chars), &remain);
     let remain_est = remain_est?;
     let (target_est, target_chars) = est.estimate_union(
         &[

@@ -199,7 +199,6 @@ fn assert_matches_reference(
         "partition.refine_moves",
         "pee.estimate_misses",
         "pee.chars_merged",
-        "pee.chars_from_set",
         "partition.feasibility_misses",
     ] {
         prop_assert_eq!(
@@ -209,6 +208,17 @@ fn assert_matches_reference(
             counter
         );
     }
+    // The cached scan characterises a move's remaining part by subtraction,
+    // the full rescan by a walk of the set: the same misses, split between
+    // the two paths.
+    let walked_or_subtracted = |trace: &sgmap_trace::Collector| {
+        trace.counter("pee.chars_from_set") + trace.counter("pee.chars_subtracted")
+    };
+    prop_assert_eq!(
+        walked_or_subtracted(&cached.trace),
+        walked_or_subtracted(&full.trace)
+    );
+    prop_assert_eq!(full.trace.counter("pee.chars_subtracted"), 0);
     prop_assert!(
         cached.trace.counter("partition.candidates_evaluated")
             <= full.trace.counter("partition.candidates_evaluated")

@@ -15,9 +15,12 @@
 //!   more disjoint operands, derived from the operands plus the channels
 //!   crossing between them; only the internal-buffer peak is rescanned (it
 //!   depends on the interleaved firing schedule), everything else is pure
-//!   integer algebra.
+//!   integer algebra,
+//! * [`subtract_characteristics`] — characteristics of what is left of a
+//!   set when a subset is taken out, derived from the two bundles plus the
+//!   subset's channels; again only the internal-buffer peak is rescanned.
 //!
-//! All three produce identical `f64` bit patterns and identical integers
+//! All four produce identical `f64` bit patterns and identical integers
 //! (the property suite enforces this on random graphs), so cache keys and
 //! estimates are independent of which path computed them. A union of three
 //! operands derived in one step equals the two-step derivation through the
@@ -28,11 +31,26 @@
 //! intermediate union's peak is never needed, and the one-step derivation
 //! skips its scan.
 //!
+//! Subtraction inverts a two-operand merge. The remaining per-filter list is
+//! the sorted list difference. A channel between the subset and the rest is
+//! boundary IO of each on one side and internal to the whole, so the rest's
+//! input and output bytes are the whole's plus those crossing bytes minus
+//! the subset's; state and peek bytes subtract. The highest firing rate
+//! does not subtract and is retaken over the remaining list, and the
+//! internal peak is rescanned over the rest as a merge rescans the union.
+//! All of it is integer algebra on exact values, so the result equals a
+//! fresh walk bit for bit. A refinement move prices the part a cluster
+//! leaves behind this way, walking the cluster instead of the part.
+//!
 //! The internal peak is one pass over the set in firing order with no table
 //! of buffers: a channel's consumer subtracts what its producer added when
 //! the producer fired first, and the channel's full volume (the reference
 //! scan's initial value) when it did not, which happens only in the id-order
-//! fallback for graphs whose forward channels form a cycle.
+//! fallback for graphs whose forward channels form a cycle. The pass runs on
+//! a per-thread scratch (`PeakScratch`), so it allocates nothing and tests
+//! a channel's far end for membership with one load.
+
+use std::cell::RefCell;
 
 use sgmap_gpusim::profile::ProfileTable;
 use sgmap_gpusim::sm_layout;
@@ -245,42 +263,81 @@ impl CharsIndex {
         // (only in the id-order fallback for cyclic graphs) subtracts the full
         // volume; the source's later production then stays live. Feedback
         // channels are never produced or consumed.
-        let mut order: Vec<(usize, FilterId)> =
-            set.iter().map(|id| (self.topo.position(id), id)).collect();
-        // Positions are distinct, so this is the scan order by position.
-        order.sort_unstable();
-        let produced = |src: FilterId, c: ChannelId| {
-            if enhanced && self.facts[src.index()].reorder_only {
-                0
-            } else {
-                self.chan_bytes[c.index()]
+        PEAK_SCRATCH.with(|scratch| {
+            let PeakScratch {
+                order,
+                member,
+                epoch,
+            } = &mut *scratch.borrow_mut();
+            if member.len() < graph.filter_count() {
+                member.resize(graph.filter_count(), 0);
             }
-        };
-        let mut live = 0u64;
-        let mut peak = 0u64;
-        for &(position, fid) in &order {
-            for &c in graph.out_channels(fid) {
-                let ch = graph.channel(c);
-                if !ch.feedback && set.contains(ch.dst) {
-                    live += produced(fid, c);
-                }
+            *epoch = epoch.wrapping_add(1);
+            if *epoch == 0 {
+                // The stamps wrapped: clear them once and start over.
+                member.fill(0);
+                *epoch = 1;
             }
-            peak = peak.max(live);
-            for &c in graph.in_channels(fid) {
-                let ch = graph.channel(c);
-                if ch.feedback || !set.contains(ch.src) {
-                    continue;
-                }
-                let bytes = if self.topo.position(ch.src) <= position {
-                    produced(ch.src, c)
+            let epoch = *epoch;
+            order.clear();
+            for id in set.iter() {
+                member[id.index()] = epoch;
+                order.push((self.topo.position(id), id));
+            }
+            // Positions are distinct, so this is the scan order by position.
+            order.sort_unstable();
+            let in_set = |id: FilterId| member[id.index()] == epoch;
+            let produced = |src: FilterId, c: ChannelId| {
+                if enhanced && self.facts[src.index()].reorder_only {
+                    0
                 } else {
                     self.chan_bytes[c.index()]
-                };
-                live = live.saturating_sub(bytes);
+                }
+            };
+            let mut live = 0u64;
+            let mut peak = 0u64;
+            for &(position, fid) in order.iter() {
+                for &c in graph.out_channels(fid) {
+                    let ch = graph.channel(c);
+                    if !ch.feedback && in_set(ch.dst) {
+                        live += produced(fid, c);
+                    }
+                }
+                peak = peak.max(live);
+                for &c in graph.in_channels(fid) {
+                    let ch = graph.channel(c);
+                    if ch.feedback || !in_set(ch.src) {
+                        continue;
+                    }
+                    let bytes = if self.topo.position(ch.src) <= position {
+                        produced(ch.src, c)
+                    } else {
+                        self.chan_bytes[c.index()]
+                    };
+                    live = live.saturating_sub(bytes);
+                }
             }
-        }
-        peak
+            peak
+        })
     }
+}
+
+/// The buffers of one internal-peak scan, reused across calls on a thread:
+/// the set in scan order, and member marks that are epoch stamps indexed by
+/// filter id (a filter is in the scanned set exactly when its stamp holds
+/// the current epoch), so a scan allocates nothing, clears nothing and
+/// tests membership with one load instead of a binary search. The partition
+/// search derives characteristics on its scoped worker threads, each of
+/// which keeps one scratch.
+#[derive(Debug, Default)]
+struct PeakScratch {
+    order: Vec<(usize, FilterId)>,
+    member: Vec<u32>,
+    epoch: u32,
+}
+
+thread_local! {
+    static PEAK_SCRATCH: RefCell<PeakScratch> = RefCell::default();
 }
 
 /// [`PartitionCharacteristics`] plus the decomposition needed to derive a
@@ -414,6 +471,66 @@ pub fn merge_characteristics(
         sum(|c| c.state_bytes),
         sum(|c| c.peek_bytes),
         index.internal_peak(graph, union, enhanced),
+    )
+}
+
+/// Derives the characteristics of `rest`, the members of the set described
+/// by `whole` that are not in `part` (a subset of that set), instead of
+/// re-walking `rest`: the per-filter list is the sorted difference of the
+/// two lists, the IO volumes gain the bytes of the channels crossing
+/// between `part` and `rest` and lose `part`'s, state and peek bytes
+/// subtract, and only the internal-buffer peak is rescanned, over `rest`.
+/// Walks `part`'s channels, not `rest`'s. Bit-identical to
+/// [`PartitionCharacteristics::from_set`] on `rest`.
+pub fn subtract_characteristics(
+    index: &CharsIndex,
+    graph: &StreamGraph,
+    enhanced: bool,
+    whole: &SetChars,
+    part: (&NodeSet, &SetChars),
+    rest: &NodeSet,
+) -> SetChars {
+    let (part_set, part_chars) = part;
+    // The list difference copies the runs of `whole` between `part`'s ids;
+    // each id is located by binary search past the previous one.
+    let kept = whole.ids.len() - part_chars.ids.len();
+    let mut filters = Vec::with_capacity(kept);
+    let mut ids = Vec::with_capacity(kept);
+    let mut start = 0;
+    for &id in &part_chars.ids {
+        let at = start + whole.ids[start..].partition_point(|&w| w < id);
+        filters.extend_from_slice(&whole.chars.filters[start..at]);
+        ids.extend_from_slice(&whole.ids[start..at]);
+        start = at + 1;
+    }
+    filters.extend_from_slice(&whole.chars.filters[start..]);
+    ids.extend_from_slice(&whole.ids[start..]);
+    let max_firing_rate = filters.iter().map(|&(_, f)| f).fold(1, u64::max);
+
+    // Bytes of the channels between `part` and `rest`, in either direction.
+    let mut cross_bytes = 0u64;
+    for id in part_set.iter() {
+        for &c in graph.in_channels(id) {
+            if rest.contains(graph.channel(c).src) {
+                cross_bytes += index.chan_bytes[c.index()];
+            }
+        }
+        for &c in graph.out_channels(id) {
+            if rest.contains(graph.channel(c).dst) {
+                cross_bytes += index.chan_bytes[c.index()];
+            }
+        }
+    }
+
+    SetChars::assemble(
+        filters,
+        ids,
+        max_firing_rate,
+        whole.input_bytes + cross_bytes - part_chars.input_bytes,
+        whole.output_bytes + cross_bytes - part_chars.output_bytes,
+        whole.state_bytes - part_chars.state_bytes,
+        whole.peek_bytes - part_chars.peek_bytes,
+        index.internal_peak(graph, rest, enhanced),
     )
 }
 
@@ -660,6 +777,120 @@ mod tests {
             // The graphs give the scan distinct peaks to get right.
             assert!(internal_peaks.len() > 3, "{}: {internal_peaks:?}", g.name());
         }
+    }
+
+    /// Asserts that taking each of `parts` out of `whole` and subtracting
+    /// its characteristics gives a fresh walk's, bit for bit.
+    fn assert_subtractions_match(
+        index: &CharsIndex,
+        g: &StreamGraph,
+        enhanced: bool,
+        whole: &NodeSet,
+        parts: impl IntoIterator<Item = NodeSet>,
+    ) {
+        let whole_chars = index.for_set(g, whole, enhanced);
+        for part in parts {
+            let rest = whole.difference(&part);
+            let subtracted = subtract_characteristics(
+                index,
+                g,
+                enhanced,
+                &whole_chars,
+                (&part, &index.for_set(g, &part, enhanced)),
+                &rest,
+            );
+            assert_eq!(
+                subtracted,
+                index.for_set(g, &rest, enhanced),
+                "{}: {:?} \\ {:?} (enhanced: {enhanced})",
+                g.name(),
+                whole.as_slice(),
+                part.as_slice()
+            );
+        }
+    }
+
+    /// Every non-empty proper subset of `members`.
+    fn proper_subsets(members: &[FilterId]) -> impl Iterator<Item = NodeSet> + '_ {
+        (1..(1u32 << members.len()) - 1).map(move |mask| {
+            NodeSet::from_ids(
+                members
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(k, &id)| (mask & (1 << k) != 0).then_some(id)),
+            )
+        })
+    }
+
+    #[test]
+    fn subtracted_characteristics_match_for_set_on_every_split() {
+        let gpu = GpuSpec::m2090();
+        // The forward-cyclic graphs: every set split into a part and a
+        // non-empty rest, every way.
+        for g in forward_cyclic_graphs() {
+            let reps = g.repetition_vector().unwrap();
+            let index = CharsIndex::new(&g, &reps, &profile_graph(&g, &gpu));
+            let ids: Vec<_> = g.filter_ids().collect();
+            for enhanced in [false, true] {
+                for whole in proper_subsets(&ids).chain([NodeSet::all(&g)]) {
+                    assert_subtractions_match(
+                        &index,
+                        &g,
+                        enhanced,
+                        &whole,
+                        proper_subsets(whole.as_slice()),
+                    );
+                }
+            }
+        }
+        // The applications at their largest quick size: every window of up
+        // to six filters in firing order split every way, and the whole
+        // graph less every window of up to four.
+        for app in sgmap_apps::App::all() {
+            let g = app.build(*app.quick_n_values().last().unwrap()).unwrap();
+            let reps = g.repetition_vector().unwrap();
+            let index = CharsIndex::new(&g, &reps, &profile_graph(&g, &gpu));
+            let topo = TopoIndex::new(&g);
+            let mut order: Vec<_> = g.filter_ids().collect();
+            order.sort_by_key(|&id| topo.position(id));
+            let windows = |len: usize| {
+                order
+                    .windows(len)
+                    .map(|w| NodeSet::from_ids(w.iter().copied()))
+            };
+            for enhanced in [false, true] {
+                for len in 2..=6 {
+                    for whole in windows(len) {
+                        assert_subtractions_match(
+                            &index,
+                            &g,
+                            enhanced,
+                            &whole,
+                            proper_subsets(whole.as_slice()),
+                        );
+                    }
+                }
+                let all = NodeSet::all(&g);
+                assert_subtractions_match(&index, &g, enhanced, &all, (1..=4).flat_map(windows));
+            }
+        }
+    }
+
+    #[test]
+    fn peak_scans_on_reused_scratch_match_from_set_across_the_epoch_wrap() {
+        let g = graph_with_split();
+        let reps = g.repetition_vector().unwrap();
+        let prof = profile_graph(&g, &GpuSpec::m2090());
+        let index = CharsIndex::new(&g, &reps, &prof);
+        let ids: Vec<_> = g.filter_ids().collect();
+        // Start two scans short of the wrap; every answer must stay put
+        // while the stamps wrap and are cleared.
+        PEAK_SCRATCH.with(|scratch| scratch.borrow_mut().epoch = u32::MAX - 2);
+        for set in proper_subsets(&ids).take(8) {
+            let reference = PartitionCharacteristics::from_set(&g, &set, &reps, &prof, false);
+            assert_same(&index.for_set(&g, &set, false).chars, &reference);
+        }
+        PEAK_SCRATCH.with(|scratch| assert!(scratch.borrow().epoch < 100));
     }
 
     #[test]

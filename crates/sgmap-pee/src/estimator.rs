@@ -9,10 +9,12 @@ use sgmap_gpusim::profile::{profile_graph, ProfileTable};
 use sgmap_gpusim::{GpuSpec, KernelParams};
 use sgmap_graph::{FxHasher, GraphError, NodeSet, RepetitionVector, StreamGraph};
 
-use crate::chars::{merge_characteristics, CharsIndex, PartitionCharacteristics, SetChars};
+use crate::chars::{
+    merge_characteristics, subtract_characteristics, CharsIndex, PartitionCharacteristics, SetChars,
+};
 use crate::model::PerfModel;
 use crate::params::{search, ParamSearchSpace, Selection};
-use crate::shared_cache::{EstimateCache, EstimateKey};
+use crate::shared_cache::{CacheContext, EstimateCache};
 
 /// The PEE's answer for one partition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,7 +88,8 @@ pub struct Estimator<'g> {
     space: ParamSearchSpace,
     enhanced: bool,
     cache: RwLock<LocalCache>,
-    shared: Option<Arc<EstimateCache>>,
+    /// The attached shared cache and this estimator's context in it.
+    shared: Option<(Arc<EstimateCache>, Arc<CacheContext>)>,
     trace: Option<Arc<sgmap_trace::Collector>>,
 }
 
@@ -138,9 +141,13 @@ impl<'g> Estimator<'g> {
     /// from (and recorded into) the shared cache keyed by partition
     /// characteristics and platform parameters, so estimators for different
     /// graphs — including estimators on other threads — reuse each other's
-    /// work. Cached answers are bit-identical to fresh computations.
+    /// work. Cached answers are bit-identical to fresh computations. The
+    /// estimator's model, device and search space are resolved to their
+    /// context of the cache here, once, so a query keys only its
+    /// characteristics.
     pub fn with_shared_cache(mut self, cache: Arc<EstimateCache>) -> Self {
-        self.shared = Some(cache);
+        let context = cache.context(&self.model, &self.gpu, &self.space);
+        self.shared = Some((cache, context));
         self
     }
 
@@ -148,9 +155,9 @@ impl<'g> Estimator<'g> {
     /// construction; `None` records into whatever collector is ambient at
     /// query time. The estimator records `pee.estimate_hits` /
     /// `pee.estimate_misses` counters (local single-flight cache) plus
-    /// per-path counters and set-size histograms for the two ways
-    /// characteristics are obtained (`pee.chars_from_set` vs
-    /// `pee.chars_merged`), and `pee.param_points`, the kernel-parameter
+    /// per-path counters and set-size histograms for the three ways
+    /// characteristics are obtained (`pee.chars_from_set`,
+    /// `pee.chars_merged` and `pee.chars_subtracted`), and `pee.param_points`, the kernel-parameter
     /// points its searches priced. It keeps its own handle so that its
     /// counters land in one collector wherever it is queried: on
     /// partition-search worker threads, or after the scope it was built in
@@ -247,6 +254,38 @@ impl<'g> Estimator<'g> {
         })
     }
 
+    /// Estimates `rest`, what is left of a set when `part` is taken out of
+    /// it, given the set's characteristics bundle `whole` and `part` paired
+    /// with its own.
+    ///
+    /// `part` must be a subset of the set, `rest` must equal their
+    /// difference, and the bundles must come from this estimator (under its
+    /// current enhancement flag). When `rest` is not already cached, its
+    /// characteristics are derived from the operands via
+    /// [`subtract_characteristics`] instead of re-walking the graph; on a
+    /// cache hit nothing is derived. The result — estimate, cache key,
+    /// counters — is bit-identical to [`Estimator::estimate`] on `rest`
+    /// either way.
+    pub fn estimate_difference(
+        &self,
+        whole: &SetChars,
+        part: (&NodeSet, &SetChars),
+        rest: &NodeSet,
+    ) -> (Option<Estimate>, Arc<SetChars>) {
+        self.estimate_impl(rest, || {
+            self.add("pee.chars_subtracted", 1);
+            self.record("pee.chars_subtracted_size", rest.len() as u64);
+            Arc::new(subtract_characteristics(
+                &self.index,
+                self.graph,
+                self.enhanced,
+                whole,
+                part,
+                rest,
+            ))
+        })
+    }
+
     fn estimate_impl(
         &self,
         set: &NodeSet,
@@ -278,11 +317,9 @@ impl<'g> Estimator<'g> {
             computed = true;
             let chars = make_chars();
             let estimate = match &self.shared {
-                Some(shared) => {
-                    let shared_key =
-                        EstimateKey::new(&chars.chars, &self.model, &self.gpu, &self.space);
-                    shared.get_or_compute(shared_key, || self.estimate_from_chars(&chars.chars))
-                }
+                Some((shared, context)) => shared.get_or_compute(context, &chars.chars, || {
+                    self.estimate_from_chars(&chars.chars)
+                }),
                 None => self.estimate_from_chars(&chars.chars),
             };
             CachedEstimate { estimate, chars }

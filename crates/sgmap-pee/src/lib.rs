@@ -41,7 +41,9 @@ mod model;
 mod params;
 mod shared_cache;
 
-pub use chars::{merge_characteristics, CharsIndex, PartitionCharacteristics, SetChars};
+pub use chars::{
+    merge_characteristics, subtract_characteristics, CharsIndex, PartitionCharacteristics, SetChars,
+};
 pub use estimator::{Estimate, Estimator};
 pub use model::{PerfModel, PAPER_C1, PAPER_C2};
 pub use params::{select_parameters, ParamSearchSpace};

@@ -9,13 +9,34 @@
 //! process-wide cache keyed by exactly those inputs, so any two sweep points
 //! that ask the same physical question share one answer.
 //!
-//! The cache is `RwLock`-guarded and uses per-key single-flight entries: when
-//! several threads race on the same fresh key, one computes while the others
-//! block on the entry, so each unique key is computed exactly once. A useful
-//! consequence is that the hit/miss totals are deterministic for a fixed
-//! query multiset — misses equal the number of distinct keys regardless of
-//! thread interleaving — which lets sweep reports include cache statistics
-//! while staying byte-identical across thread counts.
+//! The cache has two levels, matching the two halves of an [`EstimateKey`]:
+//!
+//! * a **context** per distinct (model constants, device limits, search
+//!   space). Every query of one estimator shares these, so the estimator
+//!   resolves its context once, when
+//!   [`Estimator::with_shared_cache`](crate::Estimator::with_shared_cache)
+//!   attaches the cache, and never compares or clones them again;
+//! * inside each context, one single-flight cell per partition
+//!   characteristics. A query hashes the borrowed
+//!   [`PartitionCharacteristics`] once and looks the hash up under the read
+//!   lock, then under the write lock when it must insert; it allocates
+//!   nothing unless it inserts a new cell, the only point where the owned
+//!   per-set key is built. A bucket holds every key of one hash, so a hash
+//!   collision costs a comparison, never a wrong answer.
+//!
+//! Splitting the key changes neither what is cached nor what is counted: a
+//! query is answered by the cell of exactly its full key, [`CacheStats`]
+//! counts one hit or one miss per query as a single-level map did, and
+//! [`EstimateCache::entries`] joins the two halves back into full
+//! [`EstimateKey`]s, so the persisted cache file is unchanged.
+//!
+//! The cells are single-flight: when several threads race on the same fresh
+//! key, one computes while the others block on the cell, so each unique key
+//! is computed exactly once. A useful consequence is that the hit/miss
+//! totals are deterministic for a fixed query multiset — misses equal the
+//! number of distinct keys regardless of thread interleaving — which lets
+//! sweep reports include cache statistics while staying byte-identical
+//! across thread counts.
 //!
 //! Keys are hashed with [`FxHasher`], a seedless multiply-rotate hasher that
 //! costs a fraction of the standard library's SipHash on a key of a few
@@ -23,12 +44,11 @@
 //! never read from outside the program, so none is crafted to collide.
 //! Determinism does not rest on the hasher: an answer is a function of its
 //! key alone, the counters follow from the query multiset as above, and
-//! the one reader of the map's iteration order, [`EstimateCache::entries`],
+//! the one reader of the maps' iteration order, [`EstimateCache::entries`],
 //! feeds a persisted cache file whose writer sorts the entries.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -67,23 +87,35 @@ pub struct EstimateKey {
 }
 
 impl EstimateKey {
-    /// Builds the key for estimating a partition with the given
-    /// characteristics under the given model, device and search space.
-    pub fn new(
-        chars: &PartitionCharacteristics,
-        model: &PerfModel,
-        gpu: &GpuSpec,
-        space: &ParamSearchSpace,
-    ) -> Self {
-        EstimateKey {
-            filters: chars
-                .filters
-                .iter()
-                .map(|&(t, f)| (t.to_bits(), f))
-                .collect(),
-            io_bytes_per_exec: chars.io_bytes_per_exec,
-            sm_bytes_per_exec: chars.sm_bytes_per_exec,
-            max_firing_rate: chars.max_firing_rate,
+    /// Splits the key into its context and per-set halves.
+    fn split(self) -> (ContextKey, SetKey) {
+        (
+            ContextKey {
+                model: self.model,
+                device: self.device,
+                space: self.space,
+            },
+            SetKey {
+                filters: self.filters,
+                io_bytes_per_exec: self.io_bytes_per_exec,
+                sm_bytes_per_exec: self.sm_bytes_per_exec,
+                max_firing_rate: self.max_firing_rate,
+            },
+        )
+    }
+}
+
+/// The half of an [`EstimateKey`] every query of one estimator shares.
+#[derive(Debug, PartialEq, Eq)]
+struct ContextKey {
+    model: (u64, u64, u32, bool),
+    device: (u32, u32),
+    space: (Vec<u32>, Vec<u32>, u32),
+}
+
+impl ContextKey {
+    fn new(model: &PerfModel, gpu: &GpuSpec, space: &ParamSearchSpace) -> Self {
+        ContextKey {
             model: (
                 model.c1.to_bits(),
                 model.c2.to_bits(),
@@ -98,6 +130,95 @@ impl EstimateKey {
             ),
         }
     }
+
+    /// The full key of `set` in this context.
+    fn join(&self, set: &SetKey) -> EstimateKey {
+        EstimateKey {
+            filters: set.filters.clone(),
+            io_bytes_per_exec: set.io_bytes_per_exec,
+            sm_bytes_per_exec: set.sm_bytes_per_exec,
+            max_firing_rate: set.max_firing_rate,
+            model: self.model,
+            device: self.device,
+            space: self.space.clone(),
+        }
+    }
+}
+
+/// The per-set half of an [`EstimateKey`], owned: built only when a query
+/// inserts a new cell (or a preload stores one).
+#[derive(Debug, PartialEq, Eq)]
+struct SetKey {
+    filters: Vec<(u64, u64)>,
+    io_bytes_per_exec: u64,
+    sm_bytes_per_exec: u64,
+    max_firing_rate: u64,
+}
+
+impl SetKey {
+    fn new(chars: &PartitionCharacteristics) -> Self {
+        SetKey {
+            filters: chars
+                .filters
+                .iter()
+                .map(|&(t, f)| (t.to_bits(), f))
+                .collect(),
+            io_bytes_per_exec: chars.io_bytes_per_exec,
+            sm_bytes_per_exec: chars.sm_bytes_per_exec,
+            max_firing_rate: chars.max_firing_rate,
+        }
+    }
+
+    /// `true` if this is the key of `chars`, without building that key.
+    fn matches(&self, chars: &PartitionCharacteristics) -> bool {
+        self.io_bytes_per_exec == chars.io_bytes_per_exec
+            && self.sm_bytes_per_exec == chars.sm_bytes_per_exec
+            && self.max_firing_rate == chars.max_firing_rate
+            && self.filters.len() == chars.filters.len()
+            && self
+                .filters
+                .iter()
+                .zip(&chars.filters)
+                .all(|(&(t, f), &(ct, cf))| t == ct.to_bits() && f == cf)
+    }
+
+    fn hash(&self) -> u64 {
+        set_hash(
+            self.filters.iter().copied(),
+            self.io_bytes_per_exec,
+            self.sm_bytes_per_exec,
+            self.max_firing_rate,
+        )
+    }
+}
+
+/// The hash of a per-set key, computed alike from the owned [`SetKey`] and
+/// from borrowed characteristics.
+fn set_hash(
+    filters: impl ExactSizeIterator<Item = (u64, u64)>,
+    io_bytes_per_exec: u64,
+    sm_bytes_per_exec: u64,
+    max_firing_rate: u64,
+) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_usize(filters.len());
+    for (t, f) in filters {
+        h.write_u64(t);
+        h.write_u64(f);
+    }
+    h.write_u64(io_bytes_per_exec);
+    h.write_u64(sm_bytes_per_exec);
+    h.write_u64(max_firing_rate);
+    h.finish()
+}
+
+fn chars_hash(chars: &PartitionCharacteristics) -> u64 {
+    set_hash(
+        chars.filters.iter().map(|&(t, f)| (t.to_bits(), f)),
+        chars.io_bytes_per_exec,
+        chars.sm_bytes_per_exec,
+        chars.max_firing_rate,
+    )
 }
 
 /// Version of the estimation *algorithm* (model equations, parameter-search
@@ -107,7 +228,8 @@ impl EstimateKey {
 /// answer, so persisted caches from older binaries are rejected instead of
 /// silently replaying stale estimates. A speed-up that leaves every answer
 /// bit-identical does not bump it: skipping parameter ladders that cannot
-/// win and reusing the search's sums left it at 1.
+/// win, reusing the search's sums and splitting the cache into two levels
+/// left it at 1.
 pub const ESTIMATOR_ALGORITHM_VERSION: u32 = 1;
 
 /// Hit/miss/size counters of an [`EstimateCache`].
@@ -139,8 +261,28 @@ impl CacheStats {
     }
 }
 
-/// The cache's map: one single-flight cell per key.
-type Cells = HashMap<EstimateKey, Arc<OnceLock<Option<Estimate>>>, BuildHasherDefault<FxHasher>>;
+/// One single-flight cell: the answer, once computed.
+type Cell = Arc<OnceLock<Option<Estimate>>>;
+
+/// A context's map: per-set hash → every (key, cell) of that hash.
+type Cells = HashMap<u64, Vec<(SetKey, Cell)>, BuildHasherDefault<FxHasher>>;
+
+/// The first level of the cache: the cells of every key that shares one
+/// (model, device, search space). An estimator holds its context from the
+/// moment it attaches the cache.
+#[derive(Debug)]
+pub(crate) struct CacheContext {
+    key: ContextKey,
+    cells: RwLock<Cells>,
+}
+
+/// The cell of `chars` in `bucket`, if there is one.
+fn find<'a>(bucket: &'a [(SetKey, Cell)], chars: &PartitionCharacteristics) -> Option<&'a Cell> {
+    bucket
+        .iter()
+        .find(|(key, _)| key.matches(chars))
+        .map(|(_, cell)| cell)
+}
 
 /// A shared, thread-safe estimate cache.
 ///
@@ -148,9 +290,10 @@ type Cells = HashMap<EstimateKey, Arc<OnceLock<Option<Estimate>>>, BuildHasherDe
 /// passing it to [`Estimator::with_shared_cache`](crate::Estimator::with_shared_cache).
 #[derive(Default)]
 pub struct EstimateCache {
-    map: RwLock<Cells>,
+    contexts: RwLock<Vec<Arc<CacheContext>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    entries: AtomicU64,
 }
 
 impl EstimateCache {
@@ -164,28 +307,64 @@ impl EstimateCache {
         Arc::new(EstimateCache::new())
     }
 
-    /// Returns the cached estimate for `key`, computing it with `compute` if
-    /// absent. Concurrent callers with the same fresh key block until the
-    /// single in-flight computation finishes; exactly one of them is counted
-    /// as the miss.
-    pub fn get_or_compute(
+    /// The context of every query under `model`, `gpu` and `space`, created
+    /// empty on first use.
+    pub(crate) fn context(
         &self,
-        key: EstimateKey,
+        model: &PerfModel,
+        gpu: &GpuSpec,
+        space: &ParamSearchSpace,
+    ) -> Arc<CacheContext> {
+        self.context_of(ContextKey::new(model, gpu, space))
+    }
+
+    fn context_of(&self, key: ContextKey) -> Arc<CacheContext> {
+        let known =
+            |contexts: &[Arc<CacheContext>]| contexts.iter().find(|c| c.key == key).map(Arc::clone);
+        if let Some(context) = known(&self.contexts.read().expect("estimate cache lock poisoned")) {
+            return context;
+        }
+        let mut contexts = self.contexts.write().expect("estimate cache lock poisoned");
+        if let Some(context) = known(&contexts) {
+            return context;
+        }
+        let context = Arc::new(CacheContext {
+            key,
+            cells: RwLock::new(HashMap::default()),
+        });
+        contexts.push(context.clone());
+        context
+    }
+
+    /// Returns the cached estimate for `chars` in `context`, which must come
+    /// from this cache, computing it with `compute` if absent. Concurrent
+    /// callers with the same fresh key block until the single in-flight
+    /// computation finishes; exactly one of them is counted as the miss.
+    pub(crate) fn get_or_compute(
+        &self,
+        context: &CacheContext,
+        chars: &PartitionCharacteristics,
         compute: impl FnOnce() -> Option<Estimate>,
     ) -> Option<Estimate> {
+        let hash = chars_hash(chars);
         let existing = {
-            let map = self.map.read().expect("estimate cache lock poisoned");
-            map.get(&key).cloned()
+            let cells = context.cells.read().expect("estimate cache lock poisoned");
+            cells
+                .get(&hash)
+                .and_then(|bucket| find(bucket, chars))
+                .cloned()
         };
         let (cell, fresh) = match existing {
             Some(cell) => (cell, false),
             None => {
-                let mut map = self.map.write().expect("estimate cache lock poisoned");
-                match map.entry(key) {
-                    Entry::Occupied(e) => (e.get().clone(), false),
-                    Entry::Vacant(v) => {
-                        let cell = Arc::new(OnceLock::new());
-                        v.insert(cell.clone());
+                let mut cells = context.cells.write().expect("estimate cache lock poisoned");
+                let bucket = cells.entry(hash).or_insert_with(|| Vec::with_capacity(1));
+                match find(bucket, chars) {
+                    Some(cell) => (cell.clone(), false),
+                    None => {
+                        let cell = Cell::default();
+                        bucket.push((SetKey::new(chars), cell.clone()));
+                        self.entries.fetch_add(1, Ordering::Relaxed);
                         (cell, true)
                     }
                 }
@@ -204,12 +383,17 @@ impl EstimateCache {
     /// A snapshot of every completed entry, for persistence. In-flight
     /// computations (cells not yet initialised) are skipped.
     pub fn entries(&self) -> Vec<(EstimateKey, Option<Estimate>)> {
-        self.map
-            .read()
-            .expect("estimate cache lock poisoned")
-            .iter()
-            .filter_map(|(key, cell)| cell.get().map(|value| (key.clone(), *value)))
-            .collect()
+        let contexts = self.contexts.read().expect("estimate cache lock poisoned");
+        let mut entries = Vec::new();
+        for context in contexts.iter() {
+            let cells = context.cells.read().expect("estimate cache lock poisoned");
+            for (set, cell) in cells.values().flatten() {
+                if let Some(value) = cell.get() {
+                    entries.push((context.key.join(set), *value));
+                }
+            }
+        }
+        entries
     }
 
     /// Inserts a completed entry without touching the hit/miss counters, so
@@ -217,12 +401,18 @@ impl EstimateCache {
     /// of a preloaded key as a hit. A key that already exists is left
     /// untouched.
     pub fn preload(&self, key: EstimateKey, estimate: Option<Estimate>) {
-        let mut map = self.map.write().expect("estimate cache lock poisoned");
-        map.entry(key).or_insert_with(|| {
-            let cell = Arc::new(OnceLock::new());
+        let (context, set) = key.split();
+        let context = self.context_of(context);
+        let mut cells = context.cells.write().expect("estimate cache lock poisoned");
+        let bucket = cells
+            .entry(set.hash())
+            .or_insert_with(|| Vec::with_capacity(1));
+        if bucket.iter().all(|(known, _)| *known != set) {
+            let cell = Cell::default();
             cell.set(estimate).expect("fresh cell is uninitialised");
-            cell
-        });
+            bucket.push((set, cell));
+            self.entries.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Current counters.
@@ -230,13 +420,13 @@ impl EstimateCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.read().expect("estimate cache lock poisoned").len() as u64,
+            entries: self.len() as u64,
         }
     }
 
     /// Number of distinct keys stored.
     pub fn len(&self) -> usize {
-        self.map.read().expect("estimate cache lock poisoned").len()
+        self.entries.load(Ordering::Relaxed) as usize
     }
 
     /// `true` if no key has been stored yet.
@@ -260,6 +450,7 @@ impl std::fmt::Debug for EstimateCache {
 mod tests {
     use super::*;
     use crate::Estimator;
+    use proptest::prelude::*;
     use sgmap_graph::{Filter, NodeSet, StreamGraph};
 
     fn chain(works: &[f64]) -> StreamGraph {
@@ -373,6 +564,193 @@ mod tests {
             second_cache.preload(key, value);
         }
         assert_eq!(second_cache.stats().misses, 0);
+    }
+
+    /// The single-level key the two-level cache replaced: the context and
+    /// the set's characteristics in one owned key, built field by field.
+    fn reference_key(
+        chars: &PartitionCharacteristics,
+        model: &PerfModel,
+        gpu: &GpuSpec,
+        space: &ParamSearchSpace,
+    ) -> EstimateKey {
+        EstimateKey {
+            filters: chars
+                .filters
+                .iter()
+                .map(|&(t, f)| (t.to_bits(), f))
+                .collect(),
+            io_bytes_per_exec: chars.io_bytes_per_exec,
+            sm_bytes_per_exec: chars.sm_bytes_per_exec,
+            max_firing_rate: chars.max_firing_rate,
+            model: (
+                model.c1.to_bits(),
+                model.c2.to_bits(),
+                model.warp_size,
+                model.issue_throughput_correction,
+            ),
+            device: (gpu.shared_mem_bytes, gpu.max_threads_per_block),
+            space: (
+                space.s_candidates.clone(),
+                space.f_candidates.clone(),
+                space.max_w,
+            ),
+        }
+    }
+
+    /// Estimator contexts: the first, one that differs from it in device,
+    /// model constants and search space, and one each that differs from it
+    /// in only the device limits, only the model or only the search space.
+    fn contexts() -> [(PerfModel, GpuSpec, ParamSearchSpace); 5] {
+        let narrow = ParamSearchSpace {
+            s_candidates: vec![1, 2, 4],
+            f_candidates: vec![32, 64],
+            max_w: 16,
+        };
+        let (m2090, c2070) = (GpuSpec::m2090(), GpuSpec::c2070());
+        let model = PerfModel::for_gpu(&m2090);
+        let small_smem = GpuSpec {
+            shared_mem_bytes: m2090.shared_mem_bytes / 2,
+            ..m2090.clone()
+        };
+        let uncorrected = PerfModel {
+            issue_throughput_correction: !model.issue_throughput_correction,
+            ..model
+        };
+        [
+            (model, m2090.clone(), ParamSearchSpace::default()),
+            (PerfModel::for_gpu(&c2070), c2070, narrow.clone()),
+            (model, small_smem, ParamSearchSpace::default()),
+            (uncorrected, m2090.clone(), ParamSearchSpace::default()),
+            (model, m2090, narrow),
+        ]
+    }
+
+    /// Characteristics whose keys differ from the first one's in one `t_i`
+    /// bit, one `f_i`, the filter order, the filter count or one byte count.
+    fn near_keys() -> Vec<PartitionCharacteristics> {
+        let base = PartitionCharacteristics {
+            filters: vec![(12.5, 4), (3.25, 1), (40.0, 8)],
+            io_bytes_per_exec: 4096,
+            sm_bytes_per_exec: 1024,
+            max_firing_rate: 8,
+        };
+        let mut t_bit = base.clone();
+        t_bit.filters[0].0 = f64::from_bits(t_bit.filters[0].0.to_bits() ^ 1);
+        let mut f_i = base.clone();
+        f_i.filters[1].1 = 2;
+        let mut order = base.clone();
+        order.filters.swap(0, 1);
+        let mut shorter = base.clone();
+        shorter.filters.pop();
+        let mut io = base.clone();
+        io.io_bytes_per_exec += 1;
+        vec![base, t_bit, f_i, order, shorter, io]
+    }
+
+    /// A computed answer that names its context and key, so an answer
+    /// returned for the wrong key or context shows; one key has no answer.
+    fn answer(context: usize, key: usize) -> Option<Estimate> {
+        if (context, key) == (1, 2) {
+            return None;
+        }
+        Some(Estimate {
+            params: sgmap_gpusim::KernelParams {
+                w: 1 + key as u32,
+                s: 1,
+                f: 16 << context,
+            },
+            t_comp_us: 1.0,
+            t_dt_us: 2.0,
+            t_db_us: 0.5,
+            t_exec_us: 3.0,
+            normalized_us: (100 * context + key) as f64,
+            sm_bytes: 64,
+            io_bytes_per_exec: 128,
+        })
+    }
+
+    fn sorted(entries: Vec<(EstimateKey, Option<Estimate>)>) -> Vec<String> {
+        let mut rendered: Vec<String> = entries.into_iter().map(|e| format!("{e:?}")).collect();
+        rendered.sort();
+        rendered
+    }
+
+    proptest! {
+        /// The two-level cache against the single-level owned-key map it
+        /// replaced, on one random query multiset from five contexts: the
+        /// same answer to every query, the same counters and the same
+        /// entries, also after a round trip through `entries`/`preload`.
+        #[test]
+        fn two_level_cache_matches_the_owned_key_map(
+            queries in prop::collection::vec((0usize..5, 0usize..6), 0..120),
+        ) {
+            let contexts = contexts();
+            let keys = near_keys();
+            let cache = EstimateCache::new();
+            let handles: Vec<_> = contexts
+                .iter()
+                .map(|(model, gpu, space)| cache.context(model, gpu, space))
+                .collect();
+            let mut reference: HashMap<EstimateKey, Option<Estimate>> = HashMap::default();
+            let mut expected = CacheStats::default();
+            for &(c, k) in &queries {
+                let got = cache.get_or_compute(&handles[c], &keys[k], || answer(c, k));
+                let (model, gpu, space) = &contexts[c];
+                let key = reference_key(&keys[k], model, gpu, space);
+                let want = match reference.get(&key) {
+                    Some(&known) => {
+                        expected.hits += 1;
+                        known
+                    }
+                    None => {
+                        expected.misses += 1;
+                        reference.insert(key, answer(c, k));
+                        answer(c, k)
+                    }
+                };
+                prop_assert_eq!(got, want, "query ({}, {})", c, k);
+            }
+            expected.entries = reference.len() as u64;
+            prop_assert_eq!(cache.stats(), expected);
+            let entries = sorted(cache.entries());
+            prop_assert_eq!(&entries, &sorted(reference.into_iter().collect()));
+
+            // A cache preloaded from the snapshot holds the same entries and
+            // answers every stored key as a hit, computing nothing.
+            let restored = EstimateCache::new();
+            for (key, value) in cache.entries() {
+                restored.preload(key, value);
+            }
+            prop_assert_eq!(&sorted(restored.entries()), &entries);
+            prop_assert_eq!(restored.stats().queries(), 0);
+            let restored_handles: Vec<_> = contexts
+                .iter()
+                .map(|(model, gpu, space)| restored.context(model, gpu, space))
+                .collect();
+            for &(c, k) in &queries {
+                let got = restored.get_or_compute(&restored_handles[c], &keys[k], || {
+                    panic!("a preloaded key was computed")
+                });
+                prop_assert_eq!(got, answer(c, k));
+            }
+            prop_assert_eq!(restored.stats().misses, 0);
+        }
+    }
+
+    #[test]
+    fn a_set_key_matches_exactly_the_characteristics_it_was_built_from() {
+        // Near keys usually hash apart, so the cache compares them only on
+        // a hash collision; the comparison must still tell them apart.
+        let keys = near_keys();
+        for a in &keys {
+            let key = SetKey::new(a);
+            assert_eq!(key.hash(), chars_hash(a));
+            for b in &keys {
+                assert_eq!(key.matches(b), SetKey::new(b) == key, "{a:?} vs {b:?}");
+                assert_eq!(key.matches(b), std::ptr::eq(a, b));
+            }
+        }
     }
 
     #[test]

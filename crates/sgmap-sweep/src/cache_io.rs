@@ -159,7 +159,10 @@ fn key_from_value(value: &Value) -> Result<EstimateKey, String> {
             c1.as_u64().ok_or("non-integer c1 bits")?,
             c2.as_u64().ok_or("non-integer c2 bits")?,
             u32_of(warp)?,
-            matches!(itc, Value::Bool(true)),
+            match itc {
+                Value::Bool(flag) => *flag,
+                _ => return Err("non-boolean throughput-correction flag".to_string()),
+            },
         ),
         _ => return Err("model is not a 4-tuple".to_string()),
     };
@@ -389,6 +392,16 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("entry 0"), "{err}");
+        // The model's throughput-correction flag must be a boolean: any
+        // other value in its slot is an error, not a silent `false`.
+        let json = cache_to_json(&populated_cache());
+        let flag = ",true]";
+        assert!(json.contains(flag), "the populated cache's model tuple");
+        for bad in [",0]", ",1]", ",\"true\"]", ",null]"] {
+            let err = cache_from_json(&json.replacen(flag, bad, 1), &cache).unwrap_err();
+            assert!(err.contains("entry 0"), "{bad}: {err}");
+            assert!(err.contains("throughput-correction"), "{bad}: {err}");
+        }
         assert!(cache_from_json("not json", &cache).is_err());
         assert_eq!(cache.len(), 0);
     }
