@@ -4,6 +4,10 @@
 //! CI used to smoke-check the quick preset with an inline Python script;
 //! this module replaces it so the pipeline has no Python dependency and the
 //! exact validator CI runs is available to users locally.
+//!
+//! Each artefact's field rules are private tables of (path, type, rule)
+//! rows that one walker checks; the rules that relate several fields
+//! follow the walk as code.
 
 use std::fmt;
 
@@ -80,23 +84,168 @@ impl fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-/// Maps a [`Value`] getter's error into a [`CheckError::Shape`] prefixed
-/// with the location `at`.
-fn shape(at: &str) -> impl Fn(String) -> CheckError + '_ {
-    move |e| CheckError::Shape(format!("{at}: {e}"))
+/// A [`CheckError::Shape`] for `problem` at the location `at` (the document
+/// root when empty).
+fn shape_at(at: &str, problem: impl fmt::Display) -> CheckError {
+    let sep = if at.is_empty() { "" } else { ": " };
+    CheckError::Shape(format!("{at}{sep}{problem}"))
 }
 
-/// The number field `field` of `value`, which must be finite and
-/// non-negative.
-fn non_negative(value: &Value, field: &str, at: &str) -> Result<f64, CheckError> {
-    let v = value.f64(field).map_err(shape(at))?;
-    if !v.is_finite() || v < 0.0 {
-        return Err(CheckError::Shape(format!(
-            "{at}: '{field}' must be finite and non-negative, got {v}"
-        )));
-    }
-    Ok(v)
+/// The JSON type a schema row expects.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// A non-negative integer.
+    Int,
+    /// A number; every rule rejects a non-finite one.
+    Num,
+    /// A string.
+    Str,
+    /// An array.
+    List,
 }
+
+/// What a schema row's value must hold beyond its type.
+#[derive(Clone, Copy)]
+enum Rule {
+    /// Nothing more.
+    Present,
+    /// A string or array with at least one element.
+    NonEmpty,
+    /// Exactly 0.
+    Zero,
+    /// Greater than 0.
+    Positive,
+    /// At least 0.
+    NonNegative,
+    /// At least the bound.
+    AtLeast(f64),
+    /// Within the closed interval.
+    Within(f64, f64),
+}
+
+use Kind::{Int, List, Num, Str};
+use Rule::{AtLeast, NonEmpty, NonNegative, Positive, Present, Within, Zero};
+
+/// One schema row: (path, type, rule). A path is dot-separated keys from
+/// where the walk starts; `key[]` visits every element of the array `key`
+/// and `*` every field of an object, as in `compiles[].build_ms`,
+/// `sweep.cache.misses` and `histograms.*.count`. Every array and object on
+/// the way must exist; an empty one leaves its rows nothing to check.
+type Row = (&'static str, Kind, Rule);
+
+/// Checks one value of a row, named `field` in messages. A string or an
+/// array is measured by its length.
+fn check_value(value: Option<&Value>, field: &str, kind: Kind, rule: Rule) -> Result<(), String> {
+    let (name, x) = match kind {
+        Int => ("integer", value.and_then(Value::as_u64).map(|v| v as f64)),
+        Num => ("number", value.and_then(Value::as_f64)),
+        Str => (
+            "string",
+            value.and_then(Value::as_str).map(|s| s.len() as f64),
+        ),
+        List => (
+            "array",
+            value.and_then(Value::as_array).map(|a| a.len() as f64),
+        ),
+    };
+    let x = x.ok_or_else(|| format!("missing {name} '{field}'"))?;
+    if !x.is_finite() {
+        return Err(format!("'{field}' must be finite, got {x}"));
+    }
+    let (ok, need) = match rule {
+        Present => return Ok(()),
+        NonEmpty if x == 0.0 => return Err(format!("empty {field}")),
+        NonEmpty => return Ok(()),
+        Zero => (x == 0.0, "0".to_string()),
+        Positive => (x > 0.0, "positive".to_string()),
+        NonNegative => (x >= 0.0, "non-negative".to_string()),
+        AtLeast(k) => (x >= k, format!(">= {k}")),
+        Within(lo, hi) => ((lo..=hi).contains(&x), format!("within [{lo}, {hi}]")),
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("'{field}' must be {need}, got {x}"))
+    }
+}
+
+/// Checks the row (`path`, `kind`, `rule`) against `doc`, which sits at
+/// the location `at` of its document.
+fn check_path(doc: &Value, at: &str, path: &str, kind: Kind, rule: Rule) -> Result<(), CheckError> {
+    let (head, rest) = match path.split_once('.') {
+        Some((head, rest)) => (head, Some(rest)),
+        None => (path, None),
+    };
+    if head == "*" {
+        let fields = doc
+            .as_object()
+            .ok_or_else(|| shape_at(at, "expected an object"))?;
+        for (name, value) in fields {
+            match rest {
+                Some(rest) => check_path(value, &format!("{at}['{name}']"), rest, kind, rule)?,
+                None => check_value(Some(value), name, kind, rule).map_err(|e| shape_at(at, e))?,
+            }
+        }
+        return Ok(());
+    }
+    let Some(rest) = rest else {
+        return check_value(doc.get(head), head, kind, rule).map_err(|e| shape_at(at, e));
+    };
+    let sep = if at.is_empty() { "" } else { "." };
+    if let Some(key) = head.strip_suffix("[]") {
+        let items = doc
+            .get(key)
+            .and_then(Value::as_array)
+            .ok_or_else(|| shape_at(at, format!("missing array '{key}'")))?;
+        for (i, item) in items.iter().enumerate() {
+            check_path(item, &format!("{at}{sep}{key}[{i}]"), rest, kind, rule)?;
+        }
+        return Ok(());
+    }
+    let child = doc
+        .get(head)
+        .filter(|v| v.as_object().is_some())
+        .ok_or_else(|| shape_at(at, format!("missing object '{head}'")))?;
+    check_path(child, &format!("{at}{sep}{head}"), rest, kind, rule)
+}
+
+/// Checks `doc`, at the location `at` of its document, against every row
+/// of `rows` in order, and returns the first violation.
+fn walk(doc: &Value, at: &str, rows: &[Row]) -> Result<(), CheckError> {
+    rows.iter()
+        .try_for_each(|&(path, kind, rule)| check_path(doc, at, path, kind, rule))
+}
+
+/// The value at the dot-separated `path` (plain keys only) of `doc`, read
+/// by `read`: how the rules that relate fields read what the walk checked.
+fn lookup<'a, T>(
+    doc: &'a Value,
+    path: &str,
+    read: impl FnOnce(&'a Value) -> Option<T>,
+) -> Result<T, CheckError> {
+    path.split('.')
+        .try_fold(doc, |v, key| v.get(key))
+        .and_then(read)
+        .ok_or_else(|| CheckError::Shape(format!("missing field '{path}'")))
+}
+
+/// Rejects a document whose `version` is not `want`; `what` names the
+/// format.
+fn check_version(doc: &Value, what: &str, want: u64) -> Result<(), CheckError> {
+    match doc.get("version").and_then(Value::as_u64) {
+        Some(v) if v == want => Ok(()),
+        other => Err(CheckError::Shape(format!(
+            "unsupported {what} version {other:?}"
+        ))),
+    }
+}
+
+/// The counters of a sweep report.
+const REPORT: &[Row] = &[
+    ("cache.hits", Int, Present),
+    ("dedup.expanded_points", Int, Present),
+    ("dedup.compile_groups", Int, Present),
+];
 
 /// Validates the JSON text of a sweep report: it must parse, contain at
 /// least one point, contain no failed points, record at least one shared-
@@ -143,19 +292,13 @@ pub fn check_report(src: &str) -> Result<CheckSummary, CheckError> {
             sample,
         });
     }
-    let counter = |object: &str, field: &str| {
-        report
-            .get(object)
-            .ok_or_else(|| format!("missing object '{object}'"))
-            .and_then(|o| o.u64(field))
-            .map_err(shape(object))
-    };
-    let cache_hits = counter("cache", "hits")?;
+    walk(&report, "", REPORT)?;
+    let cache_hits = lookup(&report, "cache.hits", Value::as_u64)?;
     if cache_hits == 0 {
         return Err(CheckError::NoCacheHits);
     }
-    let expanded_points = counter("dedup", "expanded_points")?;
-    let compile_groups = counter("dedup", "compile_groups")?;
+    let expanded_points = lookup(&report, "dedup.expanded_points", Value::as_u64)?;
+    let compile_groups = lookup(&report, "dedup.compile_groups", Value::as_u64)?;
     check_dedup(compile_groups, expanded_points, points.len() as u64, None)?;
     Ok(CheckSummary {
         points: points.len(),
@@ -306,200 +449,119 @@ impl fmt::Display for BenchCheckSummary {
     }
 }
 
-/// Validates the sweep section of a `BENCH.json`.
-fn check_bench_sweep(
-    sweep: &Value,
-    at: &str,
-    expect_no_misses: bool,
-) -> Result<(u64, f64), CheckError> {
-    let points = sweep.u64("points").map_err(shape(at))?;
-    if points == 0 {
-        return Err(CheckError::Shape(format!("{at}: zero points")));
-    }
-    if sweep.u64("failed_points").map_err(shape(at))? != 0 {
-        return Err(CheckError::Shape(format!("{at}: failed points recorded")));
-    }
-    let wall_ms = sweep.f64("wall_ms").map_err(shape(at))?;
-    if !wall_ms.is_finite() || wall_ms <= 0.0 {
-        return Err(CheckError::Shape(format!("{at}: non-positive wall_ms")));
-    }
-    let cache = sweep
-        .get("cache")
-        .ok_or_else(|| CheckError::Shape(format!("{at}: missing cache object")))?;
-    let misses = cache.u64("misses").map_err(shape(at))?;
-    let hits = cache.u64("hits").map_err(shape(at))?;
-    if expect_no_misses && misses != 0 {
-        return Err(CheckError::Shape(format!(
-            "{at}: warm-started sweep reports {misses} misses (expected 0)"
-        )));
-    }
-    if !expect_no_misses && hits + misses == 0 {
-        return Err(CheckError::Shape(format!("{at}: cache saw no queries")));
-    }
-    let dedup = sweep
-        .get("dedup")
-        .ok_or_else(|| CheckError::Shape(format!("{at}: missing dedup object")))?;
-    let expanded = dedup.u64("expanded_points").map_err(shape(at))?;
-    let groups = dedup.u64("compile_groups").map_err(shape(at))?;
-    check_dedup(groups, expanded, points, Some(at))?;
-    Ok((points, wall_ms))
-}
-
-/// The solved LP's size (`ilp_rows` / `ilp_cols`, the mapper model's own
-/// rows and columns) is recorded and positive: an ILP that searched a node solved some LP.
-fn check_lp_size(entry: &Value, at: &str) -> Result<(), CheckError> {
-    for field in ["ilp_rows", "ilp_cols"] {
-        if entry.u64(field).map_err(shape(at))? == 0 {
-            return Err(CheckError::Shape(format!("{at}: zero {field}")));
-        }
-    }
-    Ok(())
-}
+/// The fields of a version-4 `BENCH.json`. The rules that relate fields
+/// follow the walk in [`check_bench_report`].
+const BENCH: &[Row] = &[
+    ("compiles", List, NonEmpty),
+    ("compiles[].platform", Str, NonEmpty),
+    ("compiles[].build_ms", Num, NonNegative),
+    ("compiles[].estimator_ms", Num, NonNegative),
+    ("compiles[].partition_ms", Num, NonNegative),
+    ("compiles[].partition_phase1_ms", Num, NonNegative),
+    ("compiles[].partition_phase2_ms", Num, NonNegative),
+    ("compiles[].partition_phase3_ms", Num, NonNegative),
+    ("compiles[].partition_phase4_ms", Num, NonNegative),
+    ("compiles[].finish_ms", Num, NonNegative),
+    ("compiles[].total_ms", Num, Positive),
+    ("compiles[].partitions", Int, Positive),
+    ("compiles[].estimate_queries", Int, Positive),
+    // Every timed compile maps onto >= 2 GPUs with the ILP, so its solver
+    // must have visited at least the root node and pivoted.
+    ("compiles[].ilp_nodes", Int, Positive),
+    ("compiles[].lp_iterations", Int, Positive),
+    ("compiles[].ilp_rows", Int, Positive),
+    ("compiles[].ilp_cols", Int, Positive),
+    // The sparse-LU backend counts refactorisations and every solve
+    // reports its proven optimality gap.
+    ("compiles[].lp_refactorizations", Int, Present),
+    ("compiles[].ilp_gap", Num, NonNegative),
+    ("compiles[].lp_warm_starts", Int, Present),
+    ("synthetic_scaling", List, NonEmpty),
+    ("synthetic_scaling[].app", Str, NonEmpty),
+    ("synthetic_scaling[].filters", Int, Positive),
+    ("synthetic_scaling[].partitions", Int, Positive),
+    // A synthetic graph is far larger than the coarsening target, so the
+    // multilevel pipeline must actually have coarsened.
+    ("synthetic_scaling[].coarsen_levels", Int, Positive),
+    ("synthetic_scaling[].build_ms", Num, NonNegative),
+    ("synthetic_scaling[].estimator_ms", Num, NonNegative),
+    ("synthetic_scaling[].coarsen_ms", Num, NonNegative),
+    ("synthetic_scaling[].initial_ms", Num, NonNegative),
+    ("synthetic_scaling[].refine_ms", Num, NonNegative),
+    ("synthetic_scaling[].partition_ms", Num, NonNegative),
+    ("synthetic_scaling[].map_ms", Num, NonNegative),
+    ("synthetic_scaling[].total_ms", Num, Positive),
+    // A node-capped branch-and-bound still returns a feasible mapping and
+    // an honest (finite) optimality gap.
+    ("budget_bounded.max_nodes", Int, Positive),
+    ("budget_bounded.partitions", Int, Positive),
+    ("budget_bounded.ilp_nodes", Int, Positive),
+    ("budget_bounded.ilp_rows", Int, Positive),
+    ("budget_bounded.ilp_cols", Int, Positive),
+    ("budget_bounded.ilp_gap", Num, NonNegative),
+    ("budget_bounded.map_ms", Num, Positive),
+    // Degradation-aware remapping holds its acceptance bar: it moves work
+    // off the lost device, at least 5x faster than a full recompile and
+    // within 10 % of its objective.
+    ("repair.moved_partitions", Int, Positive),
+    ("repair.repair_ms", Num, Positive),
+    ("repair.recompile_ms", Num, Positive),
+    ("repair.speedup", Num, AtLeast(5.0)),
+    ("repair.objective_ratio", Num, Positive),
+    ("repair.objective_ratio", Num, Within(0.0, 1.1)),
+    // The robustness preset ran clean and its summary is well-formed.
+    ("stability.points", Int, Positive),
+    ("stability.failed_points", Int, Zero),
+    ("stability.compared_points", Int, Positive),
+    ("stability.unchanged_mappings", Int, Present),
+    ("stability.mapping_stability", Num, Within(0.0, 1.0)),
+    ("stability.max_objective_spread", Num, NonNegative),
+    ("sweep.points", Int, Positive),
+    ("sweep.failed_points", Int, Zero),
+    ("sweep.wall_ms", Num, Positive),
+    ("sweep.cache.hits", Int, Present),
+    ("sweep.cache.misses", Int, Present),
+    ("sweep.dedup.expanded_points", Int, Present),
+    ("sweep.dedup.compile_groups", Int, Present),
+];
 
 /// Validates the JSON text of a `perfbench` report (`BENCH.json`): format
-/// version 4, a non-empty list of timed compiles with positive wall-clocks,
-/// non-zero estimate counts and live ILP solver counters (`ilp_nodes`,
-/// `lp_iterations`, `lp_refactorizations`, a finite non-negative
-/// `ilp_gap` and a positive LP size `ilp_rows` / `ilp_cols` per compile, at
-/// least one `lp_warm_starts` across the suite — the revised simplex must
-/// actually be warm-starting), a
-/// `synthetic_scaling` curve whose largest point partitioned a graph of at
-/// least 50 000 filters through the multilevel pipeline (non-zero coarsen
-/// levels, non-negative phase timings), a `budget_bounded` point whose
-/// node-capped branch-and-bound still produced a feasible mapping with a
-/// finite optimality gap and a positive LP size, a `repair` section whose
-/// degradation-aware remapping is at least 5× faster than the full recompile while staying
-/// within 10 % of its objective, a `stability` section with a well-formed
-/// mapping-stability fraction and no failed points, and a healthy sweep
-/// section. A report whose sweep
-/// was warm-started from a persistent cache file
-/// (`cache_preloaded_entries > 0`) must additionally report zero
-/// shared-cache misses — the contract of cache persistence. The field may be
-/// absent (a cold sweep) but, when present, must be a non-negative integer.
+/// version 4, then every row of the private `BENCH` table in `check.rs`
+/// (one row per field: its path, type and rule; every number must be
+/// finite), then the rules that relate fields: at least one
+/// `lp_warm_starts` across the compiles, a synthetic scaling curve reaching
+/// 50 000 filters, no more `unchanged_mappings` than `compared_points`, a
+/// well-formed optional `cache_preloaded_entries` whose positive value
+/// demands zero sweep cache misses (a cold sweep must have queried the
+/// cache), and consistent sweep dedup counters.
 ///
 /// # Errors
 ///
 /// Returns the first [`CheckError`] encountered.
 pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
     let report = Value::parse(src).map_err(CheckError::Parse)?;
-    match report.get("version").and_then(Value::as_u64) {
-        Some(4) => {}
-        other => {
-            return Err(CheckError::Shape(format!(
-                "unsupported BENCH.json version {other:?}"
-            )))
-        }
-    }
-    let compiles = report.array("compiles").map_err(CheckError::Shape)?;
-    if compiles.is_empty() {
-        return Err(CheckError::Shape("no timed compiles".to_string()));
-    }
-    let mut compile_total_ms = 0.0;
-    let mut total_warm_starts = 0u64;
-    for (i, compile) in compiles.iter().enumerate() {
-        let at = format!("compile {i}");
-        if compile.string("platform").map_err(shape(&at))?.is_empty() {
-            return Err(CheckError::Shape(format!("{at}: empty platform label")));
-        }
-        for field in [
-            "build_ms",
-            "estimator_ms",
-            "partition_ms",
-            "partition_phase1_ms",
-            "partition_phase2_ms",
-            "partition_phase3_ms",
-            "partition_phase4_ms",
-            "finish_ms",
-        ] {
-            let v = compile.f64(field).map_err(shape(&at))?;
-            if v < 0.0 {
-                return Err(CheckError::Shape(format!("{at}: negative {field}")));
-            }
-        }
-        let total = compile.f64("total_ms").map_err(shape(&at))?;
-        if !total.is_finite() || total <= 0.0 {
-            return Err(CheckError::Shape(format!("{at}: non-positive total_ms")));
-        }
-        compile_total_ms += total;
-        if compile.u64("partitions").map_err(shape(&at))? == 0 {
-            return Err(CheckError::Shape(format!("{at}: zero partitions")));
-        }
-        if compile.u64("estimate_queries").map_err(shape(&at))? == 0 {
-            return Err(CheckError::Shape(format!("{at}: zero estimate queries")));
-        }
-        // Every timed compile maps onto >= 2 GPUs with the ILP, so its
-        // solver must have visited at least the root node and pivoted.
-        if compile.u64("ilp_nodes").map_err(shape(&at))? == 0 {
-            return Err(CheckError::Shape(format!("{at}: zero ilp_nodes")));
-        }
-        if compile.u64("lp_iterations").map_err(shape(&at))? == 0 {
-            return Err(CheckError::Shape(format!("{at}: zero lp_iterations")));
-        }
-        check_lp_size(compile, &at)?;
-        // The sparse-LU backend counts refactorisations (>= 1 per cold
-        // solve) and every solve reports its proven optimality gap.
-        compile.u64("lp_refactorizations").map_err(shape(&at))?;
-        let gap = compile.f64("ilp_gap").map_err(shape(&at))?;
-        if !gap.is_finite() || gap < 0.0 {
-            return Err(CheckError::Shape(format!(
-                "{at}: ilp_gap must be finite and non-negative, got {gap}"
-            )));
-        }
-        total_warm_starts += compile.u64("lp_warm_starts").map_err(shape(&at))?;
-    }
+    check_version(&report, "BENCH.json", 4)?;
+    walk(&report, "", BENCH)?;
+    let compiles = lookup(&report, "compiles", Value::as_array)?;
+    let synthetic = lookup(&report, "synthetic_scaling", Value::as_array)?;
     // A compile whose root relaxation is already integral legitimately
     // reports zero warm starts, but across the whole suite the
     // branch-and-bound searches must have reoptimised dual-warm somewhere.
-    if total_warm_starts == 0 {
+    if !compiles
+        .iter()
+        .any(|c| c.get("lp_warm_starts").and_then(Value::as_u64) > Some(0))
+    {
         return Err(CheckError::Shape(
             "no lp_warm_starts recorded across any compile".to_string(),
         ));
     }
-    let synthetic = report
-        .array("synthetic_scaling")
-        .map_err(CheckError::Shape)?;
-    if synthetic.is_empty() {
-        return Err(CheckError::Shape(
-            "empty synthetic_scaling curve".to_string(),
-        ));
+    let mut compile_total_ms = 0.0;
+    for compile in compiles {
+        compile_total_ms += lookup(compile, "total_ms", Value::as_f64)?;
     }
     let mut synthetic_max_filters = 0u64;
-    for (i, point) in synthetic.iter().enumerate() {
-        let at = format!("synthetic point {i}");
-        if point.string("app").map_err(shape(&at))?.is_empty() {
-            return Err(CheckError::Shape(format!("{at}: empty app name")));
-        }
-        let filters = point.u64("filters").map_err(shape(&at))?;
-        if filters == 0 {
-            return Err(CheckError::Shape(format!("{at}: zero filters")));
-        }
-        synthetic_max_filters = synthetic_max_filters.max(filters);
-        if point.u64("partitions").map_err(shape(&at))? == 0 {
-            return Err(CheckError::Shape(format!("{at}: zero partitions")));
-        }
-        // A synthetic graph is far larger than the coarsening target, so the
-        // multilevel pipeline must actually have coarsened.
-        if point.u64("coarsen_levels").map_err(shape(&at))? == 0 {
-            return Err(CheckError::Shape(format!("{at}: zero coarsen levels")));
-        }
-        for field in [
-            "build_ms",
-            "estimator_ms",
-            "coarsen_ms",
-            "initial_ms",
-            "refine_ms",
-            "partition_ms",
-            "map_ms",
-        ] {
-            let v = point.f64(field).map_err(shape(&at))?;
-            if v < 0.0 {
-                return Err(CheckError::Shape(format!("{at}: negative {field}")));
-            }
-        }
-        let total = point.f64("total_ms").map_err(shape(&at))?;
-        if !total.is_finite() || total <= 0.0 {
-            return Err(CheckError::Shape(format!("{at}: non-positive total_ms")));
-        }
+    for point in synthetic {
+        synthetic_max_filters = synthetic_max_filters.max(lookup(point, "filters", Value::as_u64)?);
     }
     // The whole point of the curve is to exercise the partitioner past the
     // paper's benchmark sizes.
@@ -508,110 +570,13 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
             "synthetic_scaling tops out at {synthetic_max_filters} filters (need >= 50000)"
         )));
     }
-    // The budget-bounded point proves a node-capped branch-and-bound still
-    // returns a feasible mapping and an honest (finite) optimality gap.
-    let budget = report
-        .get("budget_bounded")
-        .ok_or_else(|| CheckError::Shape("missing budget_bounded section".to_string()))?;
-    {
-        let at = "budget_bounded";
-        if budget.u64("max_nodes").map_err(shape(at))? == 0 {
-            return Err(CheckError::Shape(format!("{at}: zero max_nodes")));
-        }
-        if budget.u64("partitions").map_err(shape(at))? == 0 {
-            return Err(CheckError::Shape(format!("{at}: zero partitions")));
-        }
-        if budget.u64("ilp_nodes").map_err(shape(at))? == 0 {
-            return Err(CheckError::Shape(format!("{at}: zero ilp_nodes")));
-        }
-        check_lp_size(budget, at)?;
-        let gap = budget.f64("ilp_gap").map_err(shape(at))?;
-        if !gap.is_finite() || gap < 0.0 {
-            return Err(CheckError::Shape(format!(
-                "{at}: ilp_gap must be finite and non-negative, got {gap}"
-            )));
-        }
-        let map_ms = budget.f64("map_ms").map_err(shape(at))?;
-        if !map_ms.is_finite() || map_ms <= 0.0 {
-            return Err(CheckError::Shape(format!("{at}: non-positive map_ms")));
-        }
+    let compared = lookup(&report, "stability.compared_points", Value::as_u64)?;
+    let unchanged = lookup(&report, "stability.unchanged_mappings", Value::as_u64)?;
+    if unchanged > compared {
+        return Err(CheckError::Shape(format!(
+            "stability: {unchanged} unchanged mappings exceed {compared} compared points"
+        )));
     }
-    // The repair section proves the degradation-aware remapping path holds
-    // its acceptance bar: much cheaper than a recompile, nearly as good.
-    let repair = report
-        .get("repair")
-        .ok_or_else(|| CheckError::Shape("missing repair section".to_string()))?;
-    let repair_speedup;
-    {
-        let at = "repair";
-        if repair.u64("moved_partitions").map_err(shape(at))? == 0 {
-            return Err(CheckError::Shape(format!(
-                "{at}: no partitions moved off the lost device"
-            )));
-        }
-        let repair_ms = repair.f64("repair_ms").map_err(shape(at))?;
-        let recompile_ms = repair.f64("recompile_ms").map_err(shape(at))?;
-        if !repair_ms.is_finite() || repair_ms <= 0.0 {
-            return Err(CheckError::Shape(format!("{at}: non-positive repair_ms")));
-        }
-        if !recompile_ms.is_finite() || recompile_ms <= 0.0 {
-            return Err(CheckError::Shape(format!(
-                "{at}: non-positive recompile_ms"
-            )));
-        }
-        repair_speedup = repair.f64("speedup").map_err(shape(at))?;
-        if !repair_speedup.is_finite() || repair_speedup < 5.0 {
-            return Err(CheckError::Shape(format!(
-                "{at}: repair is only {repair_speedup:.2}x faster than a full recompile (need >= 5x)"
-            )));
-        }
-        let ratio = repair.f64("objective_ratio").map_err(shape(at))?;
-        if !ratio.is_finite() || ratio <= 0.0 || ratio > 1.1 {
-            return Err(CheckError::Shape(format!(
-                "{at}: repaired objective is {ratio:.4}x the recompile objective (need <= 1.1x)"
-            )));
-        }
-    }
-    // The stability section proves the robustness preset ran clean and its
-    // summary fields are well-formed.
-    let stability = report
-        .get("stability")
-        .ok_or_else(|| CheckError::Shape("missing stability section".to_string()))?;
-    let mapping_stability;
-    {
-        let at = "stability";
-        if stability.u64("points").map_err(shape(at))? == 0 {
-            return Err(CheckError::Shape(format!("{at}: zero points")));
-        }
-        if stability.u64("failed_points").map_err(shape(at))? != 0 {
-            return Err(CheckError::Shape(format!("{at}: failed points recorded")));
-        }
-        let compared = stability.u64("compared_points").map_err(shape(at))?;
-        if compared == 0 {
-            return Err(CheckError::Shape(format!("{at}: zero compared points")));
-        }
-        let unchanged = stability.u64("unchanged_mappings").map_err(shape(at))?;
-        if unchanged > compared {
-            return Err(CheckError::Shape(format!(
-                "{at}: {unchanged} unchanged mappings exceed {compared} compared points"
-            )));
-        }
-        mapping_stability = stability.f64("mapping_stability").map_err(shape(at))?;
-        if !(0.0..=1.0).contains(&mapping_stability) {
-            return Err(CheckError::Shape(format!(
-                "{at}: mapping_stability {mapping_stability} outside [0, 1]"
-            )));
-        }
-        let spread = stability.f64("max_objective_spread").map_err(shape(at))?;
-        if !spread.is_finite() || spread < 0.0 {
-            return Err(CheckError::Shape(format!(
-                "{at}: max_objective_spread must be finite and non-negative, got {spread}"
-            )));
-        }
-    }
-    let sweep = report
-        .get("sweep")
-        .ok_or_else(|| CheckError::Shape("missing sweep section".to_string()))?;
     let preloaded = match report.get("cache_preloaded_entries") {
         None => 0,
         Some(v) => v.as_u64().ok_or_else(|| {
@@ -623,16 +588,32 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
     };
     // A sweep warm-started from a covering cache file must miss nothing; a
     // cold sweep must at least have queried the cache.
-    let (sweep_points, sweep_wall_ms) = check_bench_sweep(sweep, "sweep", preloaded > 0)?;
+    let hits = lookup(&report, "sweep.cache.hits", Value::as_u64)?;
+    let misses = lookup(&report, "sweep.cache.misses", Value::as_u64)?;
+    if preloaded > 0 && misses != 0 {
+        return Err(CheckError::Shape(format!(
+            "sweep: warm-started sweep reports {misses} misses (expected 0)"
+        )));
+    }
+    if preloaded == 0 && hits == 0 && misses == 0 {
+        return Err(CheckError::Shape("sweep: cache saw no queries".to_string()));
+    }
+    let sweep_points = lookup(&report, "sweep.points", Value::as_u64)?;
+    check_dedup(
+        lookup(&report, "sweep.dedup.compile_groups", Value::as_u64)?,
+        lookup(&report, "sweep.dedup.expanded_points", Value::as_u64)?,
+        sweep_points,
+        Some("sweep"),
+    )?;
     Ok(BenchCheckSummary {
         compiles: compiles.len(),
         compile_total_ms,
         synthetic_points: synthetic.len(),
         synthetic_max_filters,
         sweep_points,
-        sweep_wall_ms,
-        repair_speedup,
-        mapping_stability,
+        sweep_wall_ms: lookup(&report, "sweep.wall_ms", Value::as_f64)?,
+        repair_speedup: lookup(&report, "repair.speedup", Value::as_f64)?,
+        mapping_stability: lookup(&report, "stability.mapping_stability", Value::as_f64)?,
     })
 }
 
@@ -688,42 +669,45 @@ impl fmt::Display for TraceCheckSummary {
     }
 }
 
+/// The fields of every Chrome trace event; the rest depend on its phase.
+const EVENT: &[Row] = &[("name", Str, NonEmpty), ("ph", Str, Present)];
+/// The fields of a complete (`"ph":"X"`) span event.
+const SPAN_EVENT: &[Row] = &[
+    ("ts", Num, NonNegative),
+    ("dur", Num, NonNegative),
+    ("pid", Num, NonNegative),
+    ("tid", Num, NonNegative),
+];
+/// The fields of an instant (`"ph":"i"`) event.
+const INSTANT_EVENT: &[Row] = &[("ts", Num, NonNegative), ("s", Str, Present)];
+/// The fields of a metadata (`"ph":"M"`) event.
+const METADATA_EVENT: &[Row] = &[("args.name", Str, Present)];
+
 /// Validates a Chrome trace-event file as the `--trace` exporter writes it.
 fn check_chrome_trace(report: &Value) -> Result<TraceCheckSummary, CheckError> {
     let events = report.array("traceEvents").map_err(CheckError::Shape)?;
     let (mut spans, mut instants, mut metadata) = (0usize, 0usize, 0usize);
     for (i, event) in events.iter().enumerate() {
         let at = format!("traceEvents[{i}]");
-        let name = event.string("name").map_err(shape(&at))?;
-        if name.is_empty() {
-            return Err(CheckError::Shape(format!("{at}: empty event name")));
-        }
-        match event.string("ph").map_err(shape(&at))? {
+        walk(event, &at, EVENT)?;
+        match lookup(event, "ph", Value::as_str)? {
             "X" => {
-                non_negative(event, "ts", &at)?;
-                non_negative(event, "dur", &at)?;
-                non_negative(event, "pid", &at)?;
-                non_negative(event, "tid", &at)?;
+                walk(event, &at, SPAN_EVENT)?;
                 spans += 1;
             }
             "i" => {
-                non_negative(event, "ts", &at)?;
-                match event.string("s").map_err(shape(&at))? {
+                walk(event, &at, INSTANT_EVENT)?;
+                match lookup(event, "s", Value::as_str)? {
                     "t" | "p" | "g" => {}
-                    s => {
-                        return Err(CheckError::Shape(format!("{at}: bad instant scope '{s}'")));
-                    }
+                    s => return Err(shape_at(&at, format!("bad instant scope '{s}'"))),
                 }
                 instants += 1;
             }
             "M" => {
-                let args = event
-                    .get("args")
-                    .ok_or_else(|| CheckError::Shape(format!("{at}: metadata without args")))?;
-                args.string("name").map_err(shape(&at))?;
+                walk(event, &at, METADATA_EVENT)?;
                 metadata += 1;
             }
-            ph => return Err(CheckError::Shape(format!("{at}: unknown phase '{ph}'"))),
+            ph => return Err(shape_at(&at, format!("unknown phase '{ph}'"))),
         }
     }
     if spans == 0 {
@@ -739,79 +723,71 @@ fn check_chrome_trace(report: &Value) -> Result<TraceCheckSummary, CheckError> {
     })
 }
 
-/// Validates an aggregate-metrics file as the `--metrics` exporter writes it.
+/// The fields of a version-1 metrics file. The rules that relate fields
+/// follow the walk in [`check_metrics`].
+const METRICS: &[Row] = &[
+    ("counters.*", Int, Present),
+    ("histograms.*.count", Int, Present),
+    ("histograms.*.sum", Int, Present),
+    ("histograms.*.min", Int, Present),
+    ("histograms.*.max", Int, Present),
+    ("histograms.*.buckets", List, Present),
+    ("spans.*.count", Int, Positive),
+    ("spans.*.total_us", Num, NonNegative),
+    ("spans.*.max_us", Num, NonNegative),
+    ("warnings", List, Present),
+    ("warnings[].code", Str, Present),
+    ("warnings[].message", Str, Present),
+    ("warnings[].ts_us", Num, NonNegative),
+];
+
+/// Validates an aggregate-metrics file as the `--metrics` exporter writes
+/// it: the `METRICS` rows, integer buckets summing to each histogram's
+/// count, and no span longer than its name's total.
 fn check_metrics(report: &Value) -> Result<TraceCheckSummary, CheckError> {
-    match report.get("version").and_then(Value::as_u64) {
-        Some(1) => {}
-        other => {
-            return Err(CheckError::Shape(format!(
-                "unsupported metrics version {other:?}"
-            )))
-        }
-    }
-    let counters = report
-        .get("counters")
-        .and_then(Value::as_object)
-        .ok_or_else(|| CheckError::Shape("missing counters object".to_string()))?;
-    for (name, value) in counters {
-        if value.as_u64().is_none() {
-            return Err(CheckError::Shape(format!(
-                "counter '{name}' is not a non-negative integer"
-            )));
-        }
-    }
-    let histograms = report
-        .get("histograms")
-        .and_then(Value::as_object)
-        .ok_or_else(|| CheckError::Shape("missing histograms object".to_string()))?;
+    check_version(report, "metrics", 1)?;
+    walk(report, "", METRICS)?;
+    let entries = |key: &str| lookup(report, key, Value::as_object);
+    let (counters, histograms, spans) = (
+        entries("counters")?,
+        entries("histograms")?,
+        entries("spans")?,
+    );
     for (name, h) in histograms {
-        let at = format!("histogram '{name}'");
-        let count = h.u64("count").map_err(shape(&at))?;
-        h.u64("sum").map_err(shape(&at))?;
-        h.u64("min").map_err(shape(&at))?;
-        h.u64("max").map_err(shape(&at))?;
-        let buckets = h.array("buckets").map_err(shape(&at))?;
+        let at = format!("histograms['{name}']");
+        // Summed with checked arithmetic: a wrapped sum could match `count`.
         let mut total = 0u64;
-        for b in buckets {
-            total += b
+        for b in lookup(h, "buckets", Value::as_array)? {
+            let b = b
                 .as_u64()
-                .ok_or_else(|| CheckError::Shape(format!("{at}: non-integer bucket")))?;
+                .ok_or_else(|| shape_at(&at, "non-integer bucket"))?;
+            total = total
+                .checked_add(b)
+                .ok_or_else(|| shape_at(&at, "buckets sum overflows u64"))?;
         }
+        let count = lookup(h, "count", Value::as_u64)?;
         if total != count {
-            return Err(CheckError::Shape(format!(
-                "{at}: buckets sum to {total} but count is {count}"
-            )));
+            return Err(shape_at(
+                &at,
+                format!("buckets sum to {total} but count is {count}"),
+            ));
         }
     }
-    let spans = report
-        .get("spans")
-        .and_then(Value::as_object)
-        .ok_or_else(|| CheckError::Shape("missing spans object".to_string()))?;
     for (name, s) in spans {
-        let at = format!("span '{name}'");
-        if s.u64("count").map_err(shape(&at))? == 0 {
-            return Err(CheckError::Shape(format!("{at}: zero count")));
-        }
-        let total = non_negative(s, "total_us", &at)?;
-        let max = non_negative(s, "max_us", &at)?;
+        let total = lookup(s, "total_us", Value::as_f64)?;
+        let max = lookup(s, "max_us", Value::as_f64)?;
         if max > total {
-            return Err(CheckError::Shape(format!(
-                "{at}: max_us {max} exceeds total_us {total}"
-            )));
+            return Err(shape_at(
+                &format!("spans['{name}']"),
+                format!("max_us {max} exceeds total_us {total}"),
+            ));
         }
-    }
-    let warnings = report.array("warnings").map_err(CheckError::Shape)?;
-    for (i, w) in warnings.iter().enumerate() {
-        let at = format!("warnings[{i}]");
-        w.string("code").map_err(shape(&at))?;
-        w.string("message").map_err(shape(&at))?;
-        non_negative(w, "ts_us", &at)?;
     }
     Ok(TraceCheckSummary::Metrics {
         counters: counters.len(),
         histograms: histograms.len(),
         spans: spans.len(),
-        warnings: warnings.len(),
+        warnings: lookup(report, "warnings", Value::as_array)?.len(),
     })
 }
 
@@ -1101,33 +1077,61 @@ mod tests {
         }
     }
 
+    /// A healthy metrics file with one entry of each kind, all named `x`.
+    const METRICS_JSON: &str = concat!(
+        "{\"format\":\"sgmap-metrics\",\"version\":1,\"counters\":{\"x\":3},",
+        "\"histograms\":{\"x\":{\"count\":3,\"sum\":7,\"min\":1,\"max\":4,",
+        "\"buckets\":[1,2]}},",
+        "\"spans\":{\"x\":{\"count\":2,\"total_us\":9.5,\"max_us\":6.0}},",
+        "\"warnings\":[{\"code\":\"c\",\"message\":\"m\",\"ts_us\":1.5}]}"
+    );
+
     #[test]
     fn trace_failure_modes_are_detected() {
-        assert!(matches!(check_trace("nope"), Err(CheckError::Parse(_))));
-        assert!(matches!(check_trace("{}"), Err(CheckError::Shape(_))));
-        // A trace with no spans at all is rejected.
-        let empty = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}";
-        assert!(matches!(check_trace(empty), Err(CheckError::Shape(_))));
-        // A span event with a bad phase.
-        let bad_ph = concat!(
-            "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"Q\",",
-            "\"pid\":1,\"tid\":1,\"ts\":0.0}]}"
-        );
-        assert!(matches!(check_trace(bad_ph), Err(CheckError::Shape(_))));
-        // Metrics whose histogram buckets disagree with the count.
-        let bad_hist = concat!(
-            "{\"format\":\"sgmap-metrics\",\"version\":1,\"counters\":{},",
-            "\"histograms\":{\"h\":{\"count\":3,\"sum\":1,\"min\":0,\"max\":1,",
-            "\"buckets\":[1,1]}},\"spans\":{},\"warnings\":[]}"
-        );
-        let err = check_trace(bad_hist).unwrap_err();
-        assert!(err.to_string().contains("buckets sum"), "{err}");
-        // An unsupported metrics version.
-        let bad_version = "{\"format\":\"sgmap-metrics\",\"version\":2}";
-        assert!(matches!(
-            check_trace(bad_version),
-            Err(CheckError::Shape(_))
-        ));
+        let metrics = |histogram: &str| {
+            format!(
+                "{{\"format\":\"sgmap-metrics\",\"version\":1,\"counters\":{{}},\"histograms\":{{\"h\":{histogram}}},\"spans\":{{}},\"warnings\":[]}}"
+            )
+        };
+        for (broken, expected) in [
+            ("nope".to_string(), "report is not valid JSON: invalid literal at byte 0"),
+            (
+                "{}".to_string(),
+                "report has unexpected shape: neither a chrome trace (traceEvents) nor a metrics file (format sgmap-metrics)",
+            ),
+            // A trace with no spans at all is rejected.
+            (
+                "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}".to_string(),
+                "report has unexpected shape: trace contains no span events",
+            ),
+            // An event with a bad phase.
+            (
+                "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"Q\",\"pid\":1,\"tid\":1,\"ts\":0.0}]}"
+                    .to_string(),
+                "report has unexpected shape: traceEvents[0]: unknown phase 'Q'",
+            ),
+            // Histogram buckets that disagree with the count.
+            (
+                metrics("{\"count\":3,\"sum\":1,\"min\":0,\"max\":1,\"buckets\":[1,1]}"),
+                "report has unexpected shape: histograms['h']: buckets sum to 2 but count is 3",
+            ),
+            // Buckets whose sum wraps around to the count.
+            (
+                metrics(
+                    "{\"count\":1,\"sum\":1,\"min\":0,\"max\":1,\"buckets\":[18446744073709551615,2]}",
+                ),
+                "report has unexpected shape: histograms['h']: buckets sum overflows u64",
+            ),
+            // An unsupported metrics version.
+            (
+                "{\"format\":\"sgmap-metrics\",\"version\":2}".to_string(),
+                "report has unexpected shape: unsupported metrics version Some(2)",
+            ),
+        ] {
+            assert_eq!(check_trace(&broken).unwrap_err().to_string(), expected);
+        }
+        // The metrics fixture of the row test passes.
+        check_trace(METRICS_JSON).unwrap();
     }
 
     #[test]
@@ -1148,126 +1152,384 @@ mod tests {
 
     #[test]
     fn bench_failure_modes_are_detected() {
-        assert!(matches!(
-            check_bench_report("nope"),
-            Err(CheckError::Parse(_))
-        ));
-        assert!(matches!(
-            check_bench_report("{\"version\":9}"),
-            Err(CheckError::Shape(_))
-        ));
-        // Version-2 reports (no lp_refactorizations / ilp_gap / budget
-        // section) no longer pass.
-        assert!(matches!(
-            check_bench_report("{\"version\":2}"),
-            Err(CheckError::Shape(_))
-        ));
-        assert!(matches!(
-            check_bench_report("{\"version\":3,\"compiles\":[]}"),
-            Err(CheckError::Shape(_))
-        ));
-        // A warm-started sweep that still misses violates the persistence
-        // contract.
-        let err = check_bench_report(&bench_json(624, Some(624))).unwrap_err();
-        assert!(err.to_string().contains("624 misses"), "{err}");
-        // A malformed warm-start count must not pass for a cold sweep.
-        for bad in ["\"624\"", "-3"] {
-            let report = bench_json(624, Some(624)).replace(
+        let shape = |msg: &str| CheckError::Shape(msg.to_string());
+        let healthy = bench_json(624, None);
+        let edit = |from: &str, to: &str| {
+            assert!(healthy.contains(from), "{from}");
+            healthy.replacen(from, to, 1)
+        };
+        let preloaded = |value: &str| {
+            bench_json(624, Some(624)).replace(
                 "\"cache_preloaded_entries\":624",
-                &format!("\"cache_preloaded_entries\":{bad}"),
-            );
-            let err = check_bench_report(&report).unwrap_err();
-            assert!(matches!(err, CheckError::Shape(_)), "{err}");
-            assert!(err.to_string().contains("cache_preloaded_entries"), "{err}");
-        }
-        // Broken counters inside otherwise valid shapes.
-        let zero_points = bench_json(624, None).replace("\"points\":48", "\"points\":0");
-        assert!(check_bench_report(&zero_points).is_err());
-        let failed = bench_json(624, None).replace("\"failed_points\":0", "\"failed_points\":2");
-        assert!(check_bench_report(&failed).is_err());
-        let bad_dedup =
-            bench_json(624, None).replace("\"compile_groups\":16", "\"compile_groups\":0");
-        assert!(matches!(
-            check_bench_report(&bad_dedup),
-            Err(CheckError::BadDedup(_))
-        ));
-        let no_partitions = bench_json(624, None).replace("\"partitions\":8", "\"partitions\":0");
-        assert!(check_bench_report(&no_partitions).is_err());
-        // The ILP counters of the revised simplex must be alive: nodes and
-        // iterations per compile, warm starts somewhere in the suite.
-        for broken in [
-            bench_json(624, None).replace("\"ilp_nodes\":57", "\"ilp_nodes\":0"),
-            bench_json(624, None).replace("\"lp_iterations\":412", "\"lp_iterations\":0"),
-            bench_json(624, None).replace("\"lp_warm_starts\":56", "\"lp_warm_starts\":0"),
-            bench_json(624, None).replace("\"ilp_nodes\":57,", ""),
-            bench_json(624, None).replace("\"lp_refactorizations\":9,", ""),
-            bench_json(624, None).replace("\"ilp_gap\":0.0,", ""),
+                &format!("\"cache_preloaded_entries\":{value}"),
+            )
+        };
+        for (broken, expected) in [
+            (
+                "nope".to_string(),
+                CheckError::Parse("invalid literal at byte 0".to_string()),
+            ),
+            (
+                "{\"version\":9}".to_string(),
+                shape("unsupported BENCH.json version Some(9)"),
+            ),
+            // Version-2 reports (no lp_refactorizations / ilp_gap / budget
+            // section) no longer pass.
+            (
+                "{\"version\":2}".to_string(),
+                shape("unsupported BENCH.json version Some(2)"),
+            ),
+            (
+                "{\"version\":3,\"compiles\":[]}".to_string(),
+                shape("unsupported BENCH.json version Some(3)"),
+            ),
+            // A warm-started sweep that still misses violates the
+            // persistence contract, and a malformed warm-start count must
+            // not pass for a cold sweep.
+            (
+                bench_json(624, Some(624)),
+                shape("sweep: warm-started sweep reports 624 misses (expected 0)"),
+            ),
+            (
+                preloaded("\"624\""),
+                shape("'cache_preloaded_entries' must be a non-negative integer, got \"624\""),
+            ),
+            (
+                preloaded("-3"),
+                shape("'cache_preloaded_entries' must be a non-negative integer, got -3"),
+            ),
+            (
+                edit("\"hits\":1102,\"misses\":624", "\"hits\":0,\"misses\":0"),
+                shape("sweep: cache saw no queries"),
+            ),
+            // Broken counters inside otherwise valid shapes.
+            (
+                edit("\"points\":48", "\"points\":0"),
+                shape("sweep: 'points' must be positive, got 0"),
+            ),
+            (
+                edit("\"failed_points\":0", "\"failed_points\":2"),
+                shape("stability: 'failed_points' must be 0, got 2"),
+            ),
+            (
+                edit("\"compile_groups\":16", "\"compile_groups\":0"),
+                CheckError::BadDedup("sweep: zero compile groups".to_string()),
+            ),
+            (
+                edit("\"partitions\":8", "\"partitions\":0"),
+                shape("compiles[0]: 'partitions' must be positive, got 0"),
+            ),
+            // A timing must be a finite number.
+            (
+                edit("\"build_ms\":0.1", "\"build_ms\":1e999"),
+                shape("compiles[0]: 'build_ms' must be finite, got inf"),
+            ),
+            (
+                edit("\"total_ms\":5705.1", "\"total_ms\":-1e999"),
+                shape("synthetic_scaling[0]: 'total_ms' must be finite, got -inf"),
+            ),
+            // The ILP counters of the revised simplex must be alive: nodes
+            // and iterations per compile, warm starts somewhere in the suite.
+            (
+                edit("\"ilp_nodes\":57", "\"ilp_nodes\":0"),
+                shape("compiles[0]: 'ilp_nodes' must be positive, got 0"),
+            ),
+            (
+                edit("\"lp_iterations\":412", "\"lp_iterations\":0"),
+                shape("compiles[0]: 'lp_iterations' must be positive, got 0"),
+            ),
+            (
+                edit("\"lp_warm_starts\":56", "\"lp_warm_starts\":0"),
+                shape("no lp_warm_starts recorded across any compile"),
+            ),
+            (
+                edit("\"ilp_nodes\":57,", ""),
+                shape("compiles[0]: missing integer 'ilp_nodes'"),
+            ),
+            (
+                edit("\"lp_refactorizations\":9,", ""),
+                shape("compiles[0]: missing integer 'lp_refactorizations'"),
+            ),
+            (
+                edit("\"ilp_gap\":0.0,", ""),
+                shape("compiles[0]: missing number 'ilp_gap'"),
+            ),
             // The solved LP's size is recorded and positive.
-            bench_json(624, None).replace("\"ilp_rows\":177,", ""),
-            bench_json(624, None).replace("\"ilp_cols\":210", "\"ilp_cols\":0"),
-            bench_json(624, None).replace("\"ilp_rows\":900", "\"ilp_rows\":0"),
-            bench_json(624, None).replace("\"ilp_cols\":1200,", ""),
+            (
+                edit("\"ilp_rows\":177,", ""),
+                shape("compiles[0]: missing integer 'ilp_rows'"),
+            ),
+            (
+                edit("\"ilp_cols\":210", "\"ilp_cols\":0"),
+                shape("compiles[0]: 'ilp_cols' must be positive, got 0"),
+            ),
+            (
+                edit("\"ilp_rows\":900", "\"ilp_rows\":0"),
+                shape("budget_bounded: 'ilp_rows' must be positive, got 0"),
+            ),
+            (
+                edit("\"ilp_cols\":1200,", ""),
+                shape("budget_bounded: missing integer 'ilp_cols'"),
+            ),
             // The budget-bounded point is mandatory and must have searched
             // at least one node, a finite gap and a positive wall-clock.
-            bench_json(624, None).replace("\"budget_bounded\":", "\"budget_bounded_x\":"),
-            bench_json(624, None).replace("\"ilp_nodes\":41", "\"ilp_nodes\":0"),
-            bench_json(624, None).replace("\"ilp_gap\":0.0312", "\"ilp_gap\":-0.5"),
-            bench_json(624, None).replace("\"map_ms\":120.5", "\"map_ms\":0.0"),
-            bench_json(624, None).replace("\"platform\":\"Tesla M2090x2\",", ""),
-            bench_json(624, None).replace("\"partition_phase1_ms\":0.4,", ""),
-            bench_json(624, None).replace(
-                "\"partition_phase3_ms\":0.5",
-                "\"partition_phase3_ms\":-0.5",
+            (
+                edit("\"budget_bounded\":", "\"budget_bounded_x\":"),
+                shape("missing object 'budget_bounded'"),
+            ),
+            (
+                edit("\"ilp_nodes\":41", "\"ilp_nodes\":0"),
+                shape("budget_bounded: 'ilp_nodes' must be positive, got 0"),
+            ),
+            (
+                edit("\"ilp_gap\":0.0312", "\"ilp_gap\":-0.5"),
+                shape("budget_bounded: 'ilp_gap' must be non-negative, got -0.5"),
+            ),
+            (
+                edit("\"map_ms\":120.5", "\"map_ms\":0.0"),
+                shape("budget_bounded: 'map_ms' must be positive, got 0"),
+            ),
+            (
+                edit("\"platform\":\"Tesla M2090x2\",", ""),
+                shape("compiles[0]: missing string 'platform'"),
+            ),
+            (
+                edit("\"partition_phase1_ms\":0.4,", ""),
+                shape("compiles[0]: missing number 'partition_phase1_ms'"),
+            ),
+            (
+                edit(
+                    "\"partition_phase3_ms\":0.5",
+                    "\"partition_phase3_ms\":-0.5",
+                ),
+                shape("compiles[0]: 'partition_phase3_ms' must be non-negative, got -0.5"),
             ),
             // The synthetic scaling curve is mandatory and must be healthy:
-            // present, coarsened, and reaching at least 50k filters.
-            bench_json(624, None).replace("\"synthetic_scaling\":[", "\"synthetic_scaling_x\":["),
-            bench_json(624, None).replace("\"filters\":57126", "\"filters\":49999"),
-            bench_json(624, None).replace("\"coarsen_levels\":8", "\"coarsen_levels\":0"),
-            bench_json(624, None).replace("\"coarsen_ms\":2200.0", "\"coarsen_ms\":-1.0"),
-            bench_json(624, None).replace("\"refine_ms\":900.0,", ""),
+            // present, non-empty, coarsened, and reaching 50k filters.
+            (
+                edit("\"synthetic_scaling\":[", "\"synthetic_scaling_x\":["),
+                shape("missing array 'synthetic_scaling'"),
+            ),
+            (
+                edit(
+                    "\"synthetic_scaling\":[{\"app\":\"SynthPipe\"",
+                    "\"synthetic_scaling\":[],\"ignored\":[{\"app\":\"SynthPipe\"",
+                ),
+                shape("empty synthetic_scaling"),
+            ),
+            (
+                edit("\"filters\":57126", "\"filters\":49999"),
+                shape("synthetic_scaling tops out at 49999 filters (need >= 50000)"),
+            ),
+            // A curve topping out at the old 10k point no longer passes.
+            (
+                edit(
+                    "\"n\":50000,\"filters\":57126,",
+                    "\"n\":10000,\"filters\":11498,",
+                ),
+                shape("synthetic_scaling tops out at 11498 filters (need >= 50000)"),
+            ),
+            (
+                edit("\"coarsen_levels\":8", "\"coarsen_levels\":0"),
+                shape("synthetic_scaling[0]: 'coarsen_levels' must be positive, got 0"),
+            ),
+            (
+                edit("\"coarsen_ms\":2200.0", "\"coarsen_ms\":-1.0"),
+                shape("synthetic_scaling[0]: 'coarsen_ms' must be non-negative, got -1"),
+            ),
+            (
+                edit("\"refine_ms\":900.0,", ""),
+                shape("synthetic_scaling[0]: missing number 'refine_ms'"),
+            ),
             // The repair section is mandatory and must hold its acceptance
             // bar: >= 5x faster than the recompile, within 10% of its
             // objective, and actually moving work off the lost device.
-            bench_json(624, None).replace("\"repair\":", "\"repair_x\":"),
-            bench_json(624, None).replace("\"speedup\":35.0", "\"speedup\":3.0"),
-            bench_json(624, None).replace("\"objective_ratio\":1.0253", "\"objective_ratio\":1.2"),
-            bench_json(624, None).replace("\"moved_partitions\":5", "\"moved_partitions\":0"),
-            bench_json(624, None).replace("\"repair_ms\":2.4", "\"repair_ms\":0.0"),
+            (
+                edit("\"repair\":", "\"repair_x\":"),
+                shape("missing object 'repair'"),
+            ),
+            (
+                edit("\"speedup\":35.0", "\"speedup\":3.0"),
+                shape("repair: 'speedup' must be >= 5, got 3"),
+            ),
+            (
+                edit("\"objective_ratio\":1.0253", "\"objective_ratio\":1.2"),
+                shape("repair: 'objective_ratio' must be within [0, 1.1], got 1.2"),
+            ),
+            (
+                edit("\"objective_ratio\":1.0253", "\"objective_ratio\":0"),
+                shape("repair: 'objective_ratio' must be positive, got 0"),
+            ),
+            (
+                edit("\"moved_partitions\":5", "\"moved_partitions\":0"),
+                shape("repair: 'moved_partitions' must be positive, got 0"),
+            ),
+            (
+                edit("\"repair_ms\":2.4", "\"repair_ms\":0.0"),
+                shape("repair: 'repair_ms' must be positive, got 0"),
+            ),
             // The stability section is mandatory and must be well-formed:
             // ran clean, compared something, fraction inside [0, 1].
-            bench_json(624, None).replace("\"stability\":", "\"stability_x\":"),
-            bench_json(624, None).replace(
-                "\"failed_points\":0,\"wall_ms\":2200.0",
-                "\"failed_points\":1,\"wall_ms\":2200.0",
+            (
+                edit("\"stability\":", "\"stability_x\":"),
+                shape("missing object 'stability'"),
             ),
-            bench_json(624, None).replace("\"compared_points\":36", "\"compared_points\":0"),
-            bench_json(624, None)
-                .replace("\"mapping_stability\":0.8333", "\"mapping_stability\":1.5"),
-            bench_json(624, None).replace(
-                "\"max_objective_spread\":0.4167",
-                "\"max_objective_spread\":-1.0",
+            (
+                edit(
+                    "\"failed_points\":0,\"wall_ms\":2200.0",
+                    "\"failed_points\":1,\"wall_ms\":2200.0",
+                ),
+                shape("stability: 'failed_points' must be 0, got 1"),
+            ),
+            (
+                edit("\"compared_points\":36", "\"compared_points\":0"),
+                shape("stability: 'compared_points' must be positive, got 0"),
+            ),
+            (
+                edit("\"unchanged_mappings\":30", "\"unchanged_mappings\":37"),
+                shape("stability: 37 unchanged mappings exceed 36 compared points"),
+            ),
+            (
+                edit("\"mapping_stability\":0.8333", "\"mapping_stability\":1.5"),
+                shape("stability: 'mapping_stability' must be within [0, 1], got 1.5"),
+            ),
+            (
+                edit(
+                    "\"max_objective_spread\":0.4167",
+                    "\"max_objective_spread\":-1.0",
+                ),
+                shape("stability: 'max_objective_spread' must be non-negative, got -1"),
             ),
         ] {
-            let err = check_bench_report(&broken).unwrap_err();
-            assert!(matches!(err, CheckError::Shape(_)), "{err}");
+            assert_eq!(check_bench_report(&broken), Err(expected));
         }
-        let empty_curve = bench_json(624, None).replace(
-            "\"synthetic_scaling\":[{\"app\":\"SynthPipe\"",
-            "\"synthetic_scaling\":[],\"ignored\":[{\"app\":\"SynthPipe\"",
-        );
-        let err = check_bench_report(&empty_curve).unwrap_err();
-        assert!(err.to_string().contains("empty synthetic_scaling"), "{err}");
-        // A curve topping out at the old 10k point no longer passes the gate.
-        let short_curve = bench_json(624, None).replace(
-            "\"n\":50000,\"filters\":57126,",
-            "\"n\":10000,\"filters\":11498,",
-        );
-        let err = check_bench_report(&short_curve).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("tops out at 11498 filters (need >= 50000)"),
-            "{err}"
-        );
+    }
+
+    /// The fields of a JSON object.
+    type Fields = Vec<(String, Value)>;
+
+    /// Calls `edit` with the object holding each field the schema `path`
+    /// names in `doc`, and that field's key.
+    fn edit_fields(doc: &mut Value, path: &str, edit: &mut dyn FnMut(&mut Fields, &str)) {
+        let Value::Object(fields) = doc else {
+            panic!("{path} runs through a non-object");
+        };
+        let Some((head, rest)) = path.split_once('.') else {
+            let keys: Vec<String> = match path {
+                "*" => fields.iter().map(|(k, _)| k.clone()).collect(),
+                key => vec![key.to_string()],
+            };
+            for key in keys {
+                edit(fields, &key);
+            }
+            return;
+        };
+        let key = head.strip_suffix("[]").unwrap_or(head);
+        for (k, v) in fields.iter_mut() {
+            if head == "*" || k == key {
+                match v {
+                    Value::Array(items) if head.ends_with("[]") => {
+                        for item in items {
+                            edit_fields(item, rest, edit);
+                        }
+                    }
+                    v => edit_fields(v, rest, edit),
+                }
+            }
+        }
+    }
+
+    /// For each row of `rows`, breaks the healthy document `healthy` twice
+    /// or three times: the row's field deleted, set to a value that breaks
+    /// its rule and, for a number, set to infinity. Each must fail `check`
+    /// with a shape error that names the row's location and field, so a row
+    /// the walker never reads, or a rule that cannot fail, breaks the test.
+    /// `*` in a path stands for the key `x`, the only one `healthy` uses.
+    /// `prefix` leads from the document to where the walk of `rows` starts.
+    fn assert_rows_live(
+        prefix: &str,
+        rows: &[Row],
+        healthy: &str,
+        check: impl Fn(&str) -> Result<(), CheckError>,
+    ) {
+        check(healthy).unwrap();
+        let doc = Value::parse(healthy).unwrap();
+        for &(row_path, kind, rule) in rows {
+            let path = format!("{prefix}{row_path}");
+            let path = path.as_str();
+            let (at, field) = match path.rsplit_once('.') {
+                Some((at, field)) => (at.replace("[]", "[0]").replace(".*", "['x']"), field),
+                None => (String::new(), path),
+            };
+            let field = if field == "*" { "x" } else { field };
+            let breaking = match (kind, rule) {
+                (Int | Num, Present) => "\"x\"".to_string(),
+                (Str | List, Present) => "1".to_string(),
+                (Str, NonEmpty) => "\"\"".to_string(),
+                (List, NonEmpty) => "[]".to_string(),
+                (_, Zero) => "1".to_string(),
+                (_, Positive) => "0".to_string(),
+                (_, NonNegative) => "-1".to_string(),
+                (_, AtLeast(k)) => (k - 1.0).to_string(),
+                (_, Within(_, hi)) => (hi + 1.0).to_string(),
+                (Int | Num, NonEmpty) => panic!("{path}: NonEmpty is for strings and arrays"),
+            };
+            let mut values = vec![breaking];
+            if kind == Num {
+                values.push("1e999".to_string());
+            }
+            let mut variants = Vec::new();
+            // Deleting a `*` field leaves nothing to check.
+            if !path.ends_with('*') {
+                let mut deleted = doc.clone();
+                edit_fields(&mut deleted, path, &mut |fields, key| {
+                    fields.retain(|(k, _)| k != key);
+                });
+                variants.push(deleted.render());
+            }
+            for value in values {
+                let mut broken = doc.clone();
+                edit_fields(&mut broken, path, &mut |fields, key| {
+                    for (k, v) in fields.iter_mut() {
+                        if k == key {
+                            *v = Value::str("@BROKEN@");
+                        }
+                    }
+                });
+                variants.push(broken.render().replace("\"@BROKEN@\"", &value));
+            }
+            for variant in variants {
+                assert_ne!(variant, doc.render(), "{path}: the edit found no field");
+                match check(&variant) {
+                    Err(CheckError::Shape(msg)) => {
+                        let names_location = at.is_empty() || msg.starts_with(&format!("{at}: "));
+                        assert!(names_location && msg.contains(field), "{path}: {msg}");
+                    }
+                    other => panic!("{path}: expected a shape error, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_schema_row_is_live() {
+        assert_rows_live("", BENCH, &bench_json(624, None), |s| {
+            check_bench_report(s).map(drop)
+        });
+        let trace = |s: &str| check_trace(s).map(drop);
+        assert_rows_live("", METRICS, METRICS_JSON, trace);
+        let report = report(vec![ok_record(0)], 5, 1).canonical_json();
+        assert_rows_live("", REPORT, &report, |s| check_report(s).map(drop));
+        // Each event table walks the first event of a trace whose second
+        // event is a span.
+        let span = "{\"name\":\"s\",\"ph\":\"X\",\"ts\":1,\"dur\":2,\"pid\":1,\"tid\":1}";
+        let chrome = |first: &str| format!("{{\"traceEvents\":[{first},{span}]}}");
+        let events = "traceEvents[].";
+        assert_rows_live(events, EVENT, &chrome(span), trace);
+        assert_rows_live(events, SPAN_EVENT, &chrome(span), trace);
+        let instant = "{\"name\":\"n\",\"ph\":\"i\",\"ts\":1,\"s\":\"t\"}";
+        assert_rows_live(events, INSTANT_EVENT, &chrome(instant), trace);
+        let metadata = "{\"name\":\"n\",\"ph\":\"M\",\"args\":{\"name\":\"p\"}}";
+        assert_rows_live(events, METADATA_EVENT, &chrome(metadata), trace);
     }
 }
