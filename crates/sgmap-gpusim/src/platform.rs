@@ -255,7 +255,7 @@ impl PlatformSpec {
     /// degenerate (a clock or bandwidth that is not finite and positive, a
     /// zero count or size, negative or non-finite access cycles), the count
     /// does not fit the interconnect shape, the shape itself is invalid, or
-    /// a link scale factor is not positive.
+    /// a link scale factor is not finite and positive.
     pub fn build(&self) -> Result<Platform, TopologyError> {
         let n = self.gpus.len();
         if n == 0 {
@@ -269,10 +269,10 @@ impl PlatformSpec {
                 )));
             }
         }
-        let positive = |scale: f64| scale > 0.0; // NaN is rejected too
-        if !positive(self.bandwidth_scale) || !positive(self.latency_scale) {
+        let valid = |scale: f64| scale.is_finite() && scale > 0.0;
+        if !valid(self.bandwidth_scale) || !valid(self.latency_scale) {
             return Err(TopologyError::UnsupportedShape(format!(
-                "platform '{}': link scale factors must be positive \
+                "platform '{}': link scale factors must be finite and positive \
                  (bandwidth {}, latency {})",
                 self.name, self.bandwidth_scale, self.latency_scale
             )));
@@ -401,15 +401,26 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(unit, base);
-        // Non-positive factors are rejected.
-        assert!(PlatformSpec::paper()
-            .with_link_scales(0.0, 1.0)
-            .build()
-            .is_err());
-        assert!(PlatformSpec::paper()
-            .with_link_scales(1.0, -0.5)
-            .build()
-            .is_err());
+        // Non-positive and non-finite factors are rejected.
+        for (bandwidth, latency) in [
+            (0.0, 1.0),
+            (1.0, -0.5),
+            (f64::INFINITY, 1.0),
+            (1.0, f64::INFINITY),
+            (f64::NAN, 1.0),
+        ] {
+            let err = PlatformSpec::nvlink8_m2090()
+                .with_link_scales(bandwidth, latency)
+                .build()
+                .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "platform 'nvlink8': link scale factors \
+                     must be finite and positive (bandwidth {bandwidth}, latency {latency})"
+                )
+            );
+        }
     }
 
     #[test]

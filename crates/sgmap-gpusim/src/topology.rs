@@ -318,12 +318,13 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if either factor is not positive.
+    /// Panics if either factor is not finite and positive.
     #[must_use]
     pub fn with_scaled_links(mut self, bandwidth_factor: f64, latency_factor: f64) -> Self {
+        let valid = |factor: f64| factor.is_finite() && factor > 0.0;
         assert!(
-            bandwidth_factor > 0.0 && latency_factor > 0.0,
-            "link scale factors must be positive: bandwidth {bandwidth_factor}, \
+            valid(bandwidth_factor) && valid(latency_factor),
+            "link scale factors must be finite and positive: bandwidth {bandwidth_factor}, \
              latency {latency_factor}"
         );
         for link in &mut self.links {

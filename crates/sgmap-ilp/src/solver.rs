@@ -28,6 +28,13 @@
 //! remaining open bound yields a reported [`SolveStats::optimality_gap`]
 //! alongside the best incumbent, so a truncated solve still says *how good*
 //! its mapping is.
+//!
+//! A caller that knows a bound on the optimum from outside the model gives
+//! it to [`Solver::objective_bound`]: once an incumbent meets it, nothing
+//! strictly better exists and the search stops, proven optimal. The bound
+//! is checked after the root relaxation and at each new incumbent, never in
+//! the LP, so the nodes the search does explore are the ones it would
+//! explore without it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -135,6 +142,7 @@ const INTEGRALITY_TOL: f64 = 1e-6;
 pub struct Solver {
     options: SolverOptions,
     warm_start: Option<Vec<f64>>,
+    objective_bound: Option<f64>,
 }
 
 /// An open node of the search tree. `bound` is the parent's LP objective —
@@ -188,6 +196,7 @@ impl Solver {
         Solver {
             options,
             warm_start: None,
+            objective_bound: None,
         }
     }
 
@@ -198,14 +207,32 @@ impl Solver {
         self
     }
 
+    /// Supplies a bound on the optimal objective known from outside the
+    /// model: a value no integer-feasible solution beats (a lower bound for
+    /// minimisation, an upper bound for maximisation). The search stops,
+    /// [`SolutionStatus::Optimal`], as soon as its incumbent is within the
+    /// tolerance that decides whether one objective is better than another
+    /// (`1e-12`) of it. The bound is checked after the root relaxation and
+    /// at every new incumbent; it never enters the LP, so every relaxation,
+    /// and the tree up to the stop, is the one the search would explore
+    /// without it. A bound that is not valid can make the search claim an
+    /// optimum it does not have.
+    pub fn objective_bound(mut self, bound: f64) -> Self {
+        self.objective_bound = Some(bound);
+        self
+    }
+
     /// Solves `model` to (proven or budget-limited) optimality.
     ///
     /// With a trace collector ambient, the whole solve runs under an
     /// `ilp.solve` span (with the solved LP's `rows` and `cols` as args),
-    /// every branch-and-bound relaxation under an `ilp.node` span, and the [`SolveStats`] of each successful solve are accumulated
-    /// into the `ilp.nodes` / `ilp.lp_iterations` / `ilp.lp_warm_starts` /
+    /// every branch-and-bound relaxation under an `ilp.node` span, and the
+    /// [`SolveStats`] of each successful solve are accumulated into the
+    /// `ilp.nodes` / `ilp.lp_iterations` / `ilp.lp_warm_starts` /
     /// `ilp.lp_cold_solves` / `ilp.refactorizations` / `ilp.bound_flips`
-    /// counters. The collector is write-only: it cannot change the solution.
+    /// counters; a search that its [objective bound](Solver::objective_bound)
+    /// ended counts in `ilp.bound_stops`. The collector is write-only: it
+    /// cannot change the solution.
     ///
     /// # Errors
     ///
@@ -234,6 +261,9 @@ impl Solver {
         model.validate()?;
         let minimize = model.objective_sense() == ObjectiveSense::Minimize;
         let better = |a: f64, b: f64| is_better(minimize, a, b);
+        // Whether an incumbent objective meets the caller's bound, so that no
+        // solution is better by more than rounding noise.
+        let at_bound = |obj: f64| self.objective_bound.is_some_and(|b| !better(b, obj));
         // The branching candidates, listed once for the warm start's and
         // every node's integrality test, branching choice and rounding.
         let binaries = model.binary_vars();
@@ -299,18 +329,23 @@ impl Solver {
                 stats: finish_stats(nodes_explored, &lp, 0.0),
             });
         }
-
-        push_children(
-            &mut heap,
-            &mut dive,
-            &mut seq,
-            score_of,
-            &binaries,
-            &root,
-            root.objective,
-            &[],
-            lp.basis.snapshot(),
-        );
+        // Whether the incumbent meets the objective bound: a warm start that
+        // does needs no branching, and a later incumbent that does ends the
+        // search.
+        let mut proven = incumbent.as_ref().is_some_and(|(_, obj)| at_bound(*obj));
+        if !proven {
+            push_children(
+                &mut heap,
+                &mut dive,
+                &mut seq,
+                score_of,
+                &binaries,
+                &root,
+                root.objective,
+                &[],
+                lp.basis.snapshot(),
+            );
+        }
 
         // Best remaining bound among the open nodes,
         // optionally also covering one just-popped node.
@@ -395,6 +430,10 @@ impl Solver {
                 };
                 if accept {
                     incumbent = Some((values, obj));
+                    if at_bound(obj) {
+                        proven = true;
+                        break;
+                    }
                 }
             } else {
                 push_children(
@@ -413,8 +452,12 @@ impl Solver {
 
         match incumbent {
             Some((values, objective)) => {
-                let (status, gap) =
-                    search_end(minimize, objective, peek_bound(&heap, &dive, None), dropped);
+                let (status, gap) = if proven {
+                    sgmap_trace::add("ilp.bound_stops", 1);
+                    (SolutionStatus::Optimal, 0.0)
+                } else {
+                    search_end(minimize, objective, peek_bound(&heap, &dive, None), dropped)
+                };
                 Ok(Solution {
                     values,
                     objective,
@@ -780,6 +823,49 @@ mod tests {
             let gap = s.stats.optimality_gap;
             assert!(gap.is_finite() && gap > 0.0, "{max_nodes} nodes: gap {gap}");
         }
+    }
+
+    #[test]
+    fn an_objective_bound_ends_the_search_at_an_incumbent_that_meets_it() {
+        let mut m = Model::new(ObjectiveSense::Maximize);
+        let vars: Vec<_> = (0..10)
+            .map(|i| m.add_binary(3.0 + ((i * 7) % 5) as f64))
+            .collect();
+        m.add_constraint_le(vars.iter().map(|&v| (v, 2.0)).collect(), 9.0);
+        for pair in vars.chunks(2) {
+            m.add_constraint_le(pair.iter().map(|&v| (v, 1.0)).collect(), 1.0);
+        }
+        let exact = Solver::new().solve(&m).unwrap();
+        assert!(exact.nodes_explored > 1, "the root LP is fractional");
+
+        // An optimal warm start at the bound: proven after the root LP.
+        let s = Solver::new()
+            .warm_start(exact.values.clone())
+            .objective_bound(exact.objective)
+            .solve(&m)
+            .unwrap();
+        assert_eq!(s.status, SolutionStatus::Optimal);
+        assert_eq!((s.nodes_explored, s.stats.nodes), (1, 1));
+        assert!(s.stats.lp_iterations > 0);
+        assert_eq!(s.stats.optimality_gap, 0.0);
+        assert_eq!(s.values, exact.values);
+
+        // Without a warm start the first incumbent at the bound ends it.
+        let s = Solver::new()
+            .objective_bound(exact.objective)
+            .solve(&m)
+            .unwrap();
+        assert_eq!(s.status, SolutionStatus::Optimal);
+        assert_eq!(s.objective, exact.objective);
+        assert!(s.nodes_explored <= exact.nodes_explored);
+
+        // A bound no solution meets leaves the search as it was.
+        let s = Solver::new()
+            .objective_bound(exact.objective + 1.0)
+            .solve(&m)
+            .unwrap();
+        assert_eq!(s.values, exact.values);
+        assert_eq!(s.stats, exact.stats);
     }
 
     #[test]

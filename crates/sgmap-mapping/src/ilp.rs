@@ -43,12 +43,22 @@
 //! the only budget: no clock is read, so a mapping is a function of its
 //! inputs alone. If the budget runs out, the best incumbent (never worse
 //! than the greedy warm start) is returned.
+//!
+//! The solver also gets an exact floor on `Tmax`, the optimal compute-only
+//! makespan of the partition times (the `floor` module), as its objective
+//! bound. On a map that compute decides, the LP relaxation sees only the
+//! average load and the pigeonhole bound, and sits a few percent below a
+//! warm start that is already the best balance; the search then stops,
+//! proven optimal, as soon as its incumbent meets the floor instead of
+//! spending its budget failing to close that gap. The floor stays out of the
+//! LP, so every relaxation is the one the model states.
 
 use sgmap_gpusim::{Endpoint, LinkId, Platform};
 use sgmap_ilp::{IlpError, Model, ObjectiveSense, SolutionStatus, Solver, SolverOptions, VarId};
 use sgmap_partition::Pdg;
 
 use crate::evaluate::evaluate_assignment;
+use crate::floor::{makespan_floor, static_bound};
 use crate::greedy::map_greedy;
 use crate::{Mapping, MappingMethod};
 
@@ -148,14 +158,9 @@ impl MapperModel {
         // never beat the average load, nor the pigeonhole bound on the
         // largest partitions. The revised simplex handles variable bounds
         // natively, so they cost no rows.
-        let total_work: f64 = pdg.times_us.iter().sum();
-        // With heterogeneous devices the aggregate capacity is the sum of the
-        // inverse time factors (exactly the GPU count on homogeneous
-        // platforms).
-        let capacity: f64 = allowed.iter().map(|&j| 1.0 / platform.time_factor(j)).sum();
         model.set_bounds(
             tmax,
-            (total_work / capacity).max(pigeonhole_bound(&pdg.times_us, platform, allowed)),
+            static_bound(&pdg.times_us, platform, allowed),
             f64::INFINITY,
         );
 
@@ -329,20 +334,24 @@ pub fn map_ilp(
 ) -> Result<Mapping, IlpError> {
     let allowed: Vec<usize> = (0..platform.gpu_count()).collect();
     let incumbent = map_greedy(pdg, platform);
-    map_ilp_on(pdg, platform, options, &allowed, incumbent)
+    let floor = makespan_floor(&pdg.times_us, platform, &allowed);
+    map_ilp_on(pdg, platform, options, &allowed, incumbent, floor)
 }
 
 /// The ILP mapper restricted to a subset of the platform's GPUs: only GPUs in
 /// `allowed` get assignment columns, so the solution never places a partition
 /// elsewhere. `incumbent` is the warm start and fallback — it must already
-/// respect the restriction. [`map_ilp`] is the unrestricted special
-/// case; the repair path re-solves over the survivors of a lost device.
+/// respect the restriction. `floor`, when the floor search finished, is the
+/// optimal compute-only makespan on `allowed`: the search stops once its
+/// incumbent meets it. [`map_ilp`] is the unrestricted special case; the
+/// repair path re-solves over the survivors of a lost device.
 pub(crate) fn map_ilp_on(
     pdg: &Pdg,
     platform: &Platform,
     options: &MappingOptions,
     allowed: &[usize],
     incumbent: Mapping,
+    floor: Option<f64>,
 ) -> Result<Mapping, IlpError> {
     let g = platform.gpu_count();
     let p = pdg.len();
@@ -380,10 +389,11 @@ pub(crate) fn map_ilp_on(
         max_nodes: options.max_nodes,
         relative_gap: options.relative_gap,
     };
-    let solution = match Solver::with_options(solver_options)
-        .warm_start(warm)
-        .solve(&mm.model)
-    {
+    let mut solver = Solver::with_options(solver_options).warm_start(warm);
+    if let Some(floor) = floor {
+        solver = solver.objective_bound(floor);
+    }
+    let solution = match solver.solve(&mm.model) {
         Ok(s) => {
             // Without a relative gap, a Feasible (not Optimal) status means
             // the node budget ran out mid-search — surface it instead of
@@ -464,33 +474,12 @@ pub(crate) fn map_ilp_on(
     }
 }
 
-/// The makespan lower bound for identical machines (Dell'Amico & Martello,
-/// "Optimal scheduling of tasks on identical parallel processors", ORSA J.
-/// Computing 7(2), 1995) on the `allowed` GPUs. With the partition times
-/// sorted in descending order, the `kG + 1` largest share `G` GPUs, so some
-/// GPU receives `k + 1` of them, which take at least the `k + 1` smallest of
-/// those, `p[kG - k] + … + p[kG]` (0-based), even on the fastest allowed
-/// device. `k = 0` is the largest single partition.
-fn pigeonhole_bound(times_us: &[f64], platform: &Platform, allowed: &[usize]) -> f64 {
-    let gpus = allowed.len();
-    let fastest = allowed
-        .iter()
-        .map(|&j| platform.time_factor(j))
-        .fold(f64::INFINITY, f64::min);
-    let mut sorted = times_us.to_vec();
-    sorted.sort_unstable_by(|a, b| b.total_cmp(a));
-    let work = (0..sorted.len())
-        .step_by(gpus)
-        .map(|kg| sorted[kg - kg / gpus..=kg].iter().sum::<f64>())
-        .fold(0.0, f64::max);
-    work * fastest
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::floor::pigeonhole_bound;
     use crate::greedy::{map_greedy_on, map_round_robin};
     use crate::repair::{map_on_survivors, repair_mapping};
     use proptest::prelude::*;
@@ -642,6 +631,21 @@ mod tests {
                     })
                     .collect();
                 pdg(times, edges)
+            })
+            .boxed()
+    }
+
+    /// [`small_pdg_strategy`] with most partitions at one time, as on the
+    /// budget-limited paper-grid maps, where the floor ends the search.
+    fn equal_time_pdg_strategy() -> BoxedStrategy<Pdg> {
+        (small_pdg_strategy(), prop::collection::vec(0usize..4, 8..9))
+            .prop_map(|(mut pdg, picks)| {
+                for (t, &k) in pdg.times_us.iter_mut().zip(&picks) {
+                    if k > 0 {
+                        *t = 40.0;
+                    }
+                }
+                pdg
             })
             .boxed()
     }
@@ -971,6 +975,33 @@ mod tests {
                     })?;
                     check_claim(optimum, || {
                         repair_mapping(&pdg, &platform, &original, lost).unwrap().0
+                    })?;
+                }
+            }
+        }
+
+        /// The compute floor never cuts off an integer mapping: on every
+        /// oracle platform and survivor subset it stays at or below the
+        /// exhaustive optimum, and a node-budgeted search it ends claims
+        /// only that optimum.
+        #[test]
+        fn floor_never_exceeds_the_exhaustive_optimum(pdg in equal_time_pdg_strategy()) {
+            let budget = MappingOptions {
+                max_nodes: 80,
+                relative_gap: 0.0,
+            };
+            for platform in oracle_platforms() {
+                for allowed in survivor_subsets(platform.gpu_count()) {
+                    let optimum = exhaustive_tmax(&pdg, &platform, &allowed);
+                    let floor = makespan_floor(&pdg.times_us, &platform, &allowed);
+                    let floor = floor.expect("seven partitions stay under the node cap");
+                    prop_assert!(
+                        floor <= optimum * (1.0 + 1e-12),
+                        "{allowed:?}: floor {floor} > optimum {optimum}"
+                    );
+                    let greedy = map_greedy_on(&pdg, &platform, &allowed);
+                    check_claim(optimum, || {
+                        map_ilp_on(&pdg, &platform, &budget, &allowed, greedy, Some(floor)).unwrap()
                     })?;
                 }
             }

@@ -22,7 +22,8 @@
 //!
 //! * [`map_ilp`] — the exact formulation above, solved with the
 //!   branch-and-bound ILP solver of `sgmap-ilp` (warm-started by the greedy
-//!   mapper and bounded by a node budget),
+//!   mapper, bounded by a node budget, and stopped early once its incumbent
+//!   meets the best compute balance the partition times admit),
 //! * [`map_greedy`] — longest-processing-time list scheduling followed by a
 //!   communication-aware local search; used both as the ILP warm start and as
 //!   a fast stand-alone mapper,
@@ -38,6 +39,7 @@
 #![warn(missing_docs)]
 
 mod evaluate;
+mod floor;
 mod greedy;
 mod ilp;
 mod repair;
@@ -75,7 +77,9 @@ pub struct Mapping {
     pub per_link_time_us: Vec<f64>,
     /// The algorithm that produced this mapping.
     pub method: MappingMethod,
-    /// Whether the ILP proved optimality (always `false` for the heuristics).
+    /// Whether the mapping is proven optimal: by the ILP search, or, for a
+    /// repair patch, by meeting the survivors' compute floor (always
+    /// `false` for the stand-alone heuristics).
     pub optimal: bool,
     /// Solver counters of the ILP search (all zero for the heuristics and
     /// for the trivial single-GPU / empty cases the ILP answers directly).

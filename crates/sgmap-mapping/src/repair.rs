@@ -11,7 +11,9 @@
 //! 2. **Warm-started ILP polish** — the restricted ILP (assignment columns
 //!    only for the survivors) re-solves under a deliberately tight budget,
 //!    warm-started from the patch. The solver's incumbent guard means the
-//!    polish can only improve on the patch, never lose to it.
+//!    polish can only improve on the patch, never lose to it. A patch that
+//!    already meets the survivors' compute floor (the best balance their
+//!    partition times admit) is optimal as it stands, and skips the polish.
 //!
 //! The result is a valid mapping that never places anything on the lost
 //! device, together with [`RepairStats`] describing how much moved and what
@@ -23,6 +25,7 @@ use sgmap_ilp::IlpError;
 use sgmap_partition::Pdg;
 
 use crate::evaluate::evaluate_assignment;
+use crate::floor::{makespan_floor, meets_floor};
 use crate::greedy::map_greedy_on;
 use crate::ilp::map_ilp_on;
 use crate::{Mapping, MappingMethod, MappingOptions, SolveStats};
@@ -52,17 +55,18 @@ pub struct RepairStats {
     /// Objective of the returned mapping, microseconds.
     pub repaired_tmax_us: f64,
     /// Whether the ILP polish ran (and therefore whether `ilp_stats` is
-    /// meaningful). It runs whenever the PDG is non-empty and at least two
-    /// GPUs survive; with a single survivor the patch is already the only
-    /// possible mapping.
+    /// meaningful). It runs whenever the PDG is non-empty, at least two
+    /// GPUs survive and the patch does not already meet the survivors'
+    /// compute floor; with a single survivor the patch is already the only
+    /// possible mapping, and a patch at the floor is proven optimal.
     pub polished: bool,
     /// Solver counters of the polish step (all zero when it did not run).
     pub ilp_stats: SolveStats,
 }
 
 /// Remaps the lost device's partitions onto the surviving GPUs: the greedy
-/// patch, then the ILP polish under a fixed budget (1 s, 24 nodes, 5 %
-/// relative gap).
+/// patch, then, unless the patch already meets the survivors' compute
+/// floor, the ILP polish under a fixed budget (24 nodes, 5 % relative gap).
 ///
 /// The returned mapping assigns every partition to a GPU other than
 /// `lost_gpu`, and its objective is never worse than the greedy patch. Costs
@@ -142,12 +146,23 @@ pub fn repair_mapping(
 
     // ILP polish over the survivors, warm-started from the patch. The
     // incumbent guard inside the restricted solve keeps the patch whenever
-    // the budget-limited search cannot beat it.
-    let polish = !pdg.is_empty() && survivors.len() > 1;
-    let repaired = if polish {
-        map_ilp_on(pdg, platform, &POLISH_BUDGET, &survivors, patch)?
+    // the budget-limited search cannot beat it. A patch at the compute floor
+    // cannot be beaten, so it is returned as proven optimal.
+    let solvable = !pdg.is_empty() && survivors.len() > 1;
+    let floor = if solvable {
+        makespan_floor(&pdg.times_us, platform, &survivors)
     } else {
-        patch
+        None
+    };
+    let at_floor = floor.is_some_and(|floor| meets_floor(patch_tmax_us, floor));
+    let polish = solvable && !at_floor;
+    let repaired = if polish {
+        map_ilp_on(pdg, platform, &POLISH_BUDGET, &survivors, patch, floor)?
+    } else {
+        Mapping {
+            optimal: at_floor,
+            ..patch
+        }
     };
 
     let stats = RepairStats {
@@ -185,7 +200,8 @@ pub fn map_on_survivors(
     assert!(g > 1, "no survivors on a single-GPU platform");
     let survivors: Vec<usize> = (0..g).filter(|&j| j != lost_gpu).collect();
     let incumbent = map_greedy_on(pdg, platform, &survivors);
-    map_ilp_on(pdg, platform, options, &survivors, incumbent)
+    let floor = makespan_floor(&pdg.times_us, platform, &survivors);
+    map_ilp_on(pdg, platform, options, &survivors, incumbent, floor)
 }
 
 #[cfg(test)]
@@ -265,6 +281,24 @@ mod tests {
             assert!(!stats.polished);
             assert_eq!(stats.repaired_tmax_us, stats.patch_tmax_us);
             assert!(repaired.assignment.iter().all(|&j| j == 1 - lost));
+        }
+    }
+
+    #[test]
+    fn a_patch_at_the_compute_floor_skips_the_polish() {
+        // Six equal partitions on four GPUs: whichever device is lost, the
+        // patch leaves two on each survivor, the best balance there is.
+        let pdg = chain_pdg(&[10.0; 6], 64);
+        let platform = Platform::quad_m2090();
+        let original = crate::map_greedy(&pdg, &platform);
+        for lost in 0..platform.gpu_count() {
+            let (repaired, stats) = repair_mapping(&pdg, &platform, &original, lost).unwrap();
+            assert!(!stats.polished, "lost {lost}");
+            assert!(repaired.optimal, "lost {lost}");
+            assert_eq!(repaired.method, MappingMethod::Greedy);
+            assert_eq!(stats.repaired_tmax_us, stats.patch_tmax_us);
+            assert_eq!(stats.ilp_stats, SolveStats::default());
+            assert!(repaired.assignment.iter().all(|&j| j != lost));
         }
     }
 

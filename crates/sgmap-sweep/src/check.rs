@@ -1219,14 +1219,17 @@ mod tests {
                 edit("\"partitions\":8", "\"partitions\":0"),
                 shape("compiles[0]: 'partitions' must be positive, got 0"),
             ),
-            // A timing must be a finite number.
+            // A timing must be a finite number: an overflowing literal is
+            // already a parse error.
             (
                 edit("\"build_ms\":0.1", "\"build_ms\":1e999"),
-                shape("compiles[0]: 'build_ms' must be finite, got inf"),
+                CheckError::Parse("number '1e999' at byte 250 is out of range for f64".to_string()),
             ),
             (
                 edit("\"total_ms\":5705.1", "\"total_ms\":-1e999"),
-                shape("synthetic_scaling[0]: 'total_ms' must be finite, got -inf"),
+                CheckError::Parse(
+                    "number '-1e999' at byte 788 is out of range for f64".to_string(),
+                ),
             ),
             // The ILP counters of the revised simplex must be alive: nodes
             // and iterations per compile, warm starts somewhere in the suite.
@@ -1441,9 +1444,10 @@ mod tests {
 
     /// For each row of `rows`, breaks the healthy document `healthy` twice
     /// or three times: the row's field deleted, set to a value that breaks
-    /// its rule and, for a number, set to infinity. Each must fail `check`
-    /// with a shape error that names the row's location and field, so a row
-    /// the walker never reads, or a rule that cannot fail, breaks the test.
+    /// its rule and, for a number, set to an overflowing literal. The first
+    /// two must fail `check` with a shape error that names the row's
+    /// location and field, so a row the walker never reads, or a rule that
+    /// cannot fail, breaks the test; the overflow must fail to parse.
     /// `*` in a path stands for the key `x`, the only one `healthy` uses.
     /// `prefix` leads from the document to where the walk of `rows` starts.
     fn assert_rows_live(
@@ -1501,6 +1505,9 @@ mod tests {
             for variant in variants {
                 assert_ne!(variant, doc.render(), "{path}: the edit found no field");
                 match check(&variant) {
+                    Err(CheckError::Parse(msg)) if variant.contains("1e999") => {
+                        assert!(msg.ends_with("is out of range for f64"), "{path}: {msg}");
+                    }
                     Err(CheckError::Shape(msg)) => {
                         let names_location = at.is_empty() || msg.starts_with(&format!("{at}: "));
                         assert!(names_location && msg.contains(field), "{path}: {msg}");

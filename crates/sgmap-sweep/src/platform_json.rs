@@ -190,4 +190,32 @@ mod tests {
             platform_spec_to_json(&PlatformSpec::paper()).replace("\"sm_count\":16,", "");
         assert!(platform_spec_from_json(&truncated).is_err());
     }
+
+    #[test]
+    fn link_scales_must_be_finite_and_positive() {
+        let json = platform_spec_to_json(&PlatformSpec::nvlink8_m2090());
+        let head = "{\"name\":\"nvlink8\",";
+        assert!(json.starts_with(head));
+        for field in ["bandwidth_scale", "latency_scale"] {
+            let prefix = format!("{head}\"{field}\":");
+            let with = |value: &str| json.replacen(head, &format!("{prefix}{value},"), 1);
+            // An overflowing scale no longer parses to +inf.
+            assert_eq!(
+                platform_spec_from_json(&with("1e999")).unwrap_err(),
+                format!(
+                    "number '1e999' at byte {} is out of range for f64",
+                    prefix.len()
+                )
+            );
+            // A scale that parses but is not positive does not build.
+            let spec = platform_spec_from_json(&with("0.0")).unwrap();
+            let err = spec.build().unwrap_err().to_string();
+            assert!(
+                err.starts_with(
+                    "platform 'nvlink8': link scale factors must be finite and positive"
+                ),
+                "{err}"
+            );
+        }
+    }
 }

@@ -466,6 +466,10 @@ impl Parser<'_> {
         }
     }
 
+    /// A number as RFC 8259 writes it: an optional minus, an integer part
+    /// without leading zeros, then an optional fraction and exponent. A
+    /// number with a fraction or an exponent is a [`Value::Float`] and must
+    /// be finite; the others are integers.
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
@@ -484,23 +488,72 @@ impl Parser<'_> {
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        let unsigned = text.strip_prefix('-').unwrap_or(text);
+        let invalid = || format!("invalid number '{text}' at byte {start}");
+        if !is_json_number(unsigned) {
+            return Err(invalid());
+        }
+        if unsigned.len() > 1
+            && unsigned.starts_with('0')
+            && unsigned.as_bytes()[1].is_ascii_digit()
+        {
+            return Err(format!(
+                "invalid number '{text}' at byte {start}: leading zero"
+            ));
+        }
         if float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| format!("invalid number '{text}' at byte {start}"))
-        } else if let Some(digits) = text.strip_prefix('-') {
-            digits
+            let x = text.parse::<f64>().map_err(|_| invalid())?;
+            if !x.is_finite() {
+                return Err(format!(
+                    "number '{text}' at byte {start} is out of range for f64"
+                ));
+            }
+            Ok(Value::Float(x))
+        } else if text.starts_with('-') {
+            unsigned
                 .parse::<u64>()
                 .ok()
                 .and_then(|_| text.parse::<i64>().ok())
                 .map(Value::Int)
-                .ok_or_else(|| format!("invalid number '{text}' at byte {start}"))
+                .ok_or_else(invalid)
         } else {
-            text.parse::<u64>()
-                .map(Value::Uint)
-                .map_err(|_| format!("invalid number '{text}' at byte {start}"))
+            text.parse::<u64>().map(Value::Uint).map_err(|_| invalid())
         }
     }
+}
+
+/// Whether `unsigned`, a number without its minus sign, follows RFC 8259's
+/// grammar up to leading zeros: digits, then optionally `.` and digits, then
+/// optionally `e` or `E`, a sign and digits.
+fn is_json_number(unsigned: &str) -> bool {
+    let bytes = unsigned.as_bytes();
+    let mut pos = 0;
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos > from
+    };
+    if !digits(&mut pos) {
+        return false;
+    }
+    if bytes.get(pos) == Some(&b'.') {
+        pos += 1;
+        if !digits(&mut pos) {
+            return false;
+        }
+    }
+    if matches!(bytes.get(pos), Some(b'e' | b'E')) {
+        pos += 1;
+        if matches!(bytes.get(pos), Some(b'+' | b'-')) {
+            pos += 1;
+        }
+        if !digits(&mut pos) {
+            return false;
+        }
+    }
+    pos == bytes.len()
 }
 
 #[cfg(test)]
@@ -562,6 +615,53 @@ mod tests {
             "nan",
         ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_rfc_8259() {
+        for (good, value) in [
+            ("0", Value::Uint(0)),
+            ("-0", Value::Int(0)),
+            ("10", Value::Uint(10)),
+            ("-12", Value::Int(-12)),
+            ("0.5", Value::Float(0.5)),
+            ("-0.5e1", Value::Float(-5.0)),
+            ("2E+2", Value::Float(200.0)),
+            ("1e-999", Value::Float(0.0)),
+            ("1.7976931348623157e308", Value::Float(f64::MAX)),
+        ] {
+            assert_eq!(
+                Value::parse(good).unwrap().render(),
+                value.render(),
+                "{good}"
+            );
+        }
+        for (bad, message) in [
+            ("{\"a\":02}", "invalid number '02' at byte 5: leading zero"),
+            ("[-012]", "invalid number '-012' at byte 1: leading zero"),
+            ("[00.5]", "invalid number '00.5' at byte 1: leading zero"),
+            (
+                "{\"a\":1e999}",
+                "number '1e999' at byte 5 is out of range for f64",
+            ),
+            (
+                "[-1e999]",
+                "number '-1e999' at byte 1 is out of range for f64",
+            ),
+            (
+                "[1.8e308]",
+                "number '1.8e308' at byte 1 is out of range for f64",
+            ),
+            ("[1.]", "invalid number '1.' at byte 1"),
+            ("[1.e5]", "invalid number '1.e5' at byte 1"),
+            ("[1e]", "invalid number '1e' at byte 1"),
+            ("[1e+]", "invalid number '1e+' at byte 1"),
+            ("[-]", "invalid number '-' at byte 1"),
+            ("[1-2]", "invalid number '1-2' at byte 1"),
+            ("[1e5.0]", "invalid number '1e5.0' at byte 1"),
+        ] {
+            assert_eq!(Value::parse(bad).err().as_deref(), Some(message), "{bad}");
         }
     }
 
