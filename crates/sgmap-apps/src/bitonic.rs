@@ -120,7 +120,7 @@ pub fn build_recursive(n: u32) -> Result<StreamGraph, GraphError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgmap_graph::interp::Interpreter;
+    use crate::interp::{behavior, Interpreter};
     use sgmap_graph::FilterKind;
 
     #[test]
@@ -172,7 +172,7 @@ mod tests {
         let input: Vec<f64> = vec![5.0, 1.0, 7.0, 3.0, 2.0, 8.0, 6.0, 4.0];
         interp.set_source_data(src, input.clone());
         interp.set_behavior_by_prefix("cmp_", |_| {
-            sgmap_graph::interp::behavior(|inputs, outputs| {
+            behavior(|inputs, outputs| {
                 let (a, b) = (inputs[0][0], inputs[0][1]);
                 outputs[0].push(a.min(b));
                 outputs[0].push(a.max(b));

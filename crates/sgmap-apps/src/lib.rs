@@ -5,9 +5,10 @@
 //! FFT, DCT, MatMul2, MatMul3, BitonicRec and Bitonic, each parameterised by
 //! a size parameter `N`. This crate provides programmatic generators for all
 //! eight as [`StreamGraph`]s — the same graphs the StreamIt compiler would
-//! hand to the mapping back-end — plus executable filter semantics for the
-//! applications where exact functional checks are practical (matrix multiply,
-//! bitonic compare-exchange networks).
+//! hand to the mapping back-end. The unit tests attach executable filter
+//! semantics where exact functional checks are practical (matrix multiply,
+//! bitonic compare-exchange networks) and run them on the stream-graph
+//! interpreter of `sgmap-graph`'s test support.
 //!
 //! The generators are structurally faithful rather than line-by-line ports:
 //! the composition of pipelines and split-joins, the relative weight of
@@ -35,6 +36,10 @@ pub mod fft;
 pub mod fmradio;
 pub mod matmul;
 pub mod synthetic;
+
+#[cfg(test)]
+#[path = "../../sgmap-graph/tests/support/interp.rs"]
+mod interp;
 
 use sgmap_graph::{GraphError, StreamGraph};
 

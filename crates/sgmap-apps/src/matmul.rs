@@ -6,10 +6,9 @@
 //! such stages, forwarding the third operand past the first stage through a
 //! round-robin split-join.
 //!
-//! `MatMul2` also ships executable semantics ([`attach_matmul2_behaviors`])
-//! so the generated graph can be checked against a reference multiply.
+//! The tests attach executable semantics to `MatMul2` and check the
+//! generated graph against a reference multiply.
 
-use sgmap_graph::interp::{behavior, Interpreter};
 use sgmap_graph::{Filter, GraphBuilder, GraphError, JoinKind, SplitKind, StreamGraph, StreamSpec};
 
 use crate::{unsupported_size, App};
@@ -86,34 +85,35 @@ pub fn build_matmul3(n: u32) -> Result<StreamGraph, GraphError> {
     GraphBuilder::new(format!("MatMul3_N{n}")).build(spec)
 }
 
-/// Attaches executable semantics to a `MatMul2` graph: each row filter
-/// computes its row of `A·B` from the duplicated operand stream.
-pub fn attach_matmul2_behaviors(interp: &mut Interpreter<'_>, graph: &StreamGraph, n: u32) {
-    let n = n as usize;
-    for (id, f) in graph.filters() {
-        if let Some(rest) = f.name.strip_prefix("row_ab_") {
-            let row: usize = rest.parse().expect("row index in filter name");
-            interp.set_behavior(
-                id,
-                behavior(move |inputs, outputs| {
-                    let data = &inputs[0];
-                    let (a, b) = data.split_at(n * n);
-                    for j in 0..n {
-                        let mut acc = 0.0;
-                        for k in 0..n {
-                            acc += a[row * n + k] * b[k * n + j];
-                        }
-                        outputs[0].push(acc);
-                    }
-                }),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::{behavior, Interpreter};
+
+    /// Attaches executable semantics to a `MatMul2` graph: each row filter
+    /// computes its row of `A·B` from the duplicated operand stream.
+    fn attach_matmul2_behaviors(interp: &mut Interpreter<'_>, graph: &StreamGraph, n: u32) {
+        let n = n as usize;
+        for (id, f) in graph.filters() {
+            if let Some(rest) = f.name.strip_prefix("row_ab_") {
+                let row: usize = rest.parse().expect("row index in filter name");
+                interp.set_behavior(
+                    id,
+                    behavior(move |inputs, outputs| {
+                        let data = &inputs[0];
+                        let (a, b) = data.split_at(n * n);
+                        for j in 0..n {
+                            let mut acc = 0.0;
+                            for k in 0..n {
+                                acc += a[row * n + k] * b[k * n + j];
+                            }
+                            outputs[0].push(acc);
+                        }
+                    }),
+                );
+            }
+        }
+    }
 
     /// Reference row-major matrix multiply used by the functional tests.
     fn reference_matmul(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {

@@ -110,23 +110,6 @@ impl FlowConfig {
         self
     }
 
-    /// The prior work's full stack: SM-only partitioner, hardware-agnostic
-    /// round-robin mapping, transfers staged through the host.
-    pub fn previous_work() -> Self {
-        FlowConfig::new()
-            .with_partitioner(PartitionerKind::Baseline)
-            .with_mapper(MappingMethod::RoundRobin)
-            .with_transfer_mode(TransferMode::ViaHost)
-    }
-
-    /// The single-partition single-GPU (SPSG) reference configuration used by
-    /// the SOSP metric.
-    pub fn spsg() -> Self {
-        FlowConfig::new()
-            .with_partitioner(PartitionerKind::Single)
-            .with_gpu_count(1)
-    }
-
     /// Checks the configuration for degenerate values that would otherwise
     /// produce a nonsense run (or a panic deep inside the platform model).
     ///
@@ -185,9 +168,16 @@ mod tests {
 
     #[test]
     fn presets_differ_in_the_expected_knobs() {
+        // The prior work's stack and the SPSG reference (the sweep's
+        // `StackConfig::{previous, spsg}`).
         let ours = FlowConfig::default();
-        let prev = FlowConfig::previous_work();
-        let spsg = FlowConfig::spsg();
+        let prev = FlowConfig::new()
+            .with_partitioner(PartitionerKind::Baseline)
+            .with_mapper(MappingMethod::RoundRobin)
+            .with_transfer_mode(TransferMode::ViaHost);
+        let spsg = FlowConfig::new()
+            .with_partitioner(PartitionerKind::Single)
+            .with_gpu_count(1);
         assert_eq!(ours.partitioner, PartitionerKind::Proposed);
         assert_eq!(prev.partitioner, PartitionerKind::Baseline);
         assert_eq!(prev.mapper, MappingMethod::RoundRobin);

@@ -280,6 +280,9 @@ pub fn compile_and_run(graph: &StreamGraph, config: &FlowConfig) -> Result<RunRe
 mod tests {
     use super::*;
     use sgmap_apps::App;
+    use sgmap_gpusim::TransferMode;
+    use sgmap_mapping::MappingMethod;
+    use sgmap_partition::PartitionerKind;
 
     #[test]
     fn full_flow_runs_for_a_small_app_on_every_gpu_count() {
@@ -348,7 +351,10 @@ mod tests {
     #[test]
     fn spsg_config_produces_exactly_one_partition() {
         let graph = App::Des.build(8).unwrap();
-        let report = compile_and_run(&graph, &FlowConfig::spsg()).unwrap();
+        let spsg = FlowConfig::new()
+            .with_partitioner(PartitionerKind::Single)
+            .with_gpu_count(1);
+        let report = compile_and_run(&graph, &spsg).unwrap();
         assert_eq!(report.partition_count, 1);
         assert_eq!(report.mapping.gpus_used(), 1);
     }
@@ -425,7 +431,12 @@ mod tests {
     fn previous_work_stack_is_never_faster_than_ours_on_compute_bound_apps() {
         let graph = App::Des.build(12).unwrap();
         let ours = compile_and_run(&graph, &FlowConfig::default().with_gpu_count(4)).unwrap();
-        let prev = compile_and_run(&graph, &FlowConfig::previous_work().with_gpu_count(4)).unwrap();
+        let previous_work = FlowConfig::new()
+            .with_partitioner(PartitionerKind::Baseline)
+            .with_mapper(MappingMethod::RoundRobin)
+            .with_transfer_mode(TransferMode::ViaHost)
+            .with_gpu_count(4);
+        let prev = compile_and_run(&graph, &previous_work).unwrap();
         assert!(
             ours.time_per_iteration_us <= prev.time_per_iteration_us * 1.05,
             "ours {} vs previous {}",

@@ -67,15 +67,6 @@ pub struct KernelSpec {
 }
 
 impl KernelSpec {
-    /// Sum of the filters' single-thread times per execution, in
-    /// microseconds.
-    pub fn serial_compute_time_us(&self) -> f64 {
-        self.filters
-            .iter()
-            .map(KernelFilter::iteration_time_us)
-            .sum()
-    }
-
     /// Total IO bytes per kernel launch (`D = W * io_bytes_per_exec`).
     pub fn total_io_bytes(&self) -> u64 {
         u64::from(self.params.w) * self.io_bytes_per_exec
@@ -108,7 +99,8 @@ mod tests {
     #[test]
     fn aggregate_quantities() {
         let k = sample();
-        assert_eq!(k.serial_compute_time_us(), 9.0);
+        let serial: f64 = k.filters.iter().map(KernelFilter::iteration_time_us).sum();
+        assert_eq!(serial, 9.0);
         assert_eq!(k.total_io_bytes(), 768);
         assert_eq!(k.params.total_threads(), 3 * 2 + 64);
     }

@@ -271,6 +271,7 @@ pub fn simulate_plan(plan: &ExecutionPlan, platform: &Platform) -> ExecStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::GpuSpec;
     use crate::platform::{Platform, PlatformSpec};
 
     fn kernel(name: &str, gpu: usize, time: f64) -> PlannedKernel {
@@ -289,7 +290,7 @@ mod tests {
             n_fragments: 4,
             transfer_mode: TransferMode::PeerToPeer,
         };
-        let stats = simulate_plan(&plan, &Platform::single_m2090());
+        let stats = simulate_plan(&plan, &Platform::homogeneous(GpuSpec::m2090(), 1));
         assert!((stats.makespan_us - 4.0 * 15.0).abs() < 1e-9);
         assert!((stats.per_gpu_busy_us[0] - 60.0).abs() < 1e-9);
         assert!((stats.time_per_fragment_us() - 15.0).abs() < 1e-9);
@@ -378,7 +379,7 @@ mod tests {
 
     #[test]
     fn primary_output_transfers_extend_the_makespan() {
-        let platform = Platform::single_m2090();
+        let platform = Platform::homogeneous(GpuSpec::m2090(), 1);
         let plan = ExecutionPlan {
             kernels: vec![kernel("only", 0, 10.0)],
             transfers: vec![PlannedTransfer {
@@ -404,7 +405,7 @@ mod tests {
             n_fragments: 1,
             transfer_mode: TransferMode::PeerToPeer,
         };
-        let _ = simulate_plan(&plan, &Platform::single_m2090());
+        let _ = simulate_plan(&plan, &Platform::homogeneous(GpuSpec::m2090(), 1));
     }
 
     #[test]

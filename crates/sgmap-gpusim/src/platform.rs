@@ -44,11 +44,6 @@ impl Platform {
         Platform::homogeneous(GpuSpec::m2090(), 4)
     }
 
-    /// A single-GPU M2090 platform.
-    pub fn single_m2090() -> Self {
-        Platform::homogeneous(GpuSpec::m2090(), 1)
-    }
-
     /// Returns a homogeneous reference-tree platform with the first
     /// `gpu_count` GPUs of this one's estimation model.
     ///

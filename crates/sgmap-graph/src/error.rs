@@ -41,15 +41,6 @@ pub enum GraphError {
         /// Destination filter of the offending channel.
         dst: FilterId,
     },
-    /// An interpreter behaviour produced the wrong number of output tokens.
-    BehaviourRateViolation {
-        /// The filter whose behaviour misbehaved.
-        filter: FilterId,
-        /// Expected number of tokens.
-        expected: usize,
-        /// Number of tokens actually produced or consumed.
-        actual: usize,
-    },
     /// The requested node set is empty.
     EmptyNodeSet,
     /// An application generator was asked for a size parameter it does not
@@ -92,15 +83,6 @@ impl fmt::Display for GraphError {
                 "channel {} -> {} has a zero production or consumption rate",
                 src.index(),
                 dst.index()
-            ),
-            GraphError::BehaviourRateViolation {
-                filter,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "behaviour of filter {} produced {actual} tokens, expected {expected}",
-                filter.index()
             ),
             GraphError::EmptyNodeSet => write!(f, "node set is empty"),
             GraphError::UnsupportedSize {

@@ -15,9 +15,11 @@
 //!   convexity queries, and [`TopoIndex`] — the topological positions those
 //!   queries bound their search with,
 //! * [`FxHasher`] — the deterministic hasher of the caches keyed by node
-//!   sets and estimate keys,
-//! * [`interp`] — a functional interpreter used to check that generated
-//!   benchmark graphs compute what they claim to compute.
+//!   sets and estimate keys.
+//!
+//! The functional interpreter that checks the benchmark graphs compute what
+//! they claim to is test support (`tests/support/interp.rs`), included by
+//! the unit tests of this crate and of `sgmap-apps`.
 //!
 //! # Example
 //!
@@ -55,7 +57,6 @@ mod error;
 mod filter;
 mod fxhash;
 mod graph;
-pub mod interp;
 mod nodeset;
 mod rates;
 
@@ -67,6 +68,14 @@ pub use fxhash::FxHasher;
 pub use graph::{Channel, ChannelId, StreamGraph};
 pub use nodeset::NodeSet;
 pub use rates::{Rational, RepetitionVector};
+
+// The interpreter names this crate by its external name, as `sgmap-apps`
+// does.
+#[cfg(test)]
+extern crate self as sgmap_graph;
+#[cfg(test)]
+#[path = "../tests/support/interp.rs"]
+mod interp;
 
 /// Result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, GraphError>;

@@ -1,25 +1,52 @@
-//! A functional interpreter for stream graphs.
+//! A functional interpreter for stream graphs — test support.
 //!
 //! The mapping flow itself only needs the *structure* and *rates* of a stream
-//! graph, but the benchmark applications in `sgmap-apps` also carry real
-//! filter semantics so that the generated graphs can be checked against
-//! reference implementations (an FFT graph must compute a Fourier transform,
-//! a bitonic-sort graph must sort, and so on). This module provides that
-//! execution engine.
+//! graph, but the tests of the benchmark applications in `sgmap-apps` attach
+//! real filter semantics so that the generated graphs can be checked against
+//! reference implementations (a bitonic network must permute its keys, a
+//! matrix-multiply graph must compute the product, and so on). This file is
+//! that execution engine. It ships in no crate: `sgmap-graph` and
+//! `sgmap-apps` include it by `#[path]` in their unit tests, and it uses
+//! only the public API of `sgmap-graph`.
 //!
 //! Each filter firing consumes exactly `pop` tokens from every input channel
 //! and must produce exactly `push` tokens on every output channel (per-channel
-//! rates, as recorded on the [`Channel`](crate::Channel)s). Splitters,
+//! rates, as recorded on the `sgmap_graph::Channel`s). Splitters,
 //! joiners, sources and sinks have built-in behaviours derived from their
-//! [`FilterKind`](crate::FilterKind); compute filters use behaviours
+//! `FilterKind`; compute filters use behaviours
 //! registered by the application, falling back to a pass-through behaviour.
+
+#![allow(dead_code)] // each including crate uses a different part
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::error::GraphError;
-use crate::filter::{FilterId, FilterKind, JoinKind, SplitKind};
-use crate::graph::StreamGraph;
-use crate::Result;
+use sgmap_graph::{ChannelId, FilterId, FilterKind, GraphError, JoinKind, SplitKind, StreamGraph};
+
+/// Why a run stopped.
+#[derive(Debug, Clone, PartialEq)]
+pub enum InterpError {
+    /// The graph cannot be scheduled: cyclic over forward channels, or
+    /// inconsistent balance equations.
+    Graph(GraphError),
+    /// A filter found too few tokens on an input channel, or its behaviour
+    /// produced the wrong number of tokens on an output channel.
+    RateViolation {
+        /// The filter whose firing misbehaved.
+        filter: FilterId,
+        /// Expected number of tokens.
+        expected: usize,
+        /// Number of tokens actually available or produced.
+        actual: usize,
+    },
+}
+
+impl From<GraphError> for InterpError {
+    fn from(e: GraphError) -> Self {
+        InterpError::Graph(e)
+    }
+}
+
+type Result<T> = std::result::Result<T, InterpError>;
 
 /// A filter behaviour: consumes the popped tokens of every input channel and
 /// produces the pushed tokens of every output channel.
@@ -69,7 +96,7 @@ impl<'g> Interpreter<'g> {
     pub fn new(graph: &'g StreamGraph) -> Self {
         let queues = (0..graph.channel_count())
             .map(|i| {
-                let ch = graph.channel(crate::graph::ChannelId::from_index(i));
+                let ch = graph.channel(ChannelId::from_index(i));
                 let mut q = VecDeque::new();
                 for _ in 0..ch.initial_tokens {
                     q.push_back(0.0);
@@ -155,7 +182,7 @@ impl<'g> Interpreter<'g> {
             let need = ch.pop as usize;
             let q = &mut self.queues[cid.index()];
             if q.len() < need {
-                return Err(GraphError::BehaviourRateViolation {
+                return Err(InterpError::RateViolation {
                     filter: id,
                     expected: need,
                     actual: q.len(),
@@ -253,7 +280,7 @@ impl<'g> Interpreter<'g> {
             let ch = self.graph.channel(cid);
             let expected = ch.push as usize;
             if outputs[j].len() != expected {
-                return Err(GraphError::BehaviourRateViolation {
+                return Err(InterpError::RateViolation {
                     filter: id,
                     expected,
                     actual: outputs[j].len(),
@@ -278,8 +305,7 @@ impl std::fmt::Debug for Interpreter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{GraphBuilder, StreamSpec};
-    use crate::filter::{JoinKind, SplitKind};
+    use sgmap_graph::{GraphBuilder, StreamSpec};
 
     #[test]
     fn pipeline_with_custom_behaviour_doubles_values() {
@@ -389,7 +415,7 @@ mod tests {
         );
         assert!(matches!(
             interp.run(1),
-            Err(GraphError::BehaviourRateViolation { .. })
+            Err(InterpError::RateViolation { .. })
         ));
     }
 }

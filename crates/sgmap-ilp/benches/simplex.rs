@@ -1,6 +1,8 @@
-//! Micro-benchmarks of the revised bounded-variable simplex: cold solves vs
-//! warm-started dual reoptimisation after a single branch-style bound
-//! tightening — the exact access pattern of the branch-and-bound mapper.
+//! Micro-benchmarks of the solver on mapper-shaped models: cold LPs — the
+//! continuous relaxation of a model, which [`Solver`] answers at its root
+//! node — and node-limited branch-and-bound searches, whose nodes are
+//! warm-started dual reoptimisations after one branch-style bound
+//! tightening, the access pattern of the mapper.
 //!
 //! The `mapper80x2` / `mapper40x4` cases are sized like the benchmark's
 //! ILPs (a few hundred rows, several basis refactorisations per solve), so
@@ -12,35 +14,35 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use sgmap_ilp::simplex::VarBound;
-use sgmap_ilp::{simplex, LpSolver, Solver, SolverOptions};
+use sgmap_ilp::{Model, Solver, SolverOptions, VarId};
 
 #[path = "../tests/common/mapper.rs"]
 mod mapper;
 
 use mapper::mapper_model;
 
-fn bench_lp_cores(c: &mut Criterion) {
-    let (model, n) = mapper_model(16, 4);
-    let branch = [VarBound {
-        var: n[3][1].index(),
-        lo: 1.0,
-        hi: 1.0,
-    }];
+/// The continuous relaxation of `model`: the same columns, bounds, costs
+/// and rows with every binary continuous on its `[0, 1]` box, so a solve is
+/// one cold LP at the root node.
+fn relaxation(model: &Model) -> Model {
+    let mut lp = Model::new(model.objective_sense());
+    for i in 0..model.num_vars() {
+        let var = VarId::from(i);
+        let x = lp.add_continuous(model.objective_coefficient(var));
+        let (lo, hi) = model.var_bounds(var);
+        lp.set_bounds(x, lo, hi);
+    }
+    for row in 0..model.num_constraints() {
+        let (terms, sense, rhs) = model.constraint(row);
+        lp.add_constraint(terms.to_vec(), sense, rhs);
+    }
+    lp
+}
 
+fn bench_lp_cores(c: &mut Criterion) {
+    let lp = relaxation(&mapper_model(16, 4).0);
     c.bench_function("lp/revised-cold/mapper16x4", |b| {
-        b.iter(|| simplex::solve_lp(black_box(&model), &[]).unwrap())
-    });
-    // Warm path: solve once cold, then time the dual reoptimisation after a
-    // single bound tightening (alternating with the relaxation so every
-    // iteration really re-solves).
-    c.bench_function("lp/revised-warm/mapper16x4", |b| {
-        let mut solver = LpSolver::new(&model).unwrap();
-        solver.solve(&[]).unwrap();
-        b.iter(|| {
-            solver.solve(black_box(&branch)).unwrap();
-            solver.solve(&[]).unwrap()
-        })
+        b.iter(|| Solver::new().solve(black_box(&lp)).unwrap())
     });
 }
 
@@ -56,8 +58,9 @@ fn bench_bb(c: &mut Criterion) {
 fn bench_benchmark_scale(c: &mut Criterion) {
     for (p, g, max_nodes) in [(80, 2, 80), (40, 4, 80), (100, 6, 400)] {
         let (model, _) = mapper_model(p, g);
+        let lp = relaxation(&model);
         c.bench_function(&format!("lp/revised-cold/mapper{p}x{g}"), |b| {
-            b.iter(|| simplex::solve_lp(black_box(&model), &[]).unwrap())
+            b.iter(|| Solver::new().solve(black_box(&lp)).unwrap())
         });
         let opts = SolverOptions {
             max_nodes,

@@ -13,13 +13,12 @@
 //!   (Markowitz pivoting, product-form eta updates, stability-triggered
 //!   refactorisation), a primal two-phase method for cold solves and a
 //!   dual simplex with **devex pricing** and a **bound-flipping ratio test**
-//!   that warm-starts from the previous basis when only bounds changed
-//!   ([`simplex`], [`LpSolver`]),
+//!   that warm-starts from the previous basis when only bounds changed,
 //! * **branch-and-bound** over the binary variables with **best-bound node
 //!   ordering** plus early-incumbent dives, incumbent pruning, warm-start
 //!   incumbents, a node budget (the only budget: no clock is read), a
 //!   reported optimality gap and per-node dual reoptimisation from the
-//!   parent's basis ([`Solver`]) — a branch only tightens one bound, so the
+//!   parent's basis — a branch only tightens one bound, so the
 //!   parent basis stays dual feasible and a child relaxation typically costs
 //!   a handful of pivots instead of a full solve. Dive children find that
 //!   basis live; best-bound nodes carry a snapshot of it and restore it when
@@ -27,9 +26,13 @@
 //!   built, so a model should carry no empty column, singleton row or
 //!   bound-fixed variable it does not need (the mapper's carries none).
 //!
-//! The original dense two-phase tableau is not shipped: it lives in
-//! `tests/common/dense.rs` as the oracle the equivalence tests hold the
-//! revised simplex to.
+//! [`Solver`] is the one entry point: it runs the branch-and-bound search,
+//! and a model without binary variables is an LP solved at the root node.
+//! The simplex workspace is crate-private. The original dense two-phase
+//! tableau is not shipped: it lives in `tests/common/dense.rs` as the oracle
+//! the equivalence tests hold the revised simplex to; the LP-level tests
+//! (`tests/common/lp_equivalence.rs`) reach the workspace from inside the
+//! crate.
 //!
 //! # Example
 //!
@@ -60,7 +63,7 @@ mod lu;
 mod model;
 mod pricing;
 mod primal;
-pub mod simplex;
+mod simplex;
 mod solver;
 mod sparse;
 mod workspace;
@@ -73,12 +76,14 @@ extern crate self as sgmap_ilp;
 #[path = "../tests/common/dense.rs"]
 mod dense;
 #[cfg(test)]
+#[path = "../tests/common/lp_equivalence.rs"]
+mod lp_equivalence;
+#[cfg(test)]
 #[path = "../tests/common/mapper.rs"]
 mod mapper;
 
 pub use error::IlpError;
 pub use model::{ConstraintSense, Model, ObjectiveSense, VarId, VarKind};
-pub use simplex::{LpSolution, LpSolver, VarBound};
 pub use solver::{Solution, SolutionStatus, SolveStats, Solver, SolverOptions};
 
 /// Result alias for this crate.

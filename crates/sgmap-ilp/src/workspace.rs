@@ -29,12 +29,10 @@
 //! of thread count or load.
 
 use crate::basis::{Basis, BasisSnapshot, VarState};
-use crate::error::IlpError;
 use crate::model::{ConstraintSense, Model, ObjectiveSense};
 use crate::pricing::DevexWeights;
 use crate::simplex::{LpSolution, VarBound, TOL};
 use crate::sparse::SparseCols;
-use crate::Result;
 
 /// Counters of the LP engine, accumulated across every solve of a workspace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -65,14 +63,16 @@ pub(crate) enum LpOutcome {
     Numerical(&'static str),
 }
 
+#[cfg(test)]
 impl LpOutcome {
-    /// Converts the outcome into the crate's `Result` shape.
-    pub(crate) fn into_result(self) -> Result<LpSolution> {
+    /// Converts the outcome into the crate's `Result` shape (the tests'
+    /// view of one solve; the search matches on the outcome itself).
+    pub(crate) fn into_result(self) -> crate::Result<LpSolution> {
         match self {
             LpOutcome::Optimal(s) => Ok(s),
-            LpOutcome::Infeasible => Err(IlpError::Infeasible),
-            LpOutcome::Unbounded => Err(IlpError::Unbounded),
-            LpOutcome::Numerical(msg) => Err(IlpError::Numerical(msg)),
+            LpOutcome::Infeasible => Err(crate::IlpError::Infeasible),
+            LpOutcome::Unbounded => Err(crate::IlpError::Unbounded),
+            LpOutcome::Numerical(msg) => Err(crate::IlpError::Numerical(msg)),
         }
     }
 }

@@ -3,8 +3,11 @@
 //!
 //! The equivalence property tests solve random models with both cores and
 //! require identical feasibility verdicts and matching objectives. It reads
-//! the model only through its public accessors. The crate's own unit tests
-//! include this file too (see `src/lib.rs`), which runs the tests below.
+//! the model only through its public accessors and owns its bound and
+//! solution types, so it compiles wherever the crate's public API is
+//! visible: in the integration tests, in the crate's own unit tests (see
+//! `src/lib.rs`, which runs the tests below) and in the mapper's tests,
+//! which compare two formulations of the mapping LP through it.
 //!
 //! The solver works on the standard form
 //!
@@ -20,8 +23,30 @@
 //! 2 minimises the true objective. Dantzig pricing is used with a switch to
 //! Bland's rule after a while to guarantee termination.
 
-use sgmap_ilp::simplex::{LpSolution, VarBound, TOL};
 use sgmap_ilp::{ConstraintSense, IlpError, Model, ObjectiveSense, Result, VarId};
+
+/// Numerical tolerance of the tableau.
+const TOL: f64 = 1e-7;
+
+/// An optimal basic solution of a relaxation.
+#[derive(Debug, Clone)]
+pub struct LpSolution {
+    /// Value of each structural (model) variable.
+    pub values: Vec<f64>,
+    /// Objective value in the model's sense.
+    pub objective: f64,
+}
+
+/// An extra bound on one variable, intersected with its native bounds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VarBound {
+    /// Index of the variable being bounded.
+    pub var: usize,
+    /// Lower bound (`x >= lo`).
+    pub lo: f64,
+    /// Upper bound (`x <= hi`).
+    pub hi: f64,
+}
 
 /// One row `sum(coef * x[var]) (<=|>=|==) rhs` of the standard form.
 struct Row {

@@ -97,6 +97,7 @@ pub fn evaluate_assignment(pdg: &Pdg, platform: &Platform, assignment: &[usize])
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgmap_gpusim::GpuSpec;
     use sgmap_partition::PdgEdge;
 
     fn pdg(times: Vec<f64>, edges: Vec<PdgEdge>) -> Pdg {
@@ -149,7 +150,7 @@ mod tests {
     #[test]
     fn primary_io_is_charged_to_host_routes() {
         let p = pdg(vec![5.0], vec![]);
-        let platform = Platform::single_m2090();
+        let platform = Platform::homogeneous(GpuSpec::m2090(), 1);
         let cost = evaluate_assignment(&p, &platform, &[0]);
         // Host->GPU route has 3 hops in the reference tree truncated to one
         // GPU (host-sw1-sw2-gpu0); input and output load different directions.
@@ -161,6 +162,6 @@ mod tests {
     #[should_panic(expected = "assignment length mismatch")]
     fn wrong_length_panics() {
         let p = pdg(vec![1.0], vec![]);
-        let _ = evaluate_assignment(&p, &Platform::single_m2090(), &[0, 0]);
+        let _ = evaluate_assignment(&p, &Platform::homogeneous(GpuSpec::m2090(), 1), &[0, 0]);
     }
 }

@@ -110,6 +110,7 @@ pub fn map_round_robin(pdg: &Pdg, platform: &Platform) -> Mapping {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgmap_gpusim::GpuSpec;
     use sgmap_partition::PdgEdge;
 
     fn chain_pdg(times: &[f64], edge_bytes: u64) -> Pdg {
@@ -168,7 +169,7 @@ mod tests {
     #[test]
     fn single_gpu_platform_trivially_maps_everything_to_gpu_zero() {
         let pdg = chain_pdg(&[5.0, 6.0, 7.0], 128);
-        let platform = Platform::single_m2090();
+        let platform = Platform::homogeneous(GpuSpec::m2090(), 1);
         let g = map_greedy(&pdg, &platform);
         let r = map_round_robin(&pdg, &platform);
         assert!(g.assignment.iter().all(|&a| a == 0));

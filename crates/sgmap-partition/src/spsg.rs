@@ -8,7 +8,7 @@
 //! charging the internal channel traffic to the kernel's IO volume.
 
 use sgmap_graph::NodeSet;
-use sgmap_pee::{select_parameters, Estimate, Estimator, ParamSearchSpace};
+use sgmap_pee::{select_parameters, Estimate, Estimator};
 
 use crate::partitioning::Partition;
 
@@ -37,13 +37,12 @@ pub fn single_partition(est: &Estimator<'_>) -> Partition {
 
     let gpu = est.gpu();
     let model = est.model();
-    let (params, normalized_us) =
-        select_parameters(&chars, model, gpu, &ParamSearchSpace::default()).unwrap_or_else(|| {
-            // Even the staging buffer does not fit: fall back to a
-            // minimal, heavily serialised configuration.
-            let p = sgmap_gpusim::KernelParams { w: 1, s: 1, f: 32 };
-            (p, model.t_exec_us(&chars, p))
-        });
+    let (params, normalized_us) = select_parameters(&chars, model, gpu).unwrap_or_else(|| {
+        // Even the staging buffer does not fit: fall back to a minimal,
+        // heavily serialised configuration.
+        let p = sgmap_gpusim::KernelParams { w: 1, s: 1, f: 32 };
+        (p, model.t_exec_us(&chars, p))
+    });
     let estimate = Estimate {
         params,
         t_comp_us: model.t_comp_us(&chars, params),

@@ -13,7 +13,7 @@ use crate::chars::{
     merge_characteristics, subtract_characteristics, CharsIndex, PartitionCharacteristics, SetChars,
 };
 use crate::model::PerfModel;
-use crate::params::{search, ParamSearchSpace, Selection};
+use crate::params::{search, Selection};
 use crate::shared_cache::{CacheContext, EstimateCache};
 
 /// The PEE's answer for one partition.
@@ -84,8 +84,8 @@ pub struct Estimator<'g> {
     profile: ProfileTable,
     index: CharsIndex,
     gpu: GpuSpec,
+    /// `PerfModel::for_gpu(&gpu)`: the model is fixed by the device.
     model: PerfModel,
-    space: ParamSearchSpace,
     enhanced: bool,
     cache: RwLock<LocalCache>,
     /// The attached shared cache and this estimator's context in it.
@@ -114,7 +114,6 @@ impl<'g> Estimator<'g> {
             index,
             gpu,
             model,
-            space: ParamSearchSpace::default(),
             enhanced: false,
             cache: RwLock::new(HashMap::default()),
             shared: None,
@@ -142,11 +141,10 @@ impl<'g> Estimator<'g> {
     /// characteristics and platform parameters, so estimators for different
     /// graphs — including estimators on other threads — reuse each other's
     /// work. Cached answers are bit-identical to fresh computations. The
-    /// estimator's model, device and search space are resolved to their
-    /// context of the cache here, once, so a query keys only its
-    /// characteristics.
+    /// estimator's model and device are resolved to their context of the
+    /// cache here, once, so a query keys only its characteristics.
     pub fn with_shared_cache(mut self, cache: Arc<EstimateCache>) -> Self {
-        let context = cache.context(&self.model, &self.gpu, &self.space);
+        let context = cache.context(&self.model, &self.gpu);
         self.shared = Some((cache, context));
         self
     }
@@ -351,7 +349,7 @@ impl<'g> Estimator<'g> {
     }
 
     fn estimate_from_chars(&self, chars: &PartitionCharacteristics) -> Option<Estimate> {
-        let (selection, points) = search(chars, &self.model, &self.gpu, &self.space);
+        let (selection, points) = search(chars, &self.model, &self.gpu);
         self.add("pee.param_points", points);
         let Selection {
             params,

@@ -20,10 +20,18 @@
 //!
 //! where `t_i` is the profiled single-thread time of all firings of filter
 //! `i` in one execution, `f_i` its firing rate, and `D` the primary IO bytes
-//! of the kernel. `C1` and `C2` are calibrated constants ([`calibrate`]).
+//! of the kernel. `C1` and `C2` are derived once per device
+//! ([`PerfModel::for_gpu`]); the [`calibrate`] tests check them against a
+//! regression on the simulator, the paper's fitting procedure.
+//!
+//! An estimator's context is fixed by its GPU: the model is
+//! `PerfModel::for_gpu` of the device, and the kernel-parameter search
+//! enumerates one fixed space (`S` in 1–32, `F` in 16–256, `W` up to 64,
+//! capped by the device's shared memory and thread budget). Neither can be
+//! changed, so neither is part of an estimate-cache key.
 //!
 //! One documented deviation from the thesis text: because our substrate is a
-//! simulator with an explicit SM issue-throughput limit, `Tcomp` optionally
+//! simulator with an explicit SM issue-throughput limit, `Tcomp` always
 //! includes the saturation term `W·Σt_i / warp_size` (on real Fermi hardware
 //! the thread-count cap keeps kernels out of that regime, which is why the
 //! paper's simpler formula is accurate there). This keeps the estimator and
@@ -46,5 +54,5 @@ pub use chars::{
 };
 pub use estimator::{Estimate, Estimator};
 pub use model::{PerfModel, PAPER_C1, PAPER_C2};
-pub use params::{select_parameters, ParamSearchSpace};
+pub use params::select_parameters;
 pub use shared_cache::{CacheStats, EstimateCache, EstimateKey, ESTIMATOR_ALGORITHM_VERSION};

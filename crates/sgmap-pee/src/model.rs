@@ -6,8 +6,9 @@ use crate::chars::PartitionCharacteristics;
 
 /// The constants reported by the paper for its platform (`C1 = 38.4`,
 /// `C2 = 11.2`, in the authors' time/byte units). They are kept for
-/// reference; this reproduction derives its own defaults from the simulated
-/// device and can re-fit them by regression ([`crate::calibrate`]).
+/// reference; this reproduction derives its own from the simulated device
+/// ([`PerfModel::for_gpu`]), and the calibration tests check that a
+/// regression against the simulator lands on them ([`crate::calibrate`]).
 pub const PAPER_C1: f64 = 38.4;
 /// See [`PAPER_C1`].
 pub const PAPER_C2: f64 = 11.2;
@@ -19,11 +20,8 @@ pub struct PerfModel {
     pub c1: f64,
     /// Buffer-swap cost per byte per participating thread (microseconds).
     pub c2: f64,
-    /// Warp width used by the optional issue-throughput saturation term.
+    /// Warp width used by the issue-throughput saturation term.
     pub warp_size: u32,
-    /// Enables the SM issue-throughput correction (see the crate-level
-    /// documentation). Disable to obtain the paper's formula verbatim.
-    pub issue_throughput_correction: bool,
 }
 
 impl PerfModel {
@@ -37,27 +35,12 @@ impl PerfModel {
             c1,
             c2,
             warp_size: gpu.warp_size,
-            issue_throughput_correction: true,
         }
     }
 
-    /// Returns a copy with the given calibrated constants.
-    pub fn with_constants(mut self, c1: f64, c2: f64) -> Self {
-        self.c1 = c1;
-        self.c2 = c2;
-        self
-    }
-
-    /// Returns a copy using the paper's formula verbatim (no saturation
-    /// term).
-    pub fn without_throughput_correction(mut self) -> Self {
-        self.issue_throughput_correction = false;
-        self
-    }
-
     /// Equation III.9: compute time of the partition for `S` compute threads
-    /// per execution (optionally including the saturation term for `W`
-    /// concurrent executions).
+    /// per execution, including the saturation term for `W` concurrent
+    /// executions.
     pub fn t_comp_us(&self, chars: &PartitionCharacteristics, params: KernelParams) -> f64 {
         self.comp_from(
             latency_us(chars, params.s),
@@ -69,12 +52,8 @@ impl PerfModel {
     /// [`PerfModel::t_comp_us`] from the per-S latency sum and the serial
     /// time, both of which the caller may have computed once.
     pub(crate) fn comp_from(&self, latency: f64, serial_us: f64, w: u32) -> f64 {
-        if self.issue_throughput_correction {
-            let throughput = f64::from(w.max(1)) * serial_us / f64::from(self.warp_size);
-            latency.max(throughput)
-        } else {
-            latency
-        }
+        let throughput = f64::from(w.max(1)) * serial_us / f64::from(self.warp_size);
+        latency.max(throughput)
     }
 
     /// Equation III.10: data-transfer time for the kernel's total IO volume
@@ -174,7 +153,9 @@ mod tests {
 
     #[test]
     fn compute_time_parallelises_up_to_the_firing_rate() {
-        let m = PerfModel::default().without_throughput_correction();
+        // One execution saturates nothing: 12 µs of serial work over 32
+        // lanes stays far below every latency sum below.
+        let m = PerfModel::default();
         let c = chars(&[(8.0, 8), (4.0, 2)], 0);
         let t1 = m.t_comp_us(&c, KernelParams { w: 1, s: 1, f: 32 });
         let t4 = m.t_comp_us(&c, KernelParams { w: 1, s: 4, f: 32 });
@@ -198,7 +179,7 @@ mod tests {
 
     #[test]
     fn exec_time_is_max_plus_swap() {
-        let m = PerfModel::default().without_throughput_correction();
+        let m = PerfModel::default();
         let c = chars(&[(100.0, 1)], 64);
         let p = KernelParams { w: 1, s: 1, f: 32 };
         let t = m.t_exec_us(&c, p);
@@ -209,7 +190,7 @@ mod tests {
 
     #[test]
     fn normalisation_amortises_compute_over_w() {
-        let m = PerfModel::default().without_throughput_correction();
+        let m = PerfModel::default();
         let c = chars(&[(100.0, 1)], 16);
         let t1 = m.normalized_us(&c, KernelParams { w: 1, s: 1, f: 32 });
         let t8 = m.normalized_us(&c, KernelParams { w: 8, s: 1, f: 32 });
@@ -218,15 +199,17 @@ mod tests {
 
     #[test]
     fn throughput_correction_saturates_large_w() {
-        let with = PerfModel::default();
-        let without = PerfModel::default().without_throughput_correction();
+        let m = PerfModel::default();
         let c = chars(&[(10.0, 1)], 0);
         let p = KernelParams {
             w: 256,
             s: 1,
             f: 32,
         };
-        assert!(with.t_comp_us(&c, p) > without.t_comp_us(&c, p));
+        // 256 executions of 10 µs over 32 lanes: the saturation term, not
+        // the latency sum of Equation III.9, sets the compute time.
+        assert!(m.t_comp_us(&c, p) > latency_us(&c, p.s));
+        assert_eq!(m.t_comp_us(&c, p), 256.0 * 10.0 / 32.0);
     }
 
     #[test]

@@ -13,26 +13,13 @@ use sgmap_gpusim::{GpuSpec, KernelParams};
 use crate::chars::PartitionCharacteristics;
 use crate::model::{latency_us, PerfModel};
 
-/// The candidate values enumerated for each parameter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParamSearchSpace {
-    /// Candidate compute-thread counts per execution.
-    pub s_candidates: Vec<u32>,
-    /// Candidate data-transfer thread counts.
-    pub f_candidates: Vec<u32>,
-    /// Upper bound on the number of executions per kernel.
-    pub max_w: u32,
-}
-
-impl Default for ParamSearchSpace {
-    fn default() -> Self {
-        ParamSearchSpace {
-            s_candidates: vec![1, 2, 4, 8, 16, 32],
-            f_candidates: vec![16, 32, 64, 128, 256],
-            max_w: 64,
-        }
-    }
-}
+/// Candidate compute-thread counts per execution (`S`).
+const S_CANDIDATES: [u32; 6] = [1, 2, 4, 8, 16, 32];
+/// Candidate data-transfer thread counts (`F`).
+const F_CANDIDATES: [u32; 5] = [16, 32, 64, 128, 256];
+/// Upper bound on the number of executions per kernel (`W`); the device's
+/// shared memory and thread budget usually cap it lower.
+const MAX_W: u32 = 64;
 
 /// Selects the kernel parameters minimising the normalised execution time
 /// `T = Texec / W` under the shared-memory and thread-count constraints of
@@ -41,7 +28,9 @@ impl Default for ParamSearchSpace {
 /// Returns `None` if even the smallest configuration does not fit in shared
 /// memory (the partition violates the SM constraint and must not be formed).
 ///
-/// For each usable `(S, F)` pair the search prices a ladder of `W` values
+/// The candidates are fixed: `S` in 1, 2, 4, …, 32, `F` in 16, 32, …, 256
+/// and `W` up to 64, capped by the device. For each usable `(S, F)` pair
+/// the search prices a ladder of `W` values
 /// (`1, 2, 4, ...` below the largest feasible `W`, then that `W` itself)
 /// and keeps the earliest point that beats the incumbent by more than
 /// `1e-12`. Every time is bit-identical to [`PerfModel::normalized_us`] at
@@ -58,9 +47,8 @@ pub fn select_parameters(
     chars: &PartitionCharacteristics,
     model: &PerfModel,
     gpu: &GpuSpec,
-    space: &ParamSearchSpace,
 ) -> Option<(KernelParams, f64)> {
-    let (selection, points) = search(chars, model, gpu, space);
+    let (selection, points) = search(chars, model, gpu);
     sgmap_trace::add("pee.param_points", points);
     selection.map(|s| (s.params, s.normalized_us))
 }
@@ -81,7 +69,6 @@ pub(crate) fn search(
     chars: &PartitionCharacteristics,
     model: &PerfModel,
     gpu: &GpuSpec,
-    space: &ParamSearchSpace,
 ) -> (Option<Selection>, u64) {
     let shared_mem = u64::from(gpu.shared_mem_bytes);
     if chars.kernel_sm_bytes(1) > shared_mem {
@@ -90,16 +77,16 @@ pub(crate) fn search(
     let serial_us = chars.serial_compute_us();
     let mut best: Option<Selection> = None;
     let mut points = 0u64;
-    for &s in &space.s_candidates {
+    for s in S_CANDIDATES {
         // S beyond the maximum firing rate wastes threads (min(f_i, S)).
         if u64::from(s) > chars.max_firing_rate.max(1) && s != 1 {
             continue;
         }
         let latency = latency_us(chars, s);
-        for &f in &space.f_candidates {
+        for f in F_CANDIDATES {
             // Largest W that satisfies both the shared-memory and the
             // thread-count budgets.
-            let mut w_max = space.max_w;
+            let mut w_max = MAX_W;
             if let Some(by_sm) = shared_mem
                 .saturating_sub(chars.io_bytes_per_exec)
                 .checked_div(chars.sm_bytes_per_exec)
@@ -172,9 +159,7 @@ mod tests {
     fn oversized_partitions_are_rejected() {
         let gpu = GpuSpec::m2090();
         let c = chars(10.0, 1, 1024, 100_000); // > 48 KiB per execution
-        assert!(
-            select_parameters(&c, &PerfModel::for_gpu(&gpu), &gpu, &Default::default()).is_none()
-        );
+        assert!(select_parameters(&c, &PerfModel::for_gpu(&gpu), &gpu).is_none());
     }
 
     #[test]
@@ -183,12 +168,11 @@ mod tests {
         let model = PerfModel::for_gpu(&gpu);
         let sequential = chars(50.0, 1, 256, 2048);
         let parallel = chars(50.0, 32, 256, 2048);
-        let (p_seq, _) = select_parameters(&sequential, &model, &gpu, &Default::default()).unwrap();
-        let (p_par, t_par) =
-            select_parameters(&parallel, &model, &gpu, &Default::default()).unwrap();
+        let (p_seq, _) = select_parameters(&sequential, &model, &gpu).unwrap();
+        let (p_par, t_par) = select_parameters(&parallel, &model, &gpu).unwrap();
         assert_eq!(p_seq.s, 1, "a firing rate of 1 cannot use more threads");
         assert!(p_par.s > 1);
-        let (_, t_seq) = select_parameters(&sequential, &model, &gpu, &Default::default()).unwrap();
+        let (_, t_seq) = select_parameters(&sequential, &model, &gpu).unwrap();
         assert!(t_par < t_seq);
     }
 
@@ -197,7 +181,7 @@ mod tests {
         let gpu = GpuSpec::m2090();
         let model = PerfModel::for_gpu(&gpu);
         let io_heavy = chars(1.0, 1, 16 * 1024, 20_000);
-        let (p, _) = select_parameters(&io_heavy, &model, &gpu, &Default::default()).unwrap();
+        let (p, _) = select_parameters(&io_heavy, &model, &gpu).unwrap();
         assert!(p.f >= 128, "selected F = {}", p.f);
     }
 
@@ -207,11 +191,11 @@ mod tests {
         let model = PerfModel::for_gpu(&gpu);
         // 20 KiB per execution: at most 2 executions fit in 48 KiB.
         let big = chars(50.0, 1, 1024, 20 * 1024);
-        let (p, _) = select_parameters(&big, &model, &gpu, &Default::default()).unwrap();
+        let (p, _) = select_parameters(&big, &model, &gpu).unwrap();
         assert!(p.w <= 2);
         // A small partition can use many executions.
         let small = chars(50.0, 1, 64, 512);
-        let (p_small, _) = select_parameters(&small, &model, &gpu, &Default::default()).unwrap();
+        let (p_small, _) = select_parameters(&small, &model, &gpu).unwrap();
         assert!(p_small.w > p.w);
     }
 
@@ -222,7 +206,6 @@ mod tests {
         chars: &PartitionCharacteristics,
         model: &PerfModel,
         gpu: &GpuSpec,
-        space: &ParamSearchSpace,
     ) -> (Option<(KernelParams, f64)>, u64) {
         let shared_mem = u64::from(gpu.shared_mem_bytes);
         if chars.kernel_sm_bytes(1) > shared_mem {
@@ -230,12 +213,12 @@ mod tests {
         }
         let mut best: Option<(KernelParams, f64)> = None;
         let mut points = 0;
-        for &s in &space.s_candidates {
+        for s in S_CANDIDATES {
             if u64::from(s) > chars.max_firing_rate.max(1) && s != 1 {
                 continue;
             }
-            for &f in &space.f_candidates {
-                let mut w_max = space.max_w;
+            for f in F_CANDIDATES {
+                let mut w_max = MAX_W;
                 if let Some(by_sm) = shared_mem
                     .saturating_sub(chars.io_bytes_per_exec)
                     .checked_div(chars.sm_bytes_per_exec)
@@ -276,6 +259,7 @@ mod tests {
         };
         let collector = std::sync::Arc::new(sgmap_trace::Collector::new());
         let (mut found, mut searches, mut pruned) = (0, 0, 0);
+        let mut caps = std::collections::BTreeSet::new();
         for gpu in [GpuSpec::m2090(), GpuSpec::c2070()] {
             for case in 0..400u64 {
                 let filters: Vec<(f64, u64)> = (0..1 + next() % 12)
@@ -289,27 +273,23 @@ mod tests {
                     // earliest must win.
                     io_bytes_per_exec: if case % 5 == 0 { 0 } else { next() % 40_000 },
                     // Every seventh case has no per-execution footprint, so W
-                    // is bounded by threads alone.
+                    // is bounded by threads alone; above 16 KiB per
+                    // execution shared memory caps W at 2, above 24 KiB at 1.
                     sm_bytes_per_exec: if case % 7 == 0 { 0 } else { next() % 30_000 },
                 };
-                let space = ParamSearchSpace {
-                    max_w: [1, 2, 7, 64, 200][(case % 6).min(4) as usize],
-                    ..Default::default()
-                };
                 let derived = PerfModel::for_gpu(&gpu);
-                let paper = derived.with_constants(PAPER_C1, PAPER_C2);
-                for model in [
-                    derived,
-                    derived.without_throughput_correction(),
-                    paper,
-                    paper.without_throughput_correction(),
-                ] {
+                let paper = PerfModel {
+                    c1: PAPER_C1,
+                    c2: PAPER_C2,
+                    ..derived
+                };
+                for model in [derived, paper] {
                     let before = collector.counter("pee.param_points");
                     let hoisted = sgmap_trace::scope(Some(&collector), || {
-                        select_parameters(&c, &model, &gpu, &space)
+                        select_parameters(&c, &model, &gpu)
                     });
                     let priced = collector.counter("pee.param_points") - before;
-                    let (reference, exhaustive) = brute_force(&c, &model, &gpu, &space);
+                    let (reference, exhaustive) = brute_force(&c, &model, &gpu);
                     assert_eq!(
                         hoisted.map(|(p, t)| (p, t.to_bits())),
                         reference.map(|(p, t)| (p, t.to_bits())),
@@ -321,12 +301,16 @@ mod tests {
                     pruned += u64::from(priced < exhaustive);
                     if let Some((p, t)) = hoisted {
                         assert_eq!(t.to_bits(), model.normalized_us(&c, p).to_bits());
+                        caps.insert(p.w.min(3));
                         found += 1;
                     }
                 }
             }
         }
-        assert!(found > 1600, "too few feasible cases: {found}");
+        assert!(found > 1200, "too few feasible cases: {found}");
+        // Winners at W = 1 and W = 2 (shared memory caps W there) as well as
+        // above.
+        assert_eq!(caps.into_iter().collect::<Vec<_>>(), [1, 2, 3]);
         // The floor rule really skipped ladders: the comparison above is not
         // between two exhaustive searches.
         assert!(
@@ -344,12 +328,9 @@ mod tests {
         let model = PerfModel::for_gpu(&gpu);
         assert_eq!(model.warp_size, 32);
         let c = chars(977.0, 1, 0, 64);
-        let (p, t) = select_parameters(&c, &model, &gpu, &Default::default()).unwrap();
+        let (p, t) = select_parameters(&c, &model, &gpu).unwrap();
         assert_eq!(p.w, 32);
-        assert_eq!(
-            brute_force(&c, &model, &gpu, &Default::default()).0,
-            Some((p, t))
-        );
+        assert_eq!(brute_force(&c, &model, &gpu).0, Some((p, t)));
     }
 
     #[test]
@@ -357,7 +338,7 @@ mod tests {
         let gpu = GpuSpec::m2090();
         let model = PerfModel::for_gpu(&gpu);
         let c = chars(10.0, 64, 512, 256);
-        let (p, _) = select_parameters(&c, &model, &gpu, &Default::default()).unwrap();
+        let (p, _) = select_parameters(&c, &model, &gpu).unwrap();
         assert!(p.total_threads() <= gpu.max_threads_per_block);
     }
 }

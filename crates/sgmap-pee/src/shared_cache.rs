@@ -11,8 +11,8 @@
 //!
 //! The cache has two levels, matching the two halves of an [`EstimateKey`]:
 //!
-//! * a **context** per distinct (model constants, device limits, search
-//!   space). Every query of one estimator shares these, so the estimator
+//! * a **context** per distinct (model constants, device limits). Every
+//!   query of one estimator shares these, so the estimator
 //!   resolves its context once, when
 //!   [`Estimator::with_shared_cache`](crate::Estimator::with_shared_cache)
 //!   attaches the cache, and never compares or clones them again;
@@ -28,7 +28,7 @@
 //! query is answered by the cell of exactly its full key, [`CacheStats`]
 //! counts one hit or one miss per query as a single-level map did, and
 //! [`EstimateCache::entries`] joins the two halves back into full
-//! [`EstimateKey`]s, so the persisted cache file is unchanged.
+//! [`EstimateKey`]s for the persisted cache file.
 //!
 //! The cells are single-flight: when several threads race on the same fresh
 //! key, one computes while the others block on the cell, so each unique key
@@ -58,13 +58,14 @@ use sgmap_graph::FxHasher;
 use crate::chars::PartitionCharacteristics;
 use crate::estimator::Estimate;
 use crate::model::PerfModel;
-use crate::params::ParamSearchSpace;
 
 /// Everything an estimate depends on, in hashable form.
 ///
 /// `f64` inputs are keyed by their IEEE-754 bit patterns, so two keys are
 /// equal exactly when the estimation pipeline would be handed bit-identical
 /// inputs — the cached answer is then bit-identical to a fresh computation.
+/// The parameter search space and the model's saturation term are the same
+/// for every estimator, so neither is part of the key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EstimateKey {
     /// Per member filter `(t_i bits, f_i)` of the partition characteristics.
@@ -75,15 +76,11 @@ pub struct EstimateKey {
     pub sm_bytes_per_exec: u64,
     /// Highest firing rate among member filters.
     pub max_firing_rate: u64,
-    /// Performance-model constants `(c1 bits, c2 bits, warp size,
-    /// issue-throughput correction)`.
-    pub model: (u64, u64, u32, bool),
+    /// Performance-model constants `(c1 bits, c2 bits, warp size)`.
+    pub model: (u64, u64, u32),
     /// Device limits that constrain the parameter search: `(shared-memory
     /// bytes, max threads per block)`.
     pub device: (u32, u32),
-    /// The enumerated parameter search space: `(S candidates, F candidates,
-    /// max W)`.
-    pub space: (Vec<u32>, Vec<u32>, u32),
 }
 
 impl EstimateKey {
@@ -93,7 +90,6 @@ impl EstimateKey {
             ContextKey {
                 model: self.model,
                 device: self.device,
-                space: self.space,
             },
             SetKey {
                 filters: self.filters,
@@ -108,26 +104,15 @@ impl EstimateKey {
 /// The half of an [`EstimateKey`] every query of one estimator shares.
 #[derive(Debug, PartialEq, Eq)]
 struct ContextKey {
-    model: (u64, u64, u32, bool),
+    model: (u64, u64, u32),
     device: (u32, u32),
-    space: (Vec<u32>, Vec<u32>, u32),
 }
 
 impl ContextKey {
-    fn new(model: &PerfModel, gpu: &GpuSpec, space: &ParamSearchSpace) -> Self {
+    fn new(model: &PerfModel, gpu: &GpuSpec) -> Self {
         ContextKey {
-            model: (
-                model.c1.to_bits(),
-                model.c2.to_bits(),
-                model.warp_size,
-                model.issue_throughput_correction,
-            ),
+            model: (model.c1.to_bits(), model.c2.to_bits(), model.warp_size),
             device: (gpu.shared_mem_bytes, gpu.max_threads_per_block),
-            space: (
-                space.s_candidates.clone(),
-                space.f_candidates.clone(),
-                space.max_w,
-            ),
         }
     }
 
@@ -140,7 +125,6 @@ impl ContextKey {
             max_firing_rate: set.max_firing_rate,
             model: self.model,
             device: self.device,
-            space: self.space.clone(),
         }
     }
 }
@@ -226,10 +210,11 @@ fn chars_hash(chars: &PartitionCharacteristics) -> u64 {
 /// captures every numeric input, but not the code that consumes them: bump
 /// this whenever `estimate_from_chars`/`select_parameters` logic changes an
 /// answer, so persisted caches from older binaries are rejected instead of
-/// silently replaying stale estimates. A speed-up that leaves every answer
+/// silently replaying stale estimates. A change that leaves every answer
 /// bit-identical does not bump it: skipping parameter ladders that cannot
-/// win, reusing the search's sums and splitting the cache into two levels
-/// left it at 1.
+/// win, reusing the search's sums, splitting the cache into two levels and
+/// dropping the fixed search space and saturation switch from the key left
+/// it at 1.
 pub const ESTIMATOR_ALGORITHM_VERSION: u32 = 1;
 
 /// Hit/miss/size counters of an [`EstimateCache`].
@@ -268,7 +253,7 @@ type Cell = Arc<OnceLock<Option<Estimate>>>;
 type Cells = HashMap<u64, Vec<(SetKey, Cell)>, BuildHasherDefault<FxHasher>>;
 
 /// The first level of the cache: the cells of every key that shares one
-/// (model, device, search space). An estimator holds its context from the
+/// (model, device). An estimator holds its context from the
 /// moment it attaches the cache.
 #[derive(Debug)]
 pub(crate) struct CacheContext {
@@ -307,15 +292,10 @@ impl EstimateCache {
         Arc::new(EstimateCache::new())
     }
 
-    /// The context of every query under `model`, `gpu` and `space`, created
-    /// empty on first use.
-    pub(crate) fn context(
-        &self,
-        model: &PerfModel,
-        gpu: &GpuSpec,
-        space: &ParamSearchSpace,
-    ) -> Arc<CacheContext> {
-        self.context_of(ContextKey::new(model, gpu, space))
+    /// The context of every query under `model` and `gpu`, created empty on
+    /// first use.
+    pub(crate) fn context(&self, model: &PerfModel, gpu: &GpuSpec) -> Arc<CacheContext> {
+        self.context_of(ContextKey::new(model, gpu))
     }
 
     fn context_of(&self, key: ContextKey) -> Arc<CacheContext> {
@@ -572,7 +552,6 @@ mod tests {
         chars: &PartitionCharacteristics,
         model: &PerfModel,
         gpu: &GpuSpec,
-        space: &ParamSearchSpace,
     ) -> EstimateKey {
         EstimateKey {
             filters: chars
@@ -583,46 +562,31 @@ mod tests {
             io_bytes_per_exec: chars.io_bytes_per_exec,
             sm_bytes_per_exec: chars.sm_bytes_per_exec,
             max_firing_rate: chars.max_firing_rate,
-            model: (
-                model.c1.to_bits(),
-                model.c2.to_bits(),
-                model.warp_size,
-                model.issue_throughput_correction,
-            ),
+            model: (model.c1.to_bits(), model.c2.to_bits(), model.warp_size),
             device: (gpu.shared_mem_bytes, gpu.max_threads_per_block),
-            space: (
-                space.s_candidates.clone(),
-                space.f_candidates.clone(),
-                space.max_w,
-            ),
         }
     }
 
-    /// Estimator contexts: the first, one that differs from it in device,
-    /// model constants and search space, and one each that differs from it
-    /// in only the device limits, only the model or only the search space.
-    fn contexts() -> [(PerfModel, GpuSpec, ParamSearchSpace); 5] {
-        let narrow = ParamSearchSpace {
-            s_candidates: vec![1, 2, 4],
-            f_candidates: vec![32, 64],
-            max_w: 16,
-        };
+    /// Estimator contexts: the first, one that differs from it in device
+    /// and model constants, and one each that differs from it in only the
+    /// device limits or only the model constants.
+    fn contexts() -> [(PerfModel, GpuSpec); 4] {
         let (m2090, c2070) = (GpuSpec::m2090(), GpuSpec::c2070());
         let model = PerfModel::for_gpu(&m2090);
         let small_smem = GpuSpec {
             shared_mem_bytes: m2090.shared_mem_bytes / 2,
             ..m2090.clone()
         };
-        let uncorrected = PerfModel {
-            issue_throughput_correction: !model.issue_throughput_correction,
+        let paper = PerfModel {
+            c1: crate::PAPER_C1,
+            c2: crate::PAPER_C2,
             ..model
         };
         [
-            (model, m2090.clone(), ParamSearchSpace::default()),
-            (PerfModel::for_gpu(&c2070), c2070, narrow.clone()),
-            (model, small_smem, ParamSearchSpace::default()),
-            (uncorrected, m2090.clone(), ParamSearchSpace::default()),
-            (model, m2090, narrow),
+            (model, m2090.clone()),
+            (PerfModel::for_gpu(&c2070), c2070),
+            (model, small_smem),
+            (paper, m2090),
         ]
     }
 
@@ -678,26 +642,26 @@ mod tests {
 
     proptest! {
         /// The two-level cache against the single-level owned-key map it
-        /// replaced, on one random query multiset from five contexts: the
+        /// replaced, on one random query multiset from four contexts: the
         /// same answer to every query, the same counters and the same
         /// entries, also after a round trip through `entries`/`preload`.
         #[test]
         fn two_level_cache_matches_the_owned_key_map(
-            queries in prop::collection::vec((0usize..5, 0usize..6), 0..120),
+            queries in prop::collection::vec((0usize..4, 0usize..6), 0..120),
         ) {
             let contexts = contexts();
             let keys = near_keys();
             let cache = EstimateCache::new();
             let handles: Vec<_> = contexts
                 .iter()
-                .map(|(model, gpu, space)| cache.context(model, gpu, space))
+                .map(|(model, gpu)| cache.context(model, gpu))
                 .collect();
             let mut reference: HashMap<EstimateKey, Option<Estimate>> = HashMap::default();
             let mut expected = CacheStats::default();
             for &(c, k) in &queries {
                 let got = cache.get_or_compute(&handles[c], &keys[k], || answer(c, k));
-                let (model, gpu, space) = &contexts[c];
-                let key = reference_key(&keys[k], model, gpu, space);
+                let (model, gpu) = &contexts[c];
+                let key = reference_key(&keys[k], model, gpu);
                 let want = match reference.get(&key) {
                     Some(&known) => {
                         expected.hits += 1;
@@ -726,7 +690,7 @@ mod tests {
             prop_assert_eq!(restored.stats().queries(), 0);
             let restored_handles: Vec<_> = contexts
                 .iter()
-                .map(|(model, gpu, space)| restored.context(model, gpu, space))
+                .map(|(model, gpu)| restored.context(model, gpu))
                 .collect();
             for &(c, k) in &queries {
                 let got = restored.get_or_compute(&restored_handles[c], &keys[k], || {

@@ -14,6 +14,12 @@
 //! sorted by their serialised key, so equal caches serialise to equal bytes.
 //! Files carry a format version and are rejected — not silently ignored —
 //! when the version or shape does not match.
+//!
+//! Format 2 keys an entry by the partition characteristics, the model
+//! constants `[c1 bits, c2 bits, warp size]` and the device limits. Format 1
+//! also wrote the parameter search space and the model's saturation switch
+//! into every entry; both have one value in every estimator, so format 2
+//! drops them and a format-1 file is rejected by its version.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -26,14 +32,10 @@ use sgmap_trace::json::Value;
 /// additionally records [`ESTIMATOR_ALGORITHM_VERSION`], so estimates
 /// persisted by a binary with different estimation *logic* (same schema,
 /// same keys, different answers) are rejected rather than silently replayed.
-pub const CACHE_FORMAT_VERSION: u64 = 1;
+pub const CACHE_FORMAT_VERSION: u64 = 2;
 
 /// The `kind` marker distinguishing cache files from other JSON artefacts.
 const CACHE_KIND: &str = "sgmap-estimate-cache";
-
-fn u32s(values: &[u32]) -> Value {
-    Value::Array(values.iter().map(|&v| Value::Uint(u64::from(v))).collect())
-}
 
 fn key_to_value(key: &EstimateKey) -> Value {
     Value::object(vec![
@@ -55,7 +57,6 @@ fn key_to_value(key: &EstimateKey) -> Value {
                 Value::Uint(key.model.0),
                 Value::Uint(key.model.1),
                 Value::Uint(u64::from(key.model.2)),
-                Value::Bool(key.model.3),
             ]),
         ),
         (
@@ -63,14 +64,6 @@ fn key_to_value(key: &EstimateKey) -> Value {
             Value::Array(vec![
                 Value::Uint(u64::from(key.device.0)),
                 Value::Uint(u64::from(key.device.1)),
-            ]),
-        ),
-        (
-            "space",
-            Value::object(vec![
-                ("s", u32s(&key.space.0)),
-                ("f", u32s(&key.space.1)),
-                ("max_w", Value::Uint(u64::from(key.space.2))),
             ]),
         ),
     ])
@@ -136,13 +129,6 @@ fn key_from_value(value: &Value) -> Result<EstimateKey, String> {
             .and_then(|u| u32::try_from(u).ok())
             .ok_or_else(|| "non-u32 integer".to_string())
     };
-    let u32s_of = |object: &Value, field: &str| -> Result<Vec<u32>, String> {
-        object
-            .array(field)?
-            .iter()
-            .map(|v| u32_of(v).map_err(|e| format!("'{field}': {e}")))
-            .collect()
-    };
     let filters = value
         .array("filters")?
         .iter()
@@ -155,22 +141,17 @@ fn key_from_value(value: &Value) -> Result<EstimateKey, String> {
         })
         .collect::<Result<Vec<_>, String>>()?;
     let model = match value.array("model")? {
-        [c1, c2, warp, itc] => (
+        [c1, c2, warp] => (
             c1.as_u64().ok_or("non-integer c1 bits")?,
             c2.as_u64().ok_or("non-integer c2 bits")?,
             u32_of(warp)?,
-            match itc {
-                Value::Bool(flag) => *flag,
-                _ => return Err("non-boolean throughput-correction flag".to_string()),
-            },
         ),
-        _ => return Err("model is not a 4-tuple".to_string()),
+        _ => return Err("model is not a triple".to_string()),
     };
     let device = match value.array("device")? {
         [sm, threads] => (u32_of(sm)?, u32_of(threads)?),
         _ => return Err("device is not a pair".to_string()),
     };
-    let space = value.get("space").ok_or("missing space")?;
     Ok(EstimateKey {
         filters,
         io_bytes_per_exec: value.u64("io_bytes_per_exec")?,
@@ -178,11 +159,6 @@ fn key_from_value(value: &Value) -> Result<EstimateKey, String> {
         max_firing_rate: value.u64("max_firing_rate")?,
         model,
         device,
-        space: (
-            u32s_of(space, "s")?,
-            u32s_of(space, "f")?,
-            space.u32("max_w")?,
-        ),
     })
 }
 
@@ -377,30 +353,38 @@ mod tests {
         assert!(err.contains("unsupported cache format version"), "{err}");
         // Same schema but produced by different estimation logic: rejected.
         let err = cache_from_json(
-            "{\"version\":1,\"kind\":\"sgmap-estimate-cache\",\
-             \"estimator_version\":999,\"entries\":[]}",
+            &format!(
+                "{{\"version\":{CACHE_FORMAT_VERSION},\"kind\":\"sgmap-estimate-cache\",\
+                 \"estimator_version\":999,\"entries\":[]}}"
+            ),
             &cache,
         )
         .unwrap_err();
         assert!(err.contains("estimator algorithm version"), "{err}");
         let err = cache_from_json(
             &format!(
-                "{{\"version\":1,\"kind\":\"sgmap-estimate-cache\",\
+                "{{\"version\":{CACHE_FORMAT_VERSION},\"kind\":\"sgmap-estimate-cache\",\
                  \"estimator_version\":{ESTIMATOR_ALGORITHM_VERSION},\"entries\":[{{}}]}}"
             ),
             &cache,
         )
         .unwrap_err();
         assert!(err.contains("entry 0"), "{err}");
-        // The model's throughput-correction flag must be a boolean: any
-        // other value in its slot is an error, not a silent `false`.
+        // The model is exactly `[c1 bits, c2 bits, warp size]`: format 1's
+        // trailing saturation flag, a missing slot or a non-integer warp
+        // size is an error naming the entry.
         let json = cache_to_json(&populated_cache());
-        let flag = ",true]";
-        assert!(json.contains(flag), "the populated cache's model tuple");
-        for bad in [",0]", ",1]", ",\"true\"]", ",null]"] {
-            let err = cache_from_json(&json.replacen(flag, bad, 1), &cache).unwrap_err();
+        let model_start = json
+            .find("\"model\":[")
+            .expect("the populated cache's model");
+        let model_end = model_start + json[model_start..].find(']').unwrap() + 1;
+        let model = &json[model_start..model_end];
+        let warp = ",32]";
+        assert!(model.ends_with(warp), "{model}");
+        for bad in [",32,true]", "]", ",\"32\"]"] {
+            let mutated = json.replacen(model, &model.replace(warp, bad), 1);
+            let err = cache_from_json(&mutated, &cache).unwrap_err();
             assert!(err.contains("entry 0"), "{bad}: {err}");
-            assert!(err.contains("throughput-correction"), "{bad}: {err}");
         }
         assert!(cache_from_json("not json", &cache).is_err());
         assert_eq!(cache.len(), 0);

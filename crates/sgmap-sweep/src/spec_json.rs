@@ -19,7 +19,8 @@
 //! or a full platform object in the [`platform_json`](crate::platform_json)
 //! codec. Stacks may select the multilevel algorithm with
 //! `"algorithm": {"multilevel": {"coarsen_target": 96, ...}}` (the default is
-//! `"flat"`) and may pin GPU counts with `"gpu_counts": [1, 2]`, at least one
+//! `"flat"`; an option below the minimum its `MultilevelOptions` builder
+//! clamps to is rejected with the field named) and may pin GPU counts with `"gpu_counts": [1, 2]`, at least one
 //! of which a platform must have. The `enhanced` axis defaults to `[false]`
 //! when omitted.
 //!
@@ -307,11 +308,31 @@ fn algorithm_from_value(label: &str, value: &Value) -> Result<Algorithm, String>
         }
     };
     let defaults = MultilevelOptions::default();
-    Ok(Algorithm::Multilevel(MultilevelOptions {
-        coarsen_target: field("coarsen_target", defaults.coarsen_target)?,
-        max_levels: field("max_levels", defaults.max_levels)?,
-        matching_attempts: field("matching_attempts", defaults.matching_attempts)?,
-    }))
+    let coarsen_target = field("coarsen_target", defaults.coarsen_target)?;
+    let max_levels = field("max_levels", defaults.max_levels)?;
+    let matching_attempts = field("matching_attempts", defaults.matching_attempts)?;
+    // The builders clamp each option to its minimum; a value they would
+    // raise is an error, not a silent change.
+    let options = MultilevelOptions::new()
+        .with_coarsen_target(coarsen_target)
+        .with_max_levels(max_levels)
+        .with_matching_attempts(matching_attempts);
+    for (name, asked, minimum) in [
+        ("coarsen_target", coarsen_target, options.coarsen_target),
+        ("max_levels", max_levels, options.max_levels),
+        (
+            "matching_attempts",
+            matching_attempts,
+            options.matching_attempts,
+        ),
+    ] {
+        if asked < minimum {
+            return Err(format!(
+                "spec: stack '{label}': 'algorithm.multilevel.{name}' must be at least {minimum}"
+            ));
+        }
+    }
+    Ok(Algorithm::Multilevel(options))
 }
 
 #[cfg(test)]
@@ -416,6 +437,53 @@ mod tests {
         );
         let err = sweep_spec_from_json(&with_algo).unwrap_err();
         assert!(err.contains("unknown algorithm"), "{err}");
+    }
+
+    #[test]
+    fn multilevel_options_below_their_minimums_are_rejected() {
+        let spec = |options: &str| {
+            format!(
+                r#"{{"name": "t", "apps": [{{"app": "DES", "n_values": [4]}}],
+                    "platforms": ["paper"],
+                    "stacks": [{{"label": "ml", "partitioner": "proposed",
+                                 "algorithm": {{"multilevel": {options}}},
+                                 "mapper": "ilp", "transfer": "p2p"}}]}}"#
+            )
+        };
+        for (options, message) in [
+            (
+                r#"{"coarsen_target": 0, "max_levels": 0, "matching_attempts": 0}"#,
+                "'algorithm.multilevel.coarsen_target' must be at least 2",
+            ),
+            (
+                r#"{"coarsen_target": 1}"#,
+                "'algorithm.multilevel.coarsen_target' must be at least 2",
+            ),
+            (
+                r#"{"max_levels": 0}"#,
+                "'algorithm.multilevel.max_levels' must be at least 1",
+            ),
+            (
+                r#"{"matching_attempts": 0}"#,
+                "'algorithm.multilevel.matching_attempts' must be at least 1",
+            ),
+        ] {
+            let err = sweep_spec_from_json(&spec(options)).unwrap_err();
+            assert_eq!(err, format!("spec: stack 'ml': {message}"), "{options}");
+        }
+        // The minimums themselves are accepted as written.
+        let decoded = sweep_spec_from_json(&spec(
+            r#"{"coarsen_target": 2, "max_levels": 1, "matching_attempts": 1}"#,
+        ))
+        .unwrap();
+        assert_eq!(
+            decoded.stacks[0].algorithm,
+            Algorithm::Multilevel(MultilevelOptions {
+                coarsen_target: 2,
+                max_levels: 1,
+                matching_attempts: 1,
+            })
+        );
     }
 
     #[test]

@@ -10,6 +10,22 @@ use sgmap_gpusim::{GpuSpec, PlatformSpec, TransferMode};
 use sgmap_mapping::MappingMethod;
 use sgmap_partition::PartitionerKind;
 
+/// The prior work's full stack: SM-only partitioner, hardware-agnostic
+/// round-robin mapping, transfers staged through the host.
+fn previous_work() -> FlowConfig {
+    FlowConfig::new()
+        .with_partitioner(PartitionerKind::Baseline)
+        .with_mapper(MappingMethod::RoundRobin)
+        .with_transfer_mode(TransferMode::ViaHost)
+}
+
+/// The single-partition single-GPU (SPSG) reference of the SOSP metric.
+fn spsg() -> FlowConfig {
+    FlowConfig::new()
+        .with_partitioner(PartitionerKind::Single)
+        .with_gpu_count(1)
+}
+
 #[test]
 fn every_app_compiles_and_runs_on_one_and_four_gpus() {
     for app in App::all() {
@@ -72,9 +88,9 @@ fn sosp_of_our_stack_beats_the_previous_work_for_compute_bound_apps() {
     // reference, our partitioning + ILP mapping outperforms the prior-work
     // stack on compute-bound applications.
     let graph = App::Des.build(16).unwrap();
-    let spsg = compile_and_run(&graph, &FlowConfig::spsg()).unwrap();
+    let spsg = compile_and_run(&graph, &spsg()).unwrap();
     let ours = compile_and_run(&graph, &FlowConfig::default().with_gpu_count(4)).unwrap();
-    let prev = compile_and_run(&graph, &FlowConfig::previous_work().with_gpu_count(4)).unwrap();
+    let prev = compile_and_run(&graph, &previous_work().with_gpu_count(4)).unwrap();
     let sosp_ours = spsg.time_per_iteration_us / ours.time_per_iteration_us;
     let sosp_prev = spsg.time_per_iteration_us / prev.time_per_iteration_us;
     assert!(
@@ -161,8 +177,8 @@ fn splitter_elimination_helps_split_heavy_apps_more_than_fft() {
     let bitonic = App::Bitonic.build(16).unwrap();
     let fft = App::Fft.build(128).unwrap();
     let speedup = |graph: &sgmap_graph::StreamGraph| {
-        let base = compile_and_run(graph, &FlowConfig::spsg()).unwrap();
-        let enhanced = compile_and_run(graph, &FlowConfig::spsg().with_enhancement(true)).unwrap();
+        let base = compile_and_run(graph, &spsg()).unwrap();
+        let enhanced = compile_and_run(graph, &spsg().with_enhancement(true)).unwrap();
         base.time_per_iteration_us / enhanced.time_per_iteration_us
     };
     let bitonic_gain = speedup(&bitonic);
