@@ -31,9 +31,10 @@
 //!
 //! A caller that knows a bound on the optimum from outside the model gives
 //! it to [`Solver::objective_bound`]: once an incumbent meets it, nothing
-//! strictly better exists and the search stops, proven optimal. The bound
-//! is checked after the root relaxation and at each new incumbent, never in
-//! the LP, so the nodes the search does explore are the ones it would
+//! strictly better exists and the search stops, proven optimal. A warm start
+//! that meets it is checked before the root relaxation and returned without
+//! any LP; after the root, each new incumbent is checked. The bound never
+//! enters the LP, so the nodes the search does explore are the ones it would
 //! explore without it.
 
 use std::cmp::Ordering;
@@ -43,7 +44,7 @@ use crate::basis::BasisSnapshot;
 use crate::error::IlpError;
 use crate::model::{Model, ObjectiveSense, VarId};
 use crate::simplex::{LpSolution, VarBound, TOL};
-use crate::workspace::{LpOutcome, LpWorkspace};
+use crate::workspace::{LpOutcome, LpStats, LpWorkspace};
 use crate::Result;
 
 /// How the search terminated.
@@ -212,11 +213,13 @@ impl Solver {
     /// minimisation, an upper bound for maximisation). The search stops,
     /// [`SolutionStatus::Optimal`], as soon as its incumbent is within the
     /// tolerance that decides whether one objective is better than another
-    /// (`1e-12`) of it. The bound is checked after the root relaxation and
-    /// at every new incumbent; it never enters the LP, so every relaxation,
-    /// and the tree up to the stop, is the one the search would explore
-    /// without it. A bound that is not valid can make the search claim an
-    /// optimum it does not have.
+    /// (`1e-12`) of it. A feasible, integral warm start is checked before
+    /// the root relaxation: one that meets the bound is returned with no LP
+    /// solved (0 nodes, 0 LP iterations, gap 0). After the root, every new
+    /// incumbent is checked. The bound never enters the LP, so every
+    /// relaxation, and the tree up to the stop, is the one the search would
+    /// explore without it. A bound that is not valid can make the search
+    /// claim an optimum it does not have.
     pub fn objective_bound(mut self, bound: f64) -> Self {
         self.objective_bound = Some(bound);
         self
@@ -277,6 +280,30 @@ impl Solver {
                 incumbent = Some((ws.clone(), model.evaluate_objective(ws)));
             }
         }
+        let finish_stats = |nodes_explored: usize, lp: LpStats, gap: f64| SolveStats {
+            nodes: nodes_explored as u64,
+            lp_iterations: lp.iterations,
+            lp_warm_starts: lp.warm_starts,
+            lp_cold_solves: lp.cold_solves,
+            refactorizations: lp.refactorizations,
+            bound_flips: lp.bound_flips,
+            presolve_removed_rows: 0,
+            rows: model.num_constraints() as u64,
+            cols: model.num_vars() as u64,
+            optimality_gap: gap,
+        };
+        // A warm start that meets the objective bound is optimal as it
+        // stands: nothing to relax, nothing to branch on.
+        if let Some((values, objective)) = incumbent.take_if(|(_, obj)| at_bound(*obj)) {
+            sgmap_trace::add("ilp.bound_stops", 1);
+            return Ok(Solution {
+                values,
+                objective,
+                status: SolutionStatus::Optimal,
+                nodes_explored: 0,
+                stats: finish_stats(0, LpStats::default(), 0.0),
+            });
+        }
 
         // The LP workspace every node shares: one sparse matrix, one basis
         // warm-started from node to node.
@@ -300,18 +327,6 @@ impl Solver {
             let _node_span = sgmap_trace::span("ilp.node");
             lp.solve(&[])
         };
-        let finish_stats = |nodes_explored: usize, lp: &LpWorkspace, gap: f64| SolveStats {
-            nodes: nodes_explored as u64,
-            lp_iterations: lp.stats.iterations,
-            lp_warm_starts: lp.stats.warm_starts,
-            lp_cold_solves: lp.stats.cold_solves,
-            refactorizations: lp.stats.refactorizations,
-            bound_flips: lp.stats.bound_flips,
-            presolve_removed_rows: 0,
-            rows: model.num_constraints() as u64,
-            cols: model.num_vars() as u64,
-            optimality_gap: gap,
-        };
         let root = match root_outcome {
             LpOutcome::Optimal(s) => s,
             LpOutcome::Infeasible => return Err(IlpError::Infeasible),
@@ -326,26 +341,23 @@ impl Solver {
                 objective,
                 status: SolutionStatus::Optimal,
                 nodes_explored,
-                stats: finish_stats(nodes_explored, &lp, 0.0),
+                stats: finish_stats(nodes_explored, lp.stats, 0.0),
             });
         }
-        // Whether the incumbent meets the objective bound: a warm start that
-        // does needs no branching, and a later incumbent that does ends the
+        push_children(
+            &mut heap,
+            &mut dive,
+            &mut seq,
+            score_of,
+            &binaries,
+            &root,
+            root.objective,
+            &[],
+            lp.basis.snapshot(),
+        );
+        // Whether a new incumbent met the objective bound and ended the
         // search.
-        let mut proven = incumbent.as_ref().is_some_and(|(_, obj)| at_bound(*obj));
-        if !proven {
-            push_children(
-                &mut heap,
-                &mut dive,
-                &mut seq,
-                score_of,
-                &binaries,
-                &root,
-                root.objective,
-                &[],
-                lp.basis.snapshot(),
-            );
-        }
+        let mut proven = false;
 
         // Best remaining bound among the open nodes,
         // optionally also covering one just-popped node.
@@ -463,7 +475,7 @@ impl Solver {
                     objective,
                     status,
                     nodes_explored,
-                    stats: finish_stats(nodes_explored, &lp, gap),
+                    stats: finish_stats(nodes_explored, lp.stats, gap),
                 })
             }
             None => Err(IlpError::NoIntegerSolution),
@@ -838,15 +850,15 @@ mod tests {
         let exact = Solver::new().solve(&m).unwrap();
         assert!(exact.nodes_explored > 1, "the root LP is fractional");
 
-        // An optimal warm start at the bound: proven after the root LP.
+        // An optimal warm start at the bound: proven before any LP.
         let s = Solver::new()
             .warm_start(exact.values.clone())
             .objective_bound(exact.objective)
             .solve(&m)
             .unwrap();
         assert_eq!(s.status, SolutionStatus::Optimal);
-        assert_eq!((s.nodes_explored, s.stats.nodes), (1, 1));
-        assert!(s.stats.lp_iterations > 0);
+        assert_eq!((s.nodes_explored, s.stats.nodes), (0, 0));
+        assert_eq!(s.stats.lp_iterations, 0);
         assert_eq!(s.stats.optimality_gap, 0.0);
         assert_eq!(s.values, exact.values);
 
@@ -866,6 +878,56 @@ mod tests {
             .unwrap();
         assert_eq!(s.values, exact.values);
         assert_eq!(s.stats, exact.stats);
+    }
+
+    #[test]
+    fn a_warm_start_at_the_bound_is_proven_before_any_lp() {
+        // min t with t >= 2a + 2b and a + b = 1: every feasible point, the
+        // fractional ones included, has t = 2, the bound.
+        let mut m = Model::new(ObjectiveSense::Minimize);
+        let t = m.add_continuous(1.0);
+        let a = m.add_binary(0.0);
+        let b = m.add_binary(0.0);
+        m.add_constraint_eq(vec![(a, 1.0), (b, 1.0)], 1.0);
+        m.add_constraint_le(vec![(a, 2.0), (b, 2.0), (t, -1.0)], 0.0);
+        let solve = |warm: Vec<f64>| {
+            let collector = std::sync::Arc::new(sgmap_trace::Collector::new());
+            let s = sgmap_trace::scope(Some(&collector), || {
+                Solver::new()
+                    .warm_start(warm)
+                    .objective_bound(2.0)
+                    .solve(&m)
+                    .unwrap()
+            });
+            let lp_nodes = collector
+                .span_totals()
+                .get("ilp.node")
+                .map_or(0, |n| n.count);
+            (s, lp_nodes, collector.counter("ilp.bound_stops"))
+        };
+
+        let (s, lp_nodes, bound_stops) = solve(vec![2.0, 1.0, 0.0]);
+        assert_eq!(s.status, SolutionStatus::Optimal);
+        assert_eq!(s.values, [2.0, 1.0, 0.0]);
+        assert_eq!(s.objective, 2.0);
+        assert_eq!((s.nodes_explored, s.stats.nodes, lp_nodes), (0, 0, 0));
+        assert_eq!(s.stats.lp_iterations, 0);
+        assert_eq!(s.stats.lp_cold_solves, 0);
+        assert_eq!(s.stats.optimality_gap, 0.0);
+        assert_eq!((s.stats.rows, s.stats.cols), (2, 3));
+        assert_eq!(bound_stops, 1);
+
+        // An infeasible warm start and a fractional one, both with the
+        // bound's objective, are dropped, and the root LP answers the model.
+        for warm in [vec![2.0, 1.0, 1.0], vec![2.0, 0.5, 0.5]] {
+            let (s, lp_nodes, bound_stops) = solve(warm.clone());
+            assert_eq!(s.status, SolutionStatus::Optimal, "{warm:?}");
+            assert!((s.objective - 2.0).abs() < 1e-9, "{warm:?}");
+            assert_eq!((s.stats.nodes, lp_nodes), (1, 1), "{warm:?}");
+            assert_eq!(s.stats.lp_cold_solves, 1, "{warm:?}");
+            assert!(s.stats.lp_iterations > 0, "{warm:?}");
+            assert_eq!(bound_stops, 0, "{warm:?}");
+        }
     }
 
     #[test]

@@ -68,14 +68,15 @@ pub(crate) fn pigeonhole_bound(times_us: &[f64], platform: &Platform, allowed: &
 }
 
 /// The optimal compute-only makespan of `times_us` on the `allowed` GPUs,
-/// or `None` when the search hits its node cap. Records the search's nodes
-/// in the `map.floor_nodes` trace counter and a capped search in
-/// `map.floor_capped`.
+/// or `None` when the search hits its node cap. Runs under a `map.floor`
+/// span, and records the search's nodes in the `map.floor_nodes` trace
+/// counter and a capped search in `map.floor_capped`.
 pub(crate) fn makespan_floor(
     times_us: &[f64],
     platform: &Platform,
     allowed: &[usize],
 ) -> Option<f64> {
+    let _span = sgmap_trace::span("map.floor");
     let factors: Vec<f64> = allowed.iter().map(|&j| platform.time_factor(j)).collect();
     let lower = static_bound(times_us, platform, allowed);
     let (floor, nodes) = optimal_makespan(times_us, &factors, lower, NODE_CAP);
@@ -84,13 +85,6 @@ pub(crate) fn makespan_floor(
         sgmap_trace::add("map.floor_capped", 1);
     }
     floor
-}
-
-/// Whether a mapping's `tmax` meets `floor`, within the tolerance the
-/// branch-and-bound solver uses to call one objective better than another:
-/// then no mapping is better by more than rounding noise.
-pub(crate) fn meets_floor(tmax: f64, floor: f64) -> bool {
-    tmax <= floor + 1e-12
 }
 
 /// The search's node cap was reached.

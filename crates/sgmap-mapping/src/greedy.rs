@@ -11,7 +11,7 @@ use crate::{Mapping, MappingMethod};
 /// a steepest-descent local search that also sees the communication cost.
 ///
 /// The result is used both as a stand-alone mapper and as the warm start /
-/// fallback incumbent of the ILP mapper.
+/// fallback incumbent of the ILP mapper. Runs under a `map.greedy` span.
 pub fn map_greedy(pdg: &Pdg, platform: &Platform) -> Mapping {
     let allowed: Vec<usize> = (0..platform.gpu_count()).collect();
     map_greedy_on(pdg, platform, &allowed)
@@ -23,6 +23,7 @@ pub fn map_greedy(pdg: &Pdg, platform: &Platform) -> Mapping {
 /// onto the survivors of a lost device.
 pub(crate) fn map_greedy_on(pdg: &Pdg, platform: &Platform, allowed: &[usize]) -> Mapping {
     assert!(!allowed.is_empty(), "no GPUs to map onto");
+    let _span = sgmap_trace::span("map.greedy");
     let p = pdg.len();
 
     // LPT: place partitions in decreasing workload order onto the least

@@ -48,10 +48,12 @@
 //! makespan of the partition times (the `floor` module), as its objective
 //! bound. On a map that compute decides, the LP relaxation sees only the
 //! average load and the pigeonhole bound, and sits a few percent below a
-//! warm start that is already the best balance; the search then stops,
-//! proven optimal, as soon as its incumbent meets the floor instead of
-//! spending its budget failing to close that gap. The floor stays out of the
-//! LP, so every relaxation is the one the model states.
+//! warm start that is already the best balance. A warm start that meets the
+//! floor is proven optimal before the root relaxation, with no LP solved;
+//! otherwise the search stops, proven optimal, as soon as a new incumbent
+//! meets it, instead of spending its budget failing to close that gap. The
+//! floor stays out of the LP, so every relaxation is the one the model
+//! states.
 
 use sgmap_gpusim::{Endpoint, LinkId, Platform};
 use sgmap_ilp::{IlpError, Model, ObjectiveSense, SolutionStatus, Solver, SolverOptions, VarId};
@@ -317,10 +319,12 @@ fn crossing_indicators(
     x_vars
 }
 
-/// Solves the partition-to-GPU mapping with the ILP formulation. The
-/// branch-and-bound solver records per-node `ilp.node` spans plus pivot /
-/// warm-start counters from its [`sgmap_ilp::SolveStats`] into the ambient
-/// trace collector.
+/// Solves the partition-to-GPU mapping with the ILP formulation. Its layers
+/// record into the ambient trace collector: the greedy warm start under a
+/// `map.greedy` span, the compute floor under `map.floor`, the model and
+/// the warm start's point in it under `map.model`, and the
+/// branch-and-bound solver per-node `ilp.node` spans plus pivot /
+/// warm-start counters from its [`sgmap_ilp::SolveStats`].
 ///
 /// # Errors
 ///
@@ -342,8 +346,9 @@ pub fn map_ilp(
 /// `allowed` get assignment columns, so the solution never places a partition
 /// elsewhere. `incumbent` is the warm start and fallback — it must already
 /// respect the restriction. `floor`, when the floor search finished, is the
-/// optimal compute-only makespan on `allowed`: the search stops once its
-/// incumbent meets it. [`map_ilp`] is the unrestricted special case; the
+/// optimal compute-only makespan on `allowed`: a warm start that meets it is
+/// proven optimal before any LP, and the search stops once a new incumbent
+/// meets it. [`map_ilp`] is the unrestricted special case; the
 /// repair path re-solves over the survivors of a lost device.
 pub(crate) fn map_ilp_on(
     pdg: &Pdg,
@@ -382,8 +387,12 @@ pub(crate) fn map_ilp_on(
         });
     }
 
-    let mm = MapperModel::build(pdg, platform, allowed);
-    let warm = mm.point(pdg, platform, allowed, &incumbent.assignment);
+    let (mm, warm) = {
+        let _span = sgmap_trace::span("map.model");
+        let mm = MapperModel::build(pdg, platform, allowed);
+        let warm = mm.point(pdg, platform, allowed, &incumbent.assignment);
+        (mm, warm)
+    };
 
     let solver_options = SolverOptions {
         max_nodes: options.max_nodes,
@@ -689,8 +698,9 @@ mod tests {
     /// When the solver gives up on numerical trouble the mapper keeps its
     /// warm start and claims nothing, so only a search that finishes is held
     /// to the optimum. A mapping that says `optimal` claims gap 0 whatever
-    /// its reported gap, so its `Tmax` must be the optimum itself.
-    fn check_claim(optimum: f64, map: impl FnOnce() -> Mapping) -> Result<(), TestCaseError> {
+    /// its reported gap, so its `Tmax` must be the optimum itself. Returns
+    /// the mapping.
+    fn check_claim(optimum: f64, map: impl FnOnce() -> Mapping) -> Result<Mapping, TestCaseError> {
         let collector = Arc::new(sgmap_trace::Collector::new());
         let mapping = sgmap_trace::scope(Some(&collector), map);
         let gave_up = collector
@@ -716,6 +726,31 @@ mod tests {
         prop_assert!(
             !mapping.optimal || (tmax - optimum).abs() <= optimum * 1e-9,
             "claims optimality at Tmax {tmax} but the optimum is {optimum}"
+        );
+        Ok(mapping)
+    }
+
+    /// A map proven with no branch-and-bound node, whose warm start met the
+    /// compute floor before any LP, must be that warm start (`warm`, its
+    /// assignment) as it stands, at the exhaustive `optimum`.
+    fn check_lp_free_proof(
+        mapping: &Mapping,
+        warm: &[usize],
+        optimum: f64,
+    ) -> Result<(), TestCaseError> {
+        if mapping.ilp_stats.nodes > 0 || !mapping.optimal {
+            return Ok(());
+        }
+        prop_assert_eq!(mapping.ilp_stats.lp_iterations, 0);
+        prop_assert_eq!(
+            &mapping.assignment,
+            warm,
+            "a proof without an LP moved the warm start"
+        );
+        let tmax = mapping.predicted_tmax_us;
+        prop_assert!(
+            (tmax - optimum).abs() <= optimum * 1e-9,
+            "proven without an LP at Tmax {tmax}, but the optimum is {optimum}"
         );
         Ok(())
     }
@@ -955,8 +990,9 @@ mod tests {
 
         /// The pigeonhole cut never cuts off an integer mapping: on every
         /// platform and survivor subset it stays at or below the exhaustive
-        /// optimum, a search with nodes to spare proves that optimum, and
-        /// the budget-limited repair polish claims no gap it has not earned.
+        /// optimum, a search with nodes to spare proves that optimum (one
+        /// proven with no node keeps its greedy warm start), and the
+        /// budget-limited repair polish claims no gap it has not earned.
         #[test]
         fn pigeonhole_bound_never_exceeds_the_exhaustive_optimum(pdg in small_pdg_strategy()) {
             let unlimited = MappingOptions {
@@ -968,18 +1004,21 @@ mod tests {
                 let optimum = exhaustive_tmax(&pdg, &platform, &all);
                 let bound = pigeonhole_bound(&pdg.times_us, &platform, &all);
                 prop_assert!(bound <= optimum * (1.0 + 1e-9), "bound {bound} > optimum {optimum}");
-                check_claim(optimum, || map_ilp(&pdg, &platform, &unlimited).unwrap())?;
-
                 let original = map_greedy(&pdg, &platform);
+                let mapping = check_claim(optimum, || map_ilp(&pdg, &platform, &unlimited).unwrap())?;
+                check_lp_free_proof(&mapping, &original.assignment, optimum)?;
+
                 for lost in all.iter().copied() {
                     let survivors: Vec<usize> = all.iter().copied().filter(|&j| j != lost).collect();
                     let optimum = exhaustive_tmax(&pdg, &platform, &survivors);
                     let bound = pigeonhole_bound(&pdg.times_us, &platform, &survivors);
                     prop_assert!(bound <= optimum * (1.0 + 1e-9),
                         "lost {lost}: bound {bound} > optimum {optimum}");
-                    check_claim(optimum, || {
+                    let mapping = check_claim(optimum, || {
                         map_on_survivors(&pdg, &platform, lost, &unlimited).unwrap()
                     })?;
+                    let greedy = map_greedy_on(&pdg, &platform, &survivors);
+                    check_lp_free_proof(&mapping, &greedy.assignment, optimum)?;
                     check_claim(optimum, || {
                         repair_mapping(&pdg, &platform, &original, lost).unwrap().0
                     })?;
@@ -990,7 +1029,8 @@ mod tests {
         /// The compute floor never cuts off an integer mapping: on every
         /// oracle platform and survivor subset it stays at or below the
         /// exhaustive optimum, and a node-budgeted search it ends claims
-        /// only that optimum.
+        /// only that optimum. A warm start the floor proves before any LP
+        /// comes back unchanged.
         #[test]
         fn floor_never_exceeds_the_exhaustive_optimum(pdg in equal_time_pdg_strategy()) {
             let budget = MappingOptions {
@@ -1007,9 +1047,11 @@ mod tests {
                         "{allowed:?}: floor {floor} > optimum {optimum}"
                     );
                     let greedy = map_greedy_on(&pdg, &platform, &allowed);
-                    check_claim(optimum, || {
+                    let warm = greedy.assignment.clone();
+                    let mapping = check_claim(optimum, || {
                         map_ilp_on(&pdg, &platform, &budget, &allowed, greedy, Some(floor)).unwrap()
                     })?;
+                    check_lp_free_proof(&mapping, &warm, optimum)?;
                 }
             }
         }

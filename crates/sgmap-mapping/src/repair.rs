@@ -11,9 +11,10 @@
 //! 2. **Warm-started ILP polish** — the restricted ILP (assignment columns
 //!    only for the survivors) re-solves under a deliberately tight budget,
 //!    warm-started from the patch. The solver's incumbent guard means the
-//!    polish can only improve on the patch, never lose to it. A patch that
-//!    already meets the survivors' compute floor (the best balance their
-//!    partition times admit) is optimal as it stands, and skips the polish.
+//!    polish can only improve on the patch, never lose to it. The solve
+//!    gets the survivors' compute floor (the best balance their partition
+//!    times admit) as its objective bound, so a patch that already meets it
+//!    is proven optimal before any LP, and the polish searches nothing.
 //!
 //! The result is a valid mapping that never places anything on the lost
 //! device, together with [`RepairStats`] describing how much moved and what
@@ -25,7 +26,7 @@ use sgmap_ilp::IlpError;
 use sgmap_partition::Pdg;
 
 use crate::evaluate::evaluate_assignment;
-use crate::floor::{makespan_floor, meets_floor};
+use crate::floor::makespan_floor;
 use crate::greedy::map_greedy_on;
 use crate::ilp::map_ilp_on;
 use crate::{Mapping, MappingMethod, MappingOptions, SolveStats};
@@ -54,19 +55,23 @@ pub struct RepairStats {
     pub patch_tmax_us: f64,
     /// Objective of the returned mapping, microseconds.
     pub repaired_tmax_us: f64,
-    /// Whether the ILP polish ran (and therefore whether `ilp_stats` is
-    /// meaningful). It runs whenever the PDG is non-empty, at least two
-    /// GPUs survive and the patch does not already meet the survivors'
-    /// compute floor; with a single survivor the patch is already the only
-    /// possible mapping, and a patch at the floor is proven optimal.
+    /// Whether the ILP polish searched: whether its solve explored at least
+    /// one branch-and-bound node. It does whenever the PDG is non-empty, at
+    /// least two GPUs survive and the patch does not already meet the
+    /// survivors' compute floor; with a single survivor the patch is already
+    /// the only possible mapping, and a patch at the floor is proven optimal
+    /// before any LP.
     pub polished: bool,
-    /// Solver counters of the polish step (all zero when it did not run).
+    /// Solver counters of the polish step: all zero when no model was
+    /// solved (a single survivor or an empty PDG), and only the model's
+    /// `rows` and `cols` when the patch met the floor.
     pub ilp_stats: SolveStats,
 }
 
 /// Remaps the lost device's partitions onto the surviving GPUs: the greedy
-/// patch, then, unless the patch already meets the survivors' compute
-/// floor, the ILP polish under a fixed budget (24 nodes, 5 % relative gap).
+/// patch, then the ILP polish under a fixed budget (24 nodes, 5 % relative
+/// gap), which proves a patch at the survivors' compute floor optimal
+/// without searching.
 ///
 /// The returned mapping assigns every partition to a GPU other than
 /// `lost_gpu`, and its objective is never worse than the greedy patch. Costs
@@ -146,23 +151,13 @@ pub fn repair_mapping(
 
     // ILP polish over the survivors, warm-started from the patch. The
     // incumbent guard inside the restricted solve keeps the patch whenever
-    // the budget-limited search cannot beat it. A patch at the compute floor
-    // cannot be beaten, so it is returned as proven optimal.
-    let solvable = !pdg.is_empty() && survivors.len() > 1;
-    let floor = if solvable {
-        makespan_floor(&pdg.times_us, platform, &survivors)
-    } else {
-        None
-    };
-    let at_floor = floor.is_some_and(|floor| meets_floor(patch_tmax_us, floor));
-    let polish = solvable && !at_floor;
-    let repaired = if polish {
+    // the budget-limited search cannot beat it, and the compute floor proves
+    // a patch that meets it optimal before any LP.
+    let repaired = if !pdg.is_empty() && survivors.len() > 1 {
+        let floor = makespan_floor(&pdg.times_us, platform, &survivors);
         map_ilp_on(pdg, platform, &POLISH_BUDGET, &survivors, patch, floor)?
     } else {
-        Mapping {
-            optimal: at_floor,
-            ..patch
-        }
+        patch
     };
 
     let stats = RepairStats {
@@ -171,7 +166,7 @@ pub fn repair_mapping(
         baseline_tmax_us: mapping.predicted_tmax_us,
         patch_tmax_us,
         repaired_tmax_us: repaired.predicted_tmax_us,
-        polished: polish,
+        polished: repaired.ilp_stats.nodes > 0,
         ilp_stats: repaired.ilp_stats,
     };
     span.arg("moved", moved_partitions);
@@ -295,9 +290,11 @@ mod tests {
             let (repaired, stats) = repair_mapping(&pdg, &platform, &original, lost).unwrap();
             assert!(!stats.polished, "lost {lost}");
             assert!(repaired.optimal, "lost {lost}");
-            assert_eq!(repaired.method, MappingMethod::Greedy);
+            assert_eq!(repaired.method, MappingMethod::Ilp);
             assert_eq!(stats.repaired_tmax_us, stats.patch_tmax_us);
-            assert_eq!(stats.ilp_stats, SolveStats::default());
+            let ilp = &stats.ilp_stats;
+            assert_eq!((ilp.nodes, ilp.lp_iterations), (0, 0), "lost {lost}");
+            assert!(ilp.rows > 0 && ilp.cols > 0, "lost {lost}");
             assert!(repaired.assignment.iter().all(|&j| j != lost));
         }
     }

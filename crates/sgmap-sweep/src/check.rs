@@ -465,10 +465,11 @@ const BENCH: &[Row] = &[
     ("compiles[].total_ms", Num, Positive),
     ("compiles[].partitions", Int, Positive),
     ("compiles[].estimate_queries", Int, Positive),
-    // Every timed compile maps onto >= 2 GPUs with the ILP, so its solver
-    // must have visited at least the root node and pivoted.
-    ("compiles[].ilp_nodes", Int, Positive),
-    ("compiles[].lp_iterations", Int, Positive),
+    // Every timed compile maps onto >= 2 GPUs with the ILP. A warm start
+    // at the compute floor is proven before any LP (0 nodes, 0 iterations);
+    // the rules after the walk tell that proof from a skipped solve.
+    ("compiles[].ilp_nodes", Int, NonNegative),
+    ("compiles[].lp_iterations", Int, NonNegative),
     ("compiles[].ilp_rows", Int, Positive),
     ("compiles[].ilp_cols", Int, Positive),
     // The sparse-LU backend counts refactorisations and every solve
@@ -528,8 +529,10 @@ const BENCH: &[Row] = &[
 /// Validates the JSON text of a `perfbench` report (`BENCH.json`): format
 /// version 4, then every row of the private `BENCH` table in `check.rs`
 /// (one row per field: its path, type and rule; every number must be
-/// finite), then the rules that relate fields: at least one
-/// `lp_warm_starts` across the compiles, a synthetic scaling curve reaching
+/// finite), then the rules that relate fields: a compile with no ILP node
+/// has no LP iteration and gap 0 (a proof before any LP), one with nodes
+/// has LP iterations, at least one compile searched (`ilp_nodes` > 0) and
+/// one reoptimised warm (`lp_warm_starts` > 0), a synthetic scaling curve reaching
 /// 50 000 filters, no more `unchanged_mappings` than `compared_points`, a
 /// well-formed optional `cache_preloaded_entries` whose positive value
 /// demands zero sweep cache misses (a cold sweep must have queried the
@@ -544,6 +547,33 @@ pub fn check_bench_report(src: &str) -> Result<BenchCheckSummary, CheckError> {
     walk(&report, "", BENCH)?;
     let compiles = lookup(&report, "compiles", Value::as_array)?;
     let synthetic = lookup(&report, "synthetic_scaling", Value::as_array)?;
+    // A compile whose warm start meets the compute floor is proven without
+    // any LP: no node, no iteration, no gap. A compile that searched pivoted.
+    for (i, compile) in compiles.iter().enumerate() {
+        let nodes = lookup(compile, "ilp_nodes", Value::as_u64)?;
+        let iterations = lookup(compile, "lp_iterations", Value::as_u64)?;
+        let gap = lookup(compile, "ilp_gap", Value::as_f64)?;
+        if nodes == 0 && (iterations > 0 || gap != 0.0) {
+            return Err(CheckError::Shape(format!(
+                "compiles[{i}]: 0 ILP nodes needs 0 lp_iterations and ilp_gap 0, got {iterations} and {gap}"
+            )));
+        }
+        if nodes > 0 && iterations == 0 {
+            return Err(CheckError::Shape(format!(
+                "compiles[{i}]: {nodes} ILP nodes with 0 lp_iterations"
+            )));
+        }
+    }
+    // Every listed compile may be proven before any LP, but across the
+    // whole suite branch and bound must have searched somewhere.
+    if !compiles
+        .iter()
+        .any(|c| c.get("ilp_nodes").and_then(Value::as_u64) > Some(0))
+    {
+        return Err(CheckError::Shape(
+            "no ilp_nodes recorded across any compile".to_string(),
+        ));
+    }
     // A compile whose root relaxation is already integral legitimately
     // reports zero warm starts, but across the whole suite the
     // branch-and-bound searches must have reoptimised dual-warm somewhere.
@@ -1148,6 +1178,20 @@ mod tests {
         assert!(summary.to_string().contains("35.0x faster"));
         // A warm-started report with zero misses passes too.
         check_bench_report(&bench_json(0, Some(624))).unwrap();
+        // So does a compile proven before any LP next to one that searched.
+        let healthy = bench_json(624, None);
+        let start = healthy.find("{\"app\":\"DES\"").unwrap();
+        let end = healthy.find("}],\"synthetic_scaling\"").unwrap() + 1;
+        let searched = &healthy[start..end];
+        let proven = searched
+            .replace(
+                "\"ilp_nodes\":57,\"lp_iterations\":412,",
+                "\"ilp_nodes\":0,\"lp_iterations\":0,",
+            )
+            .replace("\"lp_warm_starts\":56,", "\"lp_warm_starts\":0,")
+            .replace("\"lp_refactorizations\":9,", "\"lp_refactorizations\":0,");
+        let two = healthy.replacen(searched, &format!("{searched},{proven}"), 1);
+        assert_eq!(check_bench_report(&two).unwrap().compiles, 2);
     }
 
     #[test]
@@ -1231,15 +1275,36 @@ mod tests {
                     "number '-1e999' at byte 788 is out of range for f64".to_string(),
                 ),
             ),
-            // The ILP counters of the revised simplex must be alive: nodes
-            // and iterations per compile, warm starts somewhere in the suite.
+            // The ILP counters of the revised simplex must be alive: a
+            // compile without nodes is a proof (no iterations, gap 0), one
+            // with nodes pivoted, and somewhere in the suite the search
+            // branched and reoptimised warm.
             (
                 edit("\"ilp_nodes\":57", "\"ilp_nodes\":0"),
-                shape("compiles[0]: 'ilp_nodes' must be positive, got 0"),
+                shape(
+                    "compiles[0]: 0 ILP nodes needs 0 lp_iterations and ilp_gap 0, got 412 and 0",
+                ),
+            ),
+            (
+                edit(
+                    "\"ilp_nodes\":57,\"lp_iterations\":412",
+                    "\"ilp_nodes\":0,\"lp_iterations\":0",
+                )
+                .replacen("\"ilp_gap\":0.0,", "\"ilp_gap\":0.5,", 1),
+                shape(
+                    "compiles[0]: 0 ILP nodes needs 0 lp_iterations and ilp_gap 0, got 0 and 0.5",
+                ),
             ),
             (
                 edit("\"lp_iterations\":412", "\"lp_iterations\":0"),
-                shape("compiles[0]: 'lp_iterations' must be positive, got 0"),
+                shape("compiles[0]: 57 ILP nodes with 0 lp_iterations"),
+            ),
+            (
+                edit(
+                    "\"ilp_nodes\":57,\"lp_iterations\":412",
+                    "\"ilp_nodes\":0,\"lp_iterations\":0",
+                ),
+                shape("no ilp_nodes recorded across any compile"),
             ),
             (
                 edit("\"lp_warm_starts\":56", "\"lp_warm_starts\":0"),

@@ -68,7 +68,7 @@
 //!
 //! | kind | names |
 //! |------|-------|
-//! | span | `graph.build`, `graph.analysis`, `partition`, `partition.prewarm`, `partition.phase1`..`partition.phase4`, `partition.coarsen`, `partition.initial`, `partition.refine`, `pdg.build`, `map`, `map.repair`, `ilp.solve`, `ilp.node`, `codegen`, `execute`, `sweep.group`, `sweep.point` |
+//! | span | `graph.build`, `graph.analysis`, `partition`, `partition.prewarm`, `partition.phase1`..`partition.phase4`, `partition.coarsen`, `partition.initial`, `partition.refine`, `pdg.build`, `map`, `map.greedy`, `map.floor`, `map.model`, `map.repair`, `ilp.solve`, `ilp.node`, `codegen`, `execute`, `sweep.group`, `sweep.point` |
 //! | counter | `graph.filters`, `graph.channels`, `partition.candidates_evaluated`, `partition.merges_accepted`, `partition.feasibility_hits`, `partition.feasibility_misses`, `partition.adjacency_rebuilds`, `partition.coarsen_levels`, `partition.refine_moves`, `pee.estimate_hits`, `pee.estimate_misses`, `pee.chars_merged`, `pee.chars_from_set`, `pee.chars_subtracted`, `pee.param_points`, `ilp.nodes`, `ilp.lp_iterations`, `ilp.lp_warm_starts`, `ilp.lp_cold_solves`, `ilp.refactorizations`, `ilp.bound_flips`, `ilp.budget_exhausted`, `ilp.numerical_fallbacks`, `ilp.bound_stops`, `map.floor_nodes`, `map.floor_capped`, `map.repairs`, `map.repair_moved_partitions`, `codegen.kernels`, `codegen.transfers`, `gpusim.kernel_launches`, `gpusim.transfers`, `sweep.compile_groups`, `sweep.points`, `sweep.panics_caught` |
 //! | histogram | `pee.chars_from_set_size`, `pee.chars_merged_size`, `pee.chars_subtracted_size` |
 //! | instant | `sweep.cache_loaded`, `sweep.cache_saved`, `sweep.summary` |

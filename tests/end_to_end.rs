@@ -230,12 +230,14 @@ fn default_compile_is_node_bounded_on_the_slowest_paper_points() {
     // the paper grid (Fig. 4.2 apps at 4 GPUs). Without the compute floor
     // each spent the whole budget; with it, each stops, proven optimal, once
     // its incumbent meets the best compute balance, so the node count is a
-    // function of the inputs alone either way. The `Tmax` pins are the ones
-    // the 600-node searches returned without the floor. DCT-26 equals its
-    // 80-node pin in `dct_on_four_gpus_maps_without_a_dual_simplex_stall`;
-    // DCT-30's later incumbents find a map 0.5% faster than its 80-node pin.
+    // function of the inputs alone either way. DCT-26's greedy warm start
+    // already meets the floor, so it is proven before any LP (0 nodes). The
+    // `Tmax` pins are the ones the 600-node searches returned without the
+    // floor. DCT-26 equals its 80-node pin in
+    // `dct_on_four_gpus_maps_without_a_dual_simplex_stall`; DCT-30's later
+    // incumbents find a map 0.5% faster than its 80-node pin.
     for (app, n, nodes, tmax) in [
-        (App::Dct, 26, 1, 3.7026538461538463),
+        (App::Dct, 26, 0, 3.7026538461538463),
         (App::Dct, 30, 375, 6.078315718996754),
         (App::FmRadio, 32, 357, 0.2833269230769232),
     ] {
@@ -244,6 +246,7 @@ fn default_compile_is_node_bounded_on_the_slowest_paper_points() {
         let mapping = compile(&graph, &config).unwrap().mapping;
         let label = format!("{app}-{n} on 4 GPUs");
         assert_eq!(mapping.ilp_stats.nodes, nodes, "{label}");
+        assert_eq!(mapping.ilp_stats.lp_iterations == 0, nodes == 0, "{label}");
         assert!(mapping.optimal, "{label}");
         assert_eq!(mapping.ilp_stats.optimality_gap, 0.0, "{label}");
         assert_eq!(mapping.predicted_tmax_us, tmax, "{label}");
@@ -256,9 +259,10 @@ fn compute_floor_proves_budget_limited_maps_at_the_root() {
     // 17 of DCT-14's 20, 23 of FMRadio-12's 25), and the greedy warm start
     // is already the best compute balance. The LP relaxation sat 3-5% below
     // it, and the 80-node searches of the `paper_apps` and `hier_mapping`
-    // benchmarks stopped at their budget. The exact compute floor ends each
-    // search after the root LP. The assignment and the `Tmax` bits are the
-    // ones the budget-limited searches returned without the floor.
+    // benchmarks stopped at their budget. The exact compute floor proves
+    // each warm start optimal before the root LP: no node, no LP iteration.
+    // The assignment and the `Tmax` bits are the ones the budget-limited
+    // searches returned without the floor.
     let cases: [(App, u32, PlatformSpec, &[usize], f64); 3] = [
         (
             App::FmRadio,
@@ -302,11 +306,11 @@ fn compute_floor_proves_budget_limited_maps_at_the_root() {
             "{label}"
         );
         assert_eq!(
-            mapping.ilp_stats.nodes, 1,
+            (mapping.ilp_stats.nodes, mapping.ilp_stats.lp_iterations),
+            (0, 0),
             "{label}: {:?}",
             mapping.ilp_stats
         );
-        assert!(mapping.ilp_stats.lp_iterations > 0, "{label}");
         assert!(mapping.optimal, "{label}");
         assert_eq!(mapping.ilp_stats.optimality_gap, 0.0, "{label}");
     }
@@ -318,10 +322,12 @@ fn greedy_optimal_maps_on_eight_gpus_are_proven_at_the_root() {
     // already optimal, but with average load and the largest partition as
     // its only bounds the root LP sat 23% (DES-12) and 13% (FMRadio-12)
     // below it, and the search spent all 80 nodes without closing the gap.
-    // The pigeonhole bound on the largest partitions meets it at the root.
-    // The flat partitioner and the node budget of the `hier_mapping`
-    // benchmark. Each `Tmax` is bit-equal to what the budget-limited
-    // 80-node search returned without the bound.
+    // The pigeonhole bound on the largest partitions closed that gap at the
+    // root LP; the exact compute floor, which the warm start meets, now
+    // proves it before any LP (no node, no LP iteration). The flat
+    // partitioner and the node budget of the `hier_mapping` benchmark. Each
+    // `Tmax` is bit-equal to what the budget-limited 80-node search returned
+    // without the bound.
     for (app, n, tmax) in [
         (App::Des, 12, 0.0408974358974359),
         (App::FmRadio, 12, 0.06296153846153846),
@@ -338,7 +344,8 @@ fn greedy_optimal_maps_on_eight_gpus_are_proven_at_the_root() {
             config.mapping_options = SweepSpec::deterministic_mapping_options();
             let mapping = compile(&graph, &config).unwrap().mapping;
             assert_eq!(
-                mapping.ilp_stats.nodes, 1,
+                (mapping.ilp_stats.nodes, mapping.ilp_stats.lp_iterations),
+                (0, 0),
                 "{label}: {:?}",
                 mapping.ilp_stats
             );
