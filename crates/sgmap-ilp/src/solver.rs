@@ -24,18 +24,30 @@
 //! node budgets. The only budget is [`SolverOptions::max_nodes`]: no clock
 //! is read anywhere in the search or the simplex loops, so a solve is a
 //! function of its model and options alone. When the node budget runs out,
-//! or the frontier comes within [`SolverOptions::relative_gap`], the best
-//! remaining open bound yields a reported [`SolveStats::optimality_gap`]
+//! the best remaining bound yields a reported [`SolveStats::optimality_gap`]
 //! alongside the best incumbent, so a truncated solve still says *how good*
 //! its mapping is.
 //!
 //! A caller that knows a bound on the optimum from outside the model gives
-//! it to [`Solver::objective_bound`]: once an incumbent meets it, nothing
-//! strictly better exists and the search stops, proven optimal. A warm start
-//! that meets it is checked before the root relaxation and returned without
-//! any LP; after the root, each new incumbent is checked. The bound never
-//! enters the LP, so the nodes the search does explore are the ones it would
-//! explore without it.
+//! it to [`Solver::objective_bound`]. The bound never enters the LP, so the
+//! nodes the search does explore are the ones it would explore without it.
+//! Once an incumbent meets it, nothing strictly better exists and the
+//! search stops, proven optimal.
+//!
+//! The search also stops, [`SolutionStatus::Feasible`], once its incumbent
+//! is within [`SolverOptions::relative_gap`] of its bounds. One gap
+//! definition serves that stop and the reported gap: the incumbent's
+//! relative distance to the better of the best open LP bound and the
+//! objective bound, in the solver's sense of better (the lower one for
+//! minimisation). A gap stop must hold against both: the objective bound
+//! alone can end a search before any LP, but once the LP runs it never ends
+//! a search the LP frontier has not closed.
+//!
+//! Both stops are checked first where they are cheapest: a feasible,
+//! integral warm start that meets the objective bound, or lies within the
+//! gap of it, is returned before the root relaxation, with no LP solved.
+//! After the root, each new incumbent is checked against the bound, and
+//! each node popped against the gap.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -80,9 +92,11 @@ pub struct SolveStats {
     pub rows: u64,
     /// Columns of the LP the search solved: the model's own.
     pub cols: u64,
-    /// Relative gap between the returned solution and the best remaining
-    /// bound: `0.0` when optimality was proven, and the gap to the best
-    /// open (or numerically skipped) node's bound otherwise.
+    /// Relative gap between the returned solution and its bounds: `0.0`
+    /// when optimality was proven, and otherwise the gap to the better of
+    /// the best open (or numerically skipped) node's bound and the
+    /// [objective bound](Solver::objective_bound), the lower one for
+    /// minimisation.
     pub optimality_gap: f64,
 }
 
@@ -120,9 +134,13 @@ pub struct SolverOptions {
     /// only budget.
     pub max_nodes: usize,
     /// Relative optimality gap at which the search stops early with status
-    /// [`SolutionStatus::Feasible`] and that gap (or less) reported. `0.0`
-    /// (the default) disables the early stop: the search only ends when the
-    /// tree is exhausted or the node budget is spent.
+    /// [`SolutionStatus::Feasible`] and that gap (or less) reported: the
+    /// gap to the better of the best open LP bound and the
+    /// [objective bound](Solver::objective_bound), the lower one for
+    /// minimisation. A warm start within it of the objective bound is
+    /// returned before any LP. `0.0` (the default) disables the early stop:
+    /// the search only ends when the tree is exhausted, an incumbent meets
+    /// the objective bound or the node budget is spent.
     pub relative_gap: f64,
 }
 
@@ -215,11 +233,14 @@ impl Solver {
     /// tolerance that decides whether one objective is better than another
     /// (`1e-12`) of it. A feasible, integral warm start is checked before
     /// the root relaxation: one that meets the bound is returned with no LP
-    /// solved (0 nodes, 0 LP iterations, gap 0). After the root, every new
-    /// incumbent is checked. The bound never enters the LP, so every
-    /// relaxation, and the tree up to the stop, is the one the search would
-    /// explore without it. A bound that is not valid can make the search
-    /// claim an optimum it does not have.
+    /// solved (0 nodes, 0 LP iterations, gap 0), and so is one within
+    /// [`SolverOptions::relative_gap`] of it ([`SolutionStatus::Feasible`],
+    /// with its gap). After the root, every new incumbent is checked, and
+    /// the bound enters the gap every popped node is checked against. The
+    /// bound never enters the LP, so every relaxation, and the tree up to
+    /// the stop, is the one the search would explore without it. A bound
+    /// that is not valid can make the search claim an optimum it does not
+    /// have.
     pub fn objective_bound(mut self, bound: f64) -> Self {
         self.objective_bound = Some(bound);
         self
@@ -233,9 +254,12 @@ impl Solver {
     /// [`SolveStats`] of each successful solve are accumulated into the
     /// `ilp.nodes` / `ilp.lp_iterations` / `ilp.lp_warm_starts` /
     /// `ilp.lp_cold_solves` / `ilp.refactorizations` / `ilp.bound_flips`
-    /// counters; a search that its [objective bound](Solver::objective_bound)
-    /// ended counts in `ilp.bound_stops`. The collector is write-only: it
-    /// cannot change the solution.
+    /// counters. A search that its [objective bound](Solver::objective_bound)
+    /// ended counts in `ilp.bound_stops`, one that its
+    /// [relative gap](SolverOptions::relative_gap) ended in `ilp.gap_stops`,
+    /// and one that its [node budget](SolverOptions::max_nodes) ended in
+    /// `ilp.budget_exhausted`. The collector is write-only: it cannot change
+    /// the solution.
     ///
     /// # Errors
     ///
@@ -267,6 +291,7 @@ impl Solver {
         // Whether an incumbent objective meets the caller's bound, so that no
         // solution is better by more than rounding noise.
         let at_bound = |obj: f64| self.objective_bound.is_some_and(|b| !better(b, obj));
+        let relative_gap = self.options.relative_gap;
         // The branching candidates, listed once for the warm start's and
         // every node's integrality test, branching choice and rounding.
         let binaries = model.binary_vars();
@@ -293,16 +318,27 @@ impl Solver {
             optimality_gap: gap,
         };
         // A warm start that meets the objective bound is optimal as it
-        // stands: nothing to relax, nothing to branch on.
-        if let Some((values, objective)) = incumbent.take_if(|(_, obj)| at_bound(*obj)) {
-            sgmap_trace::add("ilp.bound_stops", 1);
-            return Ok(Solution {
-                values,
-                objective,
-                status: SolutionStatus::Optimal,
-                nodes_explored: 0,
-                stats: finish_stats(0, LpStats::default(), 0.0),
-            });
+        // stands, and one within the relative gap of it is good enough:
+        // nothing to relax, nothing to branch on.
+        if let Some((_, obj)) = &incumbent {
+            let stop = if at_bound(*obj) {
+                Some(("ilp.bound_stops", SolutionStatus::Optimal, 0.0))
+            } else {
+                bound_gap(minimize, *obj, None, self.objective_bound)
+                    .filter(|&gap| gap <= relative_gap)
+                    .map(|gap| ("ilp.gap_stops", SolutionStatus::Feasible, gap))
+            };
+            if let Some((counter, status, gap)) = stop {
+                sgmap_trace::add(counter, 1);
+                let (values, objective) = incumbent.take().expect("checked above");
+                return Ok(Solution {
+                    values,
+                    objective,
+                    status,
+                    nodes_explored: 0,
+                    stats: finish_stats(0, LpStats::default(), gap),
+                });
+            }
         }
 
         // The LP workspace every node shares: one sparse matrix, one basis
@@ -383,24 +419,25 @@ impl Solver {
             };
             if nodes_explored >= self.options.max_nodes {
                 // Keep the node's bound visible to the gap computation.
+                sgmap_trace::add("ilp.budget_exhausted", 1);
                 let score = score_of(node.bound);
                 heap.push(ByBound { node, score });
                 break;
             }
-            // Bound pruning against the incumbent, and the optional early
-            // stop once the whole frontier is within `relative_gap`.
+            // Bound pruning against the incumbent, and the early stop once
+            // the incumbent is within `relative_gap` of the best bound known.
             if let Some((_, inc_obj)) = &incumbent {
                 if !better(node.bound, *inc_obj) {
                     continue;
                 }
-                if self.options.relative_gap > 0.0 {
-                    if let Some(frontier) = peek_bound(&heap, &dive, Some(node.bound)) {
-                        if gap_between(minimize, *inc_obj, frontier) <= self.options.relative_gap {
-                            let score = score_of(node.bound);
-                            heap.push(ByBound { node, score });
-                            break;
-                        }
-                    }
+                let frontier = peek_bound(&heap, &dive, Some(node.bound));
+                let (_, gap) =
+                    search_end(minimize, *inc_obj, frontier, dropped, self.objective_bound);
+                if gap <= relative_gap {
+                    sgmap_trace::add("ilp.gap_stops", 1);
+                    let score = score_of(node.bound);
+                    heap.push(ByBound { node, score });
+                    break;
                 }
             }
             nodes_explored += 1;
@@ -468,7 +505,13 @@ impl Solver {
                     sgmap_trace::add("ilp.bound_stops", 1);
                     (SolutionStatus::Optimal, 0.0)
                 } else {
-                    search_end(minimize, objective, peek_bound(&heap, &dive, None), dropped)
+                    search_end(
+                        minimize,
+                        objective,
+                        peek_bound(&heap, &dive, None),
+                        dropped,
+                        self.objective_bound,
+                    )
                 };
                 Ok(Solution {
                     values,
@@ -504,26 +547,47 @@ fn best_of(minimize: bool, current: Option<f64>, bound: f64) -> f64 {
 /// Status and gap of a search that ends with an incumbent. `frontier` is the
 /// best bound still open: none once the tree is exhausted, some after a
 /// node-budget or relative-gap stop (either pushes the popped node back).
-/// `dropped` is the best bound of the nodes skipped for numerical trouble.
+/// `dropped` is the best bound of the nodes skipped for numerical trouble,
+/// and `objective_bound` the caller's bound on the optimum, if any.
 ///
 /// Optimality needs every subtree searched or pruned: an open node, or a
 /// dropped one whose bound still beats the incumbent, may hide a better
 /// solution, so it makes the result [`SolutionStatus::Feasible`] and the
-/// better of those bounds enters the gap.
+/// better of those bounds enters the gap ([`bound_gap`]).
 fn search_end(
     minimize: bool,
     incumbent: f64,
     frontier: Option<f64>,
     dropped: Option<f64>,
+    objective_bound: Option<f64>,
 ) -> (SolutionStatus, f64) {
     let dropped = dropped.filter(|&b| is_better(minimize, b, incumbent));
     match frontier.map(|f| best_of(minimize, dropped, f)).or(dropped) {
-        Some(bound) => (
+        Some(open) => (
             SolutionStatus::Feasible,
-            gap_between(minimize, incumbent, bound),
+            bound_gap(minimize, incumbent, Some(open), objective_bound)
+                .expect("an open bound is a bound"),
         ),
         None => (SolutionStatus::Optimal, 0.0),
     }
+}
+
+/// The one gap definition of the search: the relative gap between an
+/// incumbent objective and the better of two valid bounds on the optimum,
+/// the best `open` LP bound and the caller's `objective_bound`, or `None`
+/// when neither is known. "Better" is the solver's sense, the lower bound
+/// for minimisation: a stop must hold against both. So the objective bound
+/// alone can end a search before any LP, but once the LP runs it never
+/// ends one that the LP frontier has not closed.
+fn bound_gap(
+    minimize: bool,
+    incumbent: f64,
+    open: Option<f64>,
+    objective_bound: Option<f64>,
+) -> Option<f64> {
+    open.map(|b| best_of(minimize, objective_bound, b))
+        .or(objective_bound)
+        .map(|bound| gap_between(minimize, incumbent, bound))
 }
 
 /// Relative gap between an incumbent objective and a valid bound, clamped at
@@ -931,52 +995,136 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_start_within_the_gap_of_the_bound_needs_no_lp() {
+        // min t with t >= 2a + 2b and a + b = 1: the optimum is 2, the bound.
+        let mut m = Model::new(ObjectiveSense::Minimize);
+        let t = m.add_continuous(1.0);
+        let a = m.add_binary(0.0);
+        let b = m.add_binary(0.0);
+        m.add_constraint_eq(vec![(a, 1.0), (b, 1.0)], 1.0);
+        m.add_constraint_le(vec![(a, 2.0), (b, 2.0), (t, -1.0)], 0.0);
+        let opts = SolverOptions {
+            relative_gap: 1e-4,
+            ..SolverOptions::default()
+        };
+        let solve = |warm: Vec<f64>| {
+            let collector = std::sync::Arc::new(sgmap_trace::Collector::new());
+            let s = sgmap_trace::scope(Some(&collector), || {
+                Solver::with_options(opts.clone())
+                    .warm_start(warm)
+                    .objective_bound(2.0)
+                    .solve(&m)
+                    .unwrap()
+            });
+            let lp_nodes = collector
+                .span_totals()
+                .get("ilp.node")
+                .map_or(0, |n| n.count);
+            (s, lp_nodes, collector.counter("ilp.gap_stops"))
+        };
+
+        // 2.0002 sits 0.99990e-4 above the bound: returned as it stands.
+        let (s, lp_nodes, gap_stops) = solve(vec![2.0002, 1.0, 0.0]);
+        assert_eq!(s.status, SolutionStatus::Feasible);
+        assert_eq!(s.values, [2.0002, 1.0, 0.0]);
+        assert_eq!((s.nodes_explored, s.stats.nodes, lp_nodes), (0, 0, 0));
+        assert_eq!(s.stats.lp_iterations, 0);
+        assert_eq!(s.stats.lp_cold_solves, 0);
+        assert_eq!(s.stats.optimality_gap, (2.0002 - 2.0) / 2.0002);
+        assert!(s.stats.optimality_gap <= 1e-4);
+        assert_eq!((s.stats.rows, s.stats.cols), (2, 3));
+        assert_eq!(gap_stops, 1);
+
+        // 2.0004 sits 2.0e-4 above it: the root LP runs and finds the optimum.
+        let (s, lp_nodes, gap_stops) = solve(vec![2.0004, 1.0, 0.0]);
+        assert_eq!(s.status, SolutionStatus::Optimal);
+        assert!((s.objective - 2.0).abs() < 1e-9);
+        assert_eq!((s.stats.nodes, lp_nodes), (1, 1));
+        assert_eq!(s.stats.lp_cold_solves, 1);
+        assert!(s.stats.lp_iterations > 0);
+        assert_eq!(s.stats.optimality_gap, 0.0);
+        assert_eq!(gap_stops, 0);
+    }
+
+    #[test]
+    fn a_gap_holds_against_both_bounds() {
+        // The gap is to the better (more optimistic) of the open LP bound
+        // and the objective bound, in either sense.
+        assert_eq!(
+            search_end(true, 10.0, Some(9.0), None, Some(9.9)),
+            (SolutionStatus::Feasible, 0.1)
+        );
+        assert_eq!(
+            search_end(true, 10.0, Some(9.5), None, Some(8.0)),
+            (SolutionStatus::Feasible, 0.2)
+        );
+        assert_eq!(
+            search_end(false, 10.0, Some(11.0), None, Some(10.5)),
+            (SolutionStatus::Feasible, 0.1)
+        );
+        // A dropped subtree enters the open bound.
+        assert_eq!(
+            search_end(true, 10.0, Some(9.5), Some(9.0), Some(9.8)),
+            (SolutionStatus::Feasible, 0.1)
+        );
+        // An exhausted tree is a proof, whatever the objective bound says.
+        assert_eq!(
+            search_end(true, 10.0, None, None, Some(9.0)),
+            (SolutionStatus::Optimal, 0.0)
+        );
+        // Before any LP the objective bound is the only bound.
+        let gap = bound_gap(true, 10.0, None, Some(9.9)).unwrap();
+        assert!((gap - 0.01).abs() < 1e-12, "{gap}");
+        assert_eq!(bound_gap(true, 10.0, None, None), None);
+    }
+
+    #[test]
     fn a_node_dropped_for_numerical_trouble_forbids_an_optimal_claim() {
         // Tree exhausted, nothing dropped: proven optimal.
         assert_eq!(
-            search_end(true, 10.0, None, None),
+            search_end(true, 10.0, None, None, None),
             (SolutionStatus::Optimal, 0.0)
         );
         // A dropped subtree whose bound beats the incumbent may hide a
         // better solution: feasible, with that bound in the gap.
         assert_eq!(
-            search_end(true, 10.0, None, Some(8.0)),
+            search_end(true, 10.0, None, Some(8.0), None),
             (SolutionStatus::Feasible, 0.2)
         );
         assert_eq!(
-            search_end(false, 10.0, None, Some(12.0)),
+            search_end(false, 10.0, None, Some(12.0), None),
             (SolutionStatus::Feasible, 0.2)
         );
         // One the incumbent prunes anyway hides nothing.
         assert_eq!(
-            search_end(true, 10.0, None, Some(10.0)),
+            search_end(true, 10.0, None, Some(10.0), None),
             (SolutionStatus::Optimal, 0.0)
         );
         assert_eq!(
-            search_end(false, 10.0, None, Some(9.0)),
+            search_end(false, 10.0, None, Some(9.0), None),
             (SolutionStatus::Optimal, 0.0)
         );
         // A node-budget or relative-gap stop leaves a frontier open: feasible,
         // with the better of the frontier and the dropped bounds in the gap.
         assert_eq!(
-            search_end(true, 10.0, Some(9.5), None),
+            search_end(true, 10.0, Some(9.5), None, None),
             (SolutionStatus::Feasible, 0.05)
         );
         assert_eq!(
-            search_end(true, 10.0, Some(9.5), Some(9.0)),
+            search_end(true, 10.0, Some(9.5), Some(9.0), None),
             (SolutionStatus::Feasible, 0.1)
         );
         assert_eq!(
-            search_end(true, 10.0, Some(9.5), Some(7.5)),
+            search_end(true, 10.0, Some(9.5), Some(7.5), None),
             (SolutionStatus::Feasible, 0.25)
         );
         assert_eq!(
-            search_end(true, 10.0, Some(9.0), Some(9.5)),
+            search_end(true, 10.0, Some(9.0), Some(9.5), None),
             (SolutionStatus::Feasible, 0.1)
         );
         // A frontier the incumbent already prunes still was not searched.
         assert_eq!(
-            search_end(true, 10.0, Some(10.0), None),
+            search_end(true, 10.0, Some(10.0), None, None),
             (SolutionStatus::Feasible, 0.0)
         );
     }

@@ -23,7 +23,8 @@
 //! * [`map_ilp`] — the exact formulation above, solved with the
 //!   branch-and-bound ILP solver of `sgmap-ilp` (warm-started by the greedy
 //!   mapper, bounded by a node budget, and stopped early once its incumbent
-//!   meets the best compute balance the partition times admit),
+//!   meets the best compute balance the partition times admit, or comes
+//!   within the relative gap of [`MappingOptions`] of its bounds),
 //! * [`map_greedy`] — longest-processing-time list scheduling followed by a
 //!   communication-aware local search; used both as the ILP warm start and as
 //!   a fast stand-alone mapper,

@@ -14,7 +14,8 @@
 //!    polish can only improve on the patch, never lose to it. The solve
 //!    gets the survivors' compute floor (the best balance their partition
 //!    times admit) as its objective bound, so a patch that already meets it
-//!    is proven optimal before any LP, and the polish searches nothing.
+//!    is proven optimal before any LP, one within the polish's 5% gap of it
+//!    is kept before any LP, and in both cases the polish searches nothing.
 //!
 //! The result is a valid mapping that never places anything on the lost
 //! device, together with [`RepairStats`] describing how much moved and what
@@ -26,7 +27,6 @@ use sgmap_ilp::IlpError;
 use sgmap_partition::Pdg;
 
 use crate::evaluate::evaluate_assignment;
-use crate::floor::makespan_floor;
 use crate::greedy::map_greedy_on;
 use crate::ilp::map_ilp_on;
 use crate::{Mapping, MappingMethod, MappingOptions, SolveStats};
@@ -57,21 +57,23 @@ pub struct RepairStats {
     pub repaired_tmax_us: f64,
     /// Whether the ILP polish searched: whether its solve explored at least
     /// one branch-and-bound node. It does whenever the PDG is non-empty, at
-    /// least two GPUs survive and the patch does not already meet the
-    /// survivors' compute floor; with a single survivor the patch is already
-    /// the only possible mapping, and a patch at the floor is proven optimal
+    /// least two GPUs survive and the patch is not already within the
+    /// polish's 5% gap of the survivors' compute floor; with a single
+    /// survivor the patch is already the only possible mapping, and a patch
+    /// within that gap is kept (proven optimal if it meets the floor)
     /// before any LP.
     pub polished: bool,
     /// Solver counters of the polish step: all zero when no model was
     /// solved (a single survivor or an empty PDG), and only the model's
-    /// `rows` and `cols` when the patch met the floor.
+    /// `rows` and `cols` (and the patch's gap) when the patch was kept
+    /// before any LP.
     pub ilp_stats: SolveStats,
 }
 
 /// Remaps the lost device's partitions onto the surviving GPUs: the greedy
 /// patch, then the ILP polish under a fixed budget (24 nodes, 5 % relative
-/// gap), which proves a patch at the survivors' compute floor optimal
-/// without searching.
+/// gap), which keeps a patch within that gap of the survivors' compute
+/// floor without searching, proven optimal if it meets the floor.
 ///
 /// The returned mapping assigns every partition to a GPU other than
 /// `lost_gpu`, and its objective is never worse than the greedy patch. Costs
@@ -151,11 +153,11 @@ pub fn repair_mapping(
 
     // ILP polish over the survivors, warm-started from the patch. The
     // incumbent guard inside the restricted solve keeps the patch whenever
-    // the budget-limited search cannot beat it, and the compute floor proves
-    // a patch that meets it optimal before any LP.
+    // the budget-limited search cannot beat it. A patch that meets the
+    // compute floor is proven optimal before any LP, and one within the
+    // polish's gap of it is kept before any LP.
     let repaired = if !pdg.is_empty() && survivors.len() > 1 {
-        let floor = makespan_floor(&pdg.times_us, platform, &survivors);
-        map_ilp_on(pdg, platform, &POLISH_BUDGET, &survivors, patch, floor)?
+        map_ilp_on(pdg, platform, &POLISH_BUDGET, &survivors, || patch)?
     } else {
         patch
     };
@@ -194,9 +196,9 @@ pub fn map_on_survivors(
     );
     assert!(g > 1, "no survivors on a single-GPU platform");
     let survivors: Vec<usize> = (0..g).filter(|&j| j != lost_gpu).collect();
-    let incumbent = map_greedy_on(pdg, platform, &survivors);
-    let floor = makespan_floor(&pdg.times_us, platform, &survivors);
-    map_ilp_on(pdg, platform, options, &survivors, incumbent, floor)
+    map_ilp_on(pdg, platform, options, &survivors, || {
+        map_greedy_on(pdg, platform, &survivors)
+    })
 }
 
 #[cfg(test)]

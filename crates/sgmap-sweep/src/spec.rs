@@ -366,10 +366,11 @@ impl SweepSpec {
     }
 
     /// The sweep's node budget: 80 branch-and-bound nodes, against the 600
-    /// of [`MappingOptions::default`]. Sweeps solve hundreds of warm-started
-    /// instances and the greedy warm start already matches the ILP on most
-    /// grid points; the figure-fidelity presets raise it to the historical
-    /// 300 via [`SweepSpec::with_figure_fidelity_ilp_budget`]. Like every
+    /// of [`MappingOptions::default`], whose 1e-4 relative gap it keeps.
+    /// Sweeps solve hundreds of warm-started instances and the greedy warm
+    /// start already matches the ILP on most grid points; the
+    /// figure-fidelity presets raise it to the historical 300 via
+    /// [`SweepSpec::with_figure_fidelity_ilp_budget`]. Like every
     /// ILP budget it counts nodes, not time, so multi-threaded sweep reports
     /// are byte-identical to single-threaded ones.
     pub fn deterministic_mapping_options() -> MappingOptions {

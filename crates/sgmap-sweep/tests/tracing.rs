@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use sgmap_apps::App;
 use sgmap_core::{compile_from_stage, execute, partition_graph, FlowConfig};
+use sgmap_mapping::{map_with, MappingMethod, MappingOptions};
 use sgmap_pee::{EstimateCache, Estimator};
 use sgmap_sweep::{
     check_trace, run_sweep, AppSweep, GpuModel, StackConfig, SweepSpec, TraceCheckSummary,
@@ -157,6 +158,44 @@ fn trace_counters_match_engine_statistics() {
     // none when the warm start was proven before any LP.
     let spans = collector.span_totals();
     assert_eq!(spans.get("ilp.node").map_or(0, |t| t.count), ilp.nodes);
+    // Each way a search can end has its counter: the node budget, the
+    // relative gap and the objective bound. The default compile searches
+    // to a proof, so neither of the first two fires.
+    let count = |counters: &std::collections::BTreeMap<&'static str, u64>| {
+        ["ilp.budget_exhausted", "ilp.gap_stops"].map(|c| counters.get(c).copied().unwrap_or(0))
+    };
+    assert!(compiled.mapping.optimal);
+    assert_eq!(count(&counters), [0, 0], "{counters:?}");
+    let remap = |options: MappingOptions| {
+        let collector = Arc::new(Collector::new());
+        let mapping = scope(Some(&collector), || {
+            map_with(
+                &compiled.pdg,
+                &compiled.platform,
+                MappingMethod::Ilp,
+                &options,
+            )
+        })
+        .unwrap();
+        (mapping, count(&collector.counters()))
+    };
+    // One node, the root LP, spends the budget of a search that needs more.
+    let (budget, counts) = remap(MappingOptions {
+        max_nodes: 1,
+        relative_gap: 0.0,
+    });
+    assert_eq!(counts, [1, 0]);
+    assert_eq!(budget.ilp_stats.nodes, 1);
+    assert!(!budget.optimal);
+    // A 50% gap takes the greedy warm start before any LP.
+    let (gap, counts) = remap(MappingOptions {
+        max_nodes: 600,
+        relative_gap: 0.5,
+    });
+    assert_eq!(counts, [0, 1]);
+    assert_eq!((gap.ilp_stats.nodes, gap.ilp_stats.lp_iterations), (0, 0));
+    assert!(gap.ilp_stats.optimality_gap <= 0.5);
+    assert!(!gap.optimal);
     // The codegen counter agrees with the emitted plan.
     assert_eq!(
         counters.get("codegen.kernels").copied(),

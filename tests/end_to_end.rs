@@ -5,10 +5,12 @@
 
 use sgmap::sweep::SweepSpec;
 use sgmap::{compile, compile_and_run, execute, Algorithm, FlowConfig};
+use sgmap_apps::synthetic::{self, Family};
 use sgmap_apps::App;
 use sgmap_gpusim::{GpuSpec, PlatformSpec, TransferMode};
-use sgmap_mapping::MappingMethod;
-use sgmap_partition::PartitionerKind;
+use sgmap_graph::GraphBuilder;
+use sgmap_mapping::{MappingMethod, MappingOptions};
+use sgmap_partition::{MultilevelOptions, PartitionerKind};
 
 /// The prior work's full stack: SM-only partitioner, hardware-agnostic
 /// round-robin mapping, transfers staged through the host.
@@ -353,5 +355,60 @@ fn greedy_optimal_maps_on_eight_gpus_are_proven_at_the_root() {
             assert_eq!(mapping.ilp_stats.optimality_gap, 0.0, "{label}");
             assert_eq!(mapping.predicted_tmax_us, tmax, "{label}");
         }
+    }
+}
+
+#[test]
+fn synthetic_maps_within_the_gap_of_the_static_bound_skip_the_search() {
+    // Seeded synthetic pipelines of the `synth_multilevel` benchmark, on the
+    // 2-GPU reference box with the multilevel partitioner and 80 nodes. On
+    // their 76-84 partitions of nearly all distinct times, the mapper's
+    // bound on `Tmax` is the average load over the two GPUs. The greedy
+    // warm start is within 1e-4 of it, the default relative gap, and 80
+    // nodes never moved that gap. So the default compile returns it before
+    // any LP, with the assignment and the `Tmax` bits the whole search
+    // returned at gap 0.
+    for (n, seed) in [
+        (458, 0x459b_aa4b_5537_79d5),
+        (489, 0x97f8_af38_30a6_243f),
+        (783, 0x940f_3865_1b78_378b),
+    ] {
+        let label = format!("pipe{n}#{seed:016x}");
+        let graph = GraphBuilder::new(label.clone())
+            .build(synthetic::spec(Family::Pipeline, n, seed))
+            .unwrap();
+        let mut config = FlowConfig::new()
+            .with_platform(PlatformSpec::reference(GpuSpec::m2090(), 2))
+            .with_algorithm(Algorithm::Multilevel(MultilevelOptions::default()));
+        config.mapping_options = SweepSpec::deterministic_mapping_options();
+        assert_eq!(config.mapping_options.relative_gap, 1e-4);
+        let compiled = compile(&graph, &config).unwrap();
+        let mapping = &compiled.mapping;
+        let stats = &mapping.ilp_stats;
+        assert_eq!((stats.nodes, stats.lp_iterations), (0, 0), "{label}");
+        assert!(!mapping.optimal, "{label}");
+        let gap = stats.optimality_gap;
+        assert!(gap > 0.0 && gap <= 1e-4, "{label}: gap {gap}");
+        // The gap is the one to the average load over the two GPUs.
+        let tmax = mapping.predicted_tmax_us;
+        let average: f64 = compiled.pdg.times_us.iter().sum::<f64>() / 2.0;
+        let to_average = (tmax - average) / tmax;
+        assert!(
+            (gap - to_average).abs() <= 1e-12,
+            "{label}: {gap} vs {to_average}"
+        );
+
+        config.mapping_options = MappingOptions {
+            max_nodes: 80,
+            relative_gap: 0.0,
+        };
+        let searched = compile(&graph, &config).unwrap().mapping;
+        assert_eq!(searched.ilp_stats.nodes, 80, "{label}");
+        assert_eq!(searched.assignment, mapping.assignment, "{label}");
+        assert_eq!(
+            searched.predicted_tmax_us.to_bits(),
+            tmax.to_bits(),
+            "{label}"
+        );
     }
 }
